@@ -41,8 +41,6 @@ from .channels import (
     kraus_channel,
     petz_recovery,
     superoperator_matrix,
-    unvec,
-    vec,
 )
 from .choi import map_entropy
 from .errors import (
@@ -93,6 +91,7 @@ __all__ = [
 # Relative singular-value cut used for numerical rank decisions inside the
 # algebra machinery; true spectra here are separated by many orders.
 _RANK_RTOL = 1e-9
+_SQRT_HALF = math.sqrt(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +208,7 @@ class MapEntropyReport:
 class FixedPointBasis:
     """Orthonormal basis of the fixed-point space of adjoint(phi) o phi.
 
-    Basis elements are Hermitian whenever the Hermitian representative
-    construction succeeds (it does for every dagger-closed space).
+    :func:`fixed_point_space` returns Hermitian basis elements.
     ``spectral_gap`` is the distance from 1 to the largest non-fixed
     eigenvalue of the superoperator, so tests can assert the cut was
     unambiguous; it is +inf when everything is fixed.
@@ -481,8 +479,8 @@ def map_entropy_preservation_report(
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_basis(mats: list[np.ndarray] | tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """Hermitian orthonormal basis of the complex span of a dagger-closed set.
+def _hermitian_basis(mats: np.ndarray) -> list[np.ndarray]:
+    """Hermitian orthonormal basis of the complex span of a dagger-closed (m, n, n) stack.
 
     Hermitian and anti-Hermitian parts of the inputs are stacked as real
     vectors; an SVD picks an orthonormal real basis of their span, which for
@@ -505,13 +503,46 @@ def _hermitian_basis(mats: list[np.ndarray] | tuple[np.ndarray, ...]) -> list[np
     return out
 
 
-def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> FixedPointBasis:
-    """Orthonormal basis of {X : adjoint(phi)(phi(X)) = X} for bi-stochastic phi.
+def _hermitian_unit_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-stacked (``vec``) positions of the entries (a, a), (a, b), (b, a), a < b.
 
-    The superoperator of adjoint(phi) o phi is Hermitian PSD and a
-    Hilbert-Schmidt contraction, so its spectrum lies in [0, 1] and the fixed
-    space is the eigenvalue-1 eigenspace; eigenvalues >= 1 - tol.fix are
-    taken as fixed.
+    They index the orthonormal basis of Herm(n) used by
+    :func:`fixed_point_space`: the diagonal units |a><a|, then
+    (|a><b| + |b><a|)/sqrt(2), then i(|a><b| - |b><a|)/sqrt(2).
+    """
+    rows, cols = np.triu_indices(n, 1)
+    return np.arange(n) * (n + 1), cols * n + rows, rows * n + cols
+
+
+def _hermitian_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
+    """Stack of the Hermitian matrices sum_b coords[b, i] E_b, one per column i."""
+    rows, cols = np.triu_indices(n, 1)
+    pairs = rows.size
+    out = np.zeros((coords.shape[1], n, n), dtype=complex)
+    out[:, np.arange(n), np.arange(n)] = coords[:n].T
+    upper = (coords[n : n + pairs] + 1j * coords[n + pairs :]).T * _SQRT_HALF
+    out[:, rows, cols] = upper
+    out[:, cols, rows] = upper.conj()
+    return out
+
+
+def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> FixedPointBasis:
+    """Orthonormal Hermitian basis of {X : adjoint(phi)(phi(X)) = X} for bi-stochastic phi.
+
+    adjoint(phi) o phi is a Hilbert-Schmidt contraction that is Hermitian
+    PSD and preserves Hermiticity, and its fixed space is dagger-closed, so
+    it is spanned by Hermitian fixed points.  The map is therefore
+    diagonalized as a real symmetric N^2 x N^2 matrix on Herm(N), in the
+    orthonormal basis E_b of :func:`_hermitian_unit_indices`: the columns of
+    the superoperator are recombined into the images phi(E_b), their real
+    coordinates h[a, b] = <E_a, phi(E_b)> form the matrix of phi on Herm(N),
+    and g = h^T h is that of adjoint(phi) o phi.  Its spectrum lies in
+    [0, 1]; eigenvalues >= 1 - tol.fix are taken as fixed, and each fixed
+    eigenvector v maps back to the Hermitian matrix sum_b v_b E_b.
+
+    Cost: O(k N^4) to build the superoperator of k Kraus operators, one real
+    N^2 x N^2 product and one real symmetric eigensolve, O(N^6) each, and
+    O(N^4) memory.
     """
     cls = classify(phi, tol)
     if not cls.bistochastic:
@@ -519,10 +550,25 @@ def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> 
             f"fixed-point space needs a bi-stochastic channel; stochastic residual "
             f"{cls.stochastic_residual:.3e}, unital residual {cls.unital_residual:.3e}"
         )
+    n = phi.dim
     s = superoperator_matrix(phi).matrix
-    g = s.conj().T @ s
-    g = (g + g.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(g)
+    diag, ab, ba = _hermitian_unit_indices(n)
+    images = np.concatenate(
+        [
+            s[:, diag],
+            (s[:, ab] + s[:, ba]) * _SQRT_HALF,
+            (s[:, ab] - s[:, ba]) * (1j * _SQRT_HALF),
+        ],
+        axis=1,
+    )
+    h = np.concatenate(
+        [
+            images[diag].real,
+            (images[ab] + images[ba]).real * _SQRT_HALF,
+            (images[ab] - images[ba]).imag * _SQRT_HALF,
+        ]
+    )
+    vals, vecs = np.linalg.eigh(h.T @ h)
     fixed_mask = vals >= 1.0 - tol.fix
     if not np.any(fixed_mask):
         raise AmbiguousGroupingError(
@@ -530,15 +576,13 @@ def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> 
         )
     below = vals[~fixed_mask]
     gap = float(1.0 - below.max()) if below.size else math.inf
-    mats = [unvec(vecs[:, i]) for i in np.nonzero(fixed_mask)[0]]
-    herm = _hermitian_basis(mats)
-    basis = herm if len(herm) == len(mats) else mats
+    basis = _hermitian_from_coords(vecs[:, fixed_mask], n)
     adj = adjoint(phi)
     residuals = tuple(
         float(np.linalg.norm(apply_channel(adj, apply_channel(phi, b)) - b)) for b in basis
     )
     return FixedPointBasis(
-        dim=phi.dim,
+        dim=n,
         basis=tuple(frozen_array(b) for b in basis),
         eigenvalue_residuals=residuals,
         spectral_gap=gap,
@@ -584,52 +628,64 @@ def _partial_trace_left(m: np.ndarray, dl: int, dr: int) -> np.ndarray:
     return np.einsum("aras->rs", m.reshape(dl, dr, dl, dr))
 
 
-def _orthonormal_span(mats, n: int) -> tuple[np.ndarray, int]:
-    """Row matrix of an orthonormal basis (as vectors) of the span, plus rank."""
-    stacked = np.stack([vec(m) for m in mats])
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+def _orthonormal_span(mats: np.ndarray) -> tuple[np.ndarray, int]:
+    """Hilbert-Schmidt orthonormal basis of the span of an (m, n, n) stack, plus its rank."""
+    m, n, _ = mats.shape
+    _, svals, vh = np.linalg.svd(mats.reshape(m, n * n), full_matrices=False)
     rank = int(np.sum(svals > _RANK_RTOL * max(1.0, float(svals[0]))))
-    return vh[:rank], rank
+    return vh[:rank].reshape(rank, n, n), rank
 
 
-def _span_residual(onb_rows: np.ndarray, m: np.ndarray) -> float:
-    x = vec(m)
-    return float(np.linalg.norm(x - onb_rows.T @ (onb_rows.conj() @ x)))
+def _check_algebra_closure(work: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Certify that span(work) is a unital *-algebra and return its structure constants.
 
+    ``work`` is a (d, n, n) stack, orthonormal in the Hilbert-Schmidt inner
+    product.  The d^2 products are formed one left factor at a time (d
+    products per batched matmul, so extra memory is O(d n^2)) and each batch
+    is projected onto the span with one matmul.  Entry [a, b, k] of the
+    returned (d, d, d) array is <W_k, W_a W_b>.
+    """
+    d, n, _ = work.shape
+    flat = work.reshape(d, n * n)
 
-def _check_algebra_closure(
-    basis: tuple[np.ndarray, ...], onb_rows: np.ndarray, n: int, tol: ToleranceConfig
-) -> None:
-    for b in basis:
-        if _span_residual(onb_rows, b.conj().T) > tol.fix * max(1.0, float(np.linalg.norm(b))):
-            raise NotAnAlgebraError("span is not closed under conjugate transpose")
-    if _span_residual(onb_rows, np.eye(n)) > tol.fix * math.sqrt(n):
+    def project(mats: np.ndarray) -> tuple[np.ndarray, bool]:
+        x = mats.reshape(len(mats), n * n)
+        coeffs = x @ flat.conj().T
+        residuals = np.linalg.norm(x - coeffs @ flat, axis=1)
+        scale = np.maximum(1.0, np.linalg.norm(x, axis=1))
+        return coeffs, bool(np.all(residuals <= tol.fix * scale))
+
+    if not project(work.conj().transpose(0, 2, 1))[1]:
+        raise NotAnAlgebraError("span is not closed under conjugate transpose")
+    if not project(np.eye(n, dtype=complex)[None])[1]:
         raise NotAnAlgebraError("identity is not in the span")
-    for left in basis:
-        for right in basis:
-            prod = left @ right
-            if _span_residual(onb_rows, prod) > tol.fix * max(1.0, float(np.linalg.norm(prod))):
-                raise NotAnAlgebraError("span is not closed under products")
+    products = np.empty((d, d, d), dtype=complex)
+    for a in range(d):
+        products[a], closed = project(work[a] @ work)
+        if not closed:
+            raise NotAnAlgebraError("span is not closed under products")
+    return products
 
 
-def _center_basis(work: list[np.ndarray], tol: ToleranceConfig) -> list[np.ndarray]:
-    """Basis of {X in span : [X, W_i] = 0 for all spanning W_i}."""
-    columns = []
-    for w_j in work:
-        col = np.concatenate([vec(w_j @ w_i - w_i @ w_j) for w_i in work])
-        columns.append(col)
-    k = np.stack(columns, axis=1)
-    _, svals, vh = np.linalg.svd(k, full_matrices=True)
+def _center_basis(work: np.ndarray, products: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Basis of the center {X in span : [X, W_i] = 0 for all spanning W_i}.
+
+    With the structure constants ``products[a, b, k] = <W_k, W_a W_b>`` of
+    the orthonormal span, the commutator [W_j, W_i] has span coordinates
+    products[j, i] - products[i, j].  X = sum_j x_j W_j is central exactly
+    when x is in the null space of the d^2 x d matrix of those coordinates,
+    found with a thin SVD in O(d^4) time and O(d^3) memory.  Because the W_i
+    are orthonormal, its singular values equal those of the full (d n^2) x d
+    commutator system up to the out-of-span residual, which the closure
+    check has bounded by tol.fix.
+    """
     d = len(work)
-    null_mask = np.ones(d, dtype=bool)
-    null_mask[: svals.size] = svals <= tol.fix * max(1.0, float(svals[0]) if svals.size else 1.0)
-    coeffs = vh.conj().T[:, null_mask]
-    center = []
-    for c in coeffs.T:
-        center.append(sum(cj * wj for cj, wj in zip(c, work)))
-    if not center:
+    system = (products.transpose(1, 2, 0) - products.transpose(0, 2, 1)).reshape(d * d, d)
+    _, svals, vh = np.linalg.svd(system, full_matrices=False)
+    null_mask = svals <= tol.fix * max(1.0, float(svals[0]))
+    if not np.any(null_mask):
         raise NotAnAlgebraError("center is empty; the identity should be central")
-    return center
+    return np.tensordot(vh[null_mask].conj(), work, axes=1)
 
 
 def _factor_isometry(
@@ -648,15 +704,13 @@ def _factor_isometry(
     |l> (x) |r| with l outer.
     """
     nk = y.shape[1]
-    compressed = [y.conj().T @ w @ y for w in work]
-    onb_rows, m = _orthonormal_span(compressed, nk)
+    cb, m = _orthonormal_span(y.conj().T @ work @ y)
     dl = math.isqrt(m)
     if dl * dl != m or nk % dl != 0:
         raise _Ambiguous("compressed block dimension is not a perfect square")
     dr = nk // dl
     if dl == 1:
         return y, dl, dr
-    cb = [unvec(row) for row in onb_rows]
     hb = _hermitian_basis(cb)
     if len(hb) != m:
         raise _Ambiguous("hermitian basis of the block has the wrong dimension")
@@ -694,21 +748,41 @@ def _canonical_blocks(blocks: list[Block]) -> tuple[Block, ...]:
 
 
 def block_form_residual(f: FixedPointBasis, structure: BlockStructure) -> float:
-    """Worst deviation of the conjugated basis from block (left (x) scalar) form."""
+    """Worst deviation of the conjugated basis from block (left (x) scalar) form.
+
+    The block isometries are stacked into one matrix V (an N x N unitary for
+    a complete structure) and every basis element B is conjugated at once,
+    V^dag B V.  The result is the largest Frobenius norm of an off-diagonal
+    block, or of a diagonal block's deviation from (its partial trace over
+    the right factor, divided by dR) (x) I.
+    """
+    v = np.concatenate([b.isometry for b in structure.blocks], axis=1)
+    conjugated = v.conj().T @ np.asarray(f.basis) @ v
+    edges = np.cumsum([0] + [b.isometry.shape[1] for b in structure.blocks])
     worst = 0.0
-    isos = [b.isometry for b in structure.blocks]
-    for mat in f.basis:
-        for j, vj in enumerate(isos):
-            for k, vk in enumerate(isos):
-                cross = vj.conj().T @ mat @ vk
-                if j != k:
-                    worst = max(worst, float(np.linalg.norm(cross)))
-                else:
-                    dl, dr = structure.blocks[j].dim_left, structure.blocks[j].dim_right
-                    left = _partial_trace_right(cross, dl, dr) / dr
-                    rebuilt = np.kron(left, np.eye(dr))
-                    worst = max(worst, float(np.linalg.norm(cross - rebuilt)))
+    for j, block in enumerate(structure.blocks):
+        rows = conjugated[:, edges[j] : edges[j + 1]]
+        for k in range(len(structure.blocks)):
+            cross = rows[:, :, edges[k] : edges[k + 1]]
+            if j == k:
+                dl, dr = block.dim_left, block.dim_right
+                left = np.einsum("zarbr->zab", cross.reshape(-1, dl, dr, dl, dr)) / dr
+                cross = cross - np.einsum("zab,rs->zarbs", left, np.eye(dr)).reshape(cross.shape)
+            worst = max(worst, float(np.linalg.norm(cross, axis=(1, 2)).max()))
     return worst
+
+
+def _seeded_rng(seed: int, *words: int) -> np.random.Generator:
+    """Generator for an integer seed and extra entropy words; s and -s differ.
+
+    A non-negative seed keeps the stream of ``default_rng([seed, *words])``.
+    A negative seed adds a spawn key, which numpy mixes in apart from the
+    entropy words, so it cannot collide with any non-negative seed below
+    2**128.
+    """
+    seed = int(seed)
+    spawn_key = (1,) if seed < 0 else ()
+    return np.random.default_rng(np.random.SeedSequence([abs(seed), *words], spawn_key=spawn_key))
 
 
 def decompose_fixed_point_algebra(
@@ -719,27 +793,31 @@ def decompose_fixed_point_algebra(
     The algebra (given by a spanning fixed-point basis) is decomposed into
     isometries V_k onto subspaces H^L_k (x) H^R_k such that conjugating any
     algebra element by V_k yields (arbitrary on H^L_k) (x) (scalar identity
-    on H^R_k).  Procedure: certify dagger/product closure and unitality;
-    compute the center by solving the commutation system inside the span;
-    split the space along the eigenspaces of a generic Hermitian central
-    element (minimal central projections); inside each block, read off the
-    factor dimensions from the compressed algebra's dimension, separate the
-    left factor with a generic Hermitian element and align the right bases by
-    polar-decomposing a generic connecting element between its eigenspaces.
+    on H^R_k).  Procedure: orthonormalize the span (one SVD of the d x N^2
+    stack); certify dagger/product closure and unitality, forming the d^2
+    products one left factor at a time and keeping their span coordinates,
+    the structure constants; compute the center as the null space of the
+    d^2 x d matrix of commutator coordinates; split the space along the
+    eigenspaces of a generic Hermitian central element (minimal central
+    projections); inside each block, read off the factor dimensions from the
+    compressed algebra's dimension, separate the left factor with a generic
+    Hermitian element and align the right bases by polar-decomposing a
+    generic connecting element between its eigenspaces.
 
-    Generic elements are drawn from ``seed``; grouping ambiguity retries with
-    fresh randomness up to 3 times before raising
-    :class:`~qentropy.errors.AmbiguousGroupingError`.  The result is verified
-    against the input basis before it is returned.
+    Cost: O(d^2 N^3 + d^3 N^2) time for the closure check and O(d^4) for the
+    center, with O(d N^2 + d^3) memory; no array with d N^2 rows is built.
+
+    Generic elements are drawn from ``seed`` (s and -s give different
+    draws); grouping ambiguity retries with fresh randomness up to 3 times
+    before raising :class:`~qentropy.errors.AmbiguousGroupingError`.  The
+    result is verified against the input basis before it is returned.
     """
     n = f.dim
-    basis = tuple(np.asarray(b, dtype=complex) for b in f.basis)
-    onb_rows, rank = _orthonormal_span(basis, n)
-    if rank != len(basis):
+    work, rank = _orthonormal_span(np.asarray(f.basis, dtype=complex))
+    if rank != len(f.basis):
         raise NotAnAlgebraError("basis elements are not linearly independent")
-    _check_algebra_closure(basis, onb_rows, n, tol)
-    work = [unvec(row) for row in onb_rows]
-    center = _center_basis(work, tol)
+    products = _check_algebra_closure(work, tol)
+    center = _center_basis(work, products, tol)
     center_herm = _hermitian_basis(center)
     if len(center_herm) != len(center):
         raise NotAnAlgebraError("center is not closed under conjugate transpose")
@@ -747,7 +825,7 @@ def decompose_fixed_point_algebra(
 
     last_failure = "eigenvalue grouping remained ambiguous"
     for attempt in range(4):
-        rng = np.random.default_rng([abs(int(seed)), attempt])
+        rng = _seeded_rng(seed, attempt)
         try:
             central = sum(
                 g * z for g, z in zip(rng.standard_normal(n_blocks), center_herm)
@@ -970,7 +1048,7 @@ def synthesize_pair(
             raise InvalidSpecError(f"block dims must be positive, got ({dl}, {dr})")
     n = spec.dim
     k_blocks = len(spec.blocks)
-    rng = np.random.default_rng(abs(int(seed)))
+    rng = _seeded_rng(seed)
 
     def child_seed() -> int:
         return int(rng.integers(0, 2**63))
