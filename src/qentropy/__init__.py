@@ -12,7 +12,6 @@ from .channels import (
     SuperoperatorMatrix,
     adjoint,
     apply_channel,
-    apply_superoperator,
     channel_distance,
     channels_equal,
     classify,
@@ -29,7 +28,6 @@ from .choi import (
     choi_from_matrix,
     choi_matrix,
     map_entropy,
-    maximally_entangled_projector,
     partial_trace_output,
     partial_trace_reference,
 )
@@ -100,7 +98,6 @@ from .generators import (
 from .states import (
     DensityMatrix,
     Spectrum,
-    generalized_inverse,
     psd_inverse_sqrt,
     psd_sqrt,
     relative_entropy,

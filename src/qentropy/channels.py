@@ -45,7 +45,6 @@ __all__ = [
     "adjoint",
     "compose",
     "superoperator_matrix",
-    "apply_superoperator",
     "channel_distance",
     "channels_equal",
     "petz_recovery",
@@ -190,10 +189,6 @@ def superoperator_matrix(phi: KrausChannel) -> SuperoperatorMatrix:
     for m in phi.kraus:
         s += np.kron(m.conj(), m)
     return SuperoperatorMatrix(dim=n, matrix=frozen_array(s))
-
-
-def apply_superoperator(s: SuperoperatorMatrix, x: np.ndarray) -> np.ndarray:
-    return unvec(s.matrix @ vec(as_complex_matrix(x)))
 
 
 def channel_distance(phi: KrausChannel, psi: KrausChannel) -> float:

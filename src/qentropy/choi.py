@@ -37,7 +37,6 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "ChoiMatrix",
-    "maximally_entangled_projector",
     "choi_matrix",
     "choi_from_matrix",
     "channel_from_choi",
@@ -53,13 +52,6 @@ class ChoiMatrix:
 
     dim: int
     matrix: np.ndarray
-
-
-def maximally_entangled_projector(n: int) -> np.ndarray:
-    """|Omega><Omega| for the unnormalized |Omega> = sum_i |ii>."""
-    omega = np.zeros(n * n, dtype=complex)
-    omega[:: n + 1] = 1.0
-    return np.outer(omega, omega.conj())
 
 
 def choi_matrix(phi: KrausChannel) -> ChoiMatrix:

@@ -25,7 +25,7 @@ from .errors import (
     NotStochasticError,
     ValidationError,
 )
-from .states import DensityMatrix, frozen_array
+from .states import DensityMatrix, _entropy_bits, frozen_array
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -104,8 +104,7 @@ def stochastic_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> StochasticMatrix
 
 def shannon_entropy(p: ProbabilityVector) -> float:
     """-sum p_i log2 p_i in bits, with 0*log2(0) := 0."""
-    pos = p.entries[p.entries > 0.0]
-    return float(-(pos * np.log2(pos)).sum() + 0.0)
+    return _entropy_bits(p.entries)
 
 
 def classical_relative_entropy(

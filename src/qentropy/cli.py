@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -60,6 +61,21 @@ class CommandResult:
             "report": self.report,
             "diagnostics": list(self.diagnostics),
         }
+
+
+class UsageError(Exception):
+    """Bad command-line arguments; reported as an ``error`` result with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors keep the one-JSON-object contract.
+
+    The usage line still goes to stderr; ``--help`` still prints and exits 0.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _resolve_tolerances(args) -> ToleranceConfig:
@@ -213,7 +229,7 @@ def _cmd_gen(args, tol: ToleranceConfig) -> CommandResult:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qentropy",
         description="Decide, certify and construct entropy-preserving quantum operations.",
     )
@@ -276,11 +292,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         tol = _resolve_tolerances(args)
         result = args.handler(args, tol)
-    except QentropyError as exc:
+    except (QentropyError, UsageError) as exc:
         result = CommandResult("error", {}, [f"{type(exc).__name__}: {exc}"])
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         result = CommandResult("error", {}, [f"{type(exc).__name__}: {exc}"])

@@ -27,6 +27,7 @@ program can check or build:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -304,10 +305,14 @@ def parse_block_spec(text: str) -> BlockSpec:
 
 
 def phase_invariant_unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """min over phases theta of ||u - e^(i theta) v||_F."""
-    n = u.shape[0]
-    overlap = abs(complex(np.trace(u.conj().T @ v)))
-    return math.sqrt(max(0.0, 2.0 * n - 2.0 * overlap))
+    """min over phases theta of ||u - e^(i theta) v||_F.
+
+    The minimizing phase is conj(t) / |t| for t = tr(u^dag v) (any phase when
+    t = 0); the norm is taken directly, so close inputs do not cancel.
+    """
+    overlap = complex(np.vdot(u, v))
+    phase = overlap.conjugate() / abs(overlap) if overlap else 1.0
+    return float(np.linalg.norm(u - phase * v))
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +629,6 @@ def _partial_trace_right(m: np.ndarray, dl: int, dr: int) -> np.ndarray:
     return np.einsum("arbr->ab", m.reshape(dl, dr, dl, dr))
 
 
-def _partial_trace_left(m: np.ndarray, dl: int, dr: int) -> np.ndarray:
-    return np.einsum("aras->rs", m.reshape(dl, dr, dl, dr))
-
-
 def _orthonormal_span(mats: np.ndarray) -> tuple[np.ndarray, int]:
     """Hilbert-Schmidt orthonormal basis of the span of an (m, n, n) stack, plus its rank."""
     m, n, _ = mats.shape
@@ -852,10 +853,17 @@ def decompose_fixed_point_algebra(
 # ---------------------------------------------------------------------------
 
 
-def _matrix_unit(n: int, row: int, col: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=complex)
-    out[row, col] = 1.0
-    return out
+def _excess_norm(dev: np.ndarray, kept: np.ndarray) -> float:
+    """||sum_i (d_i + k_i)(d_i + k_i)^dag - k_i k_i^dag||_F for rows d_i orthogonal to all k_j, as
+    sqrt(tr(G_d G_d) + 2 tr(G_d G_k)) from the Gram matrices G[i, j] = <x_i, x_j>."""
+    dev, kept = dev.reshape(len(dev), -1), kept.reshape(len(kept), -1)
+    g_dev, g_kept = dev.conj() @ dev.T, kept.conj() @ kept.T
+    return math.sqrt(max(0.0, np.vdot(g_dev, g_dev).real + 2.0 * np.vdot(g_kept, g_dev).real))
+
+
+def _check_residual(value: float, bound: float, what: str) -> None:
+    if value > bound:
+        raise StructureMismatchError(f"{what} (residual {value:.3e})")
 
 
 def verify_block_structure(
@@ -866,14 +874,20 @@ def verify_block_structure(
 ) -> BlockVerification:
     """Certify that (phi, rho) realize the claimed block structure.
 
-    Checks, in order: the structure's own isometry invariants; that rho is
-    block diagonal across the claimed ranges; that each diagonal block of rho
-    factorizes as (left state) (x) (maximally mixed right factor); and that
-    phi maps each block range into itself acting as (unitary conjugation) (x)
-    (bi-stochastic map) on a spanning set of product matrix units.  Extracted
-    weights, left states and left unitaries (up to phase) are returned with
-    the residuals; any failed sub-check raises
-    :class:`~qentropy.errors.StructureMismatchError` naming it.
+    Past the structure's own invariants, every check reads R = V^dag rho V and C_i = V^dag M_i V
+    for the stacked isometries V.  On block j (rows s_j) the realigned
+    Z_i[(a, b), (c, d)] = C_i[s_j, s_j][(a, c), (b, d)] equal u_U n_i^T, the row-major vectors of U
+    and N_i, exactly when phi acts there as Ad_U (x) sum_i N_i . N_i^dag (Chen & Wu): the top left
+    singular vector u of [Z_1 | ... | Z_k] is u_U / sqrt(dL), and n_i = u^dag Z_i / sqrt(dL).
+    Residuals, Frobenius norms maxed over blocks: block_diagonal of R[s_j, s_l], j != l;
+    factorization of R_jj - p_j L_j (x) I/dR (weight p_j = tr R_jj, left state
+    L_j = tr_R R_jj / p_j); invariance of the superoperator from inputs on s_j to outputs off
+    (s_j, s_j) and action of its difference to Ad_U (x) N, both from k x k Gram matrices and
+    quadratic in the Kraus operators (so an eps-mixture moves them by O(eps)); unitary of
+    U^dag U - I; right_bistochastic of sum N_i^dag N_i - I and sum N_i N_i^dag - I.  Cost: O(k N^3)
+    for the conjugation, then per block O(k^2 N n_j) and one dL^2 x k dR^2 SVD; O(k N^2) memory.
+    Weights, left states and left unitaries (up to phase) come back with the residuals; a failed
+    sub-check raises :class:`~qentropy.errors.StructureMismatchError` naming it.
     """
     n = structure.dim
     if phi.dim != n or rho.dim != n:
@@ -884,127 +898,54 @@ def verify_block_structure(
         raise StructureMismatchError("block dimensions do not add up to the space")
     isos = [b.isometry for b in structure.blocks]
     for k, v in enumerate(isos):
-        res = float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
-        if res > tol.recon * n:
+        if float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]))) > tol.recon * n:
             raise StructureMismatchError(f"isometry {k} columns are not orthonormal")
-    for j in range(len(isos)):
-        for k in range(j + 1, len(isos)):
-            if float(np.linalg.norm(isos[j].conj().T @ isos[k])) > tol.recon * n:
-                raise StructureMismatchError(f"blocks {j} and {k} have overlapping ranges")
+    for j, k in itertools.combinations(range(len(isos)), 2):
+        if float(np.linalg.norm(isos[j].conj().T @ isos[k])) > tol.recon * n:
+            raise StructureMismatchError(f"blocks {j} and {k} have overlapping ranges")
 
-    # (a) state block diagonal across ranges
-    diag_res = 0.0
-    for j in range(len(isos)):
-        for k in range(len(isos)):
-            if j != k:
-                cross = isos[j].conj().T @ rho.matrix @ isos[k]
-                diag_res = max(diag_res, float(np.linalg.norm(cross)))
-    if diag_res > tol.eq:
-        raise StructureMismatchError(
-            f"state couples distinct blocks (residual {diag_res:.3e})"
-        )
-
-    # (b) block factorization rho_k = p_k * (left state) (x) I/dR
-    weights = []
-    left_states = []
-    fact_res = 0.0
-    for block, v in zip(structure.blocks, isos):
-        dl, dr = block.dim_left, block.dim_right
-        rho_k = v.conj().T @ rho.matrix @ v
-        p_k = float(np.real(np.trace(rho_k)))
-        weights.append(p_k)
-        if p_k <= tol.psd:
+    v = np.hstack(isos)
+    r = v.conj().T @ rho.matrix @ v
+    rows = [slice(a, b) for a, b in itertools.pairwise(np.cumsum([0] + [i.shape[1] for i in isos]))]
+    cross = [float(np.linalg.norm(r[a, b])) for a, b in itertools.permutations(rows, 2)]
+    diag_res = max(cross, default=0.0)
+    _check_residual(diag_res, tol.eq, "state couples distinct blocks")
+    weights, left_states, fact_res = [], [], 0.0
+    for (dl, dr), sj in zip(structure.block_dims, rows):
+        weights.append(float(np.real(np.trace(r[sj, sj]))))
+        if weights[-1] <= tol.psd:
             left_states.append(np.eye(dl) / dl)
             continue
-        left = _partial_trace_right(rho_k, dl, dr) / p_k
-        rebuilt = p_k * np.kron(left, np.eye(dr) / dr)
-        fact_res = max(fact_res, float(np.linalg.norm(rho_k - rebuilt)))
-        left_states.append(left)
-    if fact_res > tol.eq * n:
-        raise StructureMismatchError(
-            f"a block of the state does not factor as left (x) maximally mixed "
-            f"(residual {fact_res:.3e})"
+        left_states.append(_partial_trace_right(r[sj, sj], dl, dr) / weights[-1])
+        rebuilt = weights[-1] * np.kron(left_states[-1], np.eye(dr) / dr)
+        fact_res = max(fact_res, float(np.linalg.norm(r[sj, sj] - rebuilt)))
+    what = "a block of the state does not factor as left (x) maximally mixed"
+    _check_residual(fact_res, tol.eq * n, what)
+
+    c = v.conj().T @ np.asarray(phi.kraus) @ v
+    left_unitaries, residuals = [], []
+    for (dl, dr), sj in zip(structure.block_dims, rows):
+        leak = np.delete(c[:, :, sj], sj, axis=1)
+        z = c[:, sj, sj].reshape(-1, dl, dr, dl, dr).swapaxes(2, 3).reshape(-1, dl**2, dr**2)
+        u = np.linalg.svd(np.hstack(z), full_matrices=False)[0][:, 0]
+        coeffs = u.conj() @ z
+        projected = u[:, None] * coeffs[:, None, :]
+        u_hat = math.sqrt(dl) * u.reshape(dl, dl)
+        n_i = coeffs.reshape(-1, dr, dr) / math.sqrt(dl)
+        sums = np.einsum("iab,iac->bc", n_i.conj(), n_i), np.einsum("iab,icb->ac", n_i, n_i.conj())
+        res_j = (
+            _excess_norm(leak, z),
+            float(np.linalg.norm(u_hat.conj().T @ u_hat - np.eye(dl))),
+            max(float(np.linalg.norm(m - np.eye(dr))) for m in sums),
+            _excess_norm(z - projected, projected),
         )
-
-    # (c) channel action: block invariance and (unitary (x) channel) form
-    inv_res = 0.0
-    act_res = 0.0
-    uni_res = 0.0
-    right_res = 0.0
-    left_unitaries = []
-    for block, v in zip(structure.blocks, isos):
-        dl, dr = block.dim_left, block.dim_right
-        proj = v @ v.conj().T
-
-        def on_block(x: np.ndarray) -> tuple[np.ndarray, float]:
-            big = apply_channel(phi, v @ x @ v.conj().T)
-            leak = float(np.linalg.norm(big - proj @ big @ proj))
-            return v.conj().T @ big @ v, leak
-
-        # left action and its Choi matrix; rank one exactly for Ad_U
-        j_left = np.zeros((dl * dl, dl * dl), dtype=complex)
-        for a in range(dl):
-            for b in range(dl):
-                unit = _matrix_unit(dl, a, b)
-                image, leak = on_block(np.kron(unit, np.eye(dr)))
-                inv_res = max(inv_res, leak)
-                j_left += np.kron(_partial_trace_right(image, dl, dr) / dr, unit)
-        if inv_res > tol.eq * n:
-            raise StructureMismatchError(
-                f"channel maps a block outside itself (residual {inv_res:.3e})"
-            )
-        vals, vecs = np.linalg.eigh((j_left + j_left.conj().T) / 2.0)
-        if dl > 1 and float(abs(vals[-2])) > tol.eq * dl:
-            raise StructureMismatchError(
-                f"left action is not a unitary conjugation "
-                f"(secondary Choi eigenvalue {vals[-2]:.3e})"
-            )
-        u_hat = math.sqrt(max(float(vals[-1]), 0.0)) * vecs[:, -1].reshape(dl, dl)
-        u_dev = float(np.linalg.norm(u_hat.conj().T @ u_hat - np.eye(dl)))
-        uni_res = max(uni_res, u_dev)
-        if u_dev > tol.eq * dl:
-            raise StructureMismatchError(
-                f"extracted left factor is not unitary (residual {u_dev:.3e})"
-            )
+        _check_residual(res_j[0], tol.eq * n, "channel maps a block outside itself")
+        _check_residual(res_j[1], tol.eq * dl, "extracted left factor is not unitary")
+        _check_residual(res_j[2], tol.eq * n, "extracted right factor is not bi-stochastic")
+        _check_residual(res_j[3], tol.eq * n, "block action differs from unitary (x) channel")
         left_unitaries.append(u_hat)
-
-        # right action on matrix units, with bistochasticity residuals
-        right_images = {}
-        tp_res = 0.0
-        for c in range(dr):
-            for d in range(dr):
-                unit = _matrix_unit(dr, c, d)
-                image, leak = on_block(np.kron(np.eye(dl), unit))
-                inv_res = max(inv_res, leak)
-                right_images[(c, d)] = _partial_trace_left(image, dl, dr) / dl
-                expected_trace = 1.0 if c == d else 0.0
-                tp_res = max(
-                    tp_res, abs(complex(np.trace(right_images[(c, d)])) - expected_trace)
-                )
-        unital_image = sum(right_images[(c, c)] for c in range(dr))
-        right_res = max(
-            tp_res, float(np.linalg.norm(unital_image - np.eye(dr))), right_res
-        )
-        if right_res > tol.eq * n:
-            raise StructureMismatchError(
-                f"extracted right factor is not bi-stochastic (residual {right_res:.3e})"
-            )
-
-        # product form on the spanning set of matrix units
-        for a in range(dl):
-            for b in range(dl):
-                left_unit = _matrix_unit(dl, a, b)
-                conj_left = u_hat @ left_unit @ u_hat.conj().T
-                for c in range(dr):
-                    for d in range(dr):
-                        image, _ = on_block(np.kron(left_unit, _matrix_unit(dr, c, d)))
-                        expected = np.kron(conj_left, right_images[(c, d)])
-                        act_res = max(act_res, float(np.linalg.norm(image - expected)))
-        if act_res > tol.eq * n:
-            raise StructureMismatchError(
-                f"block action differs from unitary (x) channel on product inputs "
-                f"(residual {act_res:.3e})"
-            )
+        residuals.append(res_j)
+    inv_res, uni_res, right_res, act_res = (float(x) for x in np.max(residuals, axis=0))
 
     return BlockVerification(
         block_dims=structure.block_dims,

@@ -3,9 +3,9 @@
 A state is a Hermitian, positive semi-definite, trace-one complex matrix.  All
 spectral computations in the package go through one primitive, a Hermitian
 eigendecomposition (:func:`spectral_decomposition`); matrix functions such as
-the square root, the generalized inverse and the logarithm are defined through
-it with a single eigenvalue-clipping rule.  All logarithms are base 2, so
-every entropy returned anywhere in this package is measured in bits.
+the square root, the inverse square root on the support and the logarithm are
+defined through it with a single eigenvalue-clipping rule.  All logarithms are
+base 2, so every entropy returned anywhere in this package is measured in bits.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "von_neumann_entropy",
     "entropy_of_matrix",
     "support_projector",
-    "generalized_inverse",
     "relative_entropy",
     "psd_sqrt",
     "psd_inverse_sqrt",
@@ -121,22 +120,24 @@ def state_spectrum(rho: DensityMatrix) -> Spectrum:
     return Spectrum(frozen_array(vals, dtype=float), spec.eigenvectors)
 
 
+def _entropy_bits(p: np.ndarray) -> float:
+    """-sum p log2 p in bits over the positive entries of p, so 0*log2(0) := 0; never -0.0."""
+    pos = p[p > 0.0]
+    return float(-(pos * np.log2(pos)).sum() + 0.0)
+
+
 def entropy_of_matrix(m: np.ndarray) -> float:
     """Entropy in bits of a PSD unit-trace matrix, without state validation.
 
     Used internally on matrices that are states by construction (channel
     outputs, normalized Choi matrices); negative eigenvalue noise is clipped.
     """
-    vals = np.clip(np.linalg.eigvalsh(hermitian_part(m)), 0.0, 1.0)
-    pos = vals[vals > 0.0]
-    return float(-(pos * np.log2(pos)).sum() + 0.0)
+    return _entropy_bits(np.clip(np.linalg.eigvalsh(hermitian_part(m)), 0.0, 1.0))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho log2 rho) over the clipped spectrum, with 0*log2(0) := 0."""
-    vals = state_spectrum(rho).eigenvalues
-    pos = vals[vals > 0.0]
-    return float(-(pos * np.log2(pos)).sum() + 0.0)
+    return _entropy_bits(state_spectrum(rho).eigenvalues)
 
 
 def support_projector(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -145,15 +146,6 @@ def support_projector(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) ->
     keep = spec.eigenvalues > tol.psd
     v = spec.eigenvectors[:, keep]
     return v @ v.conj().T
-
-
-def generalized_inverse(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse restricted to the support of the state."""
-    spec = state_spectrum(rho)
-    keep = spec.eigenvalues > tol.psd
-    v = spec.eigenvectors[:, keep]
-    inv_vals = 1.0 / spec.eigenvalues[keep]
-    return (v * inv_vals) @ v.conj().T
 
 
 def relative_entropy(
@@ -173,9 +165,8 @@ def relative_entropy(
     leak = float(np.linalg.norm((np.eye(rho.dim) - p_sigma) @ p_rho))
     if leak > tol.psd:
         return math.inf
-    spec_rho = state_spectrum(rho)
-    pos = spec_rho.eigenvalues[spec_rho.eigenvalues > 0.0]
-    rho_term = float((pos * np.log2(pos)).sum())
+    # tr(rho log2 rho) = -S(rho); subtracting from +0.0 keeps a zero term positive
+    rho_term = 0.0 - von_neumann_entropy(rho)
     spec_sigma = state_spectrum(sigma)
     keep = spec_sigma.eigenvalues > tol.psd
     vecs = spec_sigma.eigenvectors[:, keep]

@@ -10,7 +10,6 @@ from qentropy import (
     ValidationError,
     adjoint,
     apply_channel,
-    apply_superoperator,
     channel_distance,
     channels_equal,
     classify,
@@ -201,7 +200,7 @@ class TestSuperoperator:
         rng = np.random.default_rng(seed + 500)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         np.testing.assert_allclose(
-            apply_superoperator(superoperator_matrix(phi), x),
+            unvec(superoperator_matrix(phi).matrix @ vec(x)),
             apply_channel(phi, x),
             atol=tol.recon * n * n,
         )

@@ -14,7 +14,6 @@ from qentropy import (
     compose,
     kraus_channel,
     map_entropy,
-    maximally_entangled_projector,
     partial_trace_output,
     partial_trace_reference,
     random_stochastic_channel,
@@ -29,10 +28,16 @@ from conftest import (
 )
 
 
+def omega_projector(n):
+    """|Omega><Omega| for the unnormalized |Omega> = sum_i |ii>."""
+    omega = np.eye(n, dtype=complex).reshape(-1)
+    return np.outer(omega, omega.conj())
+
+
 class TestChoiMatrix:
     def test_identity_channel_gives_omega_projector(self):
         j = choi_matrix(identity_channel(2))
-        np.testing.assert_allclose(j.matrix, maximally_entangled_projector(2))
+        np.testing.assert_allclose(j.matrix, omega_projector(2))
 
     def test_depolarizing_gives_half_identity(self):
         # each block phi(|i><j|) = delta_ij I/2, so J = I/2 (x) I
@@ -65,7 +70,7 @@ class TestChoiMatrix:
 
 class TestChannelFromChoi:
     def test_omega_projector_gives_identity_channel(self):
-        j = choi_from_matrix(maximally_entangled_projector(2))
+        j = choi_from_matrix(omega_projector(2))
         assert channels_equal(channel_from_choi(j), identity_channel(2))
 
     @pytest.mark.parametrize("seed", range(10))

@@ -74,6 +74,35 @@ class TestAnalyzeState:
         assert result["report"]["tolerances"]["eq"] == 1e-8
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["analyze-pair"], "required: channel_file, state_file"),
+            (["analyze-pair", "only-one.json"], "required: state_file"),
+            ([], "required: command"),
+            (["no-such-command"], "invalid choice"),
+            (["gen", "density", "--dim", "two"], "invalid int value"),
+            (["--tol-eq"], "expected one argument"),
+        ],
+        ids=["no-files", "one-file", "no-command", "unknown-command", "bad-int", "flag-without-value"],
+    )
+    def test_usage_error_prints_json_and_exits_2(self, capsys, argv, fragment):
+        code, result = run_cli(capsys, argv)
+        assert code == 2
+        assert result["status"] == "error" and result["report"] == {}
+        assert len(result["diagnostics"]) == 1
+        assert result["diagnostics"][0].startswith("UsageError: qentropy")
+        assert fragment in result["diagnostics"][0]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze-pair", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: qentropy" in capsys.readouterr().out
+
+
 class TestAnalyzePair:
     def test_unitary_exits_0(self, capsys, channel_file, state_file):
         from qentropy import random_density, random_unitary

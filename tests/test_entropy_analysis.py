@@ -309,6 +309,23 @@ class TestVerifyBlockStructure:
             verify_block_structure(structure, phi, rho)
 
 
+class TestPhaseInvariantUnitaryDistance:
+    def test_resolves_close_unitaries(self):
+        u = np.asarray(random_unitary(3, 5))
+        v = np.exp(0.3j) * u @ np.diag(np.exp(1j * 1e-10 * np.array([1.0, -1.0, 0.0])))
+        assert phase_invariant_unitary_distance(u, v) == pytest.approx(np.sqrt(2) * 1e-10, rel=1e-6)
+
+    def test_phase_equal_unitaries_are_at_zero(self):
+        u = np.asarray(random_unitary(4, 6))
+        assert phase_invariant_unitary_distance(u, np.exp(-1.1j) * u) <= 1e-15
+
+    def test_non_unitary_inputs(self):
+        assert phase_invariant_unitary_distance(2.0 * np.eye(3), -np.eye(3)) == pytest.approx(np.sqrt(3))
+        assert phase_invariant_unitary_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(
+            np.sqrt(2)
+        )
+
+
 class TestSynthesizePair:
     def test_single_left_block_is_unitary_channel(self):
         phi, rho, structure = synthesize_pair(BlockSpec(blocks=((4, 1),)), seed=23)

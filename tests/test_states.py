@@ -11,17 +11,21 @@ from qentropy import (
     NotPositiveError,
     NotSquareError,
     TraceNotOneError,
-    generalized_inverse,
+    probability_vector,
     psd_inverse_sqrt,
     psd_sqrt,
     random_density,
+    random_probability_vector,
     random_unitary,
     relative_entropy,
+    shannon_entropy,
     state_spectrum,
     support_projector,
     validate_state,
     von_neumann_entropy,
 )
+
+from qentropy.states import entropy_of_matrix
 
 from conftest import maximally_mixed, pure_state
 
@@ -91,6 +95,44 @@ class TestVonNeumannEntropy:
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= tol.eq
 
 
+def _diagonal_state(seed, zeros=0):
+    """Diagonal state from a seeded probability vector: its eigenvalues are exact."""
+    p = np.array(random_probability_vector(6, seed).entries)
+    p[:zeros] = 0.0
+    return validate_state(np.diag(p / p.sum()))
+
+
+class TestEntropyKernelBits:
+    """Every entropy goes through one kernel; these floats are pinned bit for bit."""
+
+    @pytest.mark.parametrize(
+        "compute, expected",
+        [
+            (lambda: entropy_of_matrix(_diagonal_state(1).matrix), "0x1.b56372ee6ad57p+0"),
+            (lambda: von_neumann_entropy(_diagonal_state(2, zeros=2)), "0x1.e6abe307231a6p+0"),
+            (lambda: von_neumann_entropy(validate_state(np.diag([0.0, 1.0, 0.0]))), "0x0.0p+0"),
+            (lambda: shannon_entropy(random_probability_vector(7, 4)), "0x1.19b654d361fe1p+1"),
+            (lambda: shannon_entropy(probability_vector([0.0, 1.0, 0.0])), "0x0.0p+0"),
+            (
+                lambda: relative_entropy(_diagonal_state(5, zeros=1), _diagonal_state(6)),
+                "0x1.215b252de03bfp+0",
+            ),
+            (lambda: relative_entropy(pure_state(3, 1), pure_state(3, 1)), "0x0.0p+0"),
+        ],
+        ids=[
+            "entropy_of_matrix",
+            "von_neumann",
+            "von_neumann_pure",
+            "shannon",
+            "shannon_point_mass",
+            "relative",
+            "relative_pure",
+        ],
+    )
+    def test_pinned_floats(self, compute, expected):
+        assert compute().hex() == expected
+
+
 class TestSupportProjector:
     def test_rank_two_diagonal(self):
         rho = validate_state(np.diag([0.5, 0.5, 0.0]))
@@ -108,35 +150,6 @@ class TestSupportProjector:
         p = support_projector(rho)
         assert np.linalg.norm(p @ p - p) <= tol.recon * 5
         assert np.linalg.norm(p - p.conj().T) <= tol.recon * 5
-
-
-class TestGeneralizedInverse:
-    def test_reciprocal_on_support(self):
-        rho = validate_state(np.diag([0.5, 0.0, 0.5]))
-        np.testing.assert_allclose(generalized_inverse(rho), np.diag([2.0, 0.0, 2.0]), atol=1e-10)
-
-    def test_maximally_mixed(self):
-        rho = maximally_mixed(4)
-        np.testing.assert_allclose(generalized_inverse(rho), 4 * np.eye(4), atol=1e-10)
-
-    def test_full_rank_matches_ordinary_inverse(self, tol):
-        rho = random_density(4, 4, seed=5)
-        inv = generalized_inverse(rho)
-        # independent oracle: multiply and compare with the identity
-        np.testing.assert_allclose(rho.matrix @ inv, np.eye(4), atol=tol.recon * 4 * 1e3)
-
-    def test_product_with_state_is_support_projector(self, tol):
-        rho = random_density(6, 4, seed=6)
-        np.testing.assert_allclose(
-            rho.matrix @ generalized_inverse(rho), support_projector(rho), atol=tol.recon * 6 * 1e3
-        )
-
-    def test_involution_restricted_to_support(self, tol):
-        rho = random_density(5, 3, seed=7)
-        inv = generalized_inverse(rho)
-        # pseudo-inverting twice returns the state on its support
-        twice = np.linalg.pinv(inv, rcond=1e-12)
-        np.testing.assert_allclose(twice, rho.matrix, atol=tol.recon * 5 * 1e3)
 
 
 class TestRelativeEntropy:
