@@ -33,7 +33,6 @@ from .choi import (
 )
 from .classical import (
     BridgeReport,
-    CorollaryReport,
     ProbabilityVector,
     StochasticMatrix,
     bridge_check,
@@ -51,10 +50,7 @@ from .entropy_analysis import (
     BlockStructure,
     BlockVerification,
     FixedPointBasis,
-    MapEntropyReport,
     MonotonicityReport,
-    PetzEqualityReport,
-    PreservationReport,
     block_form_residual,
     check_petz_equality,
     decompose_fixed_point_algebra,
@@ -97,6 +93,7 @@ from .generators import (
 )
 from .states import (
     DensityMatrix,
+    EquivalenceReport,
     Spectrum,
     psd_inverse_sqrt,
     psd_sqrt,

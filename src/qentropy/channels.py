@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    NotBistochasticError,
     NotSquareError,
     NotStochasticError,
     ValidationError,
@@ -103,14 +104,10 @@ class ChannelClass:
         }
 
 
-def kraus_channel(
-    operators, tol: ToleranceConfig = DEFAULT_TOL, require_trace_nonincreasing: bool = True
-) -> KrausChannel:
+def kraus_channel(operators, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel:
     """Validate a list of matrices as a Kraus family on a common dimension.
 
-    When ``require_trace_nonincreasing`` the largest eigenvalue of
-    ``sum M^dag M`` must not exceed 1 + tol.eq.  Formal families that violate
-    this (e.g. adjoints of non-unital channels) can opt out.
+    The largest eigenvalue of ``sum M^dag M`` must not exceed 1 + tol.eq.
     """
     mats = [as_complex_matrix(op) for op in operators]
     if not mats:
@@ -121,13 +118,12 @@ def kraus_channel(
             raise NotSquareError(f"Kraus operator of shape {m.shape} is not square")
         if m.shape[0] != n:
             raise DimensionMismatchError("Kraus operators act on different dimensions")
-    if require_trace_nonincreasing:
-        gram = sum(m.conj().T @ m for m in mats)
-        top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
-        if top > 1.0 + tol.eq:
-            raise ValidationError(
-                f"channel increases trace: max eigenvalue of sum M^dag M is {top:.12g}"
-            )
+    gram = sum(m.conj().T @ m for m in mats)
+    top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
+    if top > 1.0 + tol.eq:
+        raise ValidationError(
+            f"channel increases trace: max eigenvalue of sum M^dag M is {top:.12g}"
+        )
     return KrausChannel(dim=n, kraus=tuple(frozen_array(m) for m in mats))
 
 
@@ -150,6 +146,23 @@ def classify(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> ChannelCl
         stochastic_residual=stoch_res,
         unital_residual=unital_res,
     )
+
+
+def _require(phi: KrausChannel, prop: str, what: str, tol: ToleranceConfig) -> ChannelClass:
+    """Classify phi and raise unless it is ``prop`` ("stochastic" or "bistochastic").
+
+    ``what`` opens the message, e.g. "map entropy needs a trace-preserving
+    channel"; the residuals the verdict was cut from follow it.
+    """
+    cls = classify(phi, tol)
+    if prop == "bistochastic" and not cls.bistochastic:
+        raise NotBistochasticError(
+            f"{what}; stochastic residual {cls.stochastic_residual:.3e}, "
+            f"unital residual {cls.unital_residual:.3e}"
+        )
+    if prop == "stochastic" and not cls.stochastic:
+        raise NotStochasticError(f"{what}; residual {cls.stochastic_residual:.3e}")
+    return cls
 
 
 def apply_channel(phi: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -216,12 +229,7 @@ def petz_recovery(
     ``phi(sigma)``; applied to ``phi(sigma)`` the result returns ``sigma``
     (restricted to its support) whenever ``phi`` is stochastic.
     """
-    cls = classify(phi, tol)
-    if not cls.stochastic:
-        raise NotStochasticError(
-            f"recovery map needs a trace-preserving channel; "
-            f"residual {cls.stochastic_residual:.3e}"
-        )
+    _require(phi, "stochastic", "recovery map needs a trace-preserving channel", tol)
     if phi.dim != sigma.dim:
         raise DimensionMismatchError(f"dims differ: channel {phi.dim}, state {sigma.dim}")
     left = psd_sqrt(sigma.matrix, tol)

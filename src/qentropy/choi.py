@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel, classify
-from .errors import (
-    NotHermitianError,
-    NotPositiveError,
-    NotSquareError,
-    NotStochasticError,
-    ValidationError,
-)
+from .channels import KrausChannel, _require, apply_channel
+from .errors import NotHermitianError, NotPositiveError, NotSquareError, ValidationError
 from .states import (
     as_complex_matrix,
     entropy_of_matrix,
@@ -106,12 +100,7 @@ def channel_from_choi(j: ChoiMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Krau
 
 def map_entropy(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Entropy in bits of the bipartite state J(phi)/N; range [0, 2 log2 N]."""
-    cls = classify(phi, tol)
-    if not cls.stochastic:
-        raise NotStochasticError(
-            f"map entropy needs a trace-preserving channel; "
-            f"residual {cls.stochastic_residual:.3e}"
-        )
+    _require(phi, "stochastic", "map entropy needs a trace-preserving channel", tol)
     return entropy_of_matrix(choi_matrix(phi).matrix / phi.dim)
 
 

@@ -25,13 +25,12 @@ from .errors import (
     NotStochasticError,
     ValidationError,
 )
-from .states import DensityMatrix, _entropy_bits, frozen_array
+from .states import DensityMatrix, EquivalenceReport, _entropy_bits, frozen_array
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "ProbabilityVector",
     "StochasticMatrix",
-    "CorollaryReport",
     "BridgeReport",
     "probability_vector",
     "stochastic_matrix",
@@ -60,6 +59,14 @@ class StochasticMatrix:
     bistochastic: bool
     column_residual: float
     row_residual: float
+
+
+def _require_bistochastic(m: StochasticMatrix) -> None:
+    if not m.bistochastic:
+        raise NotBistochasticError(
+            f"matrix is not bistochastic; column residual {m.column_residual:.3e}, "
+            f"row residual {m.row_residual:.3e}"
+        )
 
 
 def probability_vector(entries, tol: ToleranceConfig = DEFAULT_TOL) -> ProbabilityVector:
@@ -151,11 +158,7 @@ def channel_from_bistochastic(
     terms with T_ji <= tol.psd are dropped (zero operators do not change the
     channel).
     """
-    if not t.bistochastic:
-        raise NotBistochasticError(
-            f"matrix is not bistochastic; column residual {t.column_residual:.3e}, "
-            f"row residual {t.row_residual:.3e}"
-        )
+    _require_bistochastic(t)
     n = t.dim
     ops = []
     for j in range(n):
@@ -167,46 +170,18 @@ def channel_from_bistochastic(
     return kraus_channel(ops, tol)
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
-    """Entropy preservation vs the doubly-stochastic fixed-point condition."""
-
-    entropy_in: float
-    entropy_out: float
-    entropy_gap: float
-    fixed_point_residual: float
-    entropy_preserved: bool
-    fixed_point: bool
-    agreement: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "entropy_in_bits": self.entropy_in,
-            "entropy_out_bits": self.entropy_out,
-            "entropy_gap_bits": self.entropy_gap,
-            "fixed_point_residual": self.fixed_point_residual,
-            "entropy_preserved": self.entropy_preserved,
-            "fixed_point": self.fixed_point,
-            "agreement": self.agreement,
-        }
-
-
 def corollary_check(
     b: StochasticMatrix,
     p: ProbabilityVector,
     tol: ToleranceConfig = DEFAULT_TOL,
     entropy_tol: float | None = None,
     residual_tol: float | None = None,
-) -> CorollaryReport:
+) -> EquivalenceReport:
     """Check ``H(Bp) = H(p)`` against ``B^T B p = p`` and report both residuals.
 
     Verdict thresholds default to tol.eq; both can be pinned explicitly.
     """
-    if not b.bistochastic:
-        raise NotBistochasticError(
-            f"matrix is not bistochastic; column residual {b.column_residual:.3e}, "
-            f"row residual {b.row_residual:.3e}"
-        )
+    _require_bistochastic(b)
     if b.dim != p.dim:
         raise DimensionMismatchError(f"dims differ: matrix {b.dim}, vector {p.dim}")
     entropy_tol = tol.eq if entropy_tol is None else entropy_tol
@@ -216,16 +191,14 @@ def corollary_check(
     h_out = shannon_entropy(q)
     gap = abs(h_out - h_in)
     residual = float(np.linalg.norm(b.matrix.T @ (b.matrix @ p.entries) - p.entries))
-    preserved = gap <= entropy_tol
-    fixed = residual <= residual_tol
-    return CorollaryReport(
+    return EquivalenceReport(
+        kind="preservation",
         entropy_in=h_in,
         entropy_out=h_out,
         entropy_gap=gap,
         fixed_point_residual=residual,
-        entropy_preserved=preserved,
-        fixed_point=fixed,
-        agreement=preserved == fixed,
+        entropy_preserved=gap <= entropy_tol,
+        fixed_point=residual <= residual_tol,
     )
 
 

@@ -32,7 +32,7 @@ from .entropy_analysis import (
     parse_block_spec,
     synthesize_pair,
 )
-from .errors import QentropyError
+from .errors import NotBistochasticError, QentropyError
 from .generators import (
     random_bistochastic_channel,
     random_bistochastic_matrix,
@@ -109,14 +109,14 @@ def _cmd_analyze_state(args, tol: ToleranceConfig) -> CommandResult:
 def _cmd_analyze_pair(args, tol: ToleranceConfig) -> CommandResult:
     phi = ser.channel_from_obj(ser.load_json(args.channel_file), tol)
     rho = ser.state_from_obj(ser.load_json(args.state_file), tol)
-    cls = classify(phi, tol)
-    if not cls.bistochastic:
+    try:
+        report = entropy_preservation_report(phi, rho, tol).as_dict()
+    except NotBistochasticError:
         return CommandResult(
             "error",
-            {"classification": cls.as_dict(), "tolerances": tol.as_dict()},
+            {"classification": classify(phi, tol).as_dict(), "tolerances": tol.as_dict()},
             ["NotBistochasticError: the channel is not bi-stochastic"],
         )
-    report = entropy_preservation_report(phi, rho, tol).as_dict()
     report["tolerances"] = tol.as_dict()
     status = "ok" if report["entropy_preserved"] else "violated"
     return CommandResult(status, report, [])

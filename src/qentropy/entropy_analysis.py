@@ -34,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    ChannelClass,
     KrausChannel,
+    _require,
     adjoint,
     apply_channel,
-    classify,
     compose,
     kraus_channel,
     petz_recovery,
@@ -49,28 +50,25 @@ from .errors import (
     DimensionMismatchError,
     InvalidSpecError,
     NotAnAlgebraError,
-    NotBistochasticError,
-    NotStochasticError,
     StructureMismatchError,
     SupportViolationError,
 )
 from .generators import random_bistochastic_channel, random_density, random_unitary
 from .states import (
     DensityMatrix,
+    EquivalenceReport,
+    _support_leak,
     entropy_of_matrix,
     frozen_array,
     relative_entropy,
-    support_projector,
     validate_state,
     von_neumann_entropy,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
-    "PreservationReport",
+    "EquivalenceReport",
     "MonotonicityReport",
-    "PetzEqualityReport",
-    "MapEntropyReport",
     "FixedPointBasis",
     "Block",
     "BlockStructure",
@@ -93,111 +91,6 @@ __all__ = [
 # algebra machinery; true spectra here are separated by many orders.
 _RANK_RTOL = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
-
-
-# ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PreservationReport:
-    """Entropy equality vs the fixed-point condition for one (channel, state)."""
-
-    entropy_in: float
-    entropy_out: float
-    fixed_point_residual: float
-    entropy_preserved: bool
-    fixed_point: bool
-    agreement: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "entropy_in_bits": self.entropy_in,
-            "entropy_out_bits": self.entropy_out,
-            "entropy_gap_bits": abs(self.entropy_out - self.entropy_in),
-            "fixed_point_residual": self.fixed_point_residual,
-            "entropy_preserved": self.entropy_preserved,
-            "fixed_point": self.fixed_point,
-            "agreement": self.agreement,
-        }
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Relative entropies before and after a stochastic channel.
-
-    ``entropy_in``/``entropy_out``/``entropy_gain`` are filled only when the
-    channel is bi-stochastic and the reference state is maximally mixed, the
-    case in which monotonicity specializes to entropy non-decrease.
-    """
-
-    relative_entropy_in: float
-    relative_entropy_out: float
-    slack: float
-    entropy_in: float | None = None
-    entropy_out: float | None = None
-    entropy_gain: float | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "relative_entropy_in_bits": self.relative_entropy_in,
-            "relative_entropy_out_bits": self.relative_entropy_out,
-            "slack_bits": self.slack,
-        }
-        if self.entropy_gain is not None:
-            out["entropy_in_bits"] = self.entropy_in
-            out["entropy_out_bits"] = self.entropy_out
-            out["entropy_gain_bits"] = self.entropy_gain
-        return out
-
-
-@dataclass(frozen=True)
-class PetzEqualityReport:
-    """Relative-entropy equality vs exact recovery by the sigma-weighted map."""
-
-    relative_entropy_in: float
-    relative_entropy_out: float
-    equality_gap: float
-    recovery_residual: float
-    equality: bool
-    recovery: bool
-    agreement: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "relative_entropy_in_bits": self.relative_entropy_in,
-            "relative_entropy_out_bits": self.relative_entropy_out,
-            "equality_gap_bits": self.equality_gap,
-            "recovery_residual": self.recovery_residual,
-            "equality": self.equality,
-            "recovery": self.recovery,
-            "agreement": self.agreement,
-        }
-
-
-@dataclass(frozen=True)
-class MapEntropyReport:
-    """Map-entropy equality vs the superoperator fixed-point condition."""
-
-    map_entropy_in: float
-    map_entropy_composed: float
-    entropy_gap: float
-    composition_residual: float
-    entropy_preserved: bool
-    composition_fixed: bool
-    agreement: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "map_entropy_in_bits": self.map_entropy_in,
-            "map_entropy_composed_bits": self.map_entropy_composed,
-            "entropy_gap_bits": self.entropy_gap,
-            "composition_residual": self.composition_residual,
-            "entropy_preserved": self.entropy_preserved,
-            "composition_fixed": self.composition_fixed,
-            "agreement": self.agreement,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -322,40 +215,84 @@ def phase_invariant_unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 def entropy_preservation_report(
     phi: KrausChannel, rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL
-) -> PreservationReport:
+) -> EquivalenceReport:
     """Evaluate entropy preservation and the fixed-point condition side by side."""
-    cls = classify(phi, tol)
-    if not cls.bistochastic:
-        raise NotBistochasticError(
-            f"report needs a bi-stochastic channel; stochastic residual "
-            f"{cls.stochastic_residual:.3e}, unital residual {cls.unital_residual:.3e}"
-        )
+    _require(phi, "bistochastic", "report needs a bi-stochastic channel", tol)
     if phi.dim != rho.dim:
         raise DimensionMismatchError(f"dims differ: channel {phi.dim}, state {rho.dim}")
     s_in = von_neumann_entropy(rho)
     out = apply_channel(phi, rho.matrix)
     s_out = entropy_of_matrix(out)
+    gap = abs(s_out - s_in)
     residual = float(np.linalg.norm(apply_channel(adjoint(phi), out) - rho.matrix))
-    preserved = abs(s_out - s_in) <= tol.eq
-    fixed = residual <= tol.fix
-    return PreservationReport(
+    return EquivalenceReport(
+        kind="preservation",
         entropy_in=s_in,
         entropy_out=s_out,
+        entropy_gap=gap,
         fixed_point_residual=residual,
-        entropy_preserved=preserved,
-        fixed_point=fixed,
-        agreement=preserved == fixed,
+        entropy_preserved=gap <= tol.eq,
+        fixed_point=residual <= tol.fix,
     )
 
 
-def _require_support(rho: DensityMatrix, sigma: DensityMatrix, tol: ToleranceConfig) -> None:
-    p_rho = support_projector(rho, tol)
-    p_sigma = support_projector(sigma, tol)
-    leak = float(np.linalg.norm((np.eye(rho.dim) - p_sigma) @ p_rho))
+@dataclass(frozen=True)
+class MonotonicityReport:
+    """Relative entropies before and after a stochastic channel.
+
+    ``entropy_in``/``entropy_out``/``entropy_gain`` are filled only when the
+    channel is bi-stochastic and the reference state is maximally mixed, the
+    case in which monotonicity specializes to entropy non-decrease.
+    """
+
+    relative_entropy_in: float
+    relative_entropy_out: float
+    slack: float
+    entropy_in: float | None = None
+    entropy_out: float | None = None
+    entropy_gain: float | None = None
+
+    def as_dict(self) -> dict:
+        out = {
+            "relative_entropy_in_bits": self.relative_entropy_in,
+            "relative_entropy_out_bits": self.relative_entropy_out,
+            "slack_bits": self.slack,
+        }
+        if self.entropy_gain is not None:
+            out["entropy_in_bits"] = self.entropy_in
+            out["entropy_out_bits"] = self.entropy_out
+            out["entropy_gain_bits"] = self.entropy_gain
+        return out
+
+
+def _relative_entropy_across(
+    phi: KrausChannel,
+    rho: DensityMatrix,
+    sigma: DensityMatrix,
+    what: str,
+    tol: ToleranceConfig,
+) -> tuple[ChannelClass, float, DensityMatrix, float]:
+    """S(rho||sigma) before and after phi, shared by the monotonicity and Petz checks.
+
+    Checks the preconditions in order (phi trace preserving, with ``what``
+    opening the message; dimensions; supp(rho) within supp(sigma)) and
+    returns phi's classification, S before, the validated state phi(rho)
+    and S after.
+    """
+    cls = _require(phi, "stochastic", what, tol)
+    if not (phi.dim == rho.dim == sigma.dim):
+        raise DimensionMismatchError(
+            f"dims differ: channel {phi.dim}, states {rho.dim} and {sigma.dim}"
+        )
+    leak = _support_leak(rho, sigma, tol)
     if leak > tol.psd:
         raise SupportViolationError(
             f"supp(rho) is not contained in supp(sigma); leakage {leak:.3e}"
         )
+    s_before = relative_entropy(rho, sigma, tol)
+    out_rho = validate_state(apply_channel(phi, rho.matrix), tol)
+    out_sigma = validate_state(apply_channel(phi, sigma.matrix), tol)
+    return cls, s_before, out_rho, relative_entropy(out_rho, out_sigma, tol)
 
 
 def entropy_monotonicity_check(
@@ -365,22 +302,8 @@ def entropy_monotonicity_check(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> MonotonicityReport:
     """Relative entropy before vs after the channel; slack must be >= -tol.eq."""
-    cls = classify(phi, tol)
-    if not cls.stochastic:
-        raise NotStochasticError(
-            f"monotonicity needs a trace-preserving channel; "
-            f"residual {cls.stochastic_residual:.3e}"
-        )
-    if not (phi.dim == rho.dim == sigma.dim):
-        raise DimensionMismatchError(
-            f"dims differ: channel {phi.dim}, states {rho.dim} and {sigma.dim}"
-        )
-    _require_support(rho, sigma, tol)
-    s_before = relative_entropy(rho, sigma, tol)
-    out_rho = validate_state(apply_channel(phi, rho.matrix), tol)
-    out_sigma = validate_state(apply_channel(phi, sigma.matrix), tol)
-    s_after = relative_entropy(out_rho, out_sigma, tol)
-    slack = s_before - s_after
+    what = "monotonicity needs a trace-preserving channel"
+    cls, s_before, out_rho, s_after = _relative_entropy_across(phi, rho, sigma, what, tol)
     entropy_in = entropy_out = gain = None
     n = phi.dim
     if cls.bistochastic and np.linalg.norm(sigma.matrix - np.eye(n) / n) <= tol.eq:
@@ -390,7 +313,7 @@ def entropy_monotonicity_check(
     return MonotonicityReport(
         relative_entropy_in=s_before,
         relative_entropy_out=s_after,
-        slack=slack,
+        slack=s_before - s_after,
         entropy_in=entropy_in,
         entropy_out=entropy_out,
         entropy_gain=gain,
@@ -402,62 +325,40 @@ def check_petz_equality(
     rho: DensityMatrix,
     sigma: DensityMatrix,
     tol: ToleranceConfig = DEFAULT_TOL,
-) -> PetzEqualityReport:
+) -> EquivalenceReport:
     """Compare relative-entropy equality against recovery by the sigma-weighted map.
 
     Equality of S(rho||sigma) across the channel holds exactly when the
     recovery channel built from sigma undoes the channel on rho; the report
-    carries both residuals and the two verdicts.
+    (kind ``"petz"``) carries both residuals and the two verdicts.
     """
-    cls = classify(phi, tol)
-    if not cls.stochastic:
-        raise NotStochasticError(
-            f"equality check needs a trace-preserving channel; "
-            f"residual {cls.stochastic_residual:.3e}"
-        )
-    if not (phi.dim == rho.dim == sigma.dim):
-        raise DimensionMismatchError(
-            f"dims differ: channel {phi.dim}, states {rho.dim} and {sigma.dim}"
-        )
-    _require_support(rho, sigma, tol)
-    s_before = relative_entropy(rho, sigma, tol)
-    out_rho = validate_state(apply_channel(phi, rho.matrix), tol)
-    out_sigma = validate_state(apply_channel(phi, sigma.matrix), tol)
-    s_after = relative_entropy(out_rho, out_sigma, tol)
+    what = "equality check needs a trace-preserving channel"
+    _, s_before, out_rho, s_after = _relative_entropy_across(phi, rho, sigma, what, tol)
     gap = abs(s_after - s_before)
-    recovery_map = petz_recovery(phi, sigma, tol)
-    recovered = apply_channel(recovery_map, out_rho.matrix)
+    recovered = apply_channel(petz_recovery(phi, sigma, tol), out_rho.matrix)
     residual = float(np.linalg.norm(recovered - rho.matrix))
-    equality = gap <= tol.eq
-    recovery = residual <= tol.fix
-    return PetzEqualityReport(
-        relative_entropy_in=s_before,
-        relative_entropy_out=s_after,
-        equality_gap=gap,
-        recovery_residual=residual,
-        equality=equality,
-        recovery=recovery,
-        agreement=equality == recovery,
+    return EquivalenceReport(
+        kind="petz",
+        entropy_in=s_before,
+        entropy_out=s_after,
+        entropy_gap=gap,
+        fixed_point_residual=residual,
+        entropy_preserved=gap <= tol.eq,
+        fixed_point=residual <= tol.fix,
     )
 
 
 def map_entropy_preservation_report(
     phi: KrausChannel, psi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL
-) -> MapEntropyReport:
-    """Map entropy of the composition vs the superoperator fixed-point condition."""
-    cls_phi = classify(phi, tol)
-    if not cls_phi.bistochastic:
-        raise NotBistochasticError(
-            f"outer channel must be bi-stochastic; stochastic residual "
-            f"{cls_phi.stochastic_residual:.3e}, unital residual "
-            f"{cls_phi.unital_residual:.3e}"
-        )
-    cls_psi = classify(psi, tol)
-    if not cls_psi.stochastic:
-        raise NotStochasticError(
-            f"inner channel must be trace preserving; "
-            f"residual {cls_psi.stochastic_residual:.3e}"
-        )
+) -> EquivalenceReport:
+    """Map entropy of the composition vs the superoperator fixed-point condition.
+
+    The report has kind ``"map_entropy"``: entropy_in is S^map(psi),
+    entropy_out is S^map(phi o psi) and the fixed-point residual is
+    ||S_phi^dag S_phi S_psi - S_psi||_F.
+    """
+    _require(phi, "bistochastic", "outer channel must be bi-stochastic", tol)
+    _require(psi, "stochastic", "inner channel must be trace preserving", tol)
     if phi.dim != psi.dim:
         raise DimensionMismatchError(f"channel dims differ: {phi.dim} vs {psi.dim}")
     s_inner = map_entropy(psi, tol)
@@ -466,16 +367,14 @@ def map_entropy_preservation_report(
     s_phi = superoperator_matrix(phi).matrix
     s_psi = superoperator_matrix(psi).matrix
     residual = float(np.linalg.norm(s_phi.conj().T @ s_phi @ s_psi - s_psi))
-    preserved = gap <= tol.eq
-    fixed = residual <= tol.fix
-    return MapEntropyReport(
-        map_entropy_in=s_inner,
-        map_entropy_composed=s_composed,
+    return EquivalenceReport(
+        kind="map_entropy",
+        entropy_in=s_inner,
+        entropy_out=s_composed,
         entropy_gap=gap,
-        composition_residual=residual,
-        entropy_preserved=preserved,
-        composition_fixed=fixed,
-        agreement=preserved == fixed,
+        fixed_point_residual=residual,
+        entropy_preserved=gap <= tol.eq,
+        fixed_point=residual <= tol.fix,
     )
 
 
@@ -549,12 +448,7 @@ def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> 
     N^2 x N^2 product and one real symmetric eigensolve, O(N^6) each, and
     O(N^4) memory.
     """
-    cls = classify(phi, tol)
-    if not cls.bistochastic:
-        raise NotBistochasticError(
-            f"fixed-point space needs a bi-stochastic channel; stochastic residual "
-            f"{cls.stochastic_residual:.3e}, unital residual {cls.unital_residual:.3e}"
-        )
+    _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
     n = phi.dim
     s = superoperator_matrix(phi).matrix
     diag, ab, ba = _hermitian_unit_indices(n)
@@ -897,7 +791,11 @@ def verify_block_structure(
     if sum(dl * dr for dl, dr in structure.block_dims) != n:
         raise StructureMismatchError("block dimensions do not add up to the space")
     isos = [b.isometry for b in structure.blocks]
-    for k, v in enumerate(isos):
+    for k, (v, (dl, dr)) in enumerate(zip(isos, structure.block_dims)):
+        if v.shape != (n, dl * dr):
+            raise StructureMismatchError(
+                f"isometry {k} has shape {v.shape}, expected {(n, dl * dr)} for a {dl}x{dr} block"
+            )
         if float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]))) > tol.recon * n:
             raise StructureMismatchError(f"isometry {k} columns are not orthonormal")
     for j, k in itertools.combinations(range(len(isos)), 2):

@@ -4,8 +4,8 @@ The shared matrix format is ``{"dim": N, "matrix": [[[re, im], ...], ...]}``:
 the outer array runs over rows, the inner over columns, and every entry is a
 two-element array of finite doubles.  Channels are ``{"dim": N, "kraus":
 [<matrix>, ...]}`` where each Kraus entry is the nested row/column array (the
-full wrapped object is also accepted).  Choi matrices reuse the matrix format
-with ``dim`` set to the subsystem dimension, so the array is N^2 x N^2.
+full wrapped object is also accepted).  Block structures are written as
+``{"dim": N, "blocks": [{"dim_left", "dim_right", "isometry": <matrix>}, ...]}``.
 
 Classical (B, p) batches come either as CSV records -- a line holding N, then
 N comma-separated rows of B, then one row of p, repeated until the end of the
@@ -24,9 +24,8 @@ import math
 import numpy as np
 
 from .channels import KrausChannel, kraus_channel
-from .choi import ChoiMatrix, choi_from_matrix
 from .classical import ProbabilityVector, StochasticMatrix, probability_vector, stochastic_matrix
-from .entropy_analysis import Block, BlockStructure
+from .entropy_analysis import BlockStructure
 from .errors import ValidationError
 from .states import DensityMatrix, as_complex_matrix, validate_state
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -38,10 +37,7 @@ __all__ = [
     "state_from_obj",
     "channel_to_obj",
     "channel_from_obj",
-    "choi_to_obj",
-    "choi_from_obj",
     "block_structure_to_obj",
-    "block_structure_from_obj",
     "load_json",
     "save_json",
     "load_classical_batch",
@@ -147,21 +143,6 @@ def channel_from_obj(obj, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel:
     return phi
 
 
-def choi_to_obj(j: ChoiMatrix) -> dict:
-    return {"dim": j.dim, "matrix": matrix_to_obj(j.matrix)}
-
-
-def choi_from_obj(obj, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiMatrix:
-    if not isinstance(obj, dict) or "matrix" not in obj:
-        raise ValidationError('expected an object with a "matrix" field')
-    j = choi_from_matrix(matrix_from_obj(obj["matrix"]), tol)
-    if "dim" in obj and int(obj["dim"]) != j.dim:
-        raise ValidationError(
-            f'declared dim {obj["dim"]} does not match subsystem dimension {j.dim}'
-        )
-    return j
-
-
 def block_structure_to_obj(structure: BlockStructure) -> dict:
     return {
         "dim": structure.dim,
@@ -174,22 +155,6 @@ def block_structure_to_obj(structure: BlockStructure) -> dict:
             for b in structure.blocks
         ],
     }
-
-
-def block_structure_from_obj(obj) -> BlockStructure:
-    if not isinstance(obj, dict) or "blocks" not in obj:
-        raise ValidationError('expected an object with a "blocks" field')
-    blocks = []
-    for entry in obj["blocks"]:
-        iso = matrix_from_obj(entry["isometry"])
-        blocks.append(
-            Block(
-                isometry=iso,
-                dim_left=int(entry["dim_left"]),
-                dim_right=int(entry["dim_right"]),
-            )
-        )
-    return BlockStructure(dim=int(obj["dim"]), blocks=tuple(blocks))
 
 
 def load_json(path) -> object:

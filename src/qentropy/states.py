@@ -6,6 +6,9 @@ eigendecomposition (:func:`spectral_decomposition`); matrix functions such as
 the square root, the inverse square root on the support and the logarithm are
 defined through it with a single eigenvalue-clipping rule.  All logarithms are
 base 2, so every entropy returned anywhere in this package is measured in bits.
+:class:`EquivalenceReport`, the entropy-vs-fixed-point report of every
+setting, lives here because ``classical`` builds it too and cannot import
+``entropy_analysis``, which imports it through ``generators``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 __all__ = [
     "Spectrum",
     "DensityMatrix",
+    "EquivalenceReport",
     "as_complex_matrix",
     "frozen_array",
     "hermitian_part",
@@ -126,6 +130,59 @@ def _entropy_bits(p: np.ndarray) -> float:
     return float(-(pos * np.log2(pos)).sum() + 0.0)
 
 
+# JSON keys of EquivalenceReport.as_dict per kind, in field order, then "agreement"
+_REPORT_KEYS = {
+    "preservation": (
+        "entropy_in_bits", "entropy_out_bits", "entropy_gap_bits",
+        "fixed_point_residual", "entropy_preserved", "fixed_point",
+    ),
+    "map_entropy": (
+        "map_entropy_in_bits", "map_entropy_composed_bits", "entropy_gap_bits",
+        "composition_residual", "entropy_preserved", "composition_fixed",
+    ),
+    "petz": (
+        "relative_entropy_in_bits", "relative_entropy_out_bits", "equality_gap_bits",
+        "recovery_residual", "equality", "recovery",
+    ),
+}
+
+
+@dataclass(frozen=True)
+class EquivalenceReport:
+    """An entropy verdict vs a fixed-point verdict for one instance of the equivalence.
+
+    ``kind`` picks the setting and with it the JSON keys of :meth:`as_dict`:
+    ``"preservation"`` (state entropy under a channel, and the classical
+    corollary), ``"map_entropy"`` (map entropy of a composition, fixed point
+    of the superoperator) or ``"petz"`` (relative entropy, recovery by the
+    sigma-weighted map).  The entropies are in bits.
+    """
+
+    kind: str
+    entropy_in: float
+    entropy_out: float
+    entropy_gap: float
+    fixed_point_residual: float
+    entropy_preserved: bool
+    fixed_point: bool
+
+    @property
+    def agreement(self) -> bool:
+        return self.entropy_preserved == self.fixed_point
+
+    def as_dict(self) -> dict:
+        values = (
+            self.entropy_in,
+            self.entropy_out,
+            self.entropy_gap,
+            self.fixed_point_residual,
+            self.entropy_preserved,
+            self.fixed_point,
+            self.agreement,
+        )
+        return dict(zip((*_REPORT_KEYS[self.kind], "agreement"), values))
+
+
 def entropy_of_matrix(m: np.ndarray) -> float:
     """Entropy in bits of a PSD unit-trace matrix, without state validation.
 
@@ -148,6 +205,13 @@ def support_projector(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) ->
     return v @ v.conj().T
 
 
+def _support_leak(rho: DensityMatrix, sigma: DensityMatrix, tol: ToleranceConfig) -> float:
+    """||(I - P_sigma) P_rho||_F; supp(rho) lies in supp(sigma) when it is <= tol.psd."""
+    p_rho = support_projector(rho, tol)
+    p_sigma = support_projector(sigma, tol)
+    return float(np.linalg.norm((np.eye(rho.dim) - p_sigma) @ p_rho))
+
+
 def relative_entropy(
     rho: DensityMatrix, sigma: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL
 ) -> float:
@@ -160,10 +224,7 @@ def relative_entropy(
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {sigma.dim}")
-    p_rho = support_projector(rho, tol)
-    p_sigma = support_projector(sigma, tol)
-    leak = float(np.linalg.norm((np.eye(rho.dim) - p_sigma) @ p_rho))
-    if leak > tol.psd:
+    if _support_leak(rho, sigma, tol) > tol.psd:
         return math.inf
     # tr(rho log2 rho) = -S(rho); subtracting from +0.0 keeps a zero term positive
     rho_term = 0.0 - von_neumann_entropy(rho)

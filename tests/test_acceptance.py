@@ -193,7 +193,7 @@ def test_recovery_equality_agreement():
             phi = random_stochastic_channel(n, 2 + i % 2, seed=140_000 + i)
         report = check_petz_equality(phi, rho, sigma)
         agreements.append(report.agreement)
-        if report.equality:
+        if report.entropy_preserved:
             count_equal += 1
         else:
             count_strict += 1

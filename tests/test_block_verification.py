@@ -246,6 +246,13 @@ def _mismatch_cases():
             identity2,
             mixed2,
         ),
+        "isometry 0 has shape": (
+            BlockStructure(
+                dim=3, blocks=(Block(np.eye(3)[:, :2], 1, 1), Block(np.eye(3)[:, 2:], 2, 1))
+            ),
+            kraus_channel([np.eye(3)]),
+            maximally_mixed(3),
+        ),
         "blocks 0 and 1 have overlapping ranges": (
             BlockStructure(dim=2, blocks=(Block(e0, 1, 1), Block((e0 + e1) / math.sqrt(2), 1, 1))),
             identity2,

@@ -185,6 +185,31 @@ class TestCorollaryCheck:
         with pytest.raises(NotBistochasticError):
             corollary_check(m, probability_vector([0.5, 0.5]))
 
+    @pytest.mark.parametrize("check", ["corollary", "channel"])
+    def test_non_bistochastic_message(self, check):
+        m = stochastic_matrix(np.array([[1.0, 0.5], [0.0, 0.5]]))
+        with pytest.raises(NotBistochasticError) as info:
+            if check == "corollary":
+                corollary_check(m, probability_vector([0.5, 0.5]))
+            else:
+                channel_from_bistochastic(m)
+        assert type(info.value) is NotBistochasticError
+        assert str(info.value) == (
+            "matrix is not bistochastic; column residual 0.000e+00, row residual 5.000e-01"
+        )
+
+    def test_keys(self):
+        report = corollary_check(permutation_matrix([1, 0]), probability_vector([0.5, 0.5]))
+        assert list(report.as_dict()) == [
+            "entropy_in_bits",
+            "entropy_out_bits",
+            "entropy_gap_bits",
+            "fixed_point_residual",
+            "entropy_preserved",
+            "fixed_point",
+            "agreement",
+        ]
+
     @pytest.mark.parametrize("seed", range(25))
     def test_entropy_never_decreases(self, seed, tol):
         n = 2 + seed % 6

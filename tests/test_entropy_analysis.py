@@ -21,8 +21,11 @@ from qentropy import (
     entropy_monotonicity_check,
     entropy_preservation_report,
     fixed_point_space,
+    kraus_channel,
+    map_entropy,
     map_entropy_preservation_report,
     parse_block_spec,
+    petz_recovery,
     phase_invariant_unitary_distance,
     random_bistochastic_channel,
     random_density,
@@ -132,22 +135,22 @@ class TestPetzEquality:
         rho = random_density(3, 2, seed=10)
         sigma = random_density(3, 3, seed=11)
         report = check_petz_equality(phi, rho, sigma)
-        assert report.equality and report.recovery and report.agreement
+        assert report.entropy_preserved and report.fixed_point and report.agreement
 
     def test_equal_states_both_verdicts_true(self):
         phi = random_stochastic_channel(3, 2, seed=12)
         sigma = random_density(3, 3, seed=13)
         report = check_petz_equality(phi, sigma, sigma)
-        assert report.equality and report.recovery and report.agreement
+        assert report.entropy_preserved and report.fixed_point and report.agreement
 
     def test_depolarizing_strict_decrease(self):
         phi = depolarizing_channel(2)
         rho = pure_state(2)
         sigma = validate_state(np.diag([0.75, 0.25]))
         report = check_petz_equality(phi, rho, sigma)
-        assert not report.equality and not report.recovery
+        assert not report.entropy_preserved and not report.fixed_point
         assert report.agreement
-        assert report.equality_gap > 0.1
+        assert report.entropy_gap > 0.1
 
     @pytest.mark.parametrize("seed", range(20))
     def test_verdict_agreement(self, seed):
@@ -369,13 +372,13 @@ class TestMapEntropyReport:
         phi = unitary_channel(random_unitary(3, 26))
         psi = random_stochastic_channel(3, 2, seed=27)
         report = map_entropy_preservation_report(phi, psi)
-        assert report.entropy_preserved and report.composition_fixed and report.agreement
+        assert report.entropy_preserved and report.fixed_point and report.agreement
 
     def test_depolarizing_on_identity(self):
         report = map_entropy_preservation_report(depolarizing_channel(2), identity_channel(2))
-        assert report.map_entropy_in == pytest.approx(0.0, abs=1e-10)
-        assert report.map_entropy_composed == pytest.approx(2.0, abs=1e-8)
-        assert not report.entropy_preserved and not report.composition_fixed
+        assert report.entropy_in == pytest.approx(0.0, abs=1e-10)
+        assert report.entropy_out == pytest.approx(2.0, abs=1e-8)
+        assert not report.entropy_preserved and not report.fixed_point
         assert report.agreement
 
     def test_dephasing_composed_with_itself(self, tol):
@@ -385,7 +388,7 @@ class TestMapEntropyReport:
 
         assert channel_distance(compose(phi, phi), phi) <= tol.eq
         report = map_entropy_preservation_report(phi, phi)
-        assert report.entropy_preserved and report.composition_fixed and report.agreement
+        assert report.entropy_preserved and report.fixed_point and report.agreement
 
     def test_rejects_wrong_preconditions(self):
         with pytest.raises(NotBistochasticError):
@@ -401,3 +404,112 @@ class TestMapEntropyReport:
         phi = random_bistochastic_channel(n, 2 + seed % 2, seed)
         psi = random_stochastic_channel(n, 2, seed + 800)
         assert map_entropy_preservation_report(phi, psi).agreement
+
+
+class TestReportContract:
+    """JSON keys and precondition messages, pinned without BLAS-dependent floats."""
+
+    def test_preservation_keys(self):
+        report = entropy_preservation_report(identity_channel(2), maximally_mixed(2))
+        assert list(report.as_dict()) == [
+            "entropy_in_bits",
+            "entropy_out_bits",
+            "entropy_gap_bits",
+            "fixed_point_residual",
+            "entropy_preserved",
+            "fixed_point",
+            "agreement",
+        ]
+
+    def test_map_entropy_keys(self):
+        report = map_entropy_preservation_report(identity_channel(2), identity_channel(2))
+        assert list(report.as_dict()) == [
+            "map_entropy_in_bits",
+            "map_entropy_composed_bits",
+            "entropy_gap_bits",
+            "composition_residual",
+            "entropy_preserved",
+            "composition_fixed",
+            "agreement",
+        ]
+
+    def test_petz_keys(self):
+        mixed = maximally_mixed(2)
+        report = check_petz_equality(identity_channel(2), mixed, mixed)
+        assert list(report.as_dict()) == [
+            "relative_entropy_in_bits",
+            "relative_entropy_out_bits",
+            "equality_gap_bits",
+            "recovery_residual",
+            "equality",
+            "recovery",
+            "agreement",
+        ]
+
+    # Full reset (amplitude damping with gamma = 1) and 0.5 I have entries 0, 1
+    # and 0.5, so their residuals sqrt(2) and 0.75 sqrt(2) print the same everywhere.
+    @pytest.mark.parametrize(
+        "site, error, message",
+        [
+            (
+                "preservation",
+                NotBistochasticError,
+                "report needs a bi-stochastic channel; "
+                "stochastic residual 0.000e+00, unital residual 1.414e+00",
+            ),
+            (
+                "monotonicity",
+                NotStochasticError,
+                "monotonicity needs a trace-preserving channel; residual 1.061e+00",
+            ),
+            (
+                "petz",
+                NotStochasticError,
+                "equality check needs a trace-preserving channel; residual 1.061e+00",
+            ),
+            (
+                "map outer",
+                NotBistochasticError,
+                "outer channel must be bi-stochastic; "
+                "stochastic residual 0.000e+00, unital residual 1.414e+00",
+            ),
+            (
+                "map inner",
+                NotStochasticError,
+                "inner channel must be trace preserving; residual 1.061e+00",
+            ),
+            (
+                "fixed-point space",
+                NotBistochasticError,
+                "fixed-point space needs a bi-stochastic channel; "
+                "stochastic residual 0.000e+00, unital residual 1.414e+00",
+            ),
+            (
+                "petz recovery",
+                NotStochasticError,
+                "recovery map needs a trace-preserving channel; residual 1.061e+00",
+            ),
+            (
+                "map entropy",
+                NotStochasticError,
+                "map entropy needs a trace-preserving channel; residual 1.061e+00",
+            ),
+        ],
+    )
+    def test_precondition_messages(self, site, error, message):
+        reset, half = amplitude_damping_channel(1.0), kraus_channel([0.5 * np.eye(2)])
+        mixed, ident = maximally_mixed(2), identity_channel(2)
+        calls = {
+            "preservation": lambda: entropy_preservation_report(reset, mixed),
+            "monotonicity": lambda: entropy_monotonicity_check(half, mixed, mixed),
+            "petz": lambda: check_petz_equality(half, mixed, mixed),
+            "map outer": lambda: map_entropy_preservation_report(reset, ident),
+            "map inner": lambda: map_entropy_preservation_report(ident, half),
+            "fixed-point space": lambda: fixed_point_space(reset),
+            "petz recovery": lambda: petz_recovery(half, mixed),
+            "map entropy": lambda: map_entropy(half),
+        }
+        with pytest.raises(error) as info:
+            calls[site]()
+        assert type(info.value) is error
+        assert str(info.value) == message

@@ -25,7 +25,7 @@ from qentropy import (
     von_neumann_entropy,
 )
 
-from qentropy.states import entropy_of_matrix
+from qentropy.states import EquivalenceReport, entropy_of_matrix
 
 from conftest import maximally_mixed, pure_state
 
@@ -237,3 +237,11 @@ class TestPsdFunctions:
     def test_sqrt_rejects_negative(self):
         with pytest.raises(NotPositiveError):
             psd_sqrt(np.diag([1.0, -0.2]))
+
+
+class TestEquivalenceReport:
+    def test_agreement_follows_the_verdicts(self):
+        agree = EquivalenceReport("petz", 1.0, 0.5, 0.5, 0.25, False, False)
+        differ = EquivalenceReport("petz", 1.0, 0.5, 0.5, 0.0, False, True)
+        assert agree.agreement and not differ.agreement
+        assert agree.as_dict()["recovery"] is False and differ.as_dict()["agreement"] is False
