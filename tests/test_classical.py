@@ -35,6 +35,12 @@ from conftest import identity_channel, unitary_channel
 ENTROPY_08_02 = 0.7219280948873623
 ENTROPY_062_038 = 0.9580420222262996
 
+# Precondition message for the column-stochastic [[1, 0.5], [0, 0.5]]; its
+# residuals 0 and 0.5 are exact, so the text is the same on every platform.
+NOT_BISTOCHASTIC_MESSAGE = (
+    "matrix is not bistochastic; column residual 0.000e+00, row residual 5.000e-01"
+)
+
 
 def permutation_matrix(perm):
     n = len(perm)
@@ -151,8 +157,10 @@ class TestChannelFromBistochastic:
     def test_rejects_column_stochastic_only(self):
         m = stochastic_matrix(np.array([[1.0, 0.5], [0.0, 0.5]]))
         assert m.column_stochastic and not m.bistochastic
-        with pytest.raises(NotBistochasticError):
+        with pytest.raises(NotBistochasticError) as info:
             channel_from_bistochastic(m)
+        assert type(info.value) is NotBistochasticError
+        assert str(info.value) == NOT_BISTOCHASTIC_MESSAGE
 
 
 class TestCorollaryCheck:
@@ -182,21 +190,10 @@ class TestCorollaryCheck:
 
     def test_rejects_non_bistochastic(self):
         m = stochastic_matrix(np.array([[1.0, 0.5], [0.0, 0.5]]))
-        with pytest.raises(NotBistochasticError):
-            corollary_check(m, probability_vector([0.5, 0.5]))
-
-    @pytest.mark.parametrize("check", ["corollary", "channel"])
-    def test_non_bistochastic_message(self, check):
-        m = stochastic_matrix(np.array([[1.0, 0.5], [0.0, 0.5]]))
         with pytest.raises(NotBistochasticError) as info:
-            if check == "corollary":
-                corollary_check(m, probability_vector([0.5, 0.5]))
-            else:
-                channel_from_bistochastic(m)
+            corollary_check(m, probability_vector([0.5, 0.5]))
         assert type(info.value) is NotBistochasticError
-        assert str(info.value) == (
-            "matrix is not bistochastic; column residual 0.000e+00, row residual 5.000e-01"
-        )
+        assert str(info.value) == NOT_BISTOCHASTIC_MESSAGE
 
     def test_keys(self):
         report = corollary_check(permutation_matrix([1, 0]), probability_vector([0.5, 0.5]))
