@@ -122,7 +122,7 @@ def kraus_channel(operators, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel
     top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
     if top > 1.0 + tol.eq:
         raise ValidationError(
-            f"channel increases trace: max eigenvalue of sum M^dag M is {top:.12g}"
+            f"channel increases trace: max eigenvalue of sum M^dag M exceeds 1 by {top - 1:.3e}"
         )
     return KrausChannel(dim=n, kraus=tuple(frozen_array(m) for m in mats))
 

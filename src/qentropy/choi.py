@@ -8,7 +8,8 @@ entangled vector ``|Omega> = sum_i |ii>``; equivalently the block sum
 exactly when the channel is trace preserving, and tracing out the second
 factor gives the identity exactly when it is unital.  Normalization by 1/N
 happens only inside :func:`map_entropy`, keeping ``tr J = N`` for stochastic
-channels.
+channels.  With the k Kraus operators flattened row-major into the rows of K,
+``J = K^T conj(K)``, so the map entropy comes from the singular values of K.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _require, apply_channel
+from .channels import KrausChannel, _require
 from .errors import NotHermitianError, NotPositiveError, NotSquareError, ValidationError
 from .states import (
+    _entropy_bits,
     as_complex_matrix,
-    entropy_of_matrix,
     frozen_array,
     hermitian_part,
     spectral_decomposition,
@@ -48,17 +49,15 @@ class ChoiMatrix:
     matrix: np.ndarray
 
 
+def _kraus_stack(phi: KrausChannel) -> np.ndarray:
+    """The k x N^2 matrix whose rows are the row-major flattened Kraus operators."""
+    return np.stack([m.reshape(-1) for m in phi.kraus])
+
+
 def choi_matrix(phi: KrausChannel) -> ChoiMatrix:
-    """Block sum ``sum_ij phi(|i><j|) (x) |i><j|``."""
-    n = phi.dim
-    j = np.zeros((n * n, n * n), dtype=complex)
-    unit = np.zeros((n, n), dtype=complex)
-    for row in range(n):
-        for col in range(n):
-            unit[row, col] = 1.0
-            j += np.kron(apply_channel(phi, unit), unit)
-            unit[row, col] = 0.0
-    return ChoiMatrix(dim=n, matrix=frozen_array(j))
+    """Block sum ``sum_ij phi(|i><j|) (x) |i><j|``, computed as ``K^T conj(K)``."""
+    k = _kraus_stack(phi)
+    return ChoiMatrix(dim=phi.dim, matrix=frozen_array(k.T @ k.conj()))
 
 
 def choi_from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiMatrix:
@@ -98,10 +97,16 @@ def channel_from_choi(j: ChoiMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Krau
     return KrausChannel(dim=n, kraus=tuple(ops))
 
 
+def _map_entropy_bits(phi: KrausChannel) -> float:
+    """Entropy of J(phi)/N from the singular values s of the Kraus stack: S(s^2/N)."""
+    s = np.linalg.svd(_kraus_stack(phi), compute_uv=False)
+    return _entropy_bits(np.clip(s * s / phi.dim, 0.0, 1.0))
+
+
 def map_entropy(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Entropy in bits of the bipartite state J(phi)/N; range [0, 2 log2 N]."""
+    """Entropy in bits of J(phi)/N, from the Kraus-stack singular values; in [0, 2 log2 N]."""
     _require(phi, "stochastic", "map entropy needs a trace-preserving channel", tol)
-    return entropy_of_matrix(choi_matrix(phi).matrix / phi.dim)
+    return _map_entropy_bits(phi)
 
 
 def partial_trace_output(j: ChoiMatrix) -> np.ndarray:

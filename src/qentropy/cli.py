@@ -101,7 +101,6 @@ def _cmd_analyze_state(args, tol: ToleranceConfig) -> CommandResult:
         "entropy_bits": von_neumann_entropy(rho),
         "rank": int(np.sum(spectrum.eigenvalues > tol.psd)),
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
-        "tolerances": tol.as_dict(),
     }
     return CommandResult("ok", report, [])
 
@@ -114,10 +113,9 @@ def _cmd_analyze_pair(args, tol: ToleranceConfig) -> CommandResult:
     except NotBistochasticError:
         return CommandResult(
             "error",
-            {"classification": classify(phi, tol).as_dict(), "tolerances": tol.as_dict()},
+            {"classification": classify(phi, tol).as_dict()},
             ["NotBistochasticError: the channel is not bi-stochastic"],
         )
-    report["tolerances"] = tol.as_dict()
     status = "ok" if report["entropy_preserved"] else "violated"
     return CommandResult(status, report, [])
 
@@ -130,22 +128,16 @@ def _cmd_decompose(args, tol: ToleranceConfig) -> CommandResult:
     report["fixed_space_dimension"] = len(basis.basis)
     report["spectral_gap"] = basis.spectral_gap
     report["block_form_residual"] = block_form_residual(basis, structure)
-    report["tolerances"] = tol.as_dict()
     return CommandResult("ok", report, [])
 
 
 def _cmd_map_entropy(args, tol: ToleranceConfig) -> CommandResult:
     phi = ser.channel_from_obj(ser.load_json(args.channel_file), tol)
     if args.channel_file_2 is None:
-        report = {
-            "dim": phi.dim,
-            "map_entropy_bits": map_entropy(phi, tol),
-            "tolerances": tol.as_dict(),
-        }
+        report = {"dim": phi.dim, "map_entropy_bits": map_entropy(phi, tol)}
         return CommandResult("ok", report, [])
     psi = ser.channel_from_obj(ser.load_json(args.channel_file_2), tol)
     report = map_entropy_preservation_report(phi, psi, tol).as_dict()
-    report["tolerances"] = tol.as_dict()
     status = "ok" if report["entropy_preserved"] else "violated"
     return CommandResult(status, report, [])
 
@@ -164,7 +156,6 @@ def _cmd_classical_check(args, tol: ToleranceConfig) -> CommandResult:
         "preserved": preserved,
         "disagreements": disagreements,
         "rows": rows,
-        "tolerances": tol.as_dict(),
     }
     status = "violated" if disagreements else "ok"
     diagnostics = (
@@ -191,7 +182,6 @@ def _cmd_synthesize(args, tol: ToleranceConfig) -> CommandResult:
         "block_dims": [list(d) for d in structure.block_dims],
         "files": paths,
         "self_check": self_check,
-        "tolerances": tol.as_dict(),
     }
     status = "ok" if self_check["entropy_preserved"] else "violated"
     return CommandResult(status, report, [])
@@ -222,9 +212,9 @@ def _cmd_gen(args, tol: ToleranceConfig) -> CommandResult:
         raise ValueError(f"unknown kind {kind!r}")
     if args.out is not None:
         ser.save_json(args.out, obj)
-        report = {"kind": kind, "seed": args.seed, "file": args.out, "tolerances": tol.as_dict()}
+        report = {"kind": kind, "seed": args.seed, "file": args.out}
     else:
-        report = {"kind": kind, "seed": args.seed, "object": obj, "tolerances": tol.as_dict()}
+        report = {"kind": kind, "seed": args.seed, "object": obj}
     return CommandResult("ok", report, [])
 
 
@@ -296,6 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         tol = _resolve_tolerances(args)
         result = args.handler(args, tol)
+        result.report["tolerances"] = tol.as_dict()
     except (QentropyError, UsageError) as exc:
         result = CommandResult("error", {}, [f"{type(exc).__name__}: {exc}"])
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:

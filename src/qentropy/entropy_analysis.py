@@ -44,7 +44,7 @@ from .channels import (
     petz_recovery,
     superoperator_matrix,
 )
-from .choi import map_entropy
+from .choi import _map_entropy_bits, map_entropy
 from .errors import (
     AmbiguousGroupingError,
     DimensionMismatchError,
@@ -284,12 +284,13 @@ def _relative_entropy_across(
         raise DimensionMismatchError(
             f"dims differ: channel {phi.dim}, states {rho.dim} and {sigma.dim}"
         )
-    leak = _support_leak(rho, sigma, tol)
-    if leak > tol.psd:
-        raise SupportViolationError(
-            f"supp(rho) is not contained in supp(sigma); leakage {leak:.3e}"
-        )
     s_before = relative_entropy(rho, sigma, tol)
+    if s_before == math.inf:
+        # relative_entropy is +inf exactly when the support leak exceeds tol.psd
+        raise SupportViolationError(
+            "supp(rho) is not contained in supp(sigma); "
+            f"leakage {_support_leak(rho, sigma, tol):.3e}"
+        )
     out_rho = validate_state(apply_channel(phi, rho.matrix), tol)
     out_sigma = validate_state(apply_channel(phi, sigma.matrix), tol)
     return cls, s_before, out_rho, relative_entropy(out_rho, out_sigma, tol)
@@ -361,7 +362,8 @@ def map_entropy_preservation_report(
     _require(psi, "stochastic", "inner channel must be trace preserving", tol)
     if phi.dim != psi.dim:
         raise DimensionMismatchError(f"channel dims differ: {phi.dim} vs {psi.dim}")
-    s_inner = map_entropy(psi, tol)
+    # psi passed its check above; phi o psi keeps its own, as the residuals add
+    s_inner = _map_entropy_bits(psi)
     s_composed = map_entropy(compose(phi, psi), tol)
     gap = abs(s_composed - s_inner)
     s_phi = superoperator_matrix(phi).matrix

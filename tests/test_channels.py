@@ -58,6 +58,15 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             kraus_channel([1.2 * np.eye(2)])
 
+    def test_trace_increase_message_shows_the_excess(self, tol):
+        # (1 + 2^-52)^2 rounds to 1 + 2^-51, which only tol.eq = 0 refuses
+        with pytest.raises(ValidationError) as info:
+            kraus_channel([np.nextafter(1.0, 2.0) * np.eye(2)], tol.replace(eq=0.0))
+        assert type(info.value) is ValidationError
+        assert str(info.value) == (
+            "channel increases trace: max eigenvalue of sum M^dag M exceeds 1 by 4.441e-16"
+        )
+
     def test_accepts_trace_nonincreasing(self):
         phi = kraus_channel([0.5 * np.eye(2)])
         cls = classify(phi)

@@ -1,11 +1,14 @@
 """Tests for the Choi isomorphism and the map entropy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qentropy import (
     NotPositiveError,
     NotStochasticError,
+    apply_channel,
     channel_distance,
     channel_from_choi,
     channels_equal,
@@ -19,6 +22,7 @@ from qentropy import (
     random_stochastic_channel,
     random_unitary,
 )
+from qentropy.states import entropy_of_matrix
 
 from conftest import (
     dephasing_channel,
@@ -32,6 +36,29 @@ def omega_projector(n):
     """|Omega><Omega| for the unnormalized |Omega> = sum_i |ii>."""
     omega = np.eye(n, dtype=complex).reshape(-1)
     return np.outer(omega, omega.conj())
+
+
+def block_sum_choi(phi):
+    """The defining block sum ``sum_ij phi(|i><j|) (x) |i><j|``, one unit matrix at a time."""
+    n = phi.dim
+    j = np.zeros((n * n, n * n), dtype=complex)
+    unit = np.zeros((n, n), dtype=complex)
+    for row in range(n):
+        for col in range(n):
+            unit[row, col] = 1.0
+            j += np.kron(apply_channel(phi, unit), unit)
+            unit[row, col] = 0.0
+    return j
+
+
+# stochastic channels with k = 1, 2, 3 Kraus operators on N = 2..6, and
+# depolarizing o stochastic with k = 2 N^2 > N^2
+oracle_channels = pytest.mark.parametrize(
+    "phi",
+    [random_stochastic_channel(n, k, 10 * n + k) for n in range(2, 7) for k in (1, 2, 3)]
+    + [compose(depolarizing_channel(n), random_stochastic_channel(n, 2, n)) for n in (2, 3)],
+    ids=lambda phi: f"N{phi.dim}k{len(phi.kraus)}",
+)
 
 
 class TestChoiMatrix:
@@ -66,6 +93,28 @@ class TestChoiMatrix:
 
         j2 = choi_matrix(amplitude_damping_channel(0.5))
         assert np.linalg.norm(partial_trace_reference(j2) - np.eye(2)) > 0.1
+
+
+class TestKrausStackKernels:
+    @oracle_channels
+    def test_choi_matrix_matches_block_sum(self, phi):
+        assert np.max(np.abs(choi_matrix(phi).matrix - block_sum_choi(phi))) <= 1e-15
+
+    @oracle_channels
+    def test_map_entropy_matches_block_sum_spectrum(self, phi):
+        expected = entropy_of_matrix(block_sum_choi(phi) / phi.dim)
+        assert abs(map_entropy(phi) - expected) <= 1e-12
+
+    def test_map_entropy_builds_no_choi_matrix(self):
+        # at N = 24 the Choi matrix alone is 576^2 complex entries, 5.3 MB
+        phi = random_stochastic_channel(24, 6, seed=0)
+        tracemalloc.start()
+        try:
+            map_entropy(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestChannelFromChoi:

@@ -328,6 +328,35 @@ class TestGen:
         assert code2 == 0
 
 
+class TestReportTolerances:
+    def test_last_report_key_of_every_command(self, capsys, tmp_path, channel_file, state_file):
+        from qentropy import random_unitary
+
+        unitary = channel_file(unitary_channel(random_unitary(2, 0)))
+        damping = channel_file(amplitude_damping_channel(0.5), "damping.json")
+        state = state_file(maximally_mixed(2))
+        batch = tmp_path / "batch.csv"
+        batch.write_text("2\n0,1\n1,0\n0.8,0.2\n")
+        commands = [
+            ["analyze-state", state],
+            ["analyze-pair", unitary, state],
+            ["analyze-pair", damping, state],
+            ["decompose", unitary],
+            ["map-entropy", unitary],
+            ["map-entropy", unitary, unitary],
+            ["classical-check", str(batch)],
+            ["synthesize", "--spec", "2x1", "--out-dir", str(tmp_path / "out")],
+            ["gen", "density", "--dim", "2"],
+            ["gen", "density", "--dim", "2", "--out", str(tmp_path / "rho.json")],
+        ]
+        for argv in commands:
+            _, result = run_cli(capsys, ["--tol-eq", "1e-7", *argv])
+            assert list(result["report"])[-1] == "tolerances", argv
+            assert result["report"]["tolerances"]["eq"] == 1e-7, argv
+        _, result = run_cli(capsys, ["analyze-pair", state])
+        assert "tolerances" not in result["report"]
+
+
 class TestToleranceFlags:
     def test_flag_loosens_equality(self, capsys, channel_file, state_file):
         from qentropy import validate_state

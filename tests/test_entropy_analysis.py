@@ -120,6 +120,13 @@ class TestMonotonicity:
         with pytest.raises(SupportViolationError):
             entropy_monotonicity_check(phi, maximally_mixed(2), pure_state(2))
 
+    @pytest.mark.parametrize("check", [entropy_monotonicity_check, check_petz_equality])
+    def test_disjoint_supports_exact_error(self, check):
+        with pytest.raises(SupportViolationError) as info:
+            check(identity_channel(2), pure_state(2, 0), pure_state(2, 1))
+        assert type(info.value) is SupportViolationError
+        assert str(info.value) == "supp(rho) is not contained in supp(sigma); leakage 1.000e+00"
+
     def test_rejects_non_stochastic(self):
         from qentropy import kraus_channel
 
