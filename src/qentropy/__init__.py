@@ -13,7 +13,6 @@ from .channels import (
     adjoint,
     apply_channel,
     channel_distance,
-    channels_equal,
     classify,
     compose,
     kraus_channel,
@@ -28,8 +27,6 @@ from .choi import (
     choi_from_matrix,
     choi_matrix,
     map_entropy,
-    partial_trace_output,
-    partial_trace_reference,
 )
 from .classical import (
     BridgeReport,
@@ -95,12 +92,9 @@ from .states import (
     DensityMatrix,
     EquivalenceReport,
     Spectrum,
-    psd_inverse_sqrt,
-    psd_sqrt,
     relative_entropy,
     spectral_decomposition,
     state_spectrum,
-    support_projector,
     validate_state,
     von_neumann_entropy,
 )

@@ -8,7 +8,8 @@ adjoint of a channel corresponds to the conjugate transpose of its
 superoperator matrix.
 
 Channel equality is always a statement about superoperator matrices (Kraus
-lists are non-unique); use :func:`channel_distance`.
+lists are non-unique); use :func:`channel_distance`.  Realignment to Choi matrices
+only permutes entries, so it reads the distance off a QR of the two Kraus stacks.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .errors import (
 )
 from .states import (
     DensityMatrix,
+    Spectrum,
+    _psd_root,
+    spectral_decomposition,
     as_complex_matrix,
     frozen_array,
-    psd_inverse_sqrt,
-    psd_sqrt,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -47,7 +49,6 @@ __all__ = [
     "compose",
     "superoperator_matrix",
     "channel_distance",
-    "channels_equal",
     "petz_recovery",
 ]
 
@@ -195,6 +196,11 @@ def compose(phi: KrausChannel, psi: KrausChannel) -> KrausChannel:
     return KrausChannel(dim=phi.dim, kraus=ops)
 
 
+def _kraus_stack(phi: KrausChannel) -> np.ndarray:
+    """The k x N^2 matrix whose rows are the row-major flattened Kraus operators."""
+    return np.stack([m.reshape(-1) for m in phi.kraus])
+
+
 def superoperator_matrix(phi: KrausChannel) -> SuperoperatorMatrix:
     """sum_j kron(conj(M_j), M_j) under the column-stacking convention."""
     n = phi.dim
@@ -204,19 +210,22 @@ def superoperator_matrix(phi: KrausChannel) -> SuperoperatorMatrix:
     return SuperoperatorMatrix(dim=n, matrix=frozen_array(s))
 
 
+def _choi_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||J_a - J_b||_F for row-major Kraus stacks a (K x N^2) and b (k x N^2).
+
+    With [a; b]^T = QR and D = diag(1_K, -1_k), J_a - J_b = Q (R D R^dag) Q^dag:
+    the difference is formed entrywise at (K + k)-size, without cancellation.
+    """
+    r = np.linalg.qr(np.concatenate([a, b]).T, mode="r")
+    signs = np.concatenate([np.ones(len(a)), -np.ones(len(b))])
+    return float(np.linalg.norm((r * signs) @ r.conj().T))
+
+
 def channel_distance(phi: KrausChannel, psi: KrausChannel) -> float:
     """Frobenius distance between the superoperator matrices of two channels."""
     if phi.dim != psi.dim:
         raise DimensionMismatchError(f"channel dims differ: {phi.dim} vs {psi.dim}")
-    return float(
-        np.linalg.norm(superoperator_matrix(phi).matrix - superoperator_matrix(psi).matrix)
-    )
-
-
-def channels_equal(
-    phi: KrausChannel, psi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL
-) -> bool:
-    return channel_distance(phi, psi) <= tol.eq * phi.dim**2
+    return _choi_distance(_kraus_stack(phi), _kraus_stack(psi))
 
 
 def petz_recovery(
@@ -232,7 +241,13 @@ def petz_recovery(
     _require(phi, "stochastic", "recovery map needs a trace-preserving channel", tol)
     if phi.dim != sigma.dim:
         raise DimensionMismatchError(f"dims differ: channel {phi.dim}, state {sigma.dim}")
-    left = psd_sqrt(sigma.matrix, tol)
-    right = psd_inverse_sqrt(apply_channel(phi, sigma.matrix), tol)
-    ops = [left @ m.conj().T @ right for m in phi.kraus]
-    return kraus_channel(ops, tol)
+    spec_out = spectral_decomposition(apply_channel(phi, sigma.matrix))
+    return _petz_recovery(phi, spectral_decomposition(sigma.matrix), spec_out, tol)
+
+
+def _petz_recovery(
+    phi: KrausChannel, spec_sigma: Spectrum, spec_out: Spectrum, tol: ToleranceConfig
+) -> KrausChannel:
+    """:func:`petz_recovery` from the spectra of sigma and phi(sigma), phi unchecked."""
+    left, right = _psd_root(spec_sigma, False, tol), _psd_root(spec_out, True, tol)
+    return kraus_channel([left @ m.conj().T @ right for m in phi.kraus], tol)

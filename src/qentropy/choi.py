@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _require
+from .channels import KrausChannel, _kraus_stack, _require
 from .errors import NotHermitianError, NotPositiveError, NotSquareError, ValidationError
 from .states import (
     _entropy_bits,
     as_complex_matrix,
     frozen_array,
-    hermitian_part,
     spectral_decomposition,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -36,8 +35,6 @@ __all__ = [
     "choi_from_matrix",
     "channel_from_choi",
     "map_entropy",
-    "partial_trace_output",
-    "partial_trace_reference",
 ]
 
 
@@ -47,11 +44,6 @@ class ChoiMatrix:
 
     dim: int
     matrix: np.ndarray
-
-
-def _kraus_stack(phi: KrausChannel) -> np.ndarray:
-    """The k x N^2 matrix whose rows are the row-major flattened Kraus operators."""
-    return np.stack([m.reshape(-1) for m in phi.kraus])
 
 
 def choi_matrix(phi: KrausChannel) -> ChoiMatrix:
@@ -83,7 +75,7 @@ def channel_from_choi(j: ChoiMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Krau
     witnesses a non-completely-positive map.
     """
     n = j.dim
-    spec = spectral_decomposition(hermitian_part(j.matrix))
+    spec = spectral_decomposition(j.matrix)
     if spec.eigenvalues[-1] < -tol.psd:
         raise NotPositiveError(
             f"Choi matrix has eigenvalue {spec.eigenvalues[-1]:.6g}; map is not CP"
@@ -107,15 +99,3 @@ def map_entropy(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Entropy in bits of J(phi)/N, from the Kraus-stack singular values; in [0, 2 log2 N]."""
     _require(phi, "stochastic", "map entropy needs a trace-preserving channel", tol)
     return _map_entropy_bits(phi)
-
-
-def partial_trace_output(j: ChoiMatrix) -> np.ndarray:
-    """Trace out the output (first) tensor factor; identity iff stochastic."""
-    n = j.dim
-    return np.einsum("aiaj->ij", j.matrix.reshape(n, n, n, n))
-
-
-def partial_trace_reference(j: ChoiMatrix) -> np.ndarray:
-    """Trace out the reference (second) tensor factor; identity iff unital."""
-    n = j.dim
-    return np.einsum("aibi->ab", j.matrix.reshape(n, n, n, n))

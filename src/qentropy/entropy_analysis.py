@@ -36,12 +36,14 @@ import numpy as np
 from .channels import (
     ChannelClass,
     KrausChannel,
+    _choi_distance,
+    _kraus_stack,
+    _petz_recovery,
     _require,
     adjoint,
     apply_channel,
     compose,
     kraus_channel,
-    petz_recovery,
     superoperator_matrix,
 )
 from .choi import _map_entropy_bits, map_entropy
@@ -57,10 +59,13 @@ from .generators import random_bistochastic_channel, random_density, random_unit
 from .states import (
     DensityMatrix,
     EquivalenceReport,
+    Spectrum,
+    _relative_entropy_bits,
+    _spectrum_entropy,
     _support_leak,
     entropy_of_matrix,
     frozen_array,
-    relative_entropy,
+    spectral_decomposition,
     validate_state,
     von_neumann_entropy,
 )
@@ -271,29 +276,33 @@ def _relative_entropy_across(
     sigma: DensityMatrix,
     what: str,
     tol: ToleranceConfig,
-) -> tuple[ChannelClass, float, DensityMatrix, float]:
+) -> tuple[ChannelClass, float, float, DensityMatrix, tuple[Spectrum, ...]]:
     """S(rho||sigma) before and after phi, shared by the monotonicity and Petz checks.
 
     Checks the preconditions in order (phi trace preserving, with ``what``
     opening the message; dimensions; supp(rho) within supp(sigma)) and
-    returns phi's classification, S before, the validated state phi(rho)
-    and S after.
+    returns phi's classification, S before, S after, the validated state
+    phi(rho) and the spectra of rho, sigma, phi(rho) and phi(sigma).
     """
     cls = _require(phi, "stochastic", what, tol)
     if not (phi.dim == rho.dim == sigma.dim):
         raise DimensionMismatchError(
             f"dims differ: channel {phi.dim}, states {rho.dim} and {sigma.dim}"
         )
-    s_before = relative_entropy(rho, sigma, tol)
+    spec_rho, spec_sigma = spectral_decomposition(rho.matrix), spectral_decomposition(sigma.matrix)
+    s_before = _relative_entropy_bits(rho.matrix, spec_rho, spec_sigma, tol)
     if s_before == math.inf:
-        # relative_entropy is +inf exactly when the support leak exceeds tol.psd
+        # the relative entropy is +inf exactly when the support leak exceeds tol.psd
         raise SupportViolationError(
             "supp(rho) is not contained in supp(sigma); "
-            f"leakage {_support_leak(rho, sigma, tol):.3e}"
+            f"leakage {_support_leak(spec_rho, spec_sigma, tol):.3e}"
         )
     out_rho = validate_state(apply_channel(phi, rho.matrix), tol)
     out_sigma = validate_state(apply_channel(phi, sigma.matrix), tol)
-    return cls, s_before, out_rho, relative_entropy(out_rho, out_sigma, tol)
+    spec_out_rho = spectral_decomposition(out_rho.matrix)
+    spec_out_sigma = spectral_decomposition(out_sigma.matrix)
+    s_after = _relative_entropy_bits(out_rho.matrix, spec_out_rho, spec_out_sigma, tol)
+    return cls, s_before, s_after, out_rho, (spec_rho, spec_sigma, spec_out_rho, spec_out_sigma)
 
 
 def entropy_monotonicity_check(
@@ -304,12 +313,12 @@ def entropy_monotonicity_check(
 ) -> MonotonicityReport:
     """Relative entropy before vs after the channel; slack must be >= -tol.eq."""
     what = "monotonicity needs a trace-preserving channel"
-    cls, s_before, out_rho, s_after = _relative_entropy_across(phi, rho, sigma, what, tol)
+    cls, s_before, s_after, _, spectra = _relative_entropy_across(phi, rho, sigma, what, tol)
     entropy_in = entropy_out = gain = None
     n = phi.dim
     if cls.bistochastic and np.linalg.norm(sigma.matrix - np.eye(n) / n) <= tol.eq:
-        entropy_in = von_neumann_entropy(rho)
-        entropy_out = von_neumann_entropy(out_rho)
+        entropy_in = _spectrum_entropy(spectra[0])
+        entropy_out = _spectrum_entropy(spectra[2])
         gain = entropy_out - entropy_in
     return MonotonicityReport(
         relative_entropy_in=s_before,
@@ -334,9 +343,9 @@ def check_petz_equality(
     (kind ``"petz"``) carries both residuals and the two verdicts.
     """
     what = "equality check needs a trace-preserving channel"
-    _, s_before, out_rho, s_after = _relative_entropy_across(phi, rho, sigma, what, tol)
+    _, s_before, s_after, out_rho, spectra = _relative_entropy_across(phi, rho, sigma, what, tol)
     gap = abs(s_after - s_before)
-    recovered = apply_channel(petz_recovery(phi, sigma, tol), out_rho.matrix)
+    recovered = apply_channel(_petz_recovery(phi, spectra[1], spectra[3], tol), out_rho.matrix)
     residual = float(np.linalg.norm(recovered - rho.matrix))
     return EquivalenceReport(
         kind="petz",
@@ -356,7 +365,9 @@ def map_entropy_preservation_report(
 
     The report has kind ``"map_entropy"``: entropy_in is S^map(psi),
     entropy_out is S^map(phi o psi) and the fixed-point residual is
-    ||S_phi^dag S_phi S_psi - S_psi||_F.
+    ||S_phi^dag S_phi S_psi - S_psi||_F.  That norm is computed from the
+    Kraus stacks of adjoint(phi) o phi o psi and psi (realignment only
+    permutes entries), without forming an N^2 x N^2 matrix.
     """
     _require(phi, "bistochastic", "outer channel must be bi-stochastic", tol)
     _require(psi, "stochastic", "inner channel must be trace preserving", tol)
@@ -364,11 +375,12 @@ def map_entropy_preservation_report(
         raise DimensionMismatchError(f"channel dims differ: {phi.dim} vs {psi.dim}")
     # psi passed its check above; phi o psi keeps its own, as the residuals add
     s_inner = _map_entropy_bits(psi)
-    s_composed = map_entropy(compose(phi, psi), tol)
+    composed = compose(phi, psi)
+    s_composed = map_entropy(composed, tol)
     gap = abs(s_composed - s_inner)
-    s_phi = superoperator_matrix(phi).matrix
-    s_psi = superoperator_matrix(psi).matrix
-    residual = float(np.linalg.norm(s_phi.conj().T @ s_phi @ s_psi - s_psi))
+    # Kraus operators M_i^dag (M_j N_l) of adjoint(phi) o phi o psi, in one batched product
+    twice = np.stack(adjoint(phi).kraus)[:, None] @ np.stack(composed.kraus)[None]
+    residual = _choi_distance(twice.reshape(-1, phi.dim**2), _kraus_stack(psi))
     return EquivalenceReport(
         kind="map_entropy",
         entropy_in=s_inner,

@@ -54,6 +54,8 @@ def random_density(
     n: int, rank: int, seed, tol: ToleranceConfig = DEFAULT_TOL
 ) -> DensityMatrix:
     """Random state G G^dag / tr(G G^dag) with G an n x rank complex Gaussian."""
+    if n < 1:
+        raise ValidationError(f"dimension must be positive, got {n}")
     if not 1 <= rank <= n:
         raise InvalidRankError(f"rank must lie in [1, {n}], got {rank}")
     g = _complex_normal(_rng(seed), (n, rank))

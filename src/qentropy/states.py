@@ -40,10 +40,7 @@ __all__ = [
     "state_spectrum",
     "von_neumann_entropy",
     "entropy_of_matrix",
-    "support_projector",
     "relative_entropy",
-    "psd_sqrt",
-    "psd_inverse_sqrt",
 ]
 
 
@@ -87,9 +84,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
 
-def spectral_decomposition(h: np.ndarray) -> Spectrum:
-    """Eigendecompose a Hermitian matrix with eigenvalues sorted descending."""
-    vals, vecs = np.linalg.eigh(h)
+def spectral_decomposition(m: np.ndarray) -> Spectrum:
+    """Eigendecompose the Hermitian part of m, eigenvalues (unclipped) sorted descending."""
+    vals, vecs = np.linalg.eigh(hermitian_part(m))
     order = np.argsort(vals)[::-1]
     return Spectrum(frozen_array(vals[order], dtype=float), frozen_array(vecs[:, order]))
 
@@ -119,7 +116,7 @@ def validate_state(m, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
 
 def state_spectrum(rho: DensityMatrix) -> Spectrum:
     """Clipped spectrum of a state: eigenvalues in [0, 1], descending."""
-    spec = spectral_decomposition(hermitian_part(rho.matrix))
+    spec = spectral_decomposition(rho.matrix)
     vals = np.clip(spec.eigenvalues, 0.0, 1.0)
     return Spectrum(frozen_array(vals, dtype=float), spec.eigenvectors)
 
@@ -192,24 +189,41 @@ def entropy_of_matrix(m: np.ndarray) -> float:
     return _entropy_bits(np.clip(np.linalg.eigvalsh(hermitian_part(m)), 0.0, 1.0))
 
 
+def _spectrum_entropy(spec: Spectrum) -> float:
+    """Entropy in bits of a state from its spectrum, clipped to [0, 1]."""
+    return _entropy_bits(np.clip(spec.eigenvalues, 0.0, 1.0))
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho log2 rho) over the clipped spectrum, with 0*log2(0) := 0."""
-    return _entropy_bits(state_spectrum(rho).eigenvalues)
+    return _spectrum_entropy(spectral_decomposition(rho.matrix))
 
 
-def support_projector(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors with eigenvalue > tol.psd."""
-    spec = state_spectrum(rho)
-    keep = spec.eigenvalues > tol.psd
-    v = spec.eigenvectors[:, keep]
+def _projector(spec: Spectrum, tol: ToleranceConfig) -> np.ndarray:
+    """Projector onto the eigenvectors whose eigenvalue, clipped to [0, 1], exceeds tol.psd."""
+    v = spec.eigenvectors[:, np.clip(spec.eigenvalues, 0.0, 1.0) > tol.psd]
     return v @ v.conj().T
 
 
-def _support_leak(rho: DensityMatrix, sigma: DensityMatrix, tol: ToleranceConfig) -> float:
+def _support_leak(spec_rho: Spectrum, spec_sigma: Spectrum, tol: ToleranceConfig) -> float:
     """||(I - P_sigma) P_rho||_F; supp(rho) lies in supp(sigma) when it is <= tol.psd."""
-    p_rho = support_projector(rho, tol)
-    p_sigma = support_projector(sigma, tol)
-    return float(np.linalg.norm((np.eye(rho.dim) - p_sigma) @ p_rho))
+    p_rho = _projector(spec_rho, tol)
+    return float(np.linalg.norm((np.eye(len(p_rho)) - _projector(spec_sigma, tol)) @ p_rho))
+
+
+def _relative_entropy_bits(
+    rho: np.ndarray, spec_rho: Spectrum, spec_sigma: Spectrum, tol: ToleranceConfig
+) -> float:
+    """:func:`relative_entropy` from rho and the spectra of both states."""
+    if _support_leak(spec_rho, spec_sigma, tol) > tol.psd:
+        return math.inf
+    vals = np.clip(spec_sigma.eigenvalues, 0.0, 1.0)
+    keep = vals > tol.psd
+    vecs = spec_sigma.eigenvectors[:, keep]
+    # <v_k| rho |v_k> for the support eigenvectors of sigma
+    weights = np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
+    # tr(rho log2 rho) = -S(rho); subtracting from +0.0 keeps a zero term positive
+    return (0.0 - _spectrum_entropy(spec_rho)) - float((weights * np.log2(vals[keep])).sum())
 
 
 def relative_entropy(
@@ -224,36 +238,17 @@ def relative_entropy(
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {sigma.dim}")
-    if _support_leak(rho, sigma, tol) > tol.psd:
-        return math.inf
-    # tr(rho log2 rho) = -S(rho); subtracting from +0.0 keeps a zero term positive
-    rho_term = 0.0 - von_neumann_entropy(rho)
-    spec_sigma = state_spectrum(sigma)
-    keep = spec_sigma.eigenvalues > tol.psd
-    vecs = spec_sigma.eigenvectors[:, keep]
-    # <v_k| rho |v_k> for the support eigenvectors of sigma
-    weights = np.real(np.sum(vecs.conj() * (rho.matrix @ vecs), axis=0))
-    sigma_term = float((weights * np.log2(spec_sigma.eigenvalues[keep])).sum())
-    return rho_term - sigma_term
+    spec_rho, spec_sigma = spectral_decomposition(rho.matrix), spectral_decomposition(sigma.matrix)
+    return _relative_entropy_bits(rho.matrix, spec_rho, spec_sigma, tol)
 
 
-def psd_sqrt(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a PSD matrix through its spectrum."""
-    spec = spectral_decomposition(hermitian_part(as_complex_matrix(m)))
-    if spec.eigenvalues[-1] < -tol.psd:
-        raise NotPositiveError(
-            f"matrix is not PSD: smallest eigenvalue {spec.eigenvalues[-1]:.3e}"
-        )
-    vals = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
-    return (spec.eigenvectors * vals) @ spec.eigenvectors.conj().T
-
-
-def psd_inverse_sqrt(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Generalized inverse square root of a PSD matrix on its support."""
-    spec = spectral_decomposition(hermitian_part(as_complex_matrix(m)))
-    if spec.eigenvalues[-1] < -tol.psd:
-        raise NotPositiveError(
-            f"matrix is not PSD: smallest eigenvalue {spec.eigenvalues[-1]:.3e}"
-        )
-    vals = np.where(spec.eigenvalues > tol.psd, spec.eigenvalues, np.inf)
-    return (spec.eigenvectors * (1.0 / np.sqrt(vals))) @ spec.eigenvectors.conj().T
+def _psd_root(spec: Spectrum, inverse: bool, tol: ToleranceConfig) -> np.ndarray:
+    """Square root, or generalized inverse square root on the support, from a spectrum."""
+    vals = spec.eigenvalues
+    if vals[-1] < -tol.psd:
+        raise NotPositiveError(f"matrix is not PSD: smallest eigenvalue {vals[-1]:.3e}")
+    if inverse:
+        roots = 1.0 / np.sqrt(np.where(vals > tol.psd, vals, np.inf))
+    else:
+        roots = np.sqrt(np.clip(vals, 0.0, None))
+    return (spec.eigenvectors * roots) @ spec.eigenvectors.conj().T

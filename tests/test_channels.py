@@ -11,7 +11,6 @@ from qentropy import (
     adjoint,
     apply_channel,
     channel_distance,
-    channels_equal,
     classify,
     compose,
     kraus_channel,
@@ -114,9 +113,10 @@ class TestApply:
 
 
 class TestAdjoint:
-    def test_unitary_adjoint(self):
+    def test_unitary_adjoint(self, tol):
         u = random_unitary(3, 1)
-        assert channels_equal(adjoint(unitary_channel(u)), unitary_channel(u.conj().T))
+        distance = channel_distance(adjoint(unitary_channel(u)), unitary_channel(u.conj().T))
+        assert distance <= tol.eq * 9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_inner_product_identity(self, seed, tol):
@@ -143,13 +143,13 @@ class TestAdjoint:
 
 
 class TestCompose:
-    def test_identity_neutral(self):
+    def test_identity_neutral(self, tol):
         psi = random_stochastic_channel(2, 2, seed=5)
-        assert channels_equal(compose(identity_channel(2), psi), psi)
+        assert channel_distance(compose(identity_channel(2), psi), psi) <= tol.eq * 4
 
-    def test_bit_flip_squares_to_identity(self):
+    def test_bit_flip_squares_to_identity(self, tol):
         twice = compose(bit_flip_channel(), bit_flip_channel())
-        assert channels_equal(twice, identity_channel(2))
+        assert channel_distance(twice, identity_channel(2)) <= tol.eq * 4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_double_application(self, seed, tol):
@@ -222,11 +222,11 @@ class TestPetzRecovery:
         rec = petz_recovery(phi, maximally_mixed(3))
         assert channel_distance(rec, adjoint(phi)) <= tol.eq * 9
 
-    def test_unitary_channel_recovers_with_inverse(self):
+    def test_unitary_channel_recovers_with_inverse(self, tol):
         u = random_unitary(3, 13)
         sigma = random_density(3, 3, seed=14)
         rec = petz_recovery(unitary_channel(u), sigma)
-        assert channels_equal(rec, unitary_channel(u.conj().T))
+        assert channel_distance(rec, unitary_channel(u.conj().T)) <= tol.eq * 9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_recovers_reference_state(self, seed, tol):

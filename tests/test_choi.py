@@ -11,14 +11,11 @@ from qentropy import (
     apply_channel,
     channel_distance,
     channel_from_choi,
-    channels_equal,
     choi_from_matrix,
     choi_matrix,
     compose,
     kraus_channel,
     map_entropy,
-    partial_trace_output,
-    partial_trace_reference,
     random_stochastic_channel,
     random_unitary,
 )
@@ -82,17 +79,20 @@ class TestChoiMatrix:
     def test_output_partial_trace_identity_iff_stochastic(self, seed, tol):
         phi = random_stochastic_channel(3, 2, seed)
         j = choi_matrix(phi)
-        assert np.linalg.norm(partial_trace_output(j) - np.eye(3)) <= tol.eq * 3
+        output_traced = np.einsum("aiaj->ij", j.matrix.reshape(3, 3, 3, 3))
+        assert np.linalg.norm(output_traced - np.eye(3)) <= tol.eq * 3
 
     def test_reference_partial_trace_identity_iff_unital(self, tol):
         phi = unitary_channel(random_unitary(3, 1))
         j = choi_matrix(phi)
-        assert np.linalg.norm(partial_trace_reference(j) - np.eye(3)) <= tol.eq * 3
+        reference_traced = np.einsum("aibi->ab", j.matrix.reshape(3, 3, 3, 3))
+        assert np.linalg.norm(reference_traced - np.eye(3)) <= tol.eq * 3
         # non-unital witness: amplitude damping leaves the reference trace off I
         from conftest import amplitude_damping_channel
 
         j2 = choi_matrix(amplitude_damping_channel(0.5))
-        assert np.linalg.norm(partial_trace_reference(j2) - np.eye(2)) > 0.1
+        reference_traced = np.einsum("aibi->ab", j2.matrix.reshape(2, 2, 2, 2))
+        assert np.linalg.norm(reference_traced - np.eye(2)) > 0.1
 
 
 class TestKrausStackKernels:
@@ -118,9 +118,9 @@ class TestKrausStackKernels:
 
 
 class TestChannelFromChoi:
-    def test_omega_projector_gives_identity_channel(self):
+    def test_omega_projector_gives_identity_channel(self, tol):
         j = choi_from_matrix(omega_projector(2))
-        assert channels_equal(channel_from_choi(j), identity_channel(2))
+        assert channel_distance(channel_from_choi(j), identity_channel(2)) <= tol.eq * 4
 
     @pytest.mark.parametrize("seed", range(10))
     def test_round_trip_preserves_superoperator(self, seed, tol):

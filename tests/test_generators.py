@@ -5,6 +5,7 @@ import pytest
 
 from qentropy import (
     InvalidRankError,
+    ValidationError,
     classify,
     random_bistochastic_channel,
     random_bistochastic_matrix,
@@ -32,6 +33,10 @@ class TestRandomDensity:
             random_density(3, 4, seed=0)
         with pytest.raises(InvalidRankError):
             random_density(3, 0, seed=0)
+
+    def test_non_positive_dimension_blames_the_dimension(self):
+        with pytest.raises(ValidationError, match=r"^dimension must be positive, got 0$"):
+            random_density(0, 0, seed=0)
 
     def test_determinism(self):
         a = random_density(4, 2, seed=7)

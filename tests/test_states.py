@@ -12,20 +12,23 @@ from qentropy import (
     NotSquareError,
     TraceNotOneError,
     probability_vector,
-    psd_inverse_sqrt,
-    psd_sqrt,
     random_density,
     random_probability_vector,
     random_unitary,
     relative_entropy,
     shannon_entropy,
     state_spectrum,
-    support_projector,
     validate_state,
     von_neumann_entropy,
 )
 
-from qentropy.states import EquivalenceReport, entropy_of_matrix
+from qentropy.states import (
+    EquivalenceReport,
+    _projector,
+    _psd_root,
+    entropy_of_matrix,
+    spectral_decomposition,
+)
 
 from conftest import maximally_mixed, pure_state
 
@@ -134,20 +137,20 @@ class TestEntropyKernelBits:
 
 
 class TestSupportProjector:
-    def test_rank_two_diagonal(self):
-        rho = validate_state(np.diag([0.5, 0.5, 0.0]))
-        np.testing.assert_allclose(support_projector(rho), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    def test_rank_two_diagonal(self, tol):
+        spec = spectral_decomposition(np.diag([0.5, 0.5, 0.0]))
+        np.testing.assert_allclose(_projector(spec, tol), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
-    def test_full_rank_gives_identity(self):
-        rho = random_density(4, 4, seed=3)
-        np.testing.assert_allclose(support_projector(rho), np.eye(4), atol=1e-10)
+    def test_full_rank_gives_identity(self, tol):
+        spec = spectral_decomposition(random_density(4, 4, seed=3).matrix)
+        np.testing.assert_allclose(_projector(spec, tol), np.eye(4), atol=1e-10)
 
-    def test_rank_one(self):
-        np.testing.assert_allclose(support_projector(pure_state(2)), np.diag([1.0, 0.0]), atol=1e-12)
+    def test_rank_one(self, tol):
+        spec = spectral_decomposition(pure_state(2).matrix)
+        np.testing.assert_allclose(_projector(spec, tol), np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_idempotent_and_hermitian(self, tol):
-        rho = random_density(5, 3, seed=4)
-        p = support_projector(rho)
+        p = _projector(spectral_decomposition(random_density(5, 3, seed=4).matrix), tol)
         assert np.linalg.norm(p @ p - p) <= tol.recon * 5
         assert np.linalg.norm(p - p.conj().T) <= tol.recon * 5
 
@@ -223,20 +226,20 @@ class TestToleranceConfig:
 class TestPsdFunctions:
     def test_sqrt_squares_back(self, tol):
         rho = random_density(4, 4, seed=9)
-        root = psd_sqrt(rho.matrix)
+        root = _psd_root(spectral_decomposition(rho.matrix), False, tol)
         np.testing.assert_allclose(root @ root, rho.matrix, atol=tol.recon * 16 * 1e3)
 
     def test_inverse_sqrt_on_support(self, tol):
         rho = random_density(4, 2, seed=10)
-        inv_root = psd_inverse_sqrt(rho.matrix)
-        p = support_projector(rho)
+        spec = spectral_decomposition(rho.matrix)
+        inv_root = _psd_root(spec, True, tol)
         np.testing.assert_allclose(
-            inv_root @ rho.matrix @ inv_root, p, atol=tol.recon * 16 * 1e4
+            inv_root @ rho.matrix @ inv_root, _projector(spec, tol), atol=tol.recon * 16 * 1e4
         )
 
-    def test_sqrt_rejects_negative(self):
+    def test_sqrt_rejects_negative(self, tol):
         with pytest.raises(NotPositiveError):
-            psd_sqrt(np.diag([1.0, -0.2]))
+            _psd_root(spectral_decomposition(np.diag([1.0, -0.2])), False, tol)
 
 
 class TestEquivalenceReport:
