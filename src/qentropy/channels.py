@@ -15,7 +15,7 @@ only permutes entries, so it reads the distance off a QR of the two Kraus stacks
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,14 +95,7 @@ class ChannelClass:
     unital_residual: float
 
     def as_dict(self) -> dict:
-        return {
-            "trace_nonincreasing": self.trace_nonincreasing,
-            "stochastic": self.stochastic,
-            "unital": self.unital,
-            "bistochastic": self.bistochastic,
-            "stochastic_residual": self.stochastic_residual,
-            "unital_residual": self.unital_residual,
-        }
+        return asdict(self)
 
 
 def kraus_channel(operators, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel:
@@ -219,6 +212,22 @@ def _choi_distance(a: np.ndarray, b: np.ndarray) -> float:
     r = np.linalg.qr(np.concatenate([a, b]).T, mode="r")
     signs = np.concatenate([np.ones(len(a)), -np.ones(len(b))])
     return float(np.linalg.norm((r * signs) @ r.conj().T))
+
+
+def _product_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Kraus stack for the family {L_a R_b} of two (k, N, N) arrays, built a few L_a at a time.
+
+    Whenever it outgrows N^2 rows it is replaced by its QR factor r, which keeps
+    J = r^T conj(r): no array exceeds N^2 + max(N^2, len(right)) rows of N^2 entries.
+    """
+    n2 = left.shape[1] ** 2
+    step = max(1, n2 // len(right))
+    stack = np.zeros((0, n2), dtype=complex)
+    for i in range(0, len(left), step):
+        stack = np.concatenate([stack, (left[i : i + step, None] @ right[None]).reshape(-1, n2)])
+        if len(stack) > n2:
+            stack = np.linalg.qr(stack, mode="r")
+    return stack
 
 
 def channel_distance(phi: KrausChannel, psi: KrausChannel) -> float:

@@ -39,6 +39,7 @@ from .channels import (
     _choi_distance,
     _kraus_stack,
     _petz_recovery,
+    _product_stack,
     _require,
     adjoint,
     apply_channel,
@@ -314,11 +315,12 @@ def entropy_monotonicity_check(
     """Relative entropy before vs after the channel; slack must be >= -tol.eq."""
     what = "monotonicity needs a trace-preserving channel"
     cls, s_before, s_after, _, spectra = _relative_entropy_across(phi, rho, sigma, what, tol)
+    spec_rho, _, spec_out_rho, _ = spectra
     entropy_in = entropy_out = gain = None
     n = phi.dim
     if cls.bistochastic and np.linalg.norm(sigma.matrix - np.eye(n) / n) <= tol.eq:
-        entropy_in = _spectrum_entropy(spectra[0])
-        entropy_out = _spectrum_entropy(spectra[2])
+        entropy_in = _spectrum_entropy(spec_rho)
+        entropy_out = _spectrum_entropy(spec_out_rho)
         gain = entropy_out - entropy_in
     return MonotonicityReport(
         relative_entropy_in=s_before,
@@ -344,8 +346,9 @@ def check_petz_equality(
     """
     what = "equality check needs a trace-preserving channel"
     _, s_before, s_after, out_rho, spectra = _relative_entropy_across(phi, rho, sigma, what, tol)
+    _, spec_sigma, _, spec_out_sigma = spectra
     gap = abs(s_after - s_before)
-    recovered = apply_channel(_petz_recovery(phi, spectra[1], spectra[3], tol), out_rho.matrix)
+    recovered = apply_channel(_petz_recovery(phi, spec_sigma, spec_out_sigma, tol), out_rho.matrix)
     residual = float(np.linalg.norm(recovered - rho.matrix))
     return EquivalenceReport(
         kind="petz",
@@ -366,8 +369,8 @@ def map_entropy_preservation_report(
     The report has kind ``"map_entropy"``: entropy_in is S^map(psi),
     entropy_out is S^map(phi o psi) and the fixed-point residual is
     ||S_phi^dag S_phi S_psi - S_psi||_F.  That norm is computed from the
-    Kraus stacks of adjoint(phi) o phi o psi and psi (realignment only
-    permutes entries), without forming an N^2 x N^2 matrix.
+    Kraus stacks of psi and of adjoint(phi) o phi o psi, the latter QR-folded
+    to at most N^2 rows (realignment only permutes entries), without a superoperator.
     """
     _require(phi, "bistochastic", "outer channel must be bi-stochastic", tol)
     _require(psi, "stochastic", "inner channel must be trace preserving", tol)
@@ -375,12 +378,13 @@ def map_entropy_preservation_report(
         raise DimensionMismatchError(f"channel dims differ: {phi.dim} vs {psi.dim}")
     # psi passed its check above; phi o psi keeps its own, as the residuals add
     s_inner = _map_entropy_bits(psi)
-    composed = compose(phi, psi)
-    s_composed = map_entropy(composed, tol)
+    s_composed = map_entropy(compose(phi, psi), tol)
     gap = abs(s_composed - s_inner)
-    # Kraus operators M_i^dag (M_j N_l) of adjoint(phi) o phi o psi, in one batched product
-    twice = np.stack(adjoint(phi).kraus)[:, None] @ np.stack(composed.kraus)[None]
-    residual = _choi_distance(twice.reshape(-1, phi.dim**2), _kraus_stack(psi))
+    # Kraus stacks of adjoint(phi) o phi, then of adjoint(phi) o phi o psi, in <= N^2 rows
+    outer, n = np.stack(phi.kraus), phi.dim
+    twice = _product_stack(outer.conj().transpose(0, 2, 1), outer).reshape(-1, n, n)
+    thrice = _product_stack(twice, np.stack(psi.kraus))
+    residual = _choi_distance(thrice, _kraus_stack(psi))
     return EquivalenceReport(
         kind="map_entropy",
         entropy_in=s_inner,

@@ -14,7 +14,7 @@ setting, lives here because ``classical`` builds it too and cannot import
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -168,15 +168,7 @@ class EquivalenceReport:
         return self.entropy_preserved == self.fixed_point
 
     def as_dict(self) -> dict:
-        values = (
-            self.entropy_in,
-            self.entropy_out,
-            self.entropy_gap,
-            self.fixed_point_residual,
-            self.entropy_preserved,
-            self.fixed_point,
-            self.agreement,
-        )
+        values = [getattr(self, f.name) for f in fields(self)[1:]] + [self.agreement]
         return dict(zip((*_REPORT_KEYS[self.kind], "agreement"), values))
 
 

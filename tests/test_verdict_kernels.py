@@ -15,12 +15,14 @@ import pytest
 import qentropy.channels
 from qentropy import (
     channel_distance,
+    channel_from_bistochastic,
     check_petz_equality,
     entropy_monotonicity_check,
     kraus_channel,
     map_entropy_preservation_report,
     parse_block_spec,
     random_bistochastic_channel,
+    random_bistochastic_matrix,
     random_density,
     random_stochastic_channel,
     relative_entropy,
@@ -84,6 +86,37 @@ class TestCompositionResidual:
             tracemalloc.stop()
         # one 576 x 576 complex superoperator alone is 5.3 MB
         assert peak < 4e6
+
+    def test_high_kraus_rank_outer_channel(self):
+        # a dense 8 x 8 bistochastic matrix gives phi 64 Kraus operators, so the
+        # family {M_i^dag M_j N_l} has 64^2 * 2 = 8192 members before folding
+        phi = channel_from_bistochastic(random_bistochastic_matrix(8, 64, seed=1))
+        psi = random_stochastic_channel(8, 2, seed=2)
+        assert len(phi.kraus) == 64
+        tracemalloc.start()
+        try:
+            report = map_entropy_preservation_report(phi, psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(report.fixed_point_residual - dense_composition_residual(phi, psi)) <= 1e-12
+        # the unfolded 8192 x 64 complex stack alone is 8.4 MB
+        assert peak < 2e6
+
+
+class TestProductStack:
+    @pytest.mark.parametrize("k_left, k_right", [(1, 3), (2, 3), (5, 6), (9, 1)])
+    def test_keeps_the_choi_matrix_in_at_most_n2_rows(self, k_left, k_right):
+        # N = 2: (1, 3) needs no QR, (5, 6) has more right factors than N^2 = 4,
+        # (9, 1) more left ones
+        rng = np.random.default_rng(k_left + 10 * k_right)
+        left, right = (
+            rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2)) for k in (k_left, k_right)
+        )
+        products = (left[:, None] @ right[None]).reshape(-1, 4)
+        r = qentropy.channels._product_stack(left, right)
+        assert r.shape[0] <= 4
+        np.testing.assert_allclose(r.T @ r.conj(), products.T @ products.conj(), atol=1e-12)
 
 
 class TestChannelDistance:
