@@ -14,7 +14,8 @@ program can check or build:
   adjoint(phi) o phi, which for bi-stochastic phi is a dagger-closed unital
   matrix algebra;
 * :func:`decompose_fixed_point_algebra` block-diagonalizes that algebra into
-  isometries exhibiting the tensor structure;
+  isometries exhibiting the tensor structure, from the eigenspaces of one
+  generic element;
 * :func:`verify_block_structure` certifies a claimed structure against a
   concrete (channel, state) pair and extracts the block data;
 * :func:`synthesize_pair` goes the other way, building a preserving pair from
@@ -401,30 +402,6 @@ def map_entropy_preservation_report(
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_basis(mats: np.ndarray) -> list[np.ndarray]:
-    """Hermitian orthonormal basis of the complex span of a dagger-closed (m, n, n) stack.
-
-    Hermitian and anti-Hermitian parts of the inputs are stacked as real
-    vectors; an SVD picks an orthonormal real basis of their span, which for
-    dagger-closed spaces has the same dimension as the complex span and
-    consists of Hermitian matrices.
-    """
-    n = mats[0].shape[0]
-    rows = []
-    for m in mats:
-        h = (m + m.conj().T) / 2.0
-        a = (m - m.conj().T) / 2.0j
-        rows.append(np.concatenate([h.real.ravel(), h.imag.ravel()]))
-        rows.append(np.concatenate([a.real.ravel(), a.imag.ravel()]))
-    stacked = np.stack(rows)
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(svals > _RANK_RTOL * max(1.0, float(svals[0]))))
-    out = []
-    for row in vh[:rank]:
-        out.append(row[: n * n].reshape(n, n) + 1j * row[n * n :].reshape(n, n))
-    return out
-
-
 def _hermitian_unit_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-stacked (``vec``) positions of the entries (a, a), (a, b), (b, a), a < b.
 
@@ -549,103 +526,18 @@ def _orthonormal_span(mats: np.ndarray) -> tuple[np.ndarray, int]:
     return vh[:rank].reshape(rank, n, n), rank
 
 
-def _check_algebra_closure(work: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Certify that span(work) is a unital *-algebra and return its structure constants.
+def _outside_span(work: np.ndarray, mats: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Whether some matrix of an (m, n, n) stack leaves the span of the orthonormal stack ``work``.
 
-    ``work`` is a (d, n, n) stack, orthonormal in the Hilbert-Schmidt inner
-    product.  The d^2 products are formed one left factor at a time (d
-    products per batched matmul, so extra memory is O(d n^2)) and each batch
-    is projected onto the span with one matmul.  Entry [a, b, k] of the
-    returned (d, d, d) array is <W_k, W_a W_b>.
+    One matmul takes the span coordinates of the whole batch; a matrix is
+    inside when its residual after projection is at most tol.fix relative to
+    max(1, its norm).
     """
     d, n, _ = work.shape
     flat = work.reshape(d, n * n)
-
-    def project(mats: np.ndarray) -> tuple[np.ndarray, bool]:
-        x = mats.reshape(len(mats), n * n)
-        coeffs = x @ flat.conj().T
-        residuals = np.linalg.norm(x - coeffs @ flat, axis=1)
-        scale = np.maximum(1.0, np.linalg.norm(x, axis=1))
-        return coeffs, bool(np.all(residuals <= tol.fix * scale))
-
-    if not project(work.conj().transpose(0, 2, 1))[1]:
-        raise NotAnAlgebraError("span is not closed under conjugate transpose")
-    if not project(np.eye(n, dtype=complex)[None])[1]:
-        raise NotAnAlgebraError("identity is not in the span")
-    products = np.empty((d, d, d), dtype=complex)
-    for a in range(d):
-        products[a], closed = project(work[a] @ work)
-        if not closed:
-            raise NotAnAlgebraError("span is not closed under products")
-    return products
-
-
-def _center_basis(work: np.ndarray, products: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Basis of the center {X in span : [X, W_i] = 0 for all spanning W_i}.
-
-    With the structure constants ``products[a, b, k] = <W_k, W_a W_b>`` of
-    the orthonormal span, the commutator [W_j, W_i] has span coordinates
-    products[j, i] - products[i, j].  X = sum_j x_j W_j is central exactly
-    when x is in the null space of the d^2 x d matrix of those coordinates,
-    found with a thin SVD in O(d^4) time and O(d^3) memory.  Because the W_i
-    are orthonormal, its singular values equal those of the full (d n^2) x d
-    commutator system up to the out-of-span residual, which the closure
-    check has bounded by tol.fix.
-    """
-    d = len(work)
-    system = (products.transpose(1, 2, 0) - products.transpose(0, 2, 1)).reshape(d * d, d)
-    _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    null_mask = svals <= tol.fix * max(1.0, float(svals[0]))
-    if not np.any(null_mask):
-        raise NotAnAlgebraError("center is empty; the identity should be central")
-    return np.tensordot(vh[null_mask].conj(), work, axes=1)
-
-
-def _factor_isometry(
-    y: np.ndarray,
-    work: list[np.ndarray],
-    rng: np.random.Generator,
-    tol: ToleranceConfig,
-) -> tuple[np.ndarray, int, int]:
-    """Order an orthonormal basis of one central block into tensor form.
-
-    ``y`` holds orthonormal columns spanning the block.  The compressed
-    algebra on the block is a factor, i.e. unitarily equivalent to
-    (full matrix algebra of size dL) (x) (scalars on dR); a generic Hermitian
-    element has dL eigenspaces of dimension dR, and polar parts of a generic
-    connecting element align their bases, yielding columns ordered as
-    |l> (x) |r| with l outer.
-    """
-    nk = y.shape[1]
-    cb, m = _orthonormal_span(y.conj().T @ work @ y)
-    dl = math.isqrt(m)
-    if dl * dl != m or nk % dl != 0:
-        raise _Ambiguous("compressed block dimension is not a perfect square")
-    dr = nk // dl
-    if dl == 1:
-        return y, dl, dr
-    hb = _hermitian_basis(cb)
-    if len(hb) != m:
-        raise _Ambiguous("hermitian basis of the block has the wrong dimension")
-    generic = sum(g * h for g, h in zip(rng.standard_normal(m), hb))
-    vals, vecs = np.linalg.eigh(generic)
-    groups = _group_eigenvalues(vals, tol)
-    if len(groups) != dl or any(g.size != dr for g in groups):
-        raise _Ambiguous("generic element does not separate the left factor")
-    connector = sum(
-        (g + 1j * h) * c
-        for g, h, c in zip(rng.standard_normal(m), rng.standard_normal(m), cb)
-    )
-    base = vecs[:, groups[0]]
-    columns = [base]
-    for g in groups[1:]:
-        e_l = vecs[:, g]
-        link = e_l.conj().T @ connector @ base
-        u_l, svals, vh_l = np.linalg.svd(link)
-        if svals[-1] <= 1e-8 * max(1.0, float(svals[0])):
-            raise _Ambiguous("connecting element is numerically singular")
-        columns.append(e_l @ (u_l @ vh_l))
-    return y @ np.concatenate(columns, axis=1), dl, dr
+    x = mats.reshape(len(mats), n * n)
+    residuals = np.linalg.norm(x - (x @ flat.conj().T) @ flat, axis=1)
+    return not np.all(residuals <= tol.fix * np.maximum(1.0, np.linalg.norm(x, axis=1)))
 
 
 def _canonical_blocks(blocks: list[Block]) -> tuple[Block, ...]:
@@ -701,56 +593,75 @@ def _seeded_rng(seed: int, *words: int) -> np.random.Generator:
 def decompose_fixed_point_algebra(
     f: FixedPointBasis, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
 ) -> BlockStructure:
-    """Block-diagonalize a dagger-closed unital matrix algebra.
+    """Block-diagonalize a dagger-closed unital matrix algebra from one generic element.
 
-    The algebra (given by a spanning fixed-point basis) is decomposed into
-    isometries V_k onto subspaces H^L_k (x) H^R_k such that conjugating any
-    algebra element by V_k yields (arbitrary on H^L_k) (x) (scalar identity
-    on H^R_k).  Procedure: orthonormalize the span (one SVD of the d x N^2
-    stack); certify dagger/product closure and unitality, forming the d^2
-    products one left factor at a time and keeping their span coordinates,
-    the structure constants; compute the center as the null space of the
-    d^2 x d matrix of commutator coordinates; split the space along the
-    eigenspaces of a generic Hermitian central element (minimal central
-    projections); inside each block, read off the factor dimensions from the
-    compressed algebra's dimension, separate the left factor with a generic
-    Hermitian element and align the right bases by polar-decomposing a
-    generic connecting element between its eigenspaces.
+    The algebra A (the span of ``f.basis``, Hermitian or not) is split into
+    isometries V_k onto H^L_k (x) H^R_k such that V_k^dag a V_k is
+    (arbitrary on H^L_k) (x) (scalar on H^R_k) for every a in A.  The span is
+    orthonormalized (W_1..W_d, one SVD) and checked to be independent,
+    dagger-closed and unital; then each attempt takes x = sum z_j W_j with
+    complex Gaussian z (real z would miss Hermitian elements, e.g. of i times
+    a Hermitian basis) and
 
-    Cost: O(d^2 N^3 + d^3 N^2) time for the closure check and O(d^4) for the
-    center, with O(d N^2 + d^3) memory; no array with d N^2 rows is built.
+    * checks that the d products x W_i stay in the span: an out-of-span part
+      of some W_j W_i makes theirs a nonzero linear function of z;
+    * groups the eigenspaces of x + x^dag (:func:`_group_eigenvalues`),
+      which in block k are dL_k spaces e_l (x) H^R_k;
+    * links groups a and b when the mean of their link weights exceeds 0.5.
+      The weight sum_i ||P_a c_i P_b||_F^2, with c_i = V^dag W_i V in the
+      eigenbasis V, is the Hilbert-Schmidt trace of X -> P_a X P_b after the
+      projection onto A: exactly 1 inside a block and 0 across blocks.  Each
+      (transitive) link class is one block;
+    * aligns a block's groups with the polar parts of a generic connector
+      sum z'_i c_i, giving columns |l> (x) |r> with l outer.
 
-    Generic elements are drawn from ``seed`` (s and -s give different
-    draws); grouping ambiguity retries with fresh randomness up to 3 times
-    before raising :class:`~qentropy.errors.AmbiguousGroupingError`.  The
-    result is verified against the input basis before it is returned.
+    The result must pass :func:`block_form_residual` <= 10 tol.fix.
+
+    Cost: O(d N^3 + d^2 N^2) time and O(d N^2) memory.  Draws come from
+    ``seed`` (s and -s differ); an ambiguous gap, unequal or non-transitive
+    links, a singular connector or a failed certificate retries up to 3
+    times, then raises :class:`~qentropy.errors.AmbiguousGroupingError`.
     """
     n = f.dim
-    work, rank = _orthonormal_span(np.asarray(f.basis, dtype=complex))
-    if rank != len(f.basis):
+    work, d = _orthonormal_span(np.asarray(f.basis, dtype=complex))
+    if d != len(f.basis):
         raise NotAnAlgebraError("basis elements are not linearly independent")
-    products = _check_algebra_closure(work, tol)
-    center = _center_basis(work, products, tol)
-    center_herm = _hermitian_basis(center)
-    if len(center_herm) != len(center):
-        raise NotAnAlgebraError("center is not closed under conjugate transpose")
-    n_blocks = len(center)
+    if _outside_span(work, work.conj().transpose(0, 2, 1), tol):
+        raise NotAnAlgebraError("span is not closed under conjugate transpose")
+    if _outside_span(work, np.eye(n, dtype=complex)[None], tol):
+        raise NotAnAlgebraError("identity is not in the span")
 
     last_failure = "eigenvalue grouping remained ambiguous"
     for attempt in range(4):
         rng = _seeded_rng(seed, attempt)
+        z = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        x = np.tensordot(z[0], work, axes=1)
+        if _outside_span(work, x @ work, tol):
+            raise NotAnAlgebraError("span is not closed under products")
         try:
-            central = sum(
-                g * z for g, z in zip(rng.standard_normal(n_blocks), center_herm)
-            )
-            vals, vecs = np.linalg.eigh(central)
+            vals, vecs = np.linalg.eigh(x + x.conj().T)
             groups = _group_eigenvalues(vals, tol)
-            if len(groups) != n_blocks:
-                raise _Ambiguous("central element does not separate the blocks")
+            c = vecs.conj().T @ work @ vecs
+            starts = [g[0] for g in groups]
+            power = np.sum(np.abs(c) ** 2, axis=0)
+            weight = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
+            linked = (weight + weight.T > 1.0) | np.eye(len(groups), dtype=bool)
+            if np.any(linked != (linked.astype(int) @ linked > 0)):
+                raise _Ambiguous("eigenspace links are not transitive")
+            connector = np.tensordot(z[1], c, axes=1)
             blocks = []
-            for g in groups:
-                iso, dl, dr = _factor_isometry(vecs[:, g], work, rng, tol)
-                blocks.append(Block(isometry=frozen_array(iso), dim_left=dl, dim_right=dr))
+            for members in dict.fromkeys(tuple(np.flatnonzero(row)) for row in linked):
+                base = groups[members[0]]
+                if any(groups[m].size != base.size for m in members):
+                    raise _Ambiguous("linked eigenspaces differ in dimension")
+                columns = [vecs[:, base]]
+                for m in members[1:]:
+                    u, svals, vh = np.linalg.svd(connector[np.ix_(groups[m], base)])
+                    if svals[-1] <= 1e-8 * max(1.0, float(svals[0])):
+                        raise _Ambiguous("connecting element is numerically singular")
+                    columns.append(vecs[:, groups[m]] @ (u @ vh))
+                iso = frozen_array(np.concatenate(columns, axis=1))
+                blocks.append(Block(isometry=iso, dim_left=len(members), dim_right=base.size))
             structure = BlockStructure(dim=n, blocks=_canonical_blocks(blocks))
             if block_form_residual(f, structure) > 10.0 * tol.fix:
                 raise _Ambiguous("conjugated basis misses the block form")

@@ -38,6 +38,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _require_dim(n: int) -> None:
+    if n < 1:
+        raise ValidationError(f"dimension must be positive, got {n}")
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -54,8 +59,7 @@ def random_density(
     n: int, rank: int, seed, tol: ToleranceConfig = DEFAULT_TOL
 ) -> DensityMatrix:
     """Random state G G^dag / tr(G G^dag) with G an n x rank complex Gaussian."""
-    if n < 1:
-        raise ValidationError(f"dimension must be positive, got {n}")
+    _require_dim(n)
     if not 1 <= rank <= n:
         raise InvalidRankError(f"rank must lie in [1, {n}], got {rank}")
     g = _complex_normal(_rng(seed), (n, rank))
@@ -65,8 +69,7 @@ def random_density(
 
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
-    if n < 1:
-        raise ValidationError(f"dimension must be positive, got {n}")
+    _require_dim(n)
     return frozen_array(_haar_unitary(_rng(seed), n))
 
 
@@ -75,6 +78,7 @@ def random_bistochastic_channel(
 ) -> KrausChannel:
     """Mixed-unitary channel: Kraus family {sqrt(w_i) U_i} with random
     simplex weights and Haar unitaries."""
+    _require_dim(n)
     if num_unitaries < 1:
         raise ValidationError(f"num_unitaries must be positive, got {num_unitaries}")
     rng = _rng(seed)
@@ -92,6 +96,7 @@ def random_stochastic_channel(
     joint space; the Kraus operators are M_e = (I (x) <e|) V, so
     sum M_e^dag M_e = V^dag V = I exactly.
     """
+    _require_dim(n)
     if env_dim < 1:
         raise ValidationError(f"env_dim must be positive, got {env_dim}")
     big = _haar_unitary(_rng(seed), n * env_dim)
@@ -105,6 +110,7 @@ def random_bistochastic_matrix(
     n: int, num_perms: int, seed, tol: ToleranceConfig = DEFAULT_TOL
 ) -> StochasticMatrix:
     """Convex combination of random permutation matrices with simplex weights."""
+    _require_dim(n)
     if num_perms < 1:
         raise ValidationError(f"num_perms must be positive, got {num_perms}")
     rng = _rng(seed)
@@ -117,4 +123,5 @@ def random_bistochastic_matrix(
 
 def random_probability_vector(n: int, seed, tol: ToleranceConfig = DEFAULT_TOL) -> ProbabilityVector:
     """Uniform (flat Dirichlet) random probability vector."""
+    _require_dim(n)
     return probability_vector(_rng(seed).dirichlet(np.ones(n)), tol)

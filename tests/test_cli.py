@@ -287,11 +287,23 @@ class TestGen:
         _, b = run_cli(capsys, ["gen", "density", "--dim", "3", "--rank", "2", "--seed", "9"])
         assert a["report"]["object"] == b["report"]["object"]
 
-    def test_density_zero_dimension_exits_2(self, capsys):
-        code = main(["gen", "density", "--dim", "0"])
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "density",
+            "unitary",
+            "bistochastic-channel",
+            "stochastic-channel",
+            "bistochastic-matrix",
+            "probability",
+        ],
+    )
+    def test_non_positive_dimension_exits_2(self, capsys, kind, dim):
+        code = main(["gen", kind, "--dim", dim])
         result = json.loads(capsys.readouterr().out)  # exactly one JSON object
         assert code == 2 and result["status"] == "error"
-        assert result["diagnostics"] == ["ValidationError: dimension must be positive, got 0"]
+        assert result["diagnostics"] == [f"ValidationError: dimension must be positive, got {dim}"]
 
     def test_gen_to_file_feeds_other_commands(self, capsys, tmp_path):
         chan = tmp_path / "chan.json"

@@ -1,10 +1,11 @@
 """The fixed-point and decomposition kernels against dense reference versions.
 
 The oracles below are the direct dense algorithms: a complex eigensolve of
-s^dag s on all N x N matrices, the center as the null space of the full
-(d N^2) x d commutator system, and a loop over block pairs for the block-form
+s^dag s on all N x N matrices, and a loop over block pairs for the block-form
 residual.  The library computes the same objects in smaller spaces (real
-symmetric on Herm(N), span coordinates, one batched conjugation).
+symmetric on Herm(N), one batched conjugation).  Decompositions computed from
+a channel are certified against the channel and the state it was synthesized
+with.
 """
 
 import math
@@ -22,21 +23,20 @@ from qentropy import (
     fixed_point_space,
     parse_block_spec,
     random_bistochastic_channel,
+    random_unitary,
     superoperator_matrix,
     synthesize_pair,
     unvec,
     vec,
+    verify_block_structure,
 )
 from qentropy.entropy_analysis import (
-    _center_basis,
-    _check_algebra_closure,
-    _orthonormal_span,
     _partial_trace_right,
     _seeded_rng,
     block_form_residual,
 )
 
-from conftest import SIGMA_X
+from conftest import SIGMA_X, SIGMA_Z, dephasing_channel
 
 SPECS = ["2x1,1x2", "2x2", "1x1,1x1,1x1", "3x1,1x3", "2x2,2x1,1x2", "1x4,2x2", "3x2,2x3"]
 
@@ -50,19 +50,6 @@ def oracle_fixed_point_space(phi, tol):
     below = vals[~fixed_mask]
     gap = float(1.0 - below.max()) if below.size else math.inf
     return [unvec(vecs[:, i]) for i in np.nonzero(fixed_mask)[0]], gap
-
-
-def oracle_center(work, tol):
-    """Null space of the (d N^2) x d system stacking vec([W_j, W_i]) over i.
-
-    The thin SVD has the same singular values and right singular vectors as
-    the full one; only the unused left factor is smaller.
-    """
-    columns = [np.concatenate([vec(wj @ wi - wi @ wj) for wi in work]) for wj in work]
-    _, svals, vh = np.linalg.svd(np.stack(columns, axis=1), full_matrices=False)
-    null_mask = svals <= tol.fix * max(1.0, float(svals[0]))
-    coeffs = vh.conj().T[:, null_mask]
-    return [sum(cj * wj for cj, wj in zip(c, work)) for c in coeffs.T]
 
 
 def oracle_block_form_residual(f, structure):
@@ -120,20 +107,28 @@ def test_fixed_point_space_matches_dense_oracle(phi, tol):
 
 
 @pytest.mark.parametrize("phi", [phi for _, phi in CASES], ids=IDS)
-def test_center_matches_full_commutator_oracle(phi, tol):
-    work, _ = _orthonormal_span(np.asarray(fixed_point_space(phi).basis))
-    center = _center_basis(work, _check_algebra_closure(work, tol), tol)
-    expected = oracle_center(list(work), tol)
-    assert len(center) == len(expected)
-    assert np.linalg.norm(span_projector(center) - span_projector(expected)) <= 1e-8
-
-
-@pytest.mark.parametrize("phi", [phi for _, phi in CASES], ids=IDS)
 def test_block_form_residual_matches_loop_oracle(phi):
     f = fixed_point_space(phi)
     structure = decompose_fixed_point_algebra(f, seed=1)
     expected = oracle_block_form_residual(f, structure)
     assert abs(block_form_residual(f, structure) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1])
+@pytest.mark.parametrize("spec", SPECS + ["2x2,2x2"])
+def test_decomposed_structure_certifies_the_synthesized_pair(spec, seed):
+    # the structure computed from the channel alone is accepted for the pair
+    # and carries the same block dims and weights as the synthesized one
+    phi, rho, synthesized = synthesize_pair(parse_block_spec(spec), seed=60)
+    structure = decompose_fixed_point_algebra(fixed_point_space(phi), seed=seed)
+    got = verify_block_structure(structure, phi, rho)
+    expected = verify_block_structure(synthesized, phi, rho)
+    got_blocks = sorted(zip(got.block_dims, got.weights))
+    expected_blocks = sorted(zip(expected.block_dims, expected.weights))
+    assert [dims for dims, _ in got_blocks] == [dims for dims, _ in expected_blocks]
+    np.testing.assert_allclose(
+        [w for _, w in got_blocks], [w for _, w in expected_blocks], rtol=0, atol=1e-12
+    )
 
 
 def test_block_form_residual_matches_loop_oracle_off_structure():
@@ -146,30 +141,85 @@ def test_block_form_residual_matches_loop_oracle_off_structure():
     assert abs(block_form_residual(f, other) - expected) <= 1e-12
 
 
-def test_span_not_closed_under_products_rejected():
-    # span{I, sigma_x (+) 0} is dagger-closed and unital, but
-    # (sigma_x (+) 0)^2 = diag(1, 1, 0) lies outside it
-    flip = np.zeros((3, 3), dtype=complex)
-    flip[:2, :2] = SIGMA_X
-    basis = (np.eye(3, dtype=complex) / math.sqrt(3), flip / math.sqrt(2))
-    fake = FixedPointBasis(dim=3, basis=basis, eigenvalue_residuals=(0.0, 0.0), spectral_gap=1.0)
+def as_basis(mats):
+    return FixedPointBasis(
+        dim=len(mats[0]),
+        basis=tuple(np.asarray(m, dtype=complex) for m in mats),
+        eigenvalue_residuals=(0.0,) * len(mats),
+        spectral_gap=1.0,
+    )
+
+
+def conjugated(mats, seed):
+    u = np.asarray(random_unitary(len(mats[0]), seed))
+    return [u @ m @ u.conj().T for m in mats]
+
+
+FLIP = np.zeros((3, 3), dtype=complex)
+FLIP[:2, :2] = SIGMA_X
+I4, ZI = np.eye(4), np.kron(SIGMA_Z, np.eye(2))
+NOT_CLOSED_SPANS = {
+    # (sigma_x (+) 0)^2 = diag(1, 1, 0)
+    "I, sigma_x (+) 0": [np.eye(3), FLIP],
+    # (sigma_z (x) I)(sigma_x (x) sigma_z) = i sigma_y (x) sigma_z
+    "I, Z (x) I, X (x) Z": conjugated([I4, ZI, np.kron(SIGMA_X, SIGMA_Z)], 31),
+    # (sigma_z (x) I)(I (x) sigma_z) = sigma_z (x) sigma_z
+    "I, Z (x) I, I (x) Z": conjugated([I4, ZI, np.kron(np.eye(2), SIGMA_Z)], 32),
+}
+
+
+@pytest.mark.parametrize("mats", NOT_CLOSED_SPANS.values(), ids=NOT_CLOSED_SPANS.keys())
+def test_span_not_closed_under_products_rejected(mats):
+    # each span is dagger-closed and unital, but a product leaves it
     with pytest.raises(NotAnAlgebraError, match="not closed under products"):
-        decompose_fixed_point_algebra(fake)
+        decompose_fixed_point_algebra(as_basis(mats))
 
 
-def test_decompose_memory_stays_small():
-    # N=16, d=21: a (d N^2)-row commutator system with a full left factor
-    # needs hundreds of MB; span coordinates need well under 1 MB
-    phi, _, _ = synthesize_pair(parse_block_spec("4x2,2x3,1x2"), seed=7)
-    f = fixed_point_space(phi)
+# E_ab on the first two coordinates, and the identity on the last two
+UNITS_2X1_1X2 = [np.outer(I4[a], I4[b]) for a in range(2) for b in range(2)] + [(I4 - ZI) / 2]
+
+NON_HERMITIAN_BASES = {
+    "matrix units of 2x1,1x2": (conjugated(UNITS_2X1_1X2, 33), [(1, 2), (2, 1)]),
+    # x + x^dag of a real combination of this basis is 0
+    "i times the diagonal algebra": (
+        [1j * b for b in fixed_point_space(dephasing_channel(4)).basis],
+        [(1, 1)] * 4,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "mats, dims", NON_HERMITIAN_BASES.values(), ids=NON_HERMITIAN_BASES.keys()
+)
+def test_non_hermitian_basis_decomposes(mats, dims, tol):
+    f = as_basis(mats)
+    structure = decompose_fixed_point_algebra(f)
+    assert sorted(structure.block_dims) == dims
+    assert block_form_residual(f, structure) <= 10 * tol.fix
+
+
+MEMORY_CASES = {
+    "4x2,2x3,1x2": (
+        lambda: synthesize_pair(parse_block_spec("4x2,2x3,1x2"), seed=7)[0],
+        [(1, 2), (2, 3), (4, 2)],
+    ),
+    # a unitary channel fixes every matrix, so d = N^2 = 144: d^3 structure
+    # constants alone would take 48 MB
+    "unitary N=12": (lambda: random_bistochastic_channel(12, 1, seed=34), [(12, 1)]),
+}
+
+
+@pytest.mark.parametrize("make_phi, dims", MEMORY_CASES.values(), ids=MEMORY_CASES.keys())
+def test_decompose_memory_stays_small(make_phi, dims):
+    f = fixed_point_space(make_phi())
     tracemalloc.start()
     try:
         structure = decompose_fixed_point_algebra(f, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sorted(structure.block_dims) == [(1, 2), (2, 3), (4, 2)]
-    assert peak < 64 * 2**20
+    assert sorted(structure.block_dims) == dims
+    assert peak < 16 * 2**20
 
 
 class TestNegativeSeeds:
