@@ -11,8 +11,8 @@ program can check or build:
 * :func:`entropy_preservation_report` compares entropy equality against the
   fixed-point condition and exposes both residuals;
 * :func:`fixed_point_space` computes the fixed-point space of
-  adjoint(phi) o phi, which for bi-stochastic phi is a dagger-closed unital
-  matrix algebra;
+  adjoint(phi) o phi, for bi-stochastic phi a dagger-closed unital matrix
+  algebra: the commutant of that map's Kraus operators;
 * :func:`decompose_fixed_point_algebra` block-diagonalizes that algebra into
   isometries exhibiting the tensor structure, from the eigenspaces of one
   generic element;
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,9 @@ from .channels import (
     _require,
     adjoint,
     apply_channel,
-    compose,
     kraus_channel,
-    superoperator_matrix,
 )
-from .choi import _map_entropy_bits, map_entropy
+from .choi import _map_entropy_bits
 from .errors import (
     AmbiguousGroupingError,
     DimensionMismatchError,
@@ -109,10 +108,10 @@ _SQRT_HALF = math.sqrt(0.5)
 class FixedPointBasis:
     """Orthonormal basis of the fixed-point space of adjoint(phi) o phi.
 
-    :func:`fixed_point_space` returns Hermitian basis elements.
-    ``spectral_gap`` is the distance from 1 to the largest non-fixed
-    eigenvalue of the superoperator, so tests can assert the cut was
-    unambiguous; it is +inf when everything is fixed.
+    :func:`fixed_point_space` returns Hermitian basis elements (read-only
+    views).  ``spectral_gap`` is the distance from 1 to the largest
+    eigenvalue of adjoint(phi) o phi outside the span (by Lanczos), so tests
+    can assert the cut was unambiguous; it is +inf when everything is fixed.
     """
 
     dim: int
@@ -369,22 +368,25 @@ def map_entropy_preservation_report(
 
     The report has kind ``"map_entropy"``: entropy_in is S^map(psi),
     entropy_out is S^map(phi o psi) and the fixed-point residual is
-    ||S_phi^dag S_phi S_psi - S_psi||_F.  That norm is computed from the
-    Kraus stacks of psi and of adjoint(phi) o phi o psi, the latter QR-folded
-    to at most N^2 rows (realignment only permutes entries), without a superoperator.
+    ||S_phi^dag S_phi S_psi - S_psi||_F.  S^map(phi o psi) comes from the
+    stack of the products M_i N_j and the norm from the Kraus stacks of psi
+    and of adjoint(phi) o phi o psi; the product stacks are QR-folded to at
+    most N^2 rows (realignment only permutes entries), and no superoperator
+    is formed.
     """
     _require(phi, "bistochastic", "outer channel must be bi-stochastic", tol)
     _require(psi, "stochastic", "inner channel must be trace preserving", tol)
     if phi.dim != psi.dim:
         raise DimensionMismatchError(f"channel dims differ: {phi.dim} vs {psi.dim}")
-    # psi passed its check above; phi o psi keeps its own, as the residuals add
-    s_inner = _map_entropy_bits(psi)
-    s_composed = map_entropy(compose(phi, psi), tol)
+    outer, inner, n = np.stack(phi.kraus), np.stack(psi.kraus), phi.dim
+    s_inner = _map_entropy_bits(_kraus_stack(psi), n)
+    # psi passed its check above; phi o psi keeps its own, as the residuals add.  Its stack folds
+    # to <= N^2 rows, whose operators keep sum P^dag P and sum P P^dag
+    s_composed = _map_entropy_bits(_product_stack(outer, inner), n, tol)
     gap = abs(s_composed - s_inner)
     # Kraus stacks of adjoint(phi) o phi, then of adjoint(phi) o phi o psi, in <= N^2 rows
-    outer, n = np.stack(phi.kraus), phi.dim
     twice = _product_stack(outer.conj().transpose(0, 2, 1), outer).reshape(-1, n, n)
-    thrice = _product_stack(twice, np.stack(psi.kraus))
+    thrice = _product_stack(twice, inner)
     residual = _choi_distance(thrice, _kraus_stack(psi))
     return EquivalenceReport(
         kind="map_entropy",
@@ -398,93 +400,7 @@ def map_entropy_preservation_report(
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point space
-# ---------------------------------------------------------------------------
-
-
-def _hermitian_unit_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-stacked (``vec``) positions of the entries (a, a), (a, b), (b, a), a < b.
-
-    They index the orthonormal basis of Herm(n) used by
-    :func:`fixed_point_space`: the diagonal units |a><a|, then
-    (|a><b| + |b><a|)/sqrt(2), then i(|a><b| - |b><a|)/sqrt(2).
-    """
-    rows, cols = np.triu_indices(n, 1)
-    return np.arange(n) * (n + 1), cols * n + rows, rows * n + cols
-
-
-def _hermitian_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
-    """Stack of the Hermitian matrices sum_b coords[b, i] E_b, one per column i."""
-    rows, cols = np.triu_indices(n, 1)
-    pairs = rows.size
-    out = np.zeros((coords.shape[1], n, n), dtype=complex)
-    out[:, np.arange(n), np.arange(n)] = coords[:n].T
-    upper = (coords[n : n + pairs] + 1j * coords[n + pairs :]).T * _SQRT_HALF
-    out[:, rows, cols] = upper
-    out[:, cols, rows] = upper.conj()
-    return out
-
-
-def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> FixedPointBasis:
-    """Orthonormal Hermitian basis of {X : adjoint(phi)(phi(X)) = X} for bi-stochastic phi.
-
-    adjoint(phi) o phi is a Hilbert-Schmidt contraction that is Hermitian
-    PSD and preserves Hermiticity, and its fixed space is dagger-closed, so
-    it is spanned by Hermitian fixed points.  The map is therefore
-    diagonalized as a real symmetric N^2 x N^2 matrix on Herm(N), in the
-    orthonormal basis E_b of :func:`_hermitian_unit_indices`: the columns of
-    the superoperator are recombined into the images phi(E_b), their real
-    coordinates h[a, b] = <E_a, phi(E_b)> form the matrix of phi on Herm(N),
-    and g = h^T h is that of adjoint(phi) o phi.  Its spectrum lies in
-    [0, 1]; eigenvalues >= 1 - tol.fix are taken as fixed, and each fixed
-    eigenvector v maps back to the Hermitian matrix sum_b v_b E_b.
-
-    Cost: O(k N^4) to build the superoperator of k Kraus operators, one real
-    N^2 x N^2 product and one real symmetric eigensolve, O(N^6) each, and
-    O(N^4) memory.
-    """
-    _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
-    n = phi.dim
-    s = superoperator_matrix(phi).matrix
-    diag, ab, ba = _hermitian_unit_indices(n)
-    images = np.concatenate(
-        [
-            s[:, diag],
-            (s[:, ab] + s[:, ba]) * _SQRT_HALF,
-            (s[:, ab] - s[:, ba]) * (1j * _SQRT_HALF),
-        ],
-        axis=1,
-    )
-    h = np.concatenate(
-        [
-            images[diag].real,
-            (images[ab] + images[ba]).real * _SQRT_HALF,
-            (images[ab] - images[ba]).imag * _SQRT_HALF,
-        ]
-    )
-    vals, vecs = np.linalg.eigh(h.T @ h)
-    fixed_mask = vals >= 1.0 - tol.fix
-    if not np.any(fixed_mask):
-        raise AmbiguousGroupingError(
-            "no eigenvalue within tol.fix of 1; the identity should always be fixed"
-        )
-    below = vals[~fixed_mask]
-    gap = float(1.0 - below.max()) if below.size else math.inf
-    basis = _hermitian_from_coords(vecs[:, fixed_mask], n)
-    adj = adjoint(phi)
-    residuals = tuple(
-        float(np.linalg.norm(apply_channel(adj, apply_channel(phi, b)) - b)) for b in basis
-    )
-    return FixedPointBasis(
-        dim=n,
-        basis=tuple(frozen_array(b) for b in basis),
-        eigenvalue_residuals=residuals,
-        spectral_gap=gap,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Algebra decomposition
+# Fixed-point space, from the eigenspaces of one generic element
 # ---------------------------------------------------------------------------
 
 
@@ -492,26 +408,193 @@ class _Ambiguous(Exception):
     """Internal retry signal: generic-element randomness was unlucky."""
 
 
+def _seeded_rng(seed: int, *words: int) -> np.random.Generator:
+    """Generator for an integer seed and extra entropy words; s and -s differ.
+
+    A non-negative seed keeps the stream of ``default_rng([seed, *words])``.
+    A negative seed adds a spawn key, which numpy mixes in apart from the
+    entropy words, so it cannot collide with any non-negative seed below
+    2**128.
+    """
+    seed = int(seed)
+    spawn_key = (1,) if seed < 0 else ()
+    return np.random.default_rng(np.random.SeedSequence([abs(seed), *words], spawn_key=spawn_key))
+
+
 def _group_eigenvalues(vals: np.ndarray, tol: ToleranceConfig) -> list[np.ndarray]:
     """Group sorted eigenvalues whose relative gap is below tol.group.
 
-    Raises the internal retry signal when a gap falls inside the ambiguous
-    window just above the grouping threshold, where degenerate and distinct
-    eigenvalues cannot be told apart.
+    A gap inside the window just above the threshold, where degenerate and
+    distinct eigenvalues cannot be told apart, raises the retry signal.
     """
-    scale = max(1.0, float(vals[-1] - vals[0]))
-    threshold = tol.group * scale
+    threshold = tol.group * max(1.0, float(vals[-1] - vals[0]))
     gaps = np.diff(vals)
     if np.any((gaps > threshold) & (gaps < 100.0 * threshold)):
         raise _Ambiguous("eigenvalue gap inside the ambiguous window")
-    groups = []
-    start = 0
-    for i, gap in enumerate(gaps):
-        if gap > threshold:
-            groups.append(np.arange(start, i + 1))
-            start = i + 1
-    groups.append(np.arange(start, vals.size))
-    return groups
+    return np.split(np.arange(vals.size), np.flatnonzero(gaps > threshold) + 1)
+
+
+def _link_weights(c: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+    """Weights sum_i ||P_a c_i P_b||_F^2 + ||P_b c_i P_a||_F^2 of an (m, N, N) eigenbasis stack."""
+    starts = [g[0] for g in groups]
+    power = np.sum(np.abs(c) ** 2, axis=0)
+    weight = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
+    return weight + weight.T
+
+
+def _aligned_blocks(vecs, groups, linked, connector) -> Iterator[np.ndarray]:
+    """Each class of linked eigenvector groups, as one (N, size, members) array in one frame.
+
+    A class is walked breadth first from its lowest group; a group q reached from p is rotated by
+    the polar part of the eigenbasis block connector[q, p], times p's rotation, so that connector
+    blocks within the class become multiples of the identity.  Linked groups of unequal size or
+    a singular block raise the retry signal.
+    """
+    seen = np.zeros(len(groups), dtype=bool)
+    for root in np.arange(len(groups)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order, frames = [root], [np.eye(groups[root].size)]
+        for p, frame in zip(order, frames):  # both lists grow during the walk
+            for q in np.flatnonzero(linked[p] & ~seen):
+                if groups[q].size != groups[root].size:
+                    raise _Ambiguous("linked eigenspaces differ in dimension")
+                u, svals, vh = np.linalg.svd(connector[np.ix_(groups[q], groups[p])])
+                if svals[-1] <= 1e-8 * max(1.0, float(svals[0])):
+                    raise _Ambiguous("connecting element is numerically singular")
+                seen[q] = True
+                order.append(q)
+                frames.append(u @ vh @ frame)
+        yield np.stack([vecs[:, groups[q]] @ f for q, f in zip(order, frames)], axis=2)
+
+
+def _gram_map(kraus: np.ndarray):
+    """X -> adjoint(phi)(phi(X)) on (..., N, N) arrays for phi's (k, N, N) Kraus stack; each half
+    multiplies by [M_1; ..; M_k], then, the blocks M_i X side by side, by [M_1^dag; ..; M_k^dag]."""
+    k, n, _ = kraus.shape
+    down, up = kraus.reshape(k * n, n), kraus.conj().transpose(0, 2, 1).reshape(k * n, n)
+
+    def half(x, left, right):
+        lead = x.shape[:-2]
+        return (left @ x).reshape(*lead, k, n, n).swapaxes(-3, -2).reshape(*lead, n, k * n) @ right
+
+    return lambda x: half(half(x, down, up), up, down)
+
+
+def _block_units(cols: np.ndarray) -> np.ndarray:
+    """V (E (x) I/sqrt(dR)) V^dag for one (N, dL, dR) class (V[:, (l, r)] = cols[:, l, r]), over
+    the Hermitian units E of M_dL: |a><a|, then (|a><b| + |b><a|)/sqrt(2) and
+    i(|a><b| - |b><a|)/sqrt(2) for a < b, each formed as A + A^dag (Hermitian to the bit)."""
+    n, dl, dr = cols.shape
+    x = cols.transpose(1, 0, 2).reshape(dl * n, dr)
+    g = (x @ x.conj().T).reshape(dl, n, dl, n) / math.sqrt(dr)  # V (|a><b| (x) I) V^dag
+    rows, other = np.triu_indices(dl, 1)
+    upper = g[rows, :, other] * _SQRT_HALF
+    units = np.concatenate([g[np.arange(dl), :, np.arange(dl)] / 2, upper, 1j * upper])
+    return units + units.conj().swapaxes(1, 2)
+
+
+def _top_eigenvalue_outside(gram, basis: np.ndarray, rng: np.random.Generator) -> float:
+    """Top eigenvalue of self-adjoint ``gram`` on Herm(N) minus span(basis); -inf if that is {0}.
+
+    Lanczos in the inner product Re tr(A^dag B) from a random Hermitian start.  Each step takes
+    the Hermitian part of gram(q) (else i times the fixed space leaks back in through rounding)
+    and removes its coordinates along [basis; Krylov vectors] twice, as real rows in a store that
+    doubles when full.  It stops when the top Ritz residual is <= 1e-10 (checked after 8 steps,
+    then where its decay predicts 1e-10, at most 8 steps on), when beta < 1e-12, or when the
+    complement is spanned.
+    """
+    d, n, _ = basis.shape
+    room = n * n - d
+    if room == 0:
+        return -math.inf
+    q = np.concatenate([basis.reshape(d, -1).view(float), np.empty((min(room, 32), 2 * n * n))])
+    w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w = (w + w.conj().T).reshape(-1).view(float)
+    alphas, betas, m, check, last = [], [], d, 8, (0, 0.0)
+    while True:
+        for _ in range(2):
+            w -= (q[:m] @ w) @ q[:m]
+        beta = math.sqrt(w @ w)
+        done = beta < 1e-12 or m - d == room
+        if alphas and (done or len(alphas) == check):
+            off = betas[1:]  # betas[0] normalized the start
+            vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
+            residual = beta * abs(vecs[-1, -1])
+            if done or residual <= 1e-10:
+                return float(vals[-1])
+            decay = math.log(residual / last[1]) / (len(alphas) - last[0]) if last[1] else 0
+            step = min(8, max(1, math.ceil(math.log(1e-10 / residual) / decay))) if decay < 0 else 4
+            last, check = (len(alphas), residual), len(alphas) + step
+        betas.append(beta)
+        if m == len(q):
+            q = np.concatenate([q, np.empty((m - d, q.shape[1]))])
+        np.divide(w, beta, out=q[m])
+        y = gram(q[m].view(complex).reshape(n, n))
+        w = (y + y.conj().T).reshape(-1).view(float) * 0.5
+        alphas.append(float(q[m] @ w))
+        m += 1
+
+
+def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> FixedPointBasis:
+    """Orthonormal Hermitian basis of {X : adjoint(phi)(phi(X)) = X} for bi-stochastic phi.
+
+    adjoint(phi) o phi is then unital and trace preserving, so its fixed space is the commutant
+    (+)_k M_dL (x) I_dR of the algebra its Kraus operators generate (Kribs 2003); no N^2 x N^2
+    array is formed.  The stack {M_i^dag M_j} (QR-folded to <= N^2 rows) gives, from its Gram
+    matrix, the s_a L_a of its thin SVD (weights s_a^2 sum to N); the lightest, of total weight
+    <= N tol.fix, are cut.  (Mixing in another channel with weight eps moves the raw family by
+    O(sqrt(eps)), the kept L_a only by O(eps).)  An attempt groups the eigenspaces of x + x^dag,
+    x = sum z_a s_a L_a with complex Gaussian z, into the dR spaces H^L (x) e_r of each block,
+    links groups whose :func:`_link_weights` exceed tol.fix times the largest, and aligns each
+    linked class (:func:`_aligned_blocks`).  The basis is V (E (x) I/sqrt(dR)) V^dag over the
+    Hermitian units E of M_dL, with residuals ||adjoint(phi)(phi(B)) - B||_F; spectral_gap is 1
+    minus the top eigenvalue outside its span (:func:`_top_eigenvalue_outside`).
+
+    Every residual must be <= tol.fix (the elements are fixed) and the gap > tol.fix (no fixed
+    direction was missed); an ambiguous grouping or a failed certificate retries with the next
+    ``_seeded_rng(0, attempt)``, and the fourth failure raises AmbiguousGroupingError, as does an
+    eigenvalue within tol.fix of 1 outside the commutant (a dense eigensolve counts it as fixed).
+    Cost: O(r^2 N^2 + r^3) for r <= min(k^2, N^2) products, O(r N^3) per attempt, O(k N^3 + j N^2)
+    per Lanczos step j, and O((r + j + d) N^2) memory for d basis elements.
+    """
+    _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
+    n, kraus = phi.dim, np.stack(phi.kraus)
+    stack = _product_stack(kraus.conj().transpose(0, 2, 1), kraus)
+    weights, u = np.linalg.eigh(stack @ stack.conj().T)  # stack = U S L
+    kept = int(np.count_nonzero(np.cumsum(weights) > n * tol.fix))
+    ops = (u[:, -kept:].conj().T @ stack).reshape(kept, n, n)  # the s_a L_a, lightest first
+    gram, step = _gram_map(kraus), max(1, 2**15 // (len(kraus) * n * n))  # <= 2^15-entry batches
+    for attempt in range(4):
+        rng = _seeded_rng(0, attempt)
+        z = rng.standard_normal((2, kept)) + 1j * rng.standard_normal((2, kept))
+        x = np.tensordot(z[0], ops, axes=1)
+        try:
+            vals, vecs = np.linalg.eigh(x + x.conj().T)
+            groups = _group_eigenvalues(vals, tol)
+            c = vecs.conj().T @ ops @ vecs
+            weight = _link_weights(c, groups)
+            linked = weight > tol.fix * weight.max()
+            classes = _aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1))
+            basis = np.concatenate([_block_units(cols) for cols in classes])
+            chunks = np.split(basis, range(step, len(basis), step))
+            residuals = np.concatenate([np.linalg.norm(gram(b) - b, axis=(1, 2)) for b in chunks])
+            if residuals.max() > tol.fix:
+                raise _Ambiguous(f"a basis element is not fixed (residual {residuals.max():.3e})")
+            gap = 1.0 - _top_eigenvalue_outside(gram, basis, rng)
+            if gap <= tol.fix:
+                raise _Ambiguous(f"a fixed direction lies outside the commutant (gap {gap:.3e})")
+            basis.setflags(write=False)  # the elements are read-only views
+            return FixedPointBasis(n, tuple(basis), tuple(float(r) for r in residuals), gap)
+        except _Ambiguous as exc:
+            last_failure = str(exc)
+    raise AmbiguousGroupingError(f"{last_failure} after 3 retries")
+
+
+# ---------------------------------------------------------------------------
+# Algebra decomposition
+# ---------------------------------------------------------------------------
 
 
 def _partial_trace_right(m: np.ndarray, dl: int, dr: int) -> np.ndarray:
@@ -541,13 +624,12 @@ def _outside_span(work: np.ndarray, mats: np.ndarray, tol: ToleranceConfig) -> b
 
 
 def _canonical_blocks(blocks: list[Block]) -> tuple[Block, ...]:
-    """Deterministic block order: by dims, then by rounded isometry entries."""
+    """Deterministic block order: by dims, then by the rounded projector V V^dag (its bytes),
+    which, unlike V (unique only up to U_L (x) U_R), is a function of the algebra."""
 
     def key(b: Block):
-        ent = np.round(
-            np.concatenate([b.isometry.real.ravel(), b.isometry.imag.ravel()]), 6
-        )
-        return (b.dim_left, b.dim_right, tuple(ent.tolist()))
+        proj = np.round(b.isometry @ b.isometry.conj().T, 6) + 0.0  # + 0.0 turns -0.0 into 0.0
+        return (b.dim_left, b.dim_right, proj.tobytes())
 
     return tuple(sorted(blocks, key=key))
 
@@ -577,19 +659,6 @@ def block_form_residual(f: FixedPointBasis, structure: BlockStructure) -> float:
     return worst
 
 
-def _seeded_rng(seed: int, *words: int) -> np.random.Generator:
-    """Generator for an integer seed and extra entropy words; s and -s differ.
-
-    A non-negative seed keeps the stream of ``default_rng([seed, *words])``.
-    A negative seed adds a spawn key, which numpy mixes in apart from the
-    entropy words, so it cannot collide with any non-negative seed below
-    2**128.
-    """
-    seed = int(seed)
-    spawn_key = (1,) if seed < 0 else ()
-    return np.random.default_rng(np.random.SeedSequence([abs(seed), *words], spawn_key=spawn_key))
-
-
 def decompose_fixed_point_algebra(
     f: FixedPointBasis, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
 ) -> BlockStructure:
@@ -607,20 +676,17 @@ def decompose_fixed_point_algebra(
       of some W_j W_i makes theirs a nonzero linear function of z;
     * groups the eigenspaces of x + x^dag (:func:`_group_eigenvalues`),
       which in block k are dL_k spaces e_l (x) H^R_k;
-    * links groups a and b when the mean of their link weights exceeds 0.5.
-      The weight sum_i ||P_a c_i P_b||_F^2, with c_i = V^dag W_i V in the
-      eigenbasis V, is the Hilbert-Schmidt trace of X -> P_a X P_b after the
-      projection onto A: exactly 1 inside a block and 0 across blocks.  Each
-      (transitive) link class is one block;
-    * aligns a block's groups with the polar parts of a generic connector
-      sum z'_i c_i, giving columns |l> (x) |r> with l outer.
+    * links groups a and b when the mean of their :func:`_link_weights` over
+      c_i = V^dag W_i V (eigenbasis V) exceeds 0.5: the weight is the
+      Hilbert-Schmidt trace of X -> P_a X P_b after the projection onto A,
+      1 inside a block and 0 across.  Each (transitive) link class is one
+      block, aligned by a generic connector (:func:`_aligned_blocks`).
 
-    The result must pass :func:`block_form_residual` <= 10 tol.fix.
-
-    Cost: O(d N^3 + d^2 N^2) time and O(d N^2) memory.  Draws come from
-    ``seed`` (s and -s differ); an ambiguous gap, unequal or non-transitive
-    links, a singular connector or a failed certificate retries up to 3
-    times, then raises :class:`~qentropy.errors.AmbiguousGroupingError`.
+    The result must pass :func:`block_form_residual` <= 10 tol.fix.  Cost:
+    O(d N^3 + d^2 N^2) time and O(d N^2) memory.  Draws come from ``seed``
+    (s and -s differ); an ambiguous gap, unequal or non-transitive links, a
+    singular connector or a failed certificate retries up to 3 times, then
+    raises :class:`~qentropy.errors.AmbiguousGroupingError`.
     """
     n = f.dim
     work, d = _orthonormal_span(np.asarray(f.basis, dtype=complex))
@@ -631,7 +697,6 @@ def decompose_fixed_point_algebra(
     if _outside_span(work, np.eye(n, dtype=complex)[None], tol):
         raise NotAnAlgebraError("identity is not in the span")
 
-    last_failure = "eigenvalue grouping remained ambiguous"
     for attempt in range(4):
         rng = _seeded_rng(seed, attempt)
         z = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
@@ -642,26 +707,13 @@ def decompose_fixed_point_algebra(
             vals, vecs = np.linalg.eigh(x + x.conj().T)
             groups = _group_eigenvalues(vals, tol)
             c = vecs.conj().T @ work @ vecs
-            starts = [g[0] for g in groups]
-            power = np.sum(np.abs(c) ** 2, axis=0)
-            weight = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
-            linked = (weight + weight.T > 1.0) | np.eye(len(groups), dtype=bool)
+            linked = (_link_weights(c, groups) > 1.0) | np.eye(len(groups), dtype=bool)
             if np.any(linked != (linked.astype(int) @ linked > 0)):
                 raise _Ambiguous("eigenspace links are not transitive")
-            connector = np.tensordot(z[1], c, axes=1)
             blocks = []
-            for members in dict.fromkeys(tuple(np.flatnonzero(row)) for row in linked):
-                base = groups[members[0]]
-                if any(groups[m].size != base.size for m in members):
-                    raise _Ambiguous("linked eigenspaces differ in dimension")
-                columns = [vecs[:, base]]
-                for m in members[1:]:
-                    u, svals, vh = np.linalg.svd(connector[np.ix_(groups[m], base)])
-                    if svals[-1] <= 1e-8 * max(1.0, float(svals[0])):
-                        raise _Ambiguous("connecting element is numerically singular")
-                    columns.append(vecs[:, groups[m]] @ (u @ vh))
-                iso = frozen_array(np.concatenate(columns, axis=1))
-                blocks.append(Block(isometry=iso, dim_left=len(members), dim_right=base.size))
+            for v in _aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1)):
+                iso = frozen_array(v.transpose(0, 2, 1).reshape(n, -1))  # columns (l, r), l outer
+                blocks.append(Block(isometry=iso, dim_left=v.shape[2], dim_right=v.shape[1]))
             structure = BlockStructure(dim=n, blocks=_canonical_blocks(blocks))
             if block_form_residual(f, structure) > 10.0 * tol.fix:
                 raise _Ambiguous("conjugated basis misses the block form")
@@ -875,22 +927,14 @@ def synthesize_pair(
     for (dl, dr), w, left, u, right in zip(
         spec.blocks, weights, left_states, unitaries, right_channels
     ):
-        size = dl * dr
+        span = slice(offset, offset + dl * dr)
         for m in right.kraus:
             big = np.zeros((n, n), dtype=complex)
-            big[offset : offset + size, offset : offset + size] = np.kron(u, m)
+            big[span, span] = np.kron(u, m)
             kraus_ops.append(basis_change @ big @ basis_change.conj().T)
-        rho[offset : offset + size, offset : offset + size] = w * np.kron(
-            left, np.eye(dr) / dr
-        )
-        blocks.append(
-            Block(
-                isometry=frozen_array(basis_change[:, offset : offset + size]),
-                dim_left=dl,
-                dim_right=dr,
-            )
-        )
-        offset += size
+        rho[span, span] = w * np.kron(left, np.eye(dr) / dr)
+        blocks.append(Block(frozen_array(basis_change[:, span]), dim_left=dl, dim_right=dr))
+        offset += dl * dr
 
     phi = kraus_channel(kraus_ops, tol)
     rho_state = validate_state(basis_change @ rho @ basis_change.conj().T, tol)

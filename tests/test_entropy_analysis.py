@@ -1,6 +1,7 @@
 """Tests for the entropy-preservation equivalences, the fixed-point algebra
 machinery, structure verification and pair synthesis."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -501,10 +502,17 @@ class TestReportContract:
                 NotStochasticError,
                 "map entropy needs a trace-preserving channel; residual 1.061e+00",
             ),
+            (
+                # each factor passes with residual 1.27e-8 <= 2 tol.eq, their composition does not
+                "map composed",
+                NotStochasticError,
+                "map entropy needs a trace-preserving channel; residual 2.546e-08",
+            ),
         ],
     )
     def test_precondition_messages(self, site, error, message):
         reset, half = amplitude_damping_channel(1.0), kraus_channel([0.5 * np.eye(2)])
+        scaled = kraus_channel([math.sqrt(1.0 + 0.9e-8) * np.eye(2)])
         mixed, ident = maximally_mixed(2), identity_channel(2)
         calls = {
             "preservation": lambda: entropy_preservation_report(reset, mixed),
@@ -515,6 +523,7 @@ class TestReportContract:
             "fixed-point space": lambda: fixed_point_space(reset),
             "petz recovery": lambda: petz_recovery(half, mixed),
             "map entropy": lambda: map_entropy(half),
+            "map composed": lambda: map_entropy_preservation_report(scaled, scaled),
         }
         with pytest.raises(error) as info:
             calls[site]()

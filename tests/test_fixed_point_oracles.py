@@ -2,10 +2,10 @@
 
 The oracles below are the direct dense algorithms: a complex eigensolve of
 s^dag s on all N x N matrices, and a loop over block pairs for the block-form
-residual.  The library computes the same objects in smaller spaces (real
-symmetric on Herm(N), one batched conjugation).  Decompositions computed from
-a channel are certified against the channel and the state it was synthesized
-with.
+residual.  The library computes the same objects without them (the commutant
+of the Kraus operators of adjoint(phi) o phi plus a Lanczos gap, one batched
+conjugation).  Decompositions computed from a channel are certified against
+the channel and the state it was synthesized with.
 """
 
 import math
@@ -18,9 +18,12 @@ from qentropy import (
     BlockSpec,
     FixedPointBasis,
     NotAnAlgebraError,
+    adjoint,
+    apply_channel,
     channel_distance,
     decompose_fixed_point_algebra,
     fixed_point_space,
+    kraus_channel,
     parse_block_spec,
     random_bistochastic_channel,
     random_unitary,
@@ -104,6 +107,63 @@ def test_fixed_point_space_matches_dense_oracle(phi, tol):
     np.testing.assert_allclose(gram, np.eye(len(f.basis)), atol=1e-12)
     for b in f.basis:
         assert np.max(np.abs(b - b.conj().T)) <= 1e-12
+
+
+def eps_mixture(spec, eps, seed):
+    """(1 - eps) phi + eps noise for the channel synthesized from ``spec``.
+
+    The joint Kraus family is remixed by a random unitary, so every operator
+    carries an O(sqrt(eps)) share of the noise operators.
+    """
+    phi = synthesize_pair(parse_block_spec(spec), seed=seed)[0]
+    noise = random_bistochastic_channel(phi.dim, 3, seed=seed + 1)
+    ops = [math.sqrt(1 - eps) * m for m in phi.kraus] + [math.sqrt(eps) * m for m in noise.kraus]
+    remix = np.asarray(random_unitary(len(ops), seed + 2))
+    return kraus_channel(list(np.tensordot(remix, np.stack(ops), axes=1)))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("eps", [1e-14, 1e-12, 1e-10])
+@pytest.mark.parametrize("spec", ["2x2,2x1,1x2", "3x2,2x3"])
+def test_fixed_point_space_of_eps_mixture_matches_dense_oracle(spec, eps, seed, tol):
+    # the products M_i^dag M_j of the remixed family move by O(sqrt(eps)), the
+    # canonical Kraus operators of adjoint(phi) o phi only by O(eps)
+    phi = eps_mixture(spec, eps, seed)
+    f = fixed_point_space(phi)
+    mats, _ = oracle_fixed_point_space(phi, tol)
+    assert len(f.basis) == len(mats)
+    assert np.linalg.norm(span_projector(f.basis) - span_projector(mats)) <= 1e-6
+    adj = adjoint(phi)
+    for b, residual in zip(f.basis, f.eigenvalue_residuals):
+        assert residual <= tol.fix
+        direct = np.linalg.norm(apply_channel(adj, apply_channel(phi, b)) - b)
+        assert abs(residual - direct) <= 1e-13
+
+
+def test_fixed_point_space_memory_stays_small():
+    # N = 32: the N^2 x N^2 superoperator alone would take 16.8 MB
+    phi = synthesize_pair(parse_block_spec("4x4,4x4"), seed=7)[0]
+    tracemalloc.start()
+    try:
+        f = fixed_point_space(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(f.basis) == 32
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("spec, seed", [("2x2,2x2", 60), ("1x2,1x2,2x1", 3)])
+def test_decompose_block_order_does_not_depend_on_the_seed(spec, seed):
+    # each isometry is unique only up to U_L (x) U_R, its range is not
+    f = fixed_point_space(synthesize_pair(parse_block_spec(spec), seed=seed)[0])
+    runs = [decompose_fixed_point_algebra(f, seed=s) for s in (0, 1, -1)]
+    assert len({run.block_dims for run in runs}) == 1
+    for run in runs[1:]:
+        for a, b in zip(runs[0].blocks, run.blocks):
+            np.testing.assert_allclose(
+                a.isometry @ a.isometry.conj().T, b.isometry @ b.isometry.conj().T, atol=1e-9
+            )
 
 
 @pytest.mark.parametrize("phi", [phi for _, phi in CASES], ids=IDS)

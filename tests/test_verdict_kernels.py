@@ -17,8 +17,10 @@ from qentropy import (
     channel_distance,
     channel_from_bistochastic,
     check_petz_equality,
+    compose,
     entropy_monotonicity_check,
     kraus_channel,
+    map_entropy,
     map_entropy_preservation_report,
     parse_block_spec,
     random_bistochastic_channel,
@@ -102,6 +104,29 @@ class TestCompositionResidual:
         assert abs(report.fixed_point_residual - dense_composition_residual(phi, psi)) <= 1e-12
         # the unfolded 8192 x 64 complex stack alone is 8.4 MB
         assert peak < 2e6
+
+
+class TestComposedMapEntropy:
+    @pytest.mark.parametrize("n, k_phi, k_psi", RANDOM_PAIRS)
+    def test_matches_the_composed_channel(self, n, k_phi, k_psi):
+        phi = random_bistochastic_channel(n, k_phi, seed=10 * n + k_phi)
+        psi = random_stochastic_channel(n, k_psi, seed=10 * n + k_psi + 5)
+        report = map_entropy_preservation_report(phi, psi)
+        assert abs(report.entropy_out - map_entropy(compose(phi, psi))) <= 1e-12
+
+    def test_dense_pair_stays_small(self):
+        # 144 Kraus operators each: the 20736 stored products alone take 48 MB
+        phi = channel_from_bistochastic(random_bistochastic_matrix(12, 200, seed=1))
+        psi = channel_from_bistochastic(random_bistochastic_matrix(12, 200, seed=2))
+        assert len(phi.kraus) == len(psi.kraus) == 144
+        tracemalloc.start()
+        try:
+            report = map_entropy_preservation_report(phi, psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert 0.0 <= report.entropy_out <= 2 * np.log2(12)
 
 
 class TestProductStack:
