@@ -110,8 +110,10 @@ class FixedPointBasis:
 
     :func:`fixed_point_space` returns Hermitian basis elements (read-only
     views).  ``spectral_gap`` is the distance from 1 to the largest
-    eigenvalue of adjoint(phi) o phi outside the span (by Lanczos), so tests
-    can assert the cut was unambiguous; it is +inf when everything is fixed.
+    eigenvalue of adjoint(phi) o phi outside the span, so tests can assert
+    the cut was unambiguous; it is +inf when everything is fixed.  It is read
+    by Lanczos in the block frame, on the right-factor space Herm(sum dR),
+    where an exact frame leaves the same eigenvalues.
     """
 
     dim: int
@@ -470,33 +472,87 @@ def _aligned_blocks(vecs, groups, linked, connector) -> Iterator[np.ndarray]:
 
 
 def _gram_map(kraus: np.ndarray):
-    """X -> adjoint(phi)(phi(X)) on (..., N, N) arrays for phi's (k, N, N) Kraus stack; each half
-    multiplies by [M_1; ..; M_k], then, the blocks M_i X side by side, by [M_1^dag; ..; M_k^dag]."""
-    k, n, _ = kraus.shape
-    down, up = kraus.reshape(k * n, n), kraus.conj().transpose(0, 2, 1).reshape(k * n, n)
+    """Y -> sum_ij A_j^dag A_i Y A_i^dag A_j on (..., m, m) arrays for a (k, n, m) stack A_i; for
+    A_i = M_i W this is W^dag adjoint(phi)(phi(W Y W^dag)) W.  Each half multiplies by the stacked
+    [A_1; ..; A_k] (or their adjoints), then, the k products side by side, by the other stack."""
+    k, n, m = kraus.shape
+    down, up = kraus.reshape(k * n, m), kraus.conj().transpose(0, 2, 1).reshape(k * m, n)
 
     def half(x, left, right):
-        lead = x.shape[:-2]
-        return (left @ x).reshape(*lead, k, n, n).swapaxes(-3, -2).reshape(*lead, n, k * n) @ right
+        lead, rows, cols = x.shape[:-2], len(left) // k, x.shape[-1]
+        y = (left @ x).reshape(*lead, k, rows, cols).swapaxes(-3, -2)
+        return y.reshape(*lead, rows, k * cols) @ right
 
     return lambda x: half(half(x, down, up), up, down)
 
 
-def _block_units(cols: np.ndarray) -> np.ndarray:
+def _block_units(cols: np.ndarray, out: np.ndarray) -> None:
     """V (E (x) I/sqrt(dR)) V^dag for one (N, dL, dR) class (V[:, (l, r)] = cols[:, l, r]), over
     the Hermitian units E of M_dL: |a><a|, then (|a><b| + |b><a|)/sqrt(2) and
-    i(|a><b| - |b><a|)/sqrt(2) for a < b, each formed as A + A^dag (Hermitian to the bit)."""
+    i(|a><b| - |b><a|)/sqrt(2) for a < b, each formed as A + A^dag (Hermitian to the bit) in the
+    (dL^2, N, N) slice ``out`` of the basis."""
     n, dl, dr = cols.shape
     x = cols.transpose(1, 0, 2).reshape(dl * n, dr)
-    g = (x @ x.conj().T).reshape(dl, n, dl, n) / math.sqrt(dr)  # V (|a><b| (x) I) V^dag
+    g = (x @ x.conj().T).reshape(dl, n, dl, n)
+    g /= math.sqrt(dr)  # V (|a><b| (x) I) V^dag
     rows, other = np.triu_indices(dl, 1)
-    upper = g[rows, :, other] * _SQRT_HALF
-    units = np.concatenate([g[np.arange(dl), :, np.arange(dl)] / 2, upper, 1j * upper])
-    return units + units.conj().swapaxes(1, 2)
+    real, imag = out[dl : dl + len(rows)], out[dl + len(rows) :]
+    np.divide(g[np.arange(dl), :, np.arange(dl)], 2, out=out[:dl])
+    np.multiply(g[rows, :, other], _SQRT_HALF, out=real)
+    del g  # the (dL N)^2 product is the largest array here
+    np.multiply(real, 1j, out=imag)
+    out += out.conj().swapaxes(1, 2)
+
+
+def _unit_residuals(canonical: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """||adjoint(phi)(phi(B)) - B||_F for the :func:`_block_units` B of one (N, dL, dR) class, in
+    their order, from all r canonical operators O_s of adjoint(phi) o phi (an (r, N, N) stack).
+
+    With J[:, (l, (s, r))] = (O_s V)[:, (l, r)], adjoint(phi)(phi(V (E (x) I_dR) V^dag)) is
+    J (E (x) I_(r dR)) J^dag, so the images come out of the same products as the units, y y^dag
+    against x x^dag, at O(r dL^2 dR N^2).  Left index a is formed against b >= a only, one a at a
+    time, so no second basis is held.
+    """
+    n, dl, dr = cols.shape
+    x = cols.transpose(1, 0, 2).reshape(dl * n, dr)
+    y = (canonical @ cols.reshape(n, dl * dr)).reshape(-1, n, dl, dr)
+    y = y.transpose(2, 1, 0, 3).reshape(dl * n, -1)  # y[(l, i), (s, r)] = (O_s V)[i, (l, r)]
+    x_dag, y_dag = x.conj().T, y.conj().T
+    diag, real, imag = [], [], []
+    for a in range(dl):
+        rows, rest = slice(a * n, (a + 1) * n), slice(a * n, None)
+        d = y[rows] @ y_dag[:, rest] - x[rows] @ x_dag[:, rest]
+        d = d.reshape(n, dl - a, n).transpose(1, 0, 2) / math.sqrt(dr)  # d[b - a] = D_ab
+        d_dag = d.conj().swapaxes(1, 2)
+        diag.append(np.linalg.norm(d[0] + d_dag[0]) / 2)
+        real.append(np.linalg.norm(d[1:] + d_dag[1:], axis=(1, 2)) * _SQRT_HALF)
+        imag.append(np.linalg.norm(d[1:] - d_dag[1:], axis=(1, 2)) * _SQRT_HALF)
+    return np.concatenate([diag, *real, *imag])
+
+
+def _block_frame_gap(
+    kraus: np.ndarray, classes: list[np.ndarray], rng: np.random.Generator
+) -> float:
+    """1 minus the top eigenvalue of adjoint(phi) o phi outside its fixed space, in the block frame.
+
+    W holds the first left-index columns cols[:, 0, :] of each (N, dL, dR) class.  In an exact
+    frame adjoint(phi) o phi acts on block pair (j, l) as id (x) T_jl, so its compression
+    Y -> W^dag adjoint(phi)(phi(W Y W^dag)) W to Herm(sum dR) has the same eigenvalues, and its
+    fixed space is spanned by the I_dR_j / sqrt(dR_j).  Two blocks merged into one class, or one
+    block split by left index, leave a fixed direction (a second identity, a cross-pair
+    identity) outside that span, so the gap reads ~0.
+    """
+    w = np.concatenate([cols[:, 0, :] for cols in classes], axis=1)
+    edges = np.cumsum([0] + [cols.shape[2] for cols in classes])
+    ids = np.zeros((len(classes), edges[-1], edges[-1]), dtype=complex)
+    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        ids[j, np.arange(lo, hi), np.arange(lo, hi)] = 1.0 / math.sqrt(hi - lo)
+    return 1.0 - _top_eigenvalue_outside(_gram_map(kraus @ w), ids, rng)
 
 
 def _top_eigenvalue_outside(gram, basis: np.ndarray, rng: np.random.Generator) -> float:
-    """Top eigenvalue of self-adjoint ``gram`` on Herm(N) minus span(basis); -inf if that is {0}.
+    """Top eigenvalue of self-adjoint ``gram`` on Herm(n) minus span(basis), for an (d, n, n)
+    orthonormal Hermitian ``basis``; -inf if that is {0}.
 
     Lanczos in the inner product Re tr(A^dag B) from a random Hermitian start.  Each step takes
     the Hermitian part of gram(q) (else i times the fixed space leaks back in through rounding)
@@ -549,26 +605,29 @@ def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> 
     x = sum z_a s_a L_a with complex Gaussian z, into the dR spaces H^L (x) e_r of each block,
     links groups whose :func:`_link_weights` exceed tol.fix times the largest, and aligns each
     linked class (:func:`_aligned_blocks`).  The basis is V (E (x) I/sqrt(dR)) V^dag over the
-    Hermitian units E of M_dL, with residuals ||adjoint(phi)(phi(B)) - B||_F; spectral_gap is 1
-    minus the top eigenvalue outside its span (:func:`_top_eigenvalue_outside`).
+    Hermitian units E of M_dL (:func:`_block_units`), and its certificate stays in that block
+    frame: the residuals ||adjoint(phi)(phi(B)) - B||_F come from all r canonical operators,
+    uncut, applied to V (:func:`_unit_residuals`), and spectral_gap is 1 minus the top eigenvalue
+    of the compression of adjoint(phi) o phi to Herm(N'), N' = sum dR, outside the block
+    identities (:func:`_block_frame_gap`): in an exact frame, the top eigenvalue outside the span.
 
     Every residual must be <= tol.fix (the elements are fixed) and the gap > tol.fix (no fixed
     direction was missed); an ambiguous grouping or a failed certificate retries with the next
     ``_seeded_rng(0, attempt)``, and the fourth failure raises AmbiguousGroupingError, as does an
     eigenvalue within tol.fix of 1 outside the commutant (a dense eigensolve counts it as fixed).
-    Cost: O(r^2 N^2 + r^3) for r <= min(k^2, N^2) products, O(r N^3) per attempt, O(k N^3 + j N^2)
-    per Lanczos step j, and O((r + j + d) N^2) memory for d basis elements.
+    Cost: O(r^2 N^2 + r^3) for r <= min(k^2, N^2) products, O(r N^3) per attempt, O(r dL^2 dR N^2)
+    per block for the residuals, O(k N^2 N' + j N'^2) per Lanczos step j, and O((r + d) N^2 +
+    j N'^2) memory for d basis elements.
     """
     _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
     n, kraus = phi.dim, np.stack(phi.kraus)
     stack = _product_stack(kraus.conj().transpose(0, 2, 1), kraus)
     weights, u = np.linalg.eigh(stack @ stack.conj().T)  # stack = U S L
-    kept = int(np.count_nonzero(np.cumsum(weights) > n * tol.fix))
-    ops = (u[:, -kept:].conj().T @ stack).reshape(kept, n, n)  # the s_a L_a, lightest first
-    gram, step = _gram_map(kraus), max(1, 2**15 // (len(kraus) * n * n))  # <= 2^15-entry batches
+    canonical = (u.conj().T @ stack).reshape(-1, n, n)  # the s_a L_a, lightest first
+    ops = canonical[-int(np.count_nonzero(np.cumsum(weights) > n * tol.fix)) :]
     for attempt in range(4):
         rng = _seeded_rng(0, attempt)
-        z = rng.standard_normal((2, kept)) + 1j * rng.standard_normal((2, kept))
+        z = rng.standard_normal((2, len(ops))) + 1j * rng.standard_normal((2, len(ops)))
         x = np.tensordot(z[0], ops, axes=1)
         try:
             vals, vecs = np.linalg.eigh(x + x.conj().T)
@@ -576,15 +635,17 @@ def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> 
             c = vecs.conj().T @ ops @ vecs
             weight = _link_weights(c, groups)
             linked = weight > tol.fix * weight.max()
-            classes = _aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1))
-            basis = np.concatenate([_block_units(cols) for cols in classes])
-            chunks = np.split(basis, range(step, len(basis), step))
-            residuals = np.concatenate([np.linalg.norm(gram(b) - b, axis=(1, 2)) for b in chunks])
+            classes = list(_aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1)))
+            residuals = np.concatenate([_unit_residuals(canonical, cols) for cols in classes])
             if residuals.max() > tol.fix:
                 raise _Ambiguous(f"a basis element is not fixed (residual {residuals.max():.3e})")
-            gap = 1.0 - _top_eigenvalue_outside(gram, basis, rng)
+            gap = _block_frame_gap(kraus, classes, rng)
             if gap <= tol.fix:
                 raise _Ambiguous(f"a fixed direction lies outside the commutant (gap {gap:.3e})")
+            edges = np.cumsum([0] + [cols.shape[1] ** 2 for cols in classes])
+            basis = np.empty((edges[-1], n, n), dtype=complex)
+            for cols, lo, hi in zip(classes, edges, edges[1:]):
+                _block_units(cols, out=basis[lo:hi])
             basis.setflags(write=False)  # the elements are read-only views
             return FixedPointBasis(n, tuple(basis), tuple(float(r) for r in residuals), gap)
         except _Ambiguous as exc:

@@ -2,10 +2,14 @@
 
 The oracles below are the direct dense algorithms: a complex eigensolve of
 s^dag s on all N x N matrices, and a loop over block pairs for the block-form
-residual.  The library computes the same objects without them (the commutant
-of the Kraus operators of adjoint(phi) o phi plus a Lanczos gap, one batched
-conjugation).  Decompositions computed from a channel are certified against
-the channel and the state it was synthesized with.
+residual.  The library computes the same objects without them: the commutant
+of the Kraus operators of adjoint(phi) o phi, certified in its block frame
+(residuals from the block isometries, a Lanczos gap on the right-factor space
+Herm(sum dR), which must also expose a frame with merged or split blocks), and
+one batched conjugation.  Random block specs (hypothesis) and eps-mixtures
+check dimension and gap against the dense oracle.  Decompositions computed
+from a channel are certified against the channel and the state it was
+synthesized with.
 """
 
 import math
@@ -13,8 +17,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qentropy import (
+    DEFAULT_TOL,
     BlockSpec,
     FixedPointBasis,
     NotAnAlgebraError,
@@ -34,6 +41,7 @@ from qentropy import (
     verify_block_structure,
 )
 from qentropy.entropy_analysis import (
+    _block_frame_gap,
     _partial_trace_right,
     _seeded_rng,
     block_form_residual,
@@ -130,9 +138,10 @@ def test_fixed_point_space_of_eps_mixture_matches_dense_oracle(spec, eps, seed, 
     # canonical Kraus operators of adjoint(phi) o phi only by O(eps)
     phi = eps_mixture(spec, eps, seed)
     f = fixed_point_space(phi)
-    mats, _ = oracle_fixed_point_space(phi, tol)
+    mats, gap = oracle_fixed_point_space(phi, tol)
     assert len(f.basis) == len(mats)
     assert np.linalg.norm(span_projector(f.basis) - span_projector(mats)) <= 1e-6
+    assert abs(f.spectral_gap - gap) <= 1e-10
     adj = adjoint(phi)
     for b, residual in zip(f.basis, f.eigenvalue_residuals):
         assert residual <= tol.fix
@@ -151,6 +160,51 @@ def test_fixed_point_space_memory_stays_small():
         tracemalloc.stop()
     assert len(f.basis) == 32
     assert peak < 8 * 2**20
+
+
+def test_fixed_point_space_memory_stays_small_at_n48():
+    # the d x N^2 basis alone takes 2.9 MB; the certificate holds no second copy of it
+    phi = synthesize_pair(parse_block_spec("8x4,4x4"), seed=3)[0]
+    tracemalloc.start()
+    try:
+        f = fixed_point_space(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(f.basis) == 80
+    assert peak <= 16 * 2**20
+
+
+def test_block_frame_gap_catches_an_incomplete_basis(tol):
+    # merged blocks leave a second identity fixed, a block split by left index
+    # the cross-pair identities: either way the compressed gap reads ~0
+    phi, _, structure = synthesize_pair(parse_block_spec("2x2,2x2"), seed=5)
+    kraus = np.stack(phi.kraus)
+    classes = [b.isometry.reshape(phi.dim, b.dim_left, b.dim_right) for b in structure.blocks]
+    merged = [np.concatenate(classes, axis=2)]
+    split = [cols[:, [left]] for cols in classes for left in range(cols.shape[1])]
+    _, dense = oracle_fixed_point_space(phi, tol)
+    assert abs(_block_frame_gap(kraus, classes, _seeded_rng(0)) - dense) <= 1e-10
+    assert _block_frame_gap(kraus, merged, _seeded_rng(0)) <= tol.fix
+    assert _block_frame_gap(kraus, split, _seeded_rng(0)) <= tol.fix
+
+
+BLOCK_LISTS = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3
+).filter(lambda blocks: sum(dl * dr for dl, dr in blocks) <= 12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocks=BLOCK_LISTS, seed=st.integers(-(2**40), 2**40))
+def test_fixed_point_space_matches_dense_oracle_on_random_specs(blocks, seed):
+    phi = synthesize_pair(BlockSpec(blocks=tuple(blocks)), seed=seed)[0]
+    f = fixed_point_space(phi)
+    mats, gap = oracle_fixed_point_space(phi, DEFAULT_TOL)
+    assert len(f.basis) == len(mats) == sum(dl * dl for dl, _ in blocks)
+    if math.isinf(gap):
+        assert math.isinf(f.spectral_gap)
+    else:
+        assert abs(f.spectral_gap - gap) <= 1e-10
 
 
 @pytest.mark.parametrize("spec, seed", [("2x2,2x2", 60), ("1x2,1x2,2x1", 3)])
