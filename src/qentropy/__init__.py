@@ -9,7 +9,6 @@ classical (Shannon / doubly-stochastic) counterpart of the same equivalence.
 from .channels import (
     ChannelClass,
     KrausChannel,
-    SuperoperatorMatrix,
     adjoint,
     apply_channel,
     channel_distance,
@@ -17,9 +16,6 @@ from .channels import (
     compose,
     kraus_channel,
     petz_recovery,
-    superoperator_matrix,
-    unvec,
-    vec,
 )
 from .choi import (
     ChoiMatrix,
@@ -34,7 +30,6 @@ from .classical import (
     StochasticMatrix,
     bridge_check,
     channel_from_bistochastic,
-    classical_relative_entropy,
     corollary_check,
     kraus_matrix,
     probability_vector,
@@ -56,7 +51,6 @@ from .entropy_analysis import (
     fixed_point_space,
     map_entropy_preservation_report,
     parse_block_spec,
-    phase_invariant_unitary_distance,
     synthesize_pair,
     verify_block_structure,
 )

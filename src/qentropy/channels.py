@@ -1,11 +1,10 @@
 """Quantum operations as Kraus families.
 
 A channel is a finite list of N x N Kraus operators ``{M_j}`` acting as
-``X -> sum_j M_j X M_j^dag``.  The vectorization convention is column
-stacking, ``vec(A) = A.T.reshape(-1)``, under which the conjugation map
-``X -> M X M^dag`` has matrix ``kron(conj(M), M)`` and the Hilbert-Schmidt
-adjoint of a channel corresponds to the conjugate transpose of its
-superoperator matrix.
+``X -> sum_j M_j X M_j^dag``.  The library never forms its N^2 x N^2
+superoperator matrix; the tests build it, ``sum_j kron(conj(M_j), M_j)`` under
+column-stacking vectorization, as the dense reference for the fixed-point
+solver.
 
 Channel equality is always a statement about superoperator matrices (Kraus
 lists are non-unique); use :func:`channel_distance`.  Realignment to Choi matrices
@@ -14,7 +13,6 @@ only permutes entries, so it reads the distance off a QR of the two Kraus stacks
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,32 +37,14 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 __all__ = [
     "KrausChannel",
     "ChannelClass",
-    "SuperoperatorMatrix",
-    "vec",
-    "unvec",
     "kraus_channel",
     "classify",
     "apply_channel",
     "adjoint",
     "compose",
-    "superoperator_matrix",
     "channel_distance",
     "petz_recovery",
 ]
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(m).T.reshape(-1)
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    v = np.asarray(v)
-    n = math.isqrt(v.size)
-    if n * n != v.size:
-        raise ValidationError(f"cannot unvec a vector of length {v.size}")
-    return v.reshape(n, n).T
 
 
 @dataclass(frozen=True)
@@ -73,14 +53,6 @@ class KrausChannel:
 
     dim: int
     kraus: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class SuperoperatorMatrix:
-    """N^2 x N^2 matrix of a channel under column-stacking vectorization."""
-
-    dim: int
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -192,15 +164,6 @@ def compose(phi: KrausChannel, psi: KrausChannel) -> KrausChannel:
 def _kraus_stack(phi: KrausChannel) -> np.ndarray:
     """The k x N^2 matrix whose rows are the row-major flattened Kraus operators."""
     return np.stack([m.reshape(-1) for m in phi.kraus])
-
-
-def superoperator_matrix(phi: KrausChannel) -> SuperoperatorMatrix:
-    """sum_j kron(conj(M_j), M_j) under the column-stacking convention."""
-    n = phi.dim
-    s = np.zeros((n * n, n * n), dtype=complex)
-    for m in phi.kraus:
-        s += np.kron(m.conj(), m)
-    return SuperoperatorMatrix(dim=n, matrix=frozen_array(s))
 
 
 def _choi_distance(a: np.ndarray, b: np.ndarray) -> float:

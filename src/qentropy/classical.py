@@ -35,7 +35,6 @@ __all__ = [
     "probability_vector",
     "stochastic_matrix",
     "shannon_entropy",
-    "classical_relative_entropy",
     "kraus_matrix",
     "channel_from_bistochastic",
     "corollary_check",
@@ -114,20 +113,6 @@ def shannon_entropy(p: ProbabilityVector) -> float:
     return _entropy_bits(p.entries)
 
 
-def classical_relative_entropy(
-    p: ProbabilityVector, q: ProbabilityVector, tol: ToleranceConfig = DEFAULT_TOL
-) -> float:
-    """sum p_i (log2 p_i - log2 q_i), or +inf when p puts mass outside q's support."""
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"vector dims differ: {p.dim} vs {q.dim}")
-    if np.any((p.entries > tol.psd) & (q.entries <= tol.psd)):
-        return math.inf
-    mask = p.entries > 0.0
-    pm = p.entries[mask]
-    qm = q.entries[mask]
-    return float((pm * (np.log2(pm) - np.log2(qm))).sum() + 0.0)
-
-
 def kraus_matrix(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> StochasticMatrix:
     """Entrywise B(phi)_ij = sum_mu |M_mu[i, j]|^2.
 
@@ -186,19 +171,10 @@ def corollary_check(
         raise DimensionMismatchError(f"dims differ: matrix {b.dim}, vector {p.dim}")
     entropy_tol = tol.eq if entropy_tol is None else entropy_tol
     residual_tol = tol.eq if residual_tol is None else residual_tol
-    q = probability_vector(b.matrix @ p.entries, tol)
-    h_in = shannon_entropy(p)
-    h_out = shannon_entropy(q)
-    gap = abs(h_out - h_in)
+    h_out = shannon_entropy(probability_vector(b.matrix @ p.entries, tol))
     residual = float(np.linalg.norm(b.matrix.T @ (b.matrix @ p.entries) - p.entries))
-    return EquivalenceReport(
-        kind="preservation",
-        entropy_in=h_in,
-        entropy_out=h_out,
-        entropy_gap=gap,
-        fixed_point_residual=residual,
-        entropy_preserved=gap <= entropy_tol,
-        fixed_point=residual <= residual_tol,
+    return EquivalenceReport.judge(
+        "preservation", shannon_entropy(p), h_out, residual, entropy_tol, residual_tol
     )
 
 

@@ -11,7 +11,6 @@ Reports always embed the tolerance values used.  Tolerances come from the
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -287,9 +286,8 @@ def main(argv: list[str] | None = None) -> int:
         tol = _resolve_tolerances(args)
         result = args.handler(args, tol)
         result.report["tolerances"] = tol.as_dict()
-    except (QentropyError, UsageError) as exc:
-        result = CommandResult("error", {}, [f"{type(exc).__name__}: {exc}"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (QentropyError, UsageError, OSError, KeyError, ValueError, TypeError) as exc:
+        # json.JSONDecodeError is a ValueError
         result = CommandResult("error", {}, [f"{type(exc).__name__}: {exc}"])
     sys.stdout.write(ser.dumps(result.as_dict()))
     sys.stdout.write("\n")

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .errors import (
     StructureMismatchError,
     SupportViolationError,
 )
-from .generators import random_bistochastic_channel, random_density, random_unitary
+from .generators import _seeded_rng, random_bistochastic_channel, random_density, random_unitary
 from .states import (
     DensityMatrix,
     EquivalenceReport,
@@ -90,13 +91,13 @@ __all__ = [
     "verify_block_structure",
     "synthesize_pair",
     "map_entropy_preservation_report",
-    "phase_invariant_unitary_distance",
 ]
 
 # Relative singular-value cut used for numerical rank decisions inside the
 # algebra machinery; true spectra here are separated by many orders.
 _RANK_RTOL = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +206,6 @@ def parse_block_spec(text: str) -> BlockSpec:
     return BlockSpec(blocks=tuple(blocks))
 
 
-def phase_invariant_unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """min over phases theta of ||u - e^(i theta) v||_F.
-
-    The minimizing phase is conj(t) / |t| for t = tr(u^dag v) (any phase when
-    t = 0); the norm is taken directly, so close inputs do not cancel.
-    """
-    overlap = complex(np.vdot(u, v))
-    phase = overlap.conjugate() / abs(overlap) if overlap else 1.0
-    return float(np.linalg.norm(u - phase * v))
-
-
 # ---------------------------------------------------------------------------
 # Verdict reports
 # ---------------------------------------------------------------------------
@@ -228,20 +218,10 @@ def entropy_preservation_report(
     _require(phi, "bistochastic", "report needs a bi-stochastic channel", tol)
     if phi.dim != rho.dim:
         raise DimensionMismatchError(f"dims differ: channel {phi.dim}, state {rho.dim}")
-    s_in = von_neumann_entropy(rho)
     out = apply_channel(phi, rho.matrix)
-    s_out = entropy_of_matrix(out)
-    gap = abs(s_out - s_in)
     residual = float(np.linalg.norm(apply_channel(adjoint(phi), out) - rho.matrix))
-    return EquivalenceReport(
-        kind="preservation",
-        entropy_in=s_in,
-        entropy_out=s_out,
-        entropy_gap=gap,
-        fixed_point_residual=residual,
-        entropy_preserved=gap <= tol.eq,
-        fixed_point=residual <= tol.fix,
-    )
+    s_in, s_out = von_neumann_entropy(rho), entropy_of_matrix(out)
+    return EquivalenceReport.judge("preservation", s_in, s_out, residual, tol.eq, tol.fix)
 
 
 @dataclass(frozen=True)
@@ -349,18 +329,9 @@ def check_petz_equality(
     what = "equality check needs a trace-preserving channel"
     _, s_before, s_after, out_rho, spectra = _relative_entropy_across(phi, rho, sigma, what, tol)
     _, spec_sigma, _, spec_out_sigma = spectra
-    gap = abs(s_after - s_before)
     recovered = apply_channel(_petz_recovery(phi, spec_sigma, spec_out_sigma, tol), out_rho.matrix)
     residual = float(np.linalg.norm(recovered - rho.matrix))
-    return EquivalenceReport(
-        kind="petz",
-        entropy_in=s_before,
-        entropy_out=s_after,
-        entropy_gap=gap,
-        fixed_point_residual=residual,
-        entropy_preserved=gap <= tol.eq,
-        fixed_point=residual <= tol.fix,
-    )
+    return EquivalenceReport.judge("petz", s_before, s_after, residual, tol.eq, tol.fix)
 
 
 def map_entropy_preservation_report(
@@ -385,20 +356,11 @@ def map_entropy_preservation_report(
     # psi passed its check above; phi o psi keeps its own, as the residuals add.  Its stack folds
     # to <= N^2 rows, whose operators keep sum P^dag P and sum P P^dag
     s_composed = _map_entropy_bits(_product_stack(outer, inner), n, tol)
-    gap = abs(s_composed - s_inner)
     # Kraus stacks of adjoint(phi) o phi, then of adjoint(phi) o phi o psi, in <= N^2 rows
     twice = _product_stack(outer.conj().transpose(0, 2, 1), outer).reshape(-1, n, n)
     thrice = _product_stack(twice, inner)
     residual = _choi_distance(thrice, _kraus_stack(psi))
-    return EquivalenceReport(
-        kind="map_entropy",
-        entropy_in=s_inner,
-        entropy_out=s_composed,
-        entropy_gap=gap,
-        fixed_point_residual=residual,
-        entropy_preserved=gap <= tol.eq,
-        fixed_point=residual <= tol.fix,
-    )
+    return EquivalenceReport.judge("map_entropy", s_inner, s_composed, residual, tol.eq, tol.fix)
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +372,15 @@ class _Ambiguous(Exception):
     """Internal retry signal: generic-element randomness was unlucky."""
 
 
-def _seeded_rng(seed: int, *words: int) -> np.random.Generator:
-    """Generator for an integer seed and extra entropy words; s and -s differ.
-
-    A non-negative seed keeps the stream of ``default_rng([seed, *words])``.
-    A negative seed adds a spawn key, which numpy mixes in apart from the
-    entropy words, so it cannot collide with any non-negative seed below
-    2**128.
-    """
-    seed = int(seed)
-    spawn_key = (1,) if seed < 0 else ()
-    return np.random.default_rng(np.random.SeedSequence([abs(seed), *words], spawn_key=spawn_key))
+def _retrying(seed: int, attempt: Callable[[np.random.Generator], _T]) -> _T:
+    """attempt(rng) with rng = ``_seeded_rng(seed, i)`` for i = 0, 1, 2, 3, until one does not raise
+    the retry signal; the fourth signal raises AmbiguousGroupingError with its reason."""
+    for i in range(4):
+        try:
+            return attempt(_seeded_rng(seed, i))
+        except _Ambiguous as exc:
+            last_failure = str(exc)
+    raise AmbiguousGroupingError(f"{last_failure} after 3 retries")
 
 
 def _group_eigenvalues(vals: np.ndarray, tol: ToleranceConfig) -> list[np.ndarray]:
@@ -625,32 +585,30 @@ def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> 
     weights, u = np.linalg.eigh(stack @ stack.conj().T)  # stack = U S L
     canonical = (u.conj().T @ stack).reshape(-1, n, n)  # the s_a L_a, lightest first
     ops = canonical[-int(np.count_nonzero(np.cumsum(weights) > n * tol.fix)) :]
-    for attempt in range(4):
-        rng = _seeded_rng(0, attempt)
+
+    def attempt(rng: np.random.Generator) -> FixedPointBasis:
         z = rng.standard_normal((2, len(ops))) + 1j * rng.standard_normal((2, len(ops)))
         x = np.tensordot(z[0], ops, axes=1)
-        try:
-            vals, vecs = np.linalg.eigh(x + x.conj().T)
-            groups = _group_eigenvalues(vals, tol)
-            c = vecs.conj().T @ ops @ vecs
-            weight = _link_weights(c, groups)
-            linked = weight > tol.fix * weight.max()
-            classes = list(_aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1)))
-            residuals = np.concatenate([_unit_residuals(canonical, cols) for cols in classes])
-            if residuals.max() > tol.fix:
-                raise _Ambiguous(f"a basis element is not fixed (residual {residuals.max():.3e})")
-            gap = _block_frame_gap(kraus, classes, rng)
-            if gap <= tol.fix:
-                raise _Ambiguous(f"a fixed direction lies outside the commutant (gap {gap:.3e})")
-            edges = np.cumsum([0] + [cols.shape[1] ** 2 for cols in classes])
-            basis = np.empty((edges[-1], n, n), dtype=complex)
-            for cols, lo, hi in zip(classes, edges, edges[1:]):
-                _block_units(cols, out=basis[lo:hi])
-            basis.setflags(write=False)  # the elements are read-only views
-            return FixedPointBasis(n, tuple(basis), tuple(float(r) for r in residuals), gap)
-        except _Ambiguous as exc:
-            last_failure = str(exc)
-    raise AmbiguousGroupingError(f"{last_failure} after 3 retries")
+        vals, vecs = np.linalg.eigh(x + x.conj().T)
+        groups = _group_eigenvalues(vals, tol)
+        c = vecs.conj().T @ ops @ vecs
+        weight = _link_weights(c, groups)
+        linked = weight > tol.fix * weight.max()
+        classes = list(_aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1)))
+        residuals = np.concatenate([_unit_residuals(canonical, cols) for cols in classes])
+        if residuals.max() > tol.fix:
+            raise _Ambiguous(f"a basis element is not fixed (residual {residuals.max():.3e})")
+        gap = _block_frame_gap(kraus, classes, rng)
+        if gap <= tol.fix:
+            raise _Ambiguous(f"a fixed direction lies outside the commutant (gap {gap:.3e})")
+        edges = np.cumsum([0] + [cols.shape[1] ** 2 for cols in classes])
+        basis = np.empty((edges[-1], n, n), dtype=complex)
+        for cols, lo, hi in zip(classes, edges, edges[1:]):
+            _block_units(cols, out=basis[lo:hi])
+        basis.setflags(write=False)  # the elements are read-only views
+        return FixedPointBasis(n, tuple(basis), tuple(float(r) for r in residuals), gap)
+
+    return _retrying(0, attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -758,30 +716,27 @@ def decompose_fixed_point_algebra(
     if _outside_span(work, np.eye(n, dtype=complex)[None], tol):
         raise NotAnAlgebraError("identity is not in the span")
 
-    for attempt in range(4):
-        rng = _seeded_rng(seed, attempt)
+    def attempt(rng: np.random.Generator) -> BlockStructure:
         z = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
         x = np.tensordot(z[0], work, axes=1)
         if _outside_span(work, x @ work, tol):
             raise NotAnAlgebraError("span is not closed under products")
-        try:
-            vals, vecs = np.linalg.eigh(x + x.conj().T)
-            groups = _group_eigenvalues(vals, tol)
-            c = vecs.conj().T @ work @ vecs
-            linked = (_link_weights(c, groups) > 1.0) | np.eye(len(groups), dtype=bool)
-            if np.any(linked != (linked.astype(int) @ linked > 0)):
-                raise _Ambiguous("eigenspace links are not transitive")
-            blocks = []
-            for v in _aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1)):
-                iso = frozen_array(v.transpose(0, 2, 1).reshape(n, -1))  # columns (l, r), l outer
-                blocks.append(Block(isometry=iso, dim_left=v.shape[2], dim_right=v.shape[1]))
-            structure = BlockStructure(dim=n, blocks=_canonical_blocks(blocks))
-            if block_form_residual(f, structure) > 10.0 * tol.fix:
-                raise _Ambiguous("conjugated basis misses the block form")
-            return structure
-        except _Ambiguous as exc:
-            last_failure = str(exc)
-    raise AmbiguousGroupingError(f"{last_failure} after 3 retries")
+        vals, vecs = np.linalg.eigh(x + x.conj().T)
+        groups = _group_eigenvalues(vals, tol)
+        c = vecs.conj().T @ work @ vecs
+        linked = (_link_weights(c, groups) > 1.0) | np.eye(len(groups), dtype=bool)
+        if np.any(linked != (linked.astype(int) @ linked > 0)):
+            raise _Ambiguous("eigenspace links are not transitive")
+        blocks = []
+        for v in _aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1)):
+            iso = frozen_array(v.transpose(0, 2, 1).reshape(n, -1))  # columns (l, r), l outer
+            blocks.append(Block(isometry=iso, dim_left=v.shape[2], dim_right=v.shape[1]))
+        structure = BlockStructure(dim=n, blocks=_canonical_blocks(blocks))
+        if block_form_residual(f, structure) > 10.0 * tol.fix:
+            raise _Ambiguous("conjugated basis misses the block form")
+        return structure
+
+    return _retrying(seed, attempt)
 
 
 # ---------------------------------------------------------------------------

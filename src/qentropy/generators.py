@@ -34,8 +34,16 @@ __all__ = [
 ]
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def _seeded_rng(seed: int, *words: int) -> np.random.Generator:
+    """Generator for an integer seed and extra entropy words; s and -s differ, a float is refused.
+
+    A non-negative seed keeps the stream of ``default_rng([seed, *words])``,
+    which for no words is that of ``default_rng(seed)``.  A negative seed adds
+    a spawn key, which numpy mixes in apart from the entropy words, so it
+    cannot collide with any non-negative seed below 2**128.
+    """
+    spawn_key = (1,) if seed < 0 else ()
+    return np.random.default_rng(np.random.SeedSequence([abs(seed), *words], spawn_key=spawn_key))
 
 
 def _require_dim(n: int) -> None:
@@ -62,7 +70,7 @@ def random_density(
     _require_dim(n)
     if not 1 <= rank <= n:
         raise InvalidRankError(f"rank must lie in [1, {n}], got {rank}")
-    g = _complex_normal(_rng(seed), (n, rank))
+    g = _complex_normal(_seeded_rng(seed), (n, rank))
     m = g @ g.conj().T
     return validate_state(m / np.trace(m).real, tol)
 
@@ -70,7 +78,7 @@ def random_density(
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
     _require_dim(n)
-    return frozen_array(_haar_unitary(_rng(seed), n))
+    return frozen_array(_haar_unitary(_seeded_rng(seed), n))
 
 
 def random_bistochastic_channel(
@@ -81,7 +89,7 @@ def random_bistochastic_channel(
     _require_dim(n)
     if num_unitaries < 1:
         raise ValidationError(f"num_unitaries must be positive, got {num_unitaries}")
-    rng = _rng(seed)
+    rng = _seeded_rng(seed)
     weights = rng.dirichlet(np.ones(num_unitaries))
     ops = [np.sqrt(w) * _haar_unitary(rng, n) for w in weights]
     return kraus_channel(ops, tol)
@@ -99,7 +107,7 @@ def random_stochastic_channel(
     _require_dim(n)
     if env_dim < 1:
         raise ValidationError(f"env_dim must be positive, got {env_dim}")
-    big = _haar_unitary(_rng(seed), n * env_dim)
+    big = _haar_unitary(_seeded_rng(seed), n * env_dim)
     v = big[:, :n]
     # joint index (i, e) -> i * env_dim + e
     ops = [v[e::env_dim, :] for e in range(env_dim)]
@@ -113,7 +121,7 @@ def random_bistochastic_matrix(
     _require_dim(n)
     if num_perms < 1:
         raise ValidationError(f"num_perms must be positive, got {num_perms}")
-    rng = _rng(seed)
+    rng = _seeded_rng(seed)
     weights = rng.dirichlet(np.ones(num_perms))
     m = np.zeros((n, n))
     for w in weights:
@@ -124,4 +132,4 @@ def random_bistochastic_matrix(
 def random_probability_vector(n: int, seed, tol: ToleranceConfig = DEFAULT_TOL) -> ProbabilityVector:
     """Uniform (flat Dirichlet) random probability vector."""
     _require_dim(n)
-    return probability_vector(_rng(seed).dirichlet(np.ones(n)), tol)
+    return probability_vector(_seeded_rng(seed).dirichlet(np.ones(n)), tol)

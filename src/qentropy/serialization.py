@@ -111,14 +111,20 @@ def state_to_obj(rho: DensityMatrix) -> dict:
     return {"dim": rho.dim, "matrix": matrix_to_obj(rho.matrix)}
 
 
+def _check_declared_dim(obj: dict, actual: int, what: str) -> None:
+    """Reject an optional "dim" field that is a non-integral number or differs from ``actual``."""
+    declared = obj.get("dim", actual)
+    if isinstance(declared, float) and not declared.is_integer():  # 2.7, inf, nan
+        raise ValidationError(f"declared dim {declared} is not an integer")
+    if int(declared) != actual:
+        raise ValidationError(f"declared dim {declared} does not match {what} {actual}")
+
+
 def state_from_obj(obj, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ValidationError('expected an object with a "matrix" field')
     matrix = matrix_from_obj(obj["matrix"])
-    if "dim" in obj and int(obj["dim"]) != matrix.shape[0]:
-        raise ValidationError(
-            f'declared dim {obj["dim"]} does not match matrix rows {matrix.shape[0]}'
-        )
+    _check_declared_dim(obj, matrix.shape[0], "matrix rows")
     return validate_state(matrix, tol)
 
 
@@ -136,10 +142,7 @@ def channel_from_obj(obj, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel:
         else:
             mats.append(matrix_from_obj(entry))
     phi = kraus_channel(mats, tol)
-    if "dim" in obj and int(obj["dim"]) != phi.dim:
-        raise ValidationError(
-            f'declared dim {obj["dim"]} does not match Kraus dimension {phi.dim}'
-        )
+    _check_declared_dim(obj, phi.dim, "Kraus dimension")
     return phi
 
 
@@ -204,8 +207,6 @@ def _batch_from_csv(
             (stochastic_matrix(np.asarray(rows), tol), probability_vector(p_entries, tol))
         )
         pos += n + 2
-    if not out:
-        raise ValidationError("empty classical batch")
     return out
 
 
@@ -215,7 +216,8 @@ def load_classical_batch(
     """Load (B, p) records from a CSV or JSON file (format sniffed by content)."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        return _batch_from_json_obj(json.loads(text), tol)
-    return _batch_from_csv(text, tol)
+    is_json = text.lstrip().startswith(("{", "["))
+    batch = _batch_from_json_obj(json.loads(text), tol) if is_json else _batch_from_csv(text, tol)
+    if not batch:
+        raise ValidationError("empty classical batch")
+    return batch

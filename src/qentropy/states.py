@@ -6,9 +6,9 @@ eigendecomposition (:func:`spectral_decomposition`); matrix functions such as
 the square root, the inverse square root on the support and the logarithm are
 defined through it with a single eigenvalue-clipping rule.  All logarithms are
 base 2, so every entropy returned anywhere in this package is measured in bits.
-:class:`EquivalenceReport`, the entropy-vs-fixed-point report of every
-setting, lives here because ``classical`` builds it too and cannot import
-``entropy_analysis``, which imports it through ``generators``.
+:class:`EquivalenceReport`, the entropy-vs-fixed-point report and verdict rule
+of every setting, lives here because ``classical`` builds it too and cannot
+import ``entropy_analysis``, which imports it through ``generators``.
 """
 
 from __future__ import annotations
@@ -162,6 +162,17 @@ class EquivalenceReport:
     fixed_point_residual: float
     entropy_preserved: bool
     fixed_point: bool
+
+    @classmethod
+    def judge(
+        cls, kind: str, entropy_in: float, entropy_out: float, residual: float,
+        entropy_bound: float, residual_bound: float,
+    ) -> EquivalenceReport:
+        """The verdict rule of every setting: |entropy_out - entropy_in| <= entropy_bound is the
+        entropy verdict, residual <= residual_bound the fixed-point verdict."""
+        gap = abs(entropy_out - entropy_in)
+        preserved, fixed = gap <= entropy_bound, residual <= residual_bound
+        return cls(kind, entropy_in, entropy_out, gap, residual, preserved, fixed)
 
     @property
     def agreement(self) -> bool:

@@ -1,4 +1,6 @@
-"""Shared fixtures and channel builders for the test suite."""
+"""Shared fixtures, channel builders and dense reference helpers for the test suite."""
+
+import math
 
 import numpy as np
 import pytest
@@ -69,3 +71,33 @@ def pure_state(n, index=0):
 
 def maximally_mixed(n):
     return validate_state(np.eye(n) / n)
+
+
+def vec(m):
+    """Column-stacking vectorization."""
+    return np.asarray(m).T.reshape(-1)
+
+
+def unvec(v):
+    """Inverse of :func:`vec` for square matrices."""
+    n = math.isqrt(np.size(v))
+    return np.asarray(v).reshape(n, n).T
+
+
+def superoperator_matrix(phi):
+    """The N^2 x N^2 matrix sum_j kron(conj(M_j), M_j) of a channel under :func:`vec`.
+
+    The library never forms it; it is the dense reference for the fixed-point solver.
+    """
+    return sum(np.kron(m.conj(), m) for m in phi.kraus)
+
+
+def phase_invariant_unitary_distance(u, v):
+    """min over phases theta of ||u - e^(i theta) v||_F.
+
+    The minimizing phase is conj(t) / |t| for t = tr(u^dag v) (any phase when
+    t = 0); the norm is taken directly, so close inputs do not cancel.
+    """
+    overlap = complex(np.vdot(u, v))
+    phase = overlap.conjugate() / abs(overlap) if overlap else 1.0
+    return float(np.linalg.norm(u - phase * v))

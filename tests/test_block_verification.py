@@ -23,7 +23,6 @@ from qentropy import (
     apply_channel,
     kraus_channel,
     parse_block_spec,
-    phase_invariant_unitary_distance,
     random_bistochastic_channel,
     synthesize_pair,
     validate_state,
@@ -31,7 +30,13 @@ from qentropy import (
 )
 from qentropy.entropy_analysis import _partial_trace_right
 
-from conftest import SIGMA_X, amplitude_damping_channel, dephasing_channel, maximally_mixed
+from conftest import (
+    SIGMA_X,
+    amplitude_damping_channel,
+    dephasing_channel,
+    maximally_mixed,
+    phase_invariant_unitary_distance,
+)
 
 SPECS = [
     "2x2",

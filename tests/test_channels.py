@@ -19,9 +19,6 @@ from qentropy import (
     random_density,
     random_stochastic_channel,
     random_unitary,
-    superoperator_matrix,
-    unvec,
-    vec,
 )
 
 from conftest import (
@@ -34,7 +31,10 @@ from conftest import (
     identity_channel,
     maximally_mixed,
     pure_state,
+    superoperator_matrix,
     unitary_channel,
+    unvec,
+    vec,
 )
 
 
@@ -137,8 +137,8 @@ class TestAdjoint:
 
     def test_superoperator_is_conjugate_transpose(self, tol):
         phi = random_stochastic_channel(4, 2, seed=4)
-        s = superoperator_matrix(phi).matrix
-        s_adj = superoperator_matrix(adjoint(phi)).matrix
+        s = superoperator_matrix(phi)
+        s_adj = superoperator_matrix(adjoint(phi))
         assert np.linalg.norm(s_adj - s.conj().T) <= tol.recon * 16
 
 
@@ -195,8 +195,7 @@ class TestClassify:
 
 class TestSuperoperator:
     def test_identity_channel_gives_identity_matrix(self):
-        s = superoperator_matrix(identity_channel(2))
-        np.testing.assert_allclose(s.matrix, np.eye(4))
+        np.testing.assert_allclose(superoperator_matrix(identity_channel(2)), np.eye(4))
 
     def test_vec_unvec_roundtrip(self):
         x = random_hermitian(3, 11)
@@ -209,7 +208,7 @@ class TestSuperoperator:
         rng = np.random.default_rng(seed + 500)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         np.testing.assert_allclose(
-            unvec(superoperator_matrix(phi).matrix @ vec(x)),
+            unvec(superoperator_matrix(phi) @ vec(x)),
             apply_channel(phi, x),
             atol=tol.recon * n * n,
         )

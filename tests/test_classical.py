@@ -1,18 +1,14 @@
 """Tests for the classical (Shannon / doubly-stochastic) application."""
 
-import math
-
 import numpy as np
 import pytest
 
 from qentropy import (
-    DimensionMismatchError,
     NotBistochasticError,
     NotDiagonalError,
     adjoint,
     bridge_check,
     channel_from_bistochastic,
-    classical_relative_entropy,
     classify,
     corollary_check,
     kraus_matrix,
@@ -67,26 +63,6 @@ class TestShannonEntropy:
         p = random_probability_vector(n, seed)
         rho = validate_state(np.diag(p.entries))
         assert abs(shannon_entropy(p) - von_neumann_entropy(rho)) <= 1e-10
-
-
-class TestClassicalRelativeEntropy:
-    def test_identical(self):
-        p = random_probability_vector(4, 0)
-        assert classical_relative_entropy(p, p) == pytest.approx(0.0, abs=1e-12)
-
-    def test_pure_vs_uniform(self):
-        p = probability_vector([1.0, 0.0])
-        q = probability_vector([0.5, 0.5])
-        assert classical_relative_entropy(p, q) == pytest.approx(1.0, abs=1e-12)
-
-    def test_support_violation(self):
-        p = probability_vector([0.5, 0.5])
-        q = probability_vector([1.0, 0.0])
-        assert classical_relative_entropy(p, q) == math.inf
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            classical_relative_entropy(probability_vector([1.0]), probability_vector([0.5, 0.5]))
 
 
 class TestKrausMatrix:

@@ -19,6 +19,16 @@ from conftest import (
 )
 
 
+GEN_KINDS = [
+    "density",
+    "unitary",
+    "bistochastic-channel",
+    "stochastic-channel",
+    "bistochastic-matrix",
+    "probability",
+]
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -72,6 +82,40 @@ class TestAnalyzeState:
     def test_reports_carry_tolerances(self, capsys, state_file):
         _, result = run_cli(capsys, ["analyze-state", state_file(maximally_mixed(2))])
         assert result["report"]["tolerances"]["eq"] == 1e-8
+
+
+class TestDeclaredDim:
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("1e400", "declared dim inf is not an integer"),
+            ("Infinity", "declared dim inf is not an integer"),
+            ("NaN", "declared dim nan is not an integer"),
+            ("2.7", "declared dim 2.7 is not an integer"),
+            ("3", "declared dim 3 does not match {what} 2"),
+            ("3.0", "declared dim 3.0 does not match {what} 2"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command, what",
+        [("analyze-state", "matrix rows"), ("decompose", "Kraus dimension")],
+    )
+    def test_bad_dim_exits_2_with_one_object(self, capsys, tmp_path, command, what, raw, message):
+        if command == "analyze-state":
+            obj = state_to_obj(maximally_mixed(2))
+        else:
+            obj = channel_to_obj(identity_channel(2))
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj).replace('"dim": 2', f'"dim": {raw}', 1))
+        code, result = run_cli(capsys, [command, str(path)])
+        assert code == 2 and result["status"] == "error"
+        assert result["diagnostics"] == ["ValidationError: " + message.format(what=what)]
+
+    def test_integral_float_dim_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({**state_to_obj(maximally_mixed(2)), "dim": 2.0}))
+        code, result = run_cli(capsys, ["analyze-state", str(path)])
+        assert code == 0 and result["report"]["dim"] == 2
 
 
 class TestUsageErrors:
@@ -233,6 +277,14 @@ class TestClassicalCheck:
         assert result["report"]["disagreements"] == 0
         assert result["report"]["preserved"] == 2
 
+    @pytest.mark.parametrize("name, text", [("batch.json", "[]"), ("batch.csv", "\n")])
+    def test_empty_batch_exits_2_in_both_formats(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, result = run_cli(capsys, ["classical-check", str(path)])
+        assert code == 2 and result["status"] == "error"
+        assert result["diagnostics"] == ["ValidationError: empty classical batch"]
+
     def test_column_stochastic_only_exits_2(self, capsys, tmp_path):
         path = tmp_path / "batch.csv"
         path.write_text("2\n1,0.5\n0,0.5\n0.5,0.5\n")
@@ -288,22 +340,19 @@ class TestGen:
         assert a["report"]["object"] == b["report"]["object"]
 
     @pytest.mark.parametrize("dim", ["0", "-1"])
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            "density",
-            "unitary",
-            "bistochastic-channel",
-            "stochastic-channel",
-            "bistochastic-matrix",
-            "probability",
-        ],
-    )
+    @pytest.mark.parametrize("kind", GEN_KINDS)
     def test_non_positive_dimension_exits_2(self, capsys, kind, dim):
         code = main(["gen", kind, "--dim", dim])
         result = json.loads(capsys.readouterr().out)  # exactly one JSON object
         assert code == 2 and result["status"] == "error"
         assert result["diagnostics"] == [f"ValidationError: dimension must be positive, got {dim}"]
+
+    @pytest.mark.parametrize("kind", GEN_KINDS)
+    def test_negative_seed_gives_its_own_object(self, capsys, kind):
+        code, minus = run_cli(capsys, ["gen", kind, "--dim", "2", "--seed", "-1"])
+        _, plus = run_cli(capsys, ["gen", kind, "--dim", "2", "--seed", "1"])
+        assert code == 0 and minus["status"] == "ok" and minus["report"]["seed"] == -1
+        assert minus["report"]["object"] != plus["report"]["object"]
 
     def test_gen_to_file_feeds_other_commands(self, capsys, tmp_path):
         chan = tmp_path / "chan.json"

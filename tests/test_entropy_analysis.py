@@ -27,7 +27,6 @@ from qentropy import (
     map_entropy_preservation_report,
     parse_block_spec,
     petz_recovery,
-    phase_invariant_unitary_distance,
     random_bistochastic_channel,
     random_density,
     random_stochastic_channel,
@@ -43,6 +42,7 @@ from conftest import (
     depolarizing_channel,
     identity_channel,
     maximally_mixed,
+    phase_invariant_unitary_distance,
     pure_state,
     unitary_channel,
 )

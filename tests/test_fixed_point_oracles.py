@@ -34,27 +34,20 @@ from qentropy import (
     parse_block_spec,
     random_bistochastic_channel,
     random_unitary,
-    superoperator_matrix,
     synthesize_pair,
-    unvec,
-    vec,
     verify_block_structure,
 )
-from qentropy.entropy_analysis import (
-    _block_frame_gap,
-    _partial_trace_right,
-    _seeded_rng,
-    block_form_residual,
-)
+from qentropy.entropy_analysis import _block_frame_gap, _partial_trace_right, block_form_residual
+from qentropy.generators import _seeded_rng
 
-from conftest import SIGMA_X, SIGMA_Z, dephasing_channel
+from conftest import SIGMA_X, SIGMA_Z, dephasing_channel, superoperator_matrix, unvec, vec
 
 SPECS = ["2x1,1x2", "2x2", "1x1,1x1,1x1", "3x1,1x3", "2x2,2x1,1x2", "1x4,2x2", "3x2,2x3"]
 
 
 def oracle_fixed_point_space(phi, tol):
     """Eigenvalue-1 eigenspace of the complex N^2 x N^2 matrix s^dag s."""
-    s = superoperator_matrix(phi).matrix
+    s = superoperator_matrix(phi)
     g = s.conj().T @ s
     vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
     fixed_mask = vals >= 1.0 - tol.fix
@@ -343,6 +336,13 @@ class TestNegativeSeeds:
         plus, _, _ = synthesize_pair(spec, 3)
         minus, _, _ = synthesize_pair(spec, -3)
         assert channel_distance(plus, minus) > 0
+
+    def test_float_seed_is_refused(self):
+        phi, _, _ = synthesize_pair(parse_block_spec("2x2,1x2"), seed=5)
+        with pytest.raises(TypeError):
+            synthesize_pair(parse_block_spec("2x2,1x2"), seed=5.0)
+        with pytest.raises(TypeError):
+            decompose_fixed_point_algebra(fixed_point_space(phi), seed=3.0)
 
     def test_decompose_sign_matters(self):
         phi, _, _ = synthesize_pair(parse_block_spec("2x2,1x2"), seed=5)

@@ -7,6 +7,7 @@ from qentropy import (
     InvalidRankError,
     ValidationError,
     classify,
+    generators,
     random_bistochastic_channel,
     random_bistochastic_matrix,
     random_density,
@@ -133,6 +134,34 @@ class TestRandomProbabilityVector:
             random_probability_vector(5, seed=11).entries,
             random_probability_vector(5, seed=11).entries,
         )
+
+
+# each generator as seed -> the arrays of its object
+GENERATORS = {
+    "density": lambda seed: [random_density(3, 2, seed).matrix],
+    "unitary": lambda seed: [random_unitary(3, seed)],
+    "bistochastic-channel": lambda seed: random_bistochastic_channel(3, 2, seed).kraus,
+    "stochastic-channel": lambda seed: random_stochastic_channel(3, 2, seed).kraus,
+    "bistochastic-matrix": lambda seed: [random_bistochastic_matrix(4, 3, seed).matrix],
+    "probability": lambda seed: [random_probability_vector(4, seed).entries],
+}
+
+
+class TestSeedStream:
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 5, 2**64 + 5])
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_non_negative_seed_object_is_the_default_rng_one(self, kind, seed, monkeypatch):
+        got = GENERATORS[kind](seed)
+        monkeypatch.setattr(generators, "_seeded_rng", np.random.default_rng)
+        pinned = GENERATORS[kind](seed)
+        assert len(got) == len(pinned)
+        for a, b in zip(got, pinned):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_float_seed_is_refused(self, kind):
+        with pytest.raises(TypeError):
+            GENERATORS[kind](2.0)
 
 
 class TestLemmaTwoFeed:
