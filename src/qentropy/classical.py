@@ -188,15 +188,6 @@ class BridgeReport:
     residual: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "input_probabilities": list(self.input_probabilities),
-            "output_probabilities": list(self.output_probabilities),
-            "kraus_matrix_probabilities": list(self.kraus_matrix_probabilities),
-            "residual": self.residual,
-            "passed": self.passed,
-        }
-
 
 def bridge_check(
     phi: KrausChannel, rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL

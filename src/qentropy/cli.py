@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -43,23 +42,9 @@ from .generators import (
 from .states import state_spectrum, von_neumann_entropy
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
-__all__ = ["main", "CommandResult"]
+__all__ = ["main"]
 
 _EXIT_CODES = {"ok": 0, "violated": 1, "error": 2}
-
-
-@dataclass(frozen=True)
-class CommandResult:
-    status: str  # ok | violated | error
-    report: dict
-    diagnostics: list[str]
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "report": self.report,
-            "diagnostics": list(self.diagnostics),
-        }
 
 
 class UsageError(Exception):
@@ -92,7 +77,7 @@ def _resolve_tolerances(args) -> ToleranceConfig:
     return DEFAULT_TOL.replace(**changes) if changes else DEFAULT_TOL
 
 
-def _cmd_analyze_state(args, tol: ToleranceConfig) -> CommandResult:
+def _cmd_analyze_state(args, tol: ToleranceConfig) -> dict:
     rho = ser.state_from_obj(ser.load_json(args.state_file), tol)
     spectrum = state_spectrum(rho)
     report = {
@@ -101,25 +86,25 @@ def _cmd_analyze_state(args, tol: ToleranceConfig) -> CommandResult:
         "rank": int(np.sum(spectrum.eigenvalues > tol.psd)),
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
     }
-    return CommandResult("ok", report, [])
+    return {"status": "ok", "report": report, "diagnostics": []}
 
 
-def _cmd_analyze_pair(args, tol: ToleranceConfig) -> CommandResult:
+def _cmd_analyze_pair(args, tol: ToleranceConfig) -> dict:
     phi = ser.channel_from_obj(ser.load_json(args.channel_file), tol)
     rho = ser.state_from_obj(ser.load_json(args.state_file), tol)
     try:
         report = entropy_preservation_report(phi, rho, tol).as_dict()
     except NotBistochasticError:
-        return CommandResult(
-            "error",
-            {"classification": classify(phi, tol).as_dict()},
-            ["NotBistochasticError: the channel is not bi-stochastic"],
-        )
+        return {
+            "status": "error",
+            "report": {"classification": classify(phi, tol).as_dict()},
+            "diagnostics": ["NotBistochasticError: the channel is not bi-stochastic"],
+        }
     status = "ok" if report["entropy_preserved"] else "violated"
-    return CommandResult(status, report, [])
+    return {"status": status, "report": report, "diagnostics": []}
 
 
-def _cmd_decompose(args, tol: ToleranceConfig) -> CommandResult:
+def _cmd_decompose(args, tol: ToleranceConfig) -> dict:
     phi = ser.channel_from_obj(ser.load_json(args.channel_file), tol)
     basis = fixed_point_space(phi, tol)
     structure = decompose_fixed_point_algebra(basis, tol, seed=args.seed)
@@ -127,21 +112,21 @@ def _cmd_decompose(args, tol: ToleranceConfig) -> CommandResult:
     report["fixed_space_dimension"] = len(basis.basis)
     report["spectral_gap"] = basis.spectral_gap
     report["block_form_residual"] = block_form_residual(basis, structure)
-    return CommandResult("ok", report, [])
+    return {"status": "ok", "report": report, "diagnostics": []}
 
 
-def _cmd_map_entropy(args, tol: ToleranceConfig) -> CommandResult:
+def _cmd_map_entropy(args, tol: ToleranceConfig) -> dict:
     phi = ser.channel_from_obj(ser.load_json(args.channel_file), tol)
     if args.channel_file_2 is None:
         report = {"dim": phi.dim, "map_entropy_bits": map_entropy(phi, tol)}
-        return CommandResult("ok", report, [])
+        return {"status": "ok", "report": report, "diagnostics": []}
     psi = ser.channel_from_obj(ser.load_json(args.channel_file_2), tol)
     report = map_entropy_preservation_report(phi, psi, tol).as_dict()
     status = "ok" if report["entropy_preserved"] else "violated"
-    return CommandResult(status, report, [])
+    return {"status": status, "report": report, "diagnostics": []}
 
 
-def _cmd_classical_check(args, tol: ToleranceConfig) -> CommandResult:
+def _cmd_classical_check(args, tol: ToleranceConfig) -> dict:
     batch = ser.load_classical_batch(args.batch_file, tol)
     rows = []
     preserved = disagreements = 0
@@ -160,10 +145,10 @@ def _cmd_classical_check(args, tol: ToleranceConfig) -> CommandResult:
     diagnostics = (
         [f"{disagreements} instance(s) show verdict disagreement"] if disagreements else []
     )
-    return CommandResult(status, report, diagnostics)
+    return {"status": status, "report": report, "diagnostics": diagnostics}
 
 
-def _cmd_synthesize(args, tol: ToleranceConfig) -> CommandResult:
+def _cmd_synthesize(args, tol: ToleranceConfig) -> dict:
     spec = parse_block_spec(args.spec)
     phi, rho, structure = synthesize_pair(spec, seed=args.seed, tol=tol)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -183,10 +168,10 @@ def _cmd_synthesize(args, tol: ToleranceConfig) -> CommandResult:
         "self_check": self_check,
     }
     status = "ok" if self_check["entropy_preserved"] else "violated"
-    return CommandResult(status, report, [])
+    return {"status": status, "report": report, "diagnostics": []}
 
 
-def _cmd_gen(args, tol: ToleranceConfig) -> CommandResult:
+def _cmd_gen(args, tol: ToleranceConfig) -> dict:
     kind = args.kind
     if kind == "density":
         rank = args.rank if args.rank is not None else args.dim
@@ -214,7 +199,7 @@ def _cmd_gen(args, tol: ToleranceConfig) -> CommandResult:
         report = {"kind": kind, "seed": args.seed, "file": args.out}
     else:
         report = {"kind": kind, "seed": args.seed, "object": obj}
-    return CommandResult("ok", report, [])
+    return {"status": "ok", "report": report, "diagnostics": []}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -285,13 +270,13 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         tol = _resolve_tolerances(args)
         result = args.handler(args, tol)
-        result.report["tolerances"] = tol.as_dict()
+        result["report"]["tolerances"] = tol.as_dict()
     except (QentropyError, UsageError, OSError, KeyError, ValueError, TypeError) as exc:
         # json.JSONDecodeError is a ValueError
-        result = CommandResult("error", {}, [f"{type(exc).__name__}: {exc}"])
-    sys.stdout.write(ser.dumps(result.as_dict()))
+        result = {"status": "error", "report": {}, "diagnostics": [f"{type(exc).__name__}: {exc}"]}
+    sys.stdout.write(ser.dumps(result))
     sys.stdout.write("\n")
-    return _EXIT_CODES[result.status]
+    return _EXIT_CODES[result["status"]]
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -177,18 +177,6 @@ class BlockVerification:
     unitary_residual: float
     right_bistochastic_residual: float
 
-    def as_dict(self) -> dict:
-        return {
-            "block_dims": [list(d) for d in self.block_dims],
-            "weights": list(self.weights),
-            "block_diagonal_residual": self.block_diagonal_residual,
-            "factorization_residual": self.factorization_residual,
-            "invariance_residual": self.invariance_residual,
-            "action_residual": self.action_residual,
-            "unitary_residual": self.unitary_residual,
-            "right_bistochastic_residual": self.right_bistochastic_residual,
-        }
-
 
 def parse_block_spec(text: str) -> BlockSpec:
     """Parse a block list like ``"2x1,1x2"`` into a :class:`BlockSpec`."""
@@ -239,18 +227,6 @@ class MonotonicityReport:
     entropy_in: float | None = None
     entropy_out: float | None = None
     entropy_gain: float | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "relative_entropy_in_bits": self.relative_entropy_in,
-            "relative_entropy_out_bits": self.relative_entropy_out,
-            "slack_bits": self.slack,
-        }
-        if self.entropy_gain is not None:
-            out["entropy_in_bits"] = self.entropy_in
-            out["entropy_out_bits"] = self.entropy_out
-            out["entropy_gain_bits"] = self.entropy_gain
-        return out
 
 
 def _relative_entropy_across(
@@ -396,14 +372,6 @@ def _group_eigenvalues(vals: np.ndarray, tol: ToleranceConfig) -> list[np.ndarra
     return np.split(np.arange(vals.size), np.flatnonzero(gaps > threshold) + 1)
 
 
-def _link_weights(c: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
-    """Weights sum_i ||P_a c_i P_b||_F^2 + ||P_b c_i P_a||_F^2 of an (m, N, N) eigenbasis stack."""
-    starts = [g[0] for g in groups]
-    power = np.sum(np.abs(c) ** 2, axis=0)
-    weight = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
-    return weight + weight.T
-
-
 def _aligned_blocks(vecs, groups, linked, connector) -> Iterator[np.ndarray]:
     """Each class of linked eigenvector groups, as one (N, size, members) array in one frame.
 
@@ -429,6 +397,26 @@ def _aligned_blocks(vecs, groups, linked, connector) -> Iterator[np.ndarray]:
                 order.append(q)
                 frames.append(u @ vh @ frame)
         yield np.stack([vecs[:, groups[q]] @ f for q, f in zip(order, frames)], axis=2)
+
+
+def _split(ops: np.ndarray, z: np.ndarray, tol: ToleranceConfig) -> list[np.ndarray]:
+    """The linked eigenspace classes of x + x^dag, x = sum z[0, j] ops_j, for an (m, N, N) stack.
+
+    In the eigenbasis V, groups a and b (:func:`_group_eigenvalues`) are linked when their weight
+    sum_j ||P_a c_j P_b||_F^2 + ||P_b c_j P_a||_F^2 over c_j = V^dag ops_j V exceeds tol.fix times
+    the largest weight; for a block-diagonal family it is 0 across blocks.  Each connected class
+    comes back aligned by the connector sum z[1, j] c_j (:func:`_aligned_blocks`).
+    """
+    x = np.tensordot(z[0], ops, axes=1)
+    vals, vecs = np.linalg.eigh(x + x.conj().T)
+    groups = _group_eigenvalues(vals, tol)
+    c = vecs.conj().T @ ops @ vecs
+    starts = [g[0] for g in groups]
+    power = np.sum(np.abs(c) ** 2, axis=0)
+    weight = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
+    weight = weight + weight.T
+    linked = weight > tol.fix * weight.max()
+    return list(_aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1)))
 
 
 def _gram_map(kraus: np.ndarray):
@@ -561,10 +549,10 @@ def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> 
     array is formed.  The stack {M_i^dag M_j} (QR-folded to <= N^2 rows) gives, from its Gram
     matrix, the s_a L_a of its thin SVD (weights s_a^2 sum to N); the lightest, of total weight
     <= N tol.fix, are cut.  (Mixing in another channel with weight eps moves the raw family by
-    O(sqrt(eps)), the kept L_a only by O(eps).)  An attempt groups the eigenspaces of x + x^dag,
-    x = sum z_a s_a L_a with complex Gaussian z, into the dR spaces H^L (x) e_r of each block,
-    links groups whose :func:`_link_weights` exceed tol.fix times the largest, and aligns each
-    linked class (:func:`_aligned_blocks`).  The basis is V (E (x) I/sqrt(dR)) V^dag over the
+    O(sqrt(eps)), the kept L_a only by O(eps).)  An attempt splits them at complex Gaussian z
+    (:func:`_split`): the eigenspaces of x + x^dag, x = sum z_a s_a L_a, are the dR spaces
+    H^L (x) e_r of each block, and groups linked by a weight above tol.fix times the largest form
+    one aligned (N, dL, dR) class.  The basis is V (E (x) I/sqrt(dR)) V^dag over the
     Hermitian units E of M_dL (:func:`_block_units`), and its certificate stays in that block
     frame: the residuals ||adjoint(phi)(phi(B)) - B||_F come from all r canonical operators,
     uncut, applied to V (:func:`_unit_residuals`), and spectral_gap is 1 minus the top eigenvalue
@@ -588,13 +576,7 @@ def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
     def attempt(rng: np.random.Generator) -> FixedPointBasis:
         z = rng.standard_normal((2, len(ops))) + 1j * rng.standard_normal((2, len(ops)))
-        x = np.tensordot(z[0], ops, axes=1)
-        vals, vecs = np.linalg.eigh(x + x.conj().T)
-        groups = _group_eigenvalues(vals, tol)
-        c = vecs.conj().T @ ops @ vecs
-        weight = _link_weights(c, groups)
-        linked = weight > tol.fix * weight.max()
-        classes = list(_aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1)))
+        classes = _split(ops, z, tol)
         residuals = np.concatenate([_unit_residuals(canonical, cols) for cols in classes])
         if residuals.max() > tol.fix:
             raise _Ambiguous(f"a basis element is not fixed (residual {residuals.max():.3e})")
@@ -693,19 +675,21 @@ def decompose_fixed_point_algebra(
 
     * checks that the d products x W_i stay in the span: an out-of-span part
       of some W_j W_i makes theirs a nonzero linear function of z;
-    * groups the eigenspaces of x + x^dag (:func:`_group_eigenvalues`),
-      which in block k are dL_k spaces e_l (x) H^R_k;
-    * links groups a and b when the mean of their :func:`_link_weights` over
-      c_i = V^dag W_i V (eigenbasis V) exceeds 0.5: the weight is the
-      Hilbert-Schmidt trace of X -> P_a X P_b after the projection onto A,
-      1 inside a block and 0 across.  Each (transitive) link class is one
-      block, aligned by a generic connector (:func:`_aligned_blocks`).
+    * splits the W_j at z (:func:`_split`, the same split that
+      :func:`fixed_point_space` makes): the eigenspaces of x + x^dag are, in
+      block k, dL_k spaces e_l (x) H^R_k; groups whose link weight over
+      c_j = V^dag W_j V (eigenbasis V) exceeds tol.fix times the largest are
+      linked, and each connected class is one block, aligned by a generic
+      connector;
+    * counts: sum dL_k^2 must equal d.  Two blocks merged into one class, or
+      one block split into several, miss the count even where the block form
+      below still holds (merged blocks of equal dR pass it).
 
     The result must pass :func:`block_form_residual` <= 10 tol.fix.  Cost:
     O(d N^3 + d^2 N^2) time and O(d N^2) memory.  Draws come from ``seed``
-    (s and -s differ); an ambiguous gap, unequal or non-transitive links, a
-    singular connector or a failed certificate retries up to 3 times, then
-    raises :class:`~qentropy.errors.AmbiguousGroupingError`.
+    (s and -s differ); an ambiguous gap, unequal linked groups, a missed
+    count, a singular connector or a failed certificate retries up to 3
+    times, then raises :class:`~qentropy.errors.AmbiguousGroupingError`.
     """
     n = f.dim
     work, d = _orthonormal_span(np.asarray(f.basis, dtype=complex))
@@ -718,17 +702,13 @@ def decompose_fixed_point_algebra(
 
     def attempt(rng: np.random.Generator) -> BlockStructure:
         z = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
-        x = np.tensordot(z[0], work, axes=1)
-        if _outside_span(work, x @ work, tol):
+        if _outside_span(work, np.tensordot(z[0], work, axes=1) @ work, tol):
             raise NotAnAlgebraError("span is not closed under products")
-        vals, vecs = np.linalg.eigh(x + x.conj().T)
-        groups = _group_eigenvalues(vals, tol)
-        c = vecs.conj().T @ work @ vecs
-        linked = (_link_weights(c, groups) > 1.0) | np.eye(len(groups), dtype=bool)
-        if np.any(linked != (linked.astype(int) @ linked > 0)):
-            raise _Ambiguous("eigenspace links are not transitive")
+        classes = _split(work, z, tol)  # (N, dR, dL) each: a group is one e_l (x) H^R
+        if sum(v.shape[2] ** 2 for v in classes) != d:
+            raise _Ambiguous("block dimensions do not add up to the algebra dimension")
         blocks = []
-        for v in _aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1)):
+        for v in classes:
             iso = frozen_array(v.transpose(0, 2, 1).reshape(n, -1))  # columns (l, r), l outer
             blocks.append(Block(isometry=iso, dim_left=v.shape[2], dim_right=v.shape[1]))
         structure = BlockStructure(dim=n, blocks=_canonical_blocks(blocks))

@@ -112,10 +112,12 @@ def state_to_obj(rho: DensityMatrix) -> dict:
 
 
 def _check_declared_dim(obj: dict, actual: int, what: str) -> None:
-    """Reject an optional "dim" field that is a non-integral number or differs from ``actual``."""
+    """Reject an optional "dim" field that is not an integer (a bool, a string, null, 2.7, inf,
+    nan) or differs from ``actual``; an integral float such as 2.0 is an integer."""
     declared = obj.get("dim", actual)
-    if isinstance(declared, float) and not declared.is_integer():  # 2.7, inf, nan
-        raise ValidationError(f"declared dim {declared} is not an integer")
+    integral = isinstance(declared, (int, np.integer)) and not isinstance(declared, bool)
+    if not (integral or isinstance(declared, float) and declared.is_integer()):
+        raise ValidationError(f"declared dim {declared!r} is not an integer")
     if int(declared) != actual:
         raise ValidationError(f"declared dim {declared} does not match {what} {actual}")
 

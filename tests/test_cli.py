@@ -92,6 +92,11 @@ class TestDeclaredDim:
             ("Infinity", "declared dim inf is not an integer"),
             ("NaN", "declared dim nan is not an integer"),
             ("2.7", "declared dim 2.7 is not an integer"),
+            ('"2"', "declared dim '2' is not an integer"),
+            ('"x"', "declared dim 'x' is not an integer"),
+            ("true", "declared dim True is not an integer"),
+            ("null", "declared dim None is not an integer"),
+            ("[2]", "declared dim [2] is not an integer"),
             ("3", "declared dim 3 does not match {what} 2"),
             ("3.0", "declared dim 3.0 does not match {what} 2"),
         ],

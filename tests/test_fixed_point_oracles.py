@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from qentropy import (
     DEFAULT_TOL,
+    AmbiguousGroupingError,
     BlockSpec,
     FixedPointBasis,
     NotAnAlgebraError,
@@ -37,6 +38,7 @@ from qentropy import (
     synthesize_pair,
     verify_block_structure,
 )
+from qentropy import entropy_analysis
 from qentropy.entropy_analysis import _block_frame_gap, _partial_trace_right, block_form_residual
 from qentropy.generators import _seeded_rng
 
@@ -199,6 +201,21 @@ def test_fixed_point_space_matches_dense_oracle_on_random_specs(blocks, seed):
         assert math.isinf(f.spectral_gap)
     else:
         assert abs(f.spectral_gap - gap) <= 1e-10
+    assert sorted(decompose_fixed_point_algebra(f).block_dims) == sorted(blocks)
+
+
+def test_decompose_rejects_merged_blocks(monkeypatch):
+    # two 1x2 blocks merged into one 2x2 class keep the block form of C (+) C,
+    # so only the count sum dL^2 = d tells the merged class from the pair
+    f = fixed_point_space(synthesize_pair(parse_block_spec("1x2,1x2"), seed=3)[0])
+    aligned = entropy_analysis._aligned_blocks
+
+    def merged(*args):
+        yield np.concatenate(list(aligned(*args)), axis=2)
+
+    monkeypatch.setattr(entropy_analysis, "_aligned_blocks", merged)
+    with pytest.raises(AmbiguousGroupingError, match="do not add up"):
+        decompose_fixed_point_algebra(f)
 
 
 @pytest.mark.parametrize("spec, seed", [("2x2,2x2", 60), ("1x2,1x2,2x1", 3)])
