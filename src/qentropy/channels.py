@@ -28,6 +28,7 @@ from .states import (
     DensityMatrix,
     Spectrum,
     _psd_root,
+    _require_same_dim,
     spectral_decomposition,
     as_complex_matrix,
     frozen_array,
@@ -155,8 +156,7 @@ def adjoint(phi: KrausChannel) -> KrausChannel:
 
 def compose(phi: KrausChannel, psi: KrausChannel) -> KrausChannel:
     """Channel applying psi first, then phi; Kraus family {M_i N_j}."""
-    if phi.dim != psi.dim:
-        raise DimensionMismatchError(f"channel dims differ: {phi.dim} vs {psi.dim}")
+    _require_same_dim(phi=phi.dim, psi=psi.dim)
     ops = tuple(frozen_array(m @ n) for m in phi.kraus for n in psi.kraus)
     return KrausChannel(dim=phi.dim, kraus=ops)
 
@@ -195,8 +195,7 @@ def _product_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def channel_distance(phi: KrausChannel, psi: KrausChannel) -> float:
     """Frobenius distance between the superoperator matrices of two channels."""
-    if phi.dim != psi.dim:
-        raise DimensionMismatchError(f"channel dims differ: {phi.dim} vs {psi.dim}")
+    _require_same_dim(phi=phi.dim, psi=psi.dim)
     return _choi_distance(_kraus_stack(phi), _kraus_stack(psi))
 
 
@@ -211,10 +210,9 @@ def petz_recovery(
     (restricted to its support) whenever ``phi`` is stochastic.
     """
     _require(phi, "stochastic", "recovery map needs a trace-preserving channel", tol)
-    if phi.dim != sigma.dim:
-        raise DimensionMismatchError(f"dims differ: channel {phi.dim}, state {sigma.dim}")
+    _require_same_dim(channel=phi.dim, state=sigma.dim)
     spec_out = spectral_decomposition(apply_channel(phi, sigma.matrix))
-    return _petz_recovery(phi, spectral_decomposition(sigma.matrix), spec_out, tol)
+    return _petz_recovery(phi, sigma.spectrum, spec_out, tol)
 
 
 def _petz_recovery(

@@ -89,16 +89,14 @@ def channel_from_choi(j: ChoiMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Krau
     return KrausChannel(dim=n, kraus=tuple(ops))
 
 
-def _map_entropy_bits(stack: np.ndarray, n: int, tol: ToleranceConfig | None = None) -> float:
+def _map_entropy_bits(stack: np.ndarray, n: int) -> float:
     """S(s^2/N) in bits for the singular values s of a row-major Kraus stack K (J = K^T conj(K));
-    with ``tol``, the stack's channel must first pass the trace-preserving check."""
-    if tol is not None:
-        what = "map entropy needs a trace-preserving channel"
-        _require(KrausChannel(n, tuple(stack.reshape(-1, n, n))), "stochastic", what, tol)
+    the caller has checked that the stack's channel is trace preserving."""
     s = np.linalg.svd(stack, compute_uv=False)
-    return _entropy_bits(np.clip(s * s / n, 0.0, 1.0))
+    return _entropy_bits(s * s / n)
 
 
 def map_entropy(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Entropy in bits of J(phi)/N, from the Kraus-stack singular values; in [0, 2 log2 N]."""
-    return _map_entropy_bits(_kraus_stack(phi), phi.dim, tol)
+    _require(phi, "stochastic", "map entropy needs a trace-preserving channel", tol)
+    return _map_entropy_bits(_kraus_stack(phi), phi.dim)

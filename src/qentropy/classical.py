@@ -17,7 +17,6 @@ import numpy as np
 
 from .channels import KrausChannel, apply_channel, classify, kraus_channel
 from .errors import (
-    DimensionMismatchError,
     NotBistochasticError,
     NotDiagonalError,
     NotPositiveError,
@@ -25,7 +24,7 @@ from .errors import (
     NotStochasticError,
     ValidationError,
 )
-from .states import DensityMatrix, EquivalenceReport, _entropy_bits, frozen_array
+from .states import DensityMatrix, EquivalenceReport, _entropy_bits, _require_same_dim, frozen_array
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -167,8 +166,7 @@ def corollary_check(
     Verdict thresholds default to tol.eq; both can be pinned explicitly.
     """
     _require_bistochastic(b)
-    if b.dim != p.dim:
-        raise DimensionMismatchError(f"dims differ: matrix {b.dim}, vector {p.dim}")
+    _require_same_dim(matrix=b.dim, vector=p.dim)
     entropy_tol = tol.eq if entropy_tol is None else entropy_tol
     residual_tol = tol.eq if residual_tol is None else residual_tol
     h_out = shannon_entropy(probability_vector(b.matrix @ p.entries, tol))

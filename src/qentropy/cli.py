@@ -62,18 +62,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+# ToleranceConfig field -> help word of its --tol-<field> flag (environment variable TOL_<FIELD>)
+_TOL_FLAGS = {"eq": "equality", "fix": "fixed-point", "psd": "positivity"}
+
+
 def _resolve_tolerances(args) -> ToleranceConfig:
     changes: dict[str, float] = {}
-    for field, env_name in (("eq", "TOL_EQ"), ("fix", "TOL_FIX"), ("psd", "TOL_PSD")):
+    for field in _TOL_FLAGS:
+        # the variable is parsed even when the flag overrides it, so a malformed one is reported
+        env_name = f"TOL_{field.upper()}"
         if env_name in os.environ:
             changes[field] = float(os.environ[env_name])
-    for field, value in (
-        ("eq", args.tol_eq),
-        ("fix", args.tol_fix),
-        ("psd", args.tol_psd),
-    ):
-        if value is not None:
-            changes[field] = value
+        flag = getattr(args, f"tol_{field}")
+        if flag is not None:
+            changes[field] = flag
     return DEFAULT_TOL.replace(**changes) if changes else DEFAULT_TOL
 
 
@@ -171,34 +173,37 @@ def _cmd_synthesize(args, tol: ToleranceConfig) -> dict:
     return {"status": status, "report": report, "diagnostics": []}
 
 
+# `gen` kind -> maker of its JSON object from the parsed arguments; the keys are the choices
+_GEN_KINDS = {
+    "density": lambda a, tol: ser.state_to_obj(
+        random_density(a.dim, a.dim if a.rank is None else a.rank, a.seed, tol)
+    ),
+    "unitary": lambda a, tol: {
+        "dim": a.dim, "matrix": ser.matrix_to_obj(random_unitary(a.dim, a.seed))
+    },
+    "bistochastic-channel": lambda a, tol: ser.channel_to_obj(
+        random_bistochastic_channel(a.dim, a.num_unitaries, a.seed, tol)
+    ),
+    "stochastic-channel": lambda a, tol: ser.channel_to_obj(
+        random_stochastic_channel(a.dim, a.env_dim, a.seed, tol)
+    ),
+    "bistochastic-matrix": lambda a, tol: {
+        "dim": a.dim,
+        "matrix": random_bistochastic_matrix(a.dim, a.num_perms, a.seed, tol).matrix.tolist(),
+    },
+    "probability": lambda a, tol: {
+        "dim": a.dim, "p": random_probability_vector(a.dim, a.seed, tol).entries.tolist()
+    },
+}
+
+
 def _cmd_gen(args, tol: ToleranceConfig) -> dict:
-    kind = args.kind
-    if kind == "density":
-        rank = args.rank if args.rank is not None else args.dim
-        obj = ser.state_to_obj(random_density(args.dim, rank, args.seed, tol))
-    elif kind == "unitary":
-        obj = {"dim": args.dim, "matrix": ser.matrix_to_obj(random_unitary(args.dim, args.seed))}
-    elif kind == "bistochastic-channel":
-        obj = ser.channel_to_obj(
-            random_bistochastic_channel(args.dim, args.num_unitaries, args.seed, tol)
-        )
-    elif kind == "stochastic-channel":
-        obj = ser.channel_to_obj(
-            random_stochastic_channel(args.dim, args.env_dim, args.seed, tol)
-        )
-    elif kind == "bistochastic-matrix":
-        matrix = random_bistochastic_matrix(args.dim, args.num_perms, args.seed, tol)
-        obj = {"dim": matrix.dim, "matrix": [[float(x) for x in row] for row in matrix.matrix]}
-    elif kind == "probability":
-        vector = random_probability_vector(args.dim, args.seed, tol)
-        obj = {"dim": vector.dim, "p": [float(x) for x in vector.entries]}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {kind!r}")
+    obj = _GEN_KINDS[args.kind](args, tol)
     if args.out is not None:
         ser.save_json(args.out, obj)
-        report = {"kind": kind, "seed": args.seed, "file": args.out}
+        report = {"kind": args.kind, "seed": args.seed, "file": args.out}
     else:
-        report = {"kind": kind, "seed": args.seed, "object": obj}
+        report = {"kind": args.kind, "seed": args.seed, "object": obj}
     return {"status": "ok", "report": report, "diagnostics": []}
 
 
@@ -207,9 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qentropy",
         description="Decide, certify and construct entropy-preserving quantum operations.",
     )
-    parser.add_argument("--tol-eq", type=float, default=None, help="equality tolerance")
-    parser.add_argument("--tol-fix", type=float, default=None, help="fixed-point tolerance")
-    parser.add_argument("--tol-psd", type=float, default=None, help="positivity tolerance")
+    for field, word in _TOL_FLAGS.items():
+        parser.add_argument(f"--tol-{field}", type=float, default=None, help=f"{word} tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze-state", help="entropy, spectrum and support rank of a state")
@@ -242,17 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_synthesize)
 
     p = sub.add_parser("gen", help="emit random objects in the shared JSON formats")
-    p.add_argument(
-        "kind",
-        choices=[
-            "density",
-            "unitary",
-            "bistochastic-channel",
-            "stochastic-channel",
-            "bistochastic-matrix",
-            "probability",
-        ],
-    )
+    p.add_argument("kind", choices=list(_GEN_KINDS))
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rank", type=int, default=None, help="density: rank (default full)")

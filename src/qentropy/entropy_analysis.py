@@ -51,23 +51,20 @@ from .channels import (
 from .choi import _map_entropy_bits
 from .errors import (
     AmbiguousGroupingError,
-    DimensionMismatchError,
     InvalidSpecError,
     NotAnAlgebraError,
     StructureMismatchError,
     SupportViolationError,
 )
-from .generators import _seeded_rng, random_bistochastic_channel, random_density, random_unitary
+from .generators import _gaussian_state, _seeded_rng, random_bistochastic_channel, random_unitary
 from .states import (
     DensityMatrix,
     EquivalenceReport,
-    Spectrum,
-    _relative_entropy_bits,
-    _spectrum_entropy,
+    _require_same_dim,
     _support_leak,
     entropy_of_matrix,
     frozen_array,
-    spectral_decomposition,
+    relative_entropy,
     validate_state,
     von_neumann_entropy,
 )
@@ -204,8 +201,7 @@ def entropy_preservation_report(
 ) -> EquivalenceReport:
     """Evaluate entropy preservation and the fixed-point condition side by side."""
     _require(phi, "bistochastic", "report needs a bi-stochastic channel", tol)
-    if phi.dim != rho.dim:
-        raise DimensionMismatchError(f"dims differ: channel {phi.dim}, state {rho.dim}")
+    _require_same_dim(channel=phi.dim, state=rho.dim)
     out = apply_channel(phi, rho.matrix)
     residual = float(np.linalg.norm(apply_channel(adjoint(phi), out) - rho.matrix))
     s_in, s_out = von_neumann_entropy(rho), entropy_of_matrix(out)
@@ -235,33 +231,26 @@ def _relative_entropy_across(
     sigma: DensityMatrix,
     what: str,
     tol: ToleranceConfig,
-) -> tuple[ChannelClass, float, float, DensityMatrix, tuple[Spectrum, ...]]:
+) -> tuple[ChannelClass, float, float, DensityMatrix, DensityMatrix]:
     """S(rho||sigma) before and after phi, shared by the monotonicity and Petz checks.
 
     Checks the preconditions in order (phi trace preserving, with ``what``
     opening the message; dimensions; supp(rho) within supp(sigma)) and
-    returns phi's classification, S before, S after, the validated state
-    phi(rho) and the spectra of rho, sigma, phi(rho) and phi(sigma).
+    returns phi's classification, S before, S after and the validated states
+    phi(rho) and phi(sigma), which carry their spectra.
     """
     cls = _require(phi, "stochastic", what, tol)
-    if not (phi.dim == rho.dim == sigma.dim):
-        raise DimensionMismatchError(
-            f"dims differ: channel {phi.dim}, states {rho.dim} and {sigma.dim}"
-        )
-    spec_rho, spec_sigma = spectral_decomposition(rho.matrix), spectral_decomposition(sigma.matrix)
-    s_before = _relative_entropy_bits(rho.matrix, spec_rho, spec_sigma, tol)
+    _require_same_dim(channel=phi.dim, rho=rho.dim, sigma=sigma.dim)
+    s_before = relative_entropy(rho, sigma, tol)
     if s_before == math.inf:
         # the relative entropy is +inf exactly when the support leak exceeds tol.psd
         raise SupportViolationError(
             "supp(rho) is not contained in supp(sigma); "
-            f"leakage {_support_leak(spec_rho, spec_sigma, tol):.3e}"
+            f"leakage {_support_leak(rho.spectrum, sigma.spectrum, tol):.3e}"
         )
     out_rho = validate_state(apply_channel(phi, rho.matrix), tol)
     out_sigma = validate_state(apply_channel(phi, sigma.matrix), tol)
-    spec_out_rho = spectral_decomposition(out_rho.matrix)
-    spec_out_sigma = spectral_decomposition(out_sigma.matrix)
-    s_after = _relative_entropy_bits(out_rho.matrix, spec_out_rho, spec_out_sigma, tol)
-    return cls, s_before, s_after, out_rho, (spec_rho, spec_sigma, spec_out_rho, spec_out_sigma)
+    return cls, s_before, relative_entropy(out_rho, out_sigma, tol), out_rho, out_sigma
 
 
 def entropy_monotonicity_check(
@@ -272,13 +261,11 @@ def entropy_monotonicity_check(
 ) -> MonotonicityReport:
     """Relative entropy before vs after the channel; slack must be >= -tol.eq."""
     what = "monotonicity needs a trace-preserving channel"
-    cls, s_before, s_after, _, spectra = _relative_entropy_across(phi, rho, sigma, what, tol)
-    spec_rho, _, spec_out_rho, _ = spectra
+    cls, s_before, s_after, out_rho, _ = _relative_entropy_across(phi, rho, sigma, what, tol)
     entropy_in = entropy_out = gain = None
     n = phi.dim
     if cls.bistochastic and np.linalg.norm(sigma.matrix - np.eye(n) / n) <= tol.eq:
-        entropy_in = _spectrum_entropy(spec_rho)
-        entropy_out = _spectrum_entropy(spec_out_rho)
+        entropy_in, entropy_out = von_neumann_entropy(rho), von_neumann_entropy(out_rho)
         gain = entropy_out - entropy_in
     return MonotonicityReport(
         relative_entropy_in=s_before,
@@ -303,9 +290,9 @@ def check_petz_equality(
     (kind ``"petz"``) carries both residuals and the two verdicts.
     """
     what = "equality check needs a trace-preserving channel"
-    _, s_before, s_after, out_rho, spectra = _relative_entropy_across(phi, rho, sigma, what, tol)
-    _, spec_sigma, _, spec_out_sigma = spectra
-    recovered = apply_channel(_petz_recovery(phi, spec_sigma, spec_out_sigma, tol), out_rho.matrix)
+    _, s_before, s_after, out_rho, out_sigma = _relative_entropy_across(phi, rho, sigma, what, tol)
+    recovery = _petz_recovery(phi, sigma.spectrum, out_sigma.spectrum, tol)
+    recovered = apply_channel(recovery, out_rho.matrix)
     residual = float(np.linalg.norm(recovered - rho.matrix))
     return EquivalenceReport.judge("petz", s_before, s_after, residual, tol.eq, tol.fix)
 
@@ -325,13 +312,15 @@ def map_entropy_preservation_report(
     """
     _require(phi, "bistochastic", "outer channel must be bi-stochastic", tol)
     _require(psi, "stochastic", "inner channel must be trace preserving", tol)
-    if phi.dim != psi.dim:
-        raise DimensionMismatchError(f"channel dims differ: {phi.dim} vs {psi.dim}")
+    _require_same_dim(phi=phi.dim, psi=psi.dim)
     outer, inner, n = np.stack(phi.kraus), np.stack(psi.kraus), phi.dim
     s_inner = _map_entropy_bits(_kraus_stack(psi), n)
     # psi passed its check above; phi o psi keeps its own, as the residuals add.  Its stack folds
     # to <= N^2 rows, whose operators keep sum P^dag P and sum P P^dag
-    s_composed = _map_entropy_bits(_product_stack(outer, inner), n, tol)
+    folded, what = _product_stack(outer, inner), "map entropy needs a trace-preserving channel"
+    _require(KrausChannel(n, tuple(folded.reshape(-1, n, n))), "stochastic", what, tol)
+    s_composed = _map_entropy_bits(folded, n)
+    del folded  # the two stacks below need not coexist with it
     # Kraus stacks of adjoint(phi) o phi, then of adjoint(phi) o phi o psi, in <= N^2 rows
     twice = _product_stack(outer.conj().transpose(0, 2, 1), outer).reshape(-1, n, n)
     thrice = _product_stack(twice, inner)
@@ -761,10 +750,7 @@ def verify_block_structure(
     sub-check raises :class:`~qentropy.errors.StructureMismatchError` naming it.
     """
     n = structure.dim
-    if phi.dim != n or rho.dim != n:
-        raise DimensionMismatchError(
-            f"dims differ: structure {n}, channel {phi.dim}, state {rho.dim}"
-        )
+    _require_same_dim(structure=n, channel=phi.dim, state=rho.dim)
     if sum(dl * dr for dl, dr in structure.block_dims) != n:
         raise StructureMismatchError("block dimensions do not add up to the space")
     isos = [b.isometry for b in structure.blocks]
@@ -890,8 +876,8 @@ def synthesize_pair(
                     f"left state {k} has dim {state.dim}, expected {dl}"
                 )
             left_states.append(state.matrix)
-        else:
-            left_states.append(random_density(dl, dl, child_seed(), tol).matrix)
+        else:  # the whole state is validated below
+            left_states.append(_gaussian_state(dl, dl, child_seed()))
 
     unitaries = []
     for k, (dl, _) in enumerate(spec.blocks):

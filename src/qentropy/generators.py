@@ -46,9 +46,12 @@ def _seeded_rng(seed: int, *words: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([abs(seed), *words], spawn_key=spawn_key))
 
 
-def _require_dim(n: int) -> None:
-    if n < 1:
-        raise ValidationError(f"dimension must be positive, got {n}")
+def _require_positive(**counts: int) -> None:
+    """Raise ValidationError naming the first count below 1, in call order: "num_perms must be
+    positive, got 0"; the dimension goes first, as ``dimension``."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValidationError(f"{name} must be positive, got {value}")
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -63,21 +66,26 @@ def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _gaussian_state(n: int, rank: int, seed) -> np.ndarray:
+    """The matrix G G^dag / tr(G G^dag), G an n x rank complex Gaussian: a state by construction."""
+    g = _complex_normal(_seeded_rng(seed), (n, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
 def random_density(
     n: int, rank: int, seed, tol: ToleranceConfig = DEFAULT_TOL
 ) -> DensityMatrix:
     """Random state G G^dag / tr(G G^dag) with G an n x rank complex Gaussian."""
-    _require_dim(n)
+    _require_positive(dimension=n)
     if not 1 <= rank <= n:
         raise InvalidRankError(f"rank must lie in [1, {n}], got {rank}")
-    g = _complex_normal(_seeded_rng(seed), (n, rank))
-    m = g @ g.conj().T
-    return validate_state(m / np.trace(m).real, tol)
+    return validate_state(_gaussian_state(n, rank, seed), tol)
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
-    _require_dim(n)
+    _require_positive(dimension=n)
     return frozen_array(_haar_unitary(_seeded_rng(seed), n))
 
 
@@ -86,9 +94,7 @@ def random_bistochastic_channel(
 ) -> KrausChannel:
     """Mixed-unitary channel: Kraus family {sqrt(w_i) U_i} with random
     simplex weights and Haar unitaries."""
-    _require_dim(n)
-    if num_unitaries < 1:
-        raise ValidationError(f"num_unitaries must be positive, got {num_unitaries}")
+    _require_positive(dimension=n, num_unitaries=num_unitaries)
     rng = _seeded_rng(seed)
     weights = rng.dirichlet(np.ones(num_unitaries))
     ops = [np.sqrt(w) * _haar_unitary(rng, n) for w in weights]
@@ -104,9 +110,7 @@ def random_stochastic_channel(
     joint space; the Kraus operators are M_e = (I (x) <e|) V, so
     sum M_e^dag M_e = V^dag V = I exactly.
     """
-    _require_dim(n)
-    if env_dim < 1:
-        raise ValidationError(f"env_dim must be positive, got {env_dim}")
+    _require_positive(dimension=n, env_dim=env_dim)
     big = _haar_unitary(_seeded_rng(seed), n * env_dim)
     v = big[:, :n]
     # joint index (i, e) -> i * env_dim + e
@@ -118,9 +122,7 @@ def random_bistochastic_matrix(
     n: int, num_perms: int, seed, tol: ToleranceConfig = DEFAULT_TOL
 ) -> StochasticMatrix:
     """Convex combination of random permutation matrices with simplex weights."""
-    _require_dim(n)
-    if num_perms < 1:
-        raise ValidationError(f"num_perms must be positive, got {num_perms}")
+    _require_positive(dimension=n, num_perms=num_perms)
     rng = _seeded_rng(seed)
     weights = rng.dirichlet(np.ones(num_perms))
     m = np.zeros((n, n))
@@ -131,5 +133,5 @@ def random_bistochastic_matrix(
 
 def random_probability_vector(n: int, seed, tol: ToleranceConfig = DEFAULT_TOL) -> ProbabilityVector:
     """Uniform (flat Dirichlet) random probability vector."""
-    _require_dim(n)
+    _require_positive(dimension=n)
     return probability_vector(_seeded_rng(seed).dirichlet(np.ones(n)), tol)

@@ -10,7 +10,8 @@ full wrapped object is also accepted).  Block structures are written as
 Classical (B, p) batches come either as CSV records -- a line holding N, then
 N comma-separated rows of B, then one row of p, repeated until the end of the
 file -- or as JSON: an object ``{"dim": N, "matrix": [[...]], "p": [...]}``
-with real entries, or a list of such objects.
+with real entries, or a list of such objects.  Wherever an object declares
+``"dim"``, it must be an integer equal to the size its matrix has.
 
 All floats emitted by :func:`dumps` are printed with 17 significant digits so
 doubles round-trip exactly.
@@ -111,15 +112,23 @@ def state_to_obj(rho: DensityMatrix) -> dict:
     return {"dim": rho.dim, "matrix": matrix_to_obj(rho.matrix)}
 
 
+def _shortened(text: str) -> str:
+    """text, or its first 20 characters and its length when it is longer than 40."""
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+
+
 def _check_declared_dim(obj: dict, actual: int, what: str) -> None:
     """Reject an optional "dim" field that is not an integer (a bool, a string, null, 2.7, inf,
-    nan) or differs from ``actual``; an integral float such as 2.0 is an integer."""
+    nan) or differs from ``actual``; an integral float such as 2.0 is an integer.  The
+    messages quote the declared value shortened to at most 40 characters plus its length."""
     declared = obj.get("dim", actual)
     integral = isinstance(declared, (int, np.integer)) and not isinstance(declared, bool)
     if not (integral or isinstance(declared, float) and declared.is_integer()):
-        raise ValidationError(f"declared dim {declared!r} is not an integer")
+        raise ValidationError(f"declared dim {_shortened(repr(declared))} is not an integer")
     if int(declared) != actual:
-        raise ValidationError(f"declared dim {declared} does not match {what} {actual}")
+        raise ValidationError(
+            f"declared dim {_shortened(str(declared))} does not match {what} {actual}"
+        )
 
 
 def state_from_obj(obj, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
@@ -181,10 +190,9 @@ def _batch_from_json_obj(
     for record in records:
         if not isinstance(record, dict) or "matrix" not in record or "p" not in record:
             raise ValidationError('each record needs "matrix" and "p" fields')
-        matrix = np.asarray(record["matrix"], dtype=float)
-        out.append(
-            (stochastic_matrix(matrix, tol), probability_vector(record["p"], tol))
-        )
+        matrix = stochastic_matrix(np.asarray(record["matrix"], dtype=float), tol)
+        _check_declared_dim(record, matrix.dim, "matrix rows")
+        out.append((matrix, probability_vector(record["p"], tol)))
     return out
 
 

@@ -4,8 +4,10 @@ A state is a Hermitian, positive semi-definite, trace-one complex matrix.  All
 spectral computations in the package go through one primitive, a Hermitian
 eigendecomposition (:func:`spectral_decomposition`); matrix functions such as
 the square root, the inverse square root on the support and the logarithm are
-defined through it with a single eigenvalue-clipping rule.  All logarithms are
-base 2, so every entropy returned anywhere in this package is measured in bits.
+defined through it with a single eigenvalue-clipping rule.  A validated state
+keeps the decomposition its positivity check computed, so each state is
+diagonalized once.  All logarithms are base 2 and every entropy goes through
+one kernel, so every entropy returned anywhere in this package is in bits.
 :class:`EquivalenceReport`, the entropy-vs-fixed-point report and verdict rule
 of every setting, lives here because ``classical`` builds it too and cannot
 import ``entropy_analysis``, which imports it through ``generators``.
@@ -78,10 +80,12 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated quantum state; construct via :func:`validate_state`."""
+    """A validated quantum state; construct via :func:`validate_state`.  ``spectrum`` is the
+    eigendecomposition (eigenvalues unclipped) that spectral functionals read, never recompute."""
 
     dim: int
     matrix: np.ndarray
+    spectrum: Spectrum
 
 
 def spectral_decomposition(m: np.ndarray) -> Spectrum:
@@ -96,7 +100,8 @@ def validate_state(m, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
 
     Eigenvalues in [-tol.psd, 0) are treated as numerical zeros (clipped by
     the spectral accessors); anything below -tol.psd is rejected as genuinely
-    non-positive rather than noisy.
+    non-positive rather than noisy.  The eigendecomposition behind that check
+    is kept as the state's ``spectrum``.
     """
     arr = as_complex_matrix(m)
     rows, cols = arr.shape
@@ -108,21 +113,31 @@ def validate_state(m, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
     trace_dev = abs(complex(np.trace(arr)) - 1.0)
     if trace_dev > tol.trace:
         raise TraceNotOneError(f"|trace - 1| = {trace_dev:.3e} exceeds {tol.trace:.1e}")
-    smallest = float(np.linalg.eigvalsh(hermitian_part(arr))[0])
+    spectrum = spectral_decomposition(arr)
+    smallest = float(spectrum.eigenvalues[-1])
     if smallest < -tol.psd:
         raise NotPositiveError(f"smallest eigenvalue {smallest:.3e} below -{tol.psd:.1e}")
-    return DensityMatrix(dim=rows, matrix=frozen_array(arr))
+    return DensityMatrix(dim=rows, matrix=frozen_array(arr), spectrum=spectrum)
+
+
+def _require_same_dim(**dims: int) -> None:
+    """Raise DimensionMismatchError unless all dims are equal, naming each one in call order:
+    ``_require_same_dim(channel=3, state=2)`` says "dims differ: channel 3, state 2"."""
+    if len(set(dims.values())) > 1:
+        named = ", ".join(f"{what} {dim}" for what, dim in dims.items())
+        raise DimensionMismatchError(f"dims differ: {named}")
 
 
 def state_spectrum(rho: DensityMatrix) -> Spectrum:
     """Clipped spectrum of a state: eigenvalues in [0, 1], descending."""
-    spec = spectral_decomposition(rho.matrix)
-    vals = np.clip(spec.eigenvalues, 0.0, 1.0)
-    return Spectrum(frozen_array(vals, dtype=float), spec.eigenvectors)
+    vals = np.clip(rho.spectrum.eigenvalues, 0.0, 1.0)
+    return Spectrum(frozen_array(vals, dtype=float), rho.spectrum.eigenvectors)
 
 
 def _entropy_bits(p: np.ndarray) -> float:
-    """-sum p log2 p in bits over the positive entries of p, so 0*log2(0) := 0; never -0.0."""
+    """-sum p log2 p in bits over p clipped to [0, 1], so 0*log2(0) := 0; never -0.0.  The one
+    entropy kernel (von Neumann, relative, map, Shannon); the clip drops rounding noise."""
+    p = np.clip(p, 0.0, 1.0)
     pos = p[p > 0.0]
     return float(-(pos * np.log2(pos)).sum() + 0.0)
 
@@ -189,17 +204,12 @@ def entropy_of_matrix(m: np.ndarray) -> float:
     Used internally on matrices that are states by construction (channel
     outputs, normalized Choi matrices); negative eigenvalue noise is clipped.
     """
-    return _entropy_bits(np.clip(np.linalg.eigvalsh(hermitian_part(m)), 0.0, 1.0))
-
-
-def _spectrum_entropy(spec: Spectrum) -> float:
-    """Entropy in bits of a state from its spectrum, clipped to [0, 1]."""
-    return _entropy_bits(np.clip(spec.eigenvalues, 0.0, 1.0))
+    return _entropy_bits(np.linalg.eigvalsh(hermitian_part(m)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho log2 rho) over the clipped spectrum, with 0*log2(0) := 0."""
-    return _spectrum_entropy(spectral_decomposition(rho.matrix))
+    return _entropy_bits(rho.spectrum.eigenvalues)
 
 
 def _projector(spec: Spectrum, tol: ToleranceConfig) -> np.ndarray:
@@ -214,21 +224,6 @@ def _support_leak(spec_rho: Spectrum, spec_sigma: Spectrum, tol: ToleranceConfig
     return float(np.linalg.norm((np.eye(len(p_rho)) - _projector(spec_sigma, tol)) @ p_rho))
 
 
-def _relative_entropy_bits(
-    rho: np.ndarray, spec_rho: Spectrum, spec_sigma: Spectrum, tol: ToleranceConfig
-) -> float:
-    """:func:`relative_entropy` from rho and the spectra of both states."""
-    if _support_leak(spec_rho, spec_sigma, tol) > tol.psd:
-        return math.inf
-    vals = np.clip(spec_sigma.eigenvalues, 0.0, 1.0)
-    keep = vals > tol.psd
-    vecs = spec_sigma.eigenvectors[:, keep]
-    # <v_k| rho |v_k> for the support eigenvectors of sigma
-    weights = np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
-    # tr(rho log2 rho) = -S(rho); subtracting from +0.0 keeps a zero term positive
-    return (0.0 - _spectrum_entropy(spec_rho)) - float((weights * np.log2(vals[keep])).sum())
-
-
 def relative_entropy(
     rho: DensityMatrix, sigma: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL
 ) -> float:
@@ -239,10 +234,16 @@ def relative_entropy(
     (eigenvalues within tol.psd of zero) are therefore reported as +inf
     conservatively.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {sigma.dim}")
-    spec_rho, spec_sigma = spectral_decomposition(rho.matrix), spectral_decomposition(sigma.matrix)
-    return _relative_entropy_bits(rho.matrix, spec_rho, spec_sigma, tol)
+    _require_same_dim(rho=rho.dim, sigma=sigma.dim)
+    if _support_leak(rho.spectrum, sigma.spectrum, tol) > tol.psd:
+        return math.inf
+    vals = np.clip(sigma.spectrum.eigenvalues, 0.0, 1.0)
+    keep = vals > tol.psd
+    vecs = sigma.spectrum.eigenvectors[:, keep]
+    # <v_k| rho |v_k> for the support eigenvectors of sigma
+    weights = np.real(np.sum(vecs.conj() * (rho.matrix @ vecs), axis=0))
+    # tr(rho log2 rho) = -S(rho); subtracting from +0.0 keeps a zero term positive
+    return (0.0 - von_neumann_entropy(rho)) - float((weights * np.log2(vals[keep])).sum())
 
 
 def _psd_root(spec: Spectrum, inverse: bool, tol: ToleranceConfig) -> np.ndarray:

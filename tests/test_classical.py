@@ -49,6 +49,10 @@ class TestShannonEntropy:
     def test_deterministic(self):
         assert shannon_entropy(probability_vector([1.0, 0.0])) == 0.0
 
+    def test_entry_above_one_within_tolerance_is_not_negative(self):
+        # the entries sum to 1 within tol.eq; -x log2 x of 1 + 5e-9 alone would be -7.2e-9
+        assert shannon_entropy(probability_vector([1 + 5e-9, 0.0])) == 0.0
+
     def test_uniform_eight(self):
         assert shannon_entropy(probability_vector([1 / 8] * 8)) == pytest.approx(3.0, abs=1e-12)
 

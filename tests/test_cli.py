@@ -99,22 +99,47 @@ class TestDeclaredDim:
             ("[2]", "declared dim [2] is not an integer"),
             ("3", "declared dim 3 does not match {what} 2"),
             ("3.0", "declared dim 3.0 does not match {what} 2"),
+            # a declared value longer than 40 characters is quoted by its head and length
+            pytest.param(
+                "1" + "0" * 400,
+                "declared dim 10000000000000000000... (401 characters) does not match {what} 2",
+                id="401-digits",
+            ),
+            pytest.param(
+                '"' + "x" * 50 + '"',
+                "declared dim 'xxxxxxxxxxxxxxxxxxx... (52 characters) is not an integer",
+                id="50-letters",
+            ),
         ],
     )
     @pytest.mark.parametrize(
         "command, what",
-        [("analyze-state", "matrix rows"), ("decompose", "Kraus dimension")],
+        [
+            ("analyze-state", "matrix rows"),
+            ("decompose", "Kraus dimension"),
+            ("classical-check", "matrix rows"),
+        ],
     )
     def test_bad_dim_exits_2_with_one_object(self, capsys, tmp_path, command, what, raw, message):
         if command == "analyze-state":
             obj = state_to_obj(maximally_mixed(2))
-        else:
+        elif command == "decompose":
             obj = channel_to_obj(identity_channel(2))
+        else:
+            obj = {"dim": 2, "matrix": [[0.0, 1.0], [1.0, 0.0]], "p": [0.8, 0.2]}
         path = tmp_path / "input.json"
         path.write_text(json.dumps(obj).replace('"dim": 2', f'"dim": {raw}', 1))
         code, result = run_cli(capsys, [command, str(path)])
         assert code == 2 and result["status"] == "error"
         assert result["diagnostics"] == ["ValidationError: " + message.format(what=what)]
+
+    def test_declared_dim_is_checked_in_every_record_of_a_batch(self, capsys, tmp_path):
+        good = {"dim": 2, "matrix": [[0.0, 1.0], [1.0, 0.0]], "p": [0.8, 0.2]}
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([good, {**good, "dim": 5}]))
+        code, result = run_cli(capsys, ["classical-check", str(path)])
+        assert code == 2 and result["status"] == "error"
+        assert result["diagnostics"] == ["ValidationError: declared dim 5 does not match matrix rows 2"]
 
     def test_integral_float_dim_is_accepted(self, capsys, tmp_path):
         path = tmp_path / "state.json"

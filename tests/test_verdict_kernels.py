@@ -2,9 +2,10 @@
 
 The composition residual and ``channel_distance`` are computed from a QR of
 the two Kraus stacks; the references below form the N^2 x N^2 superoperators.
-The relative-entropy reports diagonalize each state once: the counts are taken
-by wrapping ``np.linalg.eigh`` and ``channels.classify``, and the hex values
-pin the report floats to the last bit, so reusing a spectrum cannot move them.
+A state is diagonalized once, by ``validate_state``, and every report reads the
+spectrum it keeps: the counts are taken by wrapping ``np.linalg.eigh`` (and
+``eigvalsh``) and ``channels.classify``, and the hex values pin the report
+floats to the last bit, so reusing a spectrum cannot move them.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ from qentropy import (
     check_petz_equality,
     compose,
     entropy_monotonicity_check,
+    entropy_preservation_report,
     kraus_channel,
     map_entropy,
     map_entropy_preservation_report,
@@ -32,6 +34,8 @@ from qentropy import (
     synthesize_pair,
     validate_state,
 )
+from qentropy.cli import main
+from qentropy.serialization import save_json, state_to_obj
 
 
 def dense_superoperator(phi):
@@ -193,22 +197,49 @@ def _instance():
 
 
 class TestOneEigendecompositionPerState:
+    """rho and sigma arrive validated; only phi(rho) and phi(sigma) are diagonalized."""
+
     def test_petz(self, counted):
-        assert counted(check_petz_equality, *_instance()) == (4, 1)
+        assert counted(check_petz_equality, *_instance()) == (2, 1)
 
     def test_monotonicity(self, counted):
-        assert counted(entropy_monotonicity_check, *_instance()) == (4, 1)
+        assert counted(entropy_monotonicity_check, *_instance()) == (2, 1)
 
     def test_monotonicity_with_entropies(self, counted):
         phi = random_bistochastic_channel(3, 2, seed=14)
         rho = random_density(3, 3, seed=12)
         report = entropy_monotonicity_check(phi, rho, validate_state(np.eye(3) / 3))
         assert report.entropy_gain is not None
-        assert counted(entropy_monotonicity_check, phi, rho, validate_state(np.eye(3) / 3)) == (4, 1)
+        assert counted(entropy_monotonicity_check, phi, rho, validate_state(np.eye(3) / 3)) == (2, 1)
 
     def test_relative_entropy(self, counted):
         _, rho, sigma = _instance()
-        assert counted(relative_entropy, rho, sigma) == (2, 0)
+        assert counted(relative_entropy, rho, sigma) == (0, 0)
+
+    def test_preservation(self, counted):
+        # S(phi(rho)) reads eigenvalues alone (eigvalsh), S(rho) the kept spectrum
+        phi = random_bistochastic_channel(3, 2, seed=14)
+        assert counted(entropy_preservation_report, phi, random_density(3, 3, seed=12)) == (0, 1)
+
+    def test_analyze_state_diagonalizes_once(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        save_json(path, state_to_obj(random_density(3, 3, seed=12)))
+        calls = []
+
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        assert main(["analyze-state", str(path)]) == 0
+        capsys.readouterr()
+        assert calls == ["eigh"]
 
 
 def _hex(*values):
