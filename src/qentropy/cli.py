@@ -23,7 +23,6 @@ from .choi import map_entropy
 from .classical import corollary_check
 from .entropy_analysis import (
     block_form_residual,
-    decompose_fixed_point_algebra,
     entropy_preservation_report,
     fixed_point_space,
     map_entropy_preservation_report,
@@ -108,12 +107,11 @@ def _cmd_analyze_pair(args, tol: ToleranceConfig) -> dict:
 
 def _cmd_decompose(args, tol: ToleranceConfig) -> dict:
     phi = ser.channel_from_obj(ser.load_json(args.channel_file), tol)
-    basis = fixed_point_space(phi, tol)
-    structure = decompose_fixed_point_algebra(basis, tol, seed=args.seed)
-    report = ser.block_structure_to_obj(structure)
+    basis = fixed_point_space(phi, tol, seed=args.seed)
+    report = ser.block_structure_to_obj(basis.structure)
     report["fixed_space_dimension"] = len(basis.basis)
     report["spectral_gap"] = basis.spectral_gap
-    report["block_form_residual"] = block_form_residual(basis, structure)
+    report["block_form_residual"] = block_form_residual(basis, basis.structure)
     return {"status": "ok", "report": report, "diagnostics": []}
 
 

@@ -12,7 +12,8 @@ program can check or build:
   fixed-point condition and exposes both residuals;
 * :func:`fixed_point_space` computes the fixed-point space of
   adjoint(phi) o phi, for bi-stochastic phi a dagger-closed unital matrix
-  algebra: the commutant of that map's Kraus operators;
+  algebra: the commutant of that map's Kraus operators, returned with the
+  block structure it was certified in (``structure``);
 * :func:`decompose_fixed_point_algebra` block-diagonalizes that algebra into
   isometries exhibiting the tensor structure, from the eigenspaces of one
   generic element;
@@ -111,13 +112,15 @@ class FixedPointBasis:
     eigenvalue of adjoint(phi) o phi outside the span, so tests can assert
     the cut was unambiguous; it is +inf when everything is fixed.  It is read
     by Lanczos in the block frame, on the right-factor space Herm(sum dR),
-    where an exact frame leaves the same eigenvalues.
+    where an exact frame leaves the same eigenvalues.  ``structure`` holds the
+    blocks of that frame (None only for a basis built by hand).
     """
 
     dim: int
     basis: tuple[np.ndarray, ...]
     eigenvalue_residuals: tuple[float, ...]
     spectral_gap: float
+    structure: BlockStructure | None = None
 
 
 @dataclass(frozen=True)
@@ -530,7 +533,9 @@ def _top_eigenvalue_outside(gram, basis: np.ndarray, rng: np.random.Generator) -
         m += 1
 
 
-def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> FixedPointBasis:
+def fixed_point_space(
+    phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
+) -> FixedPointBasis:
     """Orthonormal Hermitian basis of {X : adjoint(phi)(phi(X)) = X} for bi-stochastic phi.
 
     adjoint(phi) o phi is then unital and trace preserving, so its fixed space is the commutant
@@ -547,10 +552,11 @@ def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> 
     uncut, applied to V (:func:`_unit_residuals`), and spectral_gap is 1 minus the top eigenvalue
     of the compression of adjoint(phi) o phi to Herm(N'), N' = sum dR, outside the block
     identities (:func:`_block_frame_gap`): in an exact frame, the top eigenvalue outside the span.
+    The classes come back as ``structure`` too (:func:`_block_structure`).
 
     Every residual must be <= tol.fix (the elements are fixed) and the gap > tol.fix (no fixed
     direction was missed); an ambiguous grouping or a failed certificate retries with the next
-    ``_seeded_rng(0, attempt)``, and the fourth failure raises AmbiguousGroupingError, as does an
+    ``_seeded_rng(seed, attempt)``, and the fourth failure raises AmbiguousGroupingError, as does an
     eigenvalue within tol.fix of 1 outside the commutant (a dense eigensolve counts it as fixed).
     Cost: O(r^2 N^2 + r^3) for r <= min(k^2, N^2) products, O(r N^3) per attempt, O(r dL^2 dR N^2)
     per block for the residuals, O(k N^2 N' + j N'^2) per Lanczos step j, and O((r + d) N^2 +
@@ -577,9 +583,10 @@ def fixed_point_space(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> 
         for cols, lo, hi in zip(classes, edges, edges[1:]):
             _block_units(cols, out=basis[lo:hi])
         basis.setflags(write=False)  # the elements are read-only views
-        return FixedPointBasis(n, tuple(basis), tuple(float(r) for r in residuals), gap)
+        structure = _block_structure(n, classes)
+        return FixedPointBasis(n, tuple(basis), tuple(float(r) for r in residuals), gap, structure)
 
-    return _retrying(0, attempt)
+    return _retrying(seed, attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +620,17 @@ def _outside_span(work: np.ndarray, mats: np.ndarray, tol: ToleranceConfig) -> b
     return not np.all(residuals <= tol.fix * np.maximum(1.0, np.linalg.norm(x, axis=1)))
 
 
-def _canonical_blocks(blocks: list[Block]) -> tuple[Block, ...]:
-    """Deterministic block order: by dims, then by the rounded projector V V^dag (its bytes),
-    which, unlike V (unique only up to U_L (x) U_R), is a function of the algebra."""
+def _block_structure(n: int, classes: list[np.ndarray]) -> BlockStructure:
+    """The blocks of (N, dL, dR) classes, isometry columns (l, r) with l outer, in a deterministic
+    order: by dims, then by the rounded projector V V^dag (its bytes), which, unlike V (unique
+    only up to U_L (x) U_R), is a function of the algebra."""
 
     def key(b: Block):
         proj = np.round(b.isometry @ b.isometry.conj().T, 6) + 0.0  # + 0.0 turns -0.0 into 0.0
         return (b.dim_left, b.dim_right, proj.tobytes())
 
-    return tuple(sorted(blocks, key=key))
+    blocks = [Block(frozen_array(c.reshape(n, -1)), c.shape[1], c.shape[2]) for c in classes]
+    return BlockStructure(n, tuple(sorted(blocks, key=key)))
 
 
 def block_form_residual(f: FixedPointBasis, structure: BlockStructure) -> float:
@@ -696,11 +705,7 @@ def decompose_fixed_point_algebra(
         classes = _split(work, z, tol)  # (N, dR, dL) each: a group is one e_l (x) H^R
         if sum(v.shape[2] ** 2 for v in classes) != d:
             raise _Ambiguous("block dimensions do not add up to the algebra dimension")
-        blocks = []
-        for v in classes:
-            iso = frozen_array(v.transpose(0, 2, 1).reshape(n, -1))  # columns (l, r), l outer
-            blocks.append(Block(isometry=iso, dim_left=v.shape[2], dim_right=v.shape[1]))
-        structure = BlockStructure(dim=n, blocks=_canonical_blocks(blocks))
+        structure = _block_structure(n, [v.transpose(0, 2, 1) for v in classes])
         if block_form_residual(f, structure) > 10.0 * tol.fix:
             raise _Ambiguous("conjugated basis misses the block form")
         return structure
@@ -904,7 +909,7 @@ def synthesize_pair(
 
     kraus_ops = []
     rho = np.zeros((n, n), dtype=complex)
-    blocks = []
+    classes = []
     offset = 0
     for (dl, dr), w, left, u, right in zip(
         spec.blocks, weights, left_states, unitaries, right_channels
@@ -915,10 +920,9 @@ def synthesize_pair(
             big[span, span] = np.kron(u, m)
             kraus_ops.append(basis_change @ big @ basis_change.conj().T)
         rho[span, span] = w * np.kron(left, np.eye(dr) / dr)
-        blocks.append(Block(frozen_array(basis_change[:, span]), dim_left=dl, dim_right=dr))
+        classes.append(basis_change[:, span].reshape(n, dl, dr))
         offset += dl * dr
 
     phi = kraus_channel(kraus_ops, tol)
     rho_state = validate_state(basis_change @ rho @ basis_change.conj().T, tol)
-    structure = BlockStructure(dim=n, blocks=_canonical_blocks(blocks))
-    return phi, rho_state, structure
+    return phi, rho_state, _block_structure(n, classes)

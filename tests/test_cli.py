@@ -1,11 +1,12 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qentropy import synthesize_pair
+from qentropy import entropy_analysis, parse_block_spec, synthesize_pair
 from qentropy.cli import main
 from qentropy.serialization import channel_to_obj, save_json, state_to_obj
 
@@ -248,6 +249,43 @@ class TestDecompose:
             capsys, ["decompose", channel_file(amplitude_damping_channel(0.5))]
         )
         assert code == 2
+
+    def test_seed_feeds_the_one_structure_solve(self, capsys, channel_file, monkeypatch):
+        # the blocks come from the fixed-point solve, so no basis is decomposed a second time
+        path = channel_file(synthesize_pair(parse_block_spec("2x2,1x2"), seed=5)[0])
+        seeds, draw = [], entropy_analysis._seeded_rng
+
+        def recorded(seed, *rest):
+            seeds.append(seed)
+            return draw(seed, *rest)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("decompose re-derived the blocks from the basis")
+
+        monkeypatch.setattr(entropy_analysis, "_seeded_rng", recorded)
+        monkeypatch.setattr(entropy_analysis, "decompose_fixed_point_algebra", boom)
+        monkeypatch.setattr(entropy_analysis, "_orthonormal_span", boom)
+        dims = []
+        for seed in (3, -3):
+            seeds.clear()
+            code, result = run_cli(capsys, ["decompose", path, "--seed", str(seed)])
+            assert code == 0, result
+            assert set(seeds) == {seed}
+            dims.append([(b["dim_left"], b["dim_right"]) for b in result["report"]["blocks"]])
+        assert dims[0] == dims[1] == [(1, 2), (2, 2)]
+
+    def test_memory_stays_small_at_n48(self, capsys, channel_file):
+        # one structure solve: the d x N^2 basis (2.9 MB) is built once and never re-orthonormalized
+        path = channel_file(synthesize_pair(parse_block_spec("8x4,4x4"), seed=3)[0])
+        tracemalloc.start()
+        try:
+            code = main(["decompose", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert code == 0 and report["fixed_space_dimension"] == 80
+        assert peak <= 12 * 2**20
 
 
 class TestMapEntropy:

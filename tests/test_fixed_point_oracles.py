@@ -202,6 +202,7 @@ def test_fixed_point_space_matches_dense_oracle_on_random_specs(blocks, seed):
     else:
         assert abs(f.spectral_gap - gap) <= 1e-10
     assert sorted(decompose_fixed_point_algebra(f).block_dims) == sorted(blocks)
+    assert sorted(f.structure.block_dims) == sorted(blocks)
 
 
 def test_decompose_rejects_merged_blocks(monkeypatch):
@@ -220,9 +221,12 @@ def test_decompose_rejects_merged_blocks(monkeypatch):
 
 @pytest.mark.parametrize("spec, seed", [("2x2,2x2", 60), ("1x2,1x2,2x1", 3)])
 def test_decompose_block_order_does_not_depend_on_the_seed(spec, seed):
-    # each isometry is unique only up to U_L (x) U_R, its range is not
-    f = fixed_point_space(synthesize_pair(parse_block_spec(spec), seed=seed)[0])
+    # each isometry is unique only up to U_L (x) U_R, its range is not; the same holds for the
+    # blocks the fixed-point solve returns, whose order follows the same rule
+    phi = synthesize_pair(parse_block_spec(spec), seed=seed)[0]
+    f = fixed_point_space(phi)
     runs = [decompose_fixed_point_algebra(f, seed=s) for s in (0, 1, -1)]
+    runs += [fixed_point_space(phi, seed=s).structure for s in (0, 1, -1)]
     assert len({run.block_dims for run in runs}) == 1
     for run in runs[1:]:
         for a, b in zip(runs[0].blocks, run.blocks):
@@ -242,18 +246,22 @@ def test_block_form_residual_matches_loop_oracle(phi):
 @pytest.mark.parametrize("seed", [0, 1, -1])
 @pytest.mark.parametrize("spec", SPECS + ["2x2,2x2"])
 def test_decomposed_structure_certifies_the_synthesized_pair(spec, seed):
-    # the structure computed from the channel alone is accepted for the pair
-    # and carries the same block dims and weights as the synthesized one
+    # the structures computed from the channel alone, by decomposing its fixed-point basis and
+    # by the fixed-point solve itself, are accepted for the pair and carry the same block dims
+    # and weights as the synthesized one
     phi, rho, synthesized = synthesize_pair(parse_block_spec(spec), seed=60)
-    structure = decompose_fixed_point_algebra(fixed_point_space(phi), seed=seed)
-    got = verify_block_structure(structure, phi, rho)
     expected = verify_block_structure(synthesized, phi, rho)
-    got_blocks = sorted(zip(got.block_dims, got.weights))
     expected_blocks = sorted(zip(expected.block_dims, expected.weights))
-    assert [dims for dims, _ in got_blocks] == [dims for dims, _ in expected_blocks]
-    np.testing.assert_allclose(
-        [w for _, w in got_blocks], [w for _, w in expected_blocks], rtol=0, atol=1e-12
-    )
+    for structure in (
+        decompose_fixed_point_algebra(fixed_point_space(phi), seed=seed),
+        fixed_point_space(phi, seed=seed).structure,
+    ):
+        got = verify_block_structure(structure, phi, rho)
+        got_blocks = sorted(zip(got.block_dims, got.weights))
+        assert [dims for dims, _ in got_blocks] == [dims for dims, _ in expected_blocks]
+        np.testing.assert_allclose(
+            [w for _, w in got_blocks], [w for _, w in expected_blocks], rtol=0, atol=1e-12
+        )
 
 
 def test_block_form_residual_matches_loop_oracle_off_structure():
