@@ -1,6 +1,6 @@
 """Quantum operations as Kraus families.
 
-A channel is a finite list of N x N Kraus operators ``{M_j}`` acting as
+A channel is one read-only (k, N, N) array of Kraus operators ``{M_j}`` acting as
 ``X -> sum_j M_j X M_j^dag``.  The library never forms its N^2 x N^2
 superoperator matrix; the tests build it, ``sum_j kron(conj(M_j), M_j)`` under
 column-stacking vectorization, as the dense reference for the fixed-point
@@ -14,6 +14,7 @@ only permutes entries, so it reads the distance off a QR of the two Kraus stacks
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,10 +51,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A quantum operation given by its Kraus operators."""
+    """A quantum operation given by its Kraus operators, one read-only C-ordered (k, N, N)
+    array ``kraus``.  Validation and :func:`classify` read its Gram numbers, computed on first use."""
 
     dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
+
+    @cached_property
+    def _gram_numbers(self) -> tuple[float, float, float]:
+        """(||sum M^dag M - I||_F, ||sum M M^dag - I||_F, top eigenvalue of sum M^dag M)."""
+        eye = np.eye(self.dim)
+        gram = sum(m.conj().T @ m for m in self.kraus)
+        cogram = sum(m @ m.conj().T for m in self.kraus)
+        top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
+        return float(np.linalg.norm(gram - eye)), float(np.linalg.norm(cogram - eye)), top
 
 
 @dataclass(frozen=True)
@@ -85,26 +96,20 @@ def kraus_channel(operators, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel
             raise NotSquareError(f"Kraus operator of shape {m.shape} is not square")
         if m.shape[0] != n:
             raise DimensionMismatchError("Kraus operators act on different dimensions")
-    gram = sum(m.conj().T @ m for m in mats)
-    top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
+    phi = KrausChannel(dim=n, kraus=frozen_array(mats))
+    top = phi._gram_numbers[2]
     if top > 1.0 + tol.eq:
         raise ValidationError(
             f"channel increases trace: max eigenvalue of sum M^dag M exceeds 1 by {top - 1:.3e}"
         )
-    return KrausChannel(dim=n, kraus=tuple(frozen_array(m) for m in mats))
+    return phi
 
 
 def classify(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> ChannelClass:
     """Flags: trace non-increasing / stochastic (TP) / unital / bi-stochastic."""
-    n = phi.dim
-    eye = np.eye(n)
-    gram = sum(m.conj().T @ m for m in phi.kraus)
-    cogram = sum(m @ m.conj().T for m in phi.kraus)
-    stoch_res = float(np.linalg.norm(gram - eye))
-    unital_res = float(np.linalg.norm(cogram - eye))
-    top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
-    stochastic = stoch_res <= tol.eq * n
-    unital = unital_res <= tol.eq * n
+    stoch_res, unital_res, top = phi._gram_numbers
+    stochastic = stoch_res <= tol.eq * phi.dim
+    unital = unital_res <= tol.eq * phi.dim
     return ChannelClass(
         trace_nonincreasing=top <= 1.0 + tol.eq,
         stochastic=stochastic,
@@ -151,19 +156,18 @@ def adjoint(phi: KrausChannel) -> KrausChannel:
     Not revalidated: the adjoint of a trace non-increasing map need not be
     trace non-increasing (it is unital instead when the map is stochastic).
     """
-    return KrausChannel(dim=phi.dim, kraus=tuple(frozen_array(m.conj().T) for m in phi.kraus))
+    return KrausChannel(phi.dim, frozen_array(np.conj(phi.kraus.transpose(0, 2, 1), order="C")))
 
 
 def compose(phi: KrausChannel, psi: KrausChannel) -> KrausChannel:
     """Channel applying psi first, then phi; Kraus family {M_i N_j}."""
     _require_same_dim(phi=phi.dim, psi=psi.dim)
-    ops = tuple(frozen_array(m @ n) for m in phi.kraus for n in psi.kraus)
-    return KrausChannel(dim=phi.dim, kraus=ops)
+    return KrausChannel(phi.dim, frozen_array(np.concatenate(phi.kraus[:, None] @ psi.kraus[None])))
 
 
 def _kraus_stack(phi: KrausChannel) -> np.ndarray:
     """The k x N^2 matrix whose rows are the row-major flattened Kraus operators."""
-    return np.stack([m.reshape(-1) for m in phi.kraus])
+    return phi.kraus.reshape(len(phi.kraus), -1)
 
 
 def _choi_distance(a: np.ndarray, b: np.ndarray) -> float:

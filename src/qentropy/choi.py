@@ -80,13 +80,11 @@ def channel_from_choi(j: ChoiMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Krau
         raise NotPositiveError(
             f"Choi matrix has eigenvalue {spec.eigenvalues[-1]:.6g}; map is not CP"
         )
-    ops = []
-    for val, vec_col in zip(spec.eigenvalues, spec.eigenvectors.T):
-        if val > tol.psd:
-            ops.append(frozen_array(math.sqrt(val) * vec_col.reshape(n, n)))
-    if not ops:
+    keep = spec.eigenvalues > tol.psd
+    if not keep.any():
         raise ValidationError("Choi matrix is numerically zero; no Kraus operators")
-    return KrausChannel(dim=n, kraus=tuple(ops))
+    ops = np.sqrt(spec.eigenvalues[keep]) * spec.eigenvectors[:, keep]  # column j: sqrt(val_j) v_j
+    return KrausChannel(dim=n, kraus=frozen_array(ops.T.reshape(-1, n, n)))
 
 
 def _map_entropy_bits(stack: np.ndarray, n: int) -> float:

@@ -127,10 +127,7 @@ def kraus_matrix(phi: KrausChannel, tol: ToleranceConfig = DEFAULT_TOL) -> Stoch
             f"Kraus matrix needs a trace-preserving (or unital) channel; "
             f"residuals {cls.stochastic_residual:.3e} / {cls.unital_residual:.3e}"
         )
-    b = np.zeros((phi.dim, phi.dim))
-    for m in phi.kraus:
-        b += np.abs(m) ** 2
-    return stochastic_matrix(b, tol)
+    return stochastic_matrix((np.abs(phi.kraus) ** 2).sum(axis=0), tol)
 
 
 def channel_from_bistochastic(

@@ -263,8 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         tol = _resolve_tolerances(args)
         result = args.handler(args, tol)
         result["report"]["tolerances"] = tol.as_dict()
-    except (QentropyError, UsageError, OSError, KeyError, ValueError, TypeError) as exc:
-        # json.JSONDecodeError is a ValueError
+    except (QentropyError, UsageError, OSError, KeyError, ValueError, TypeError,
+            RecursionError) as exc:
+        # json.JSONDecodeError is a ValueError; json raises RecursionError on too deep nesting
         result = {"status": "error", "report": {}, "diagnostics": [f"{type(exc).__name__}: {exc}"]}
     sys.stdout.write(ser.dumps(result))
     sys.stdout.write("\n")

@@ -107,8 +107,8 @@ _T = TypeVar("_T")
 class FixedPointBasis:
     """Orthonormal basis of the fixed-point space of adjoint(phi) o phi.
 
-    :func:`fixed_point_space` returns Hermitian basis elements (read-only
-    views).  ``spectral_gap`` is the distance from 1 to the largest
+    :func:`fixed_point_space` returns ``basis`` as one read-only (d, N, N)
+    array of Hermitian elements.  ``spectral_gap`` is the distance from 1 to the largest
     eigenvalue of adjoint(phi) o phi outside the span, so tests can assert
     the cut was unambiguous; it is +inf when everything is fixed.  It is read
     by Lanczos in the block frame, on the right-factor space Herm(sum dR),
@@ -117,7 +117,7 @@ class FixedPointBasis:
     """
 
     dim: int
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
     eigenvalue_residuals: tuple[float, ...]
     spectral_gap: float
     structure: BlockStructure | None = None
@@ -316,12 +316,12 @@ def map_entropy_preservation_report(
     _require(phi, "bistochastic", "outer channel must be bi-stochastic", tol)
     _require(psi, "stochastic", "inner channel must be trace preserving", tol)
     _require_same_dim(phi=phi.dim, psi=psi.dim)
-    outer, inner, n = np.stack(phi.kraus), np.stack(psi.kraus), phi.dim
+    outer, inner, n = phi.kraus, psi.kraus, phi.dim
     s_inner = _map_entropy_bits(_kraus_stack(psi), n)
     # psi passed its check above; phi o psi keeps its own, as the residuals add.  Its stack folds
     # to <= N^2 rows, whose operators keep sum P^dag P and sum P P^dag
     folded, what = _product_stack(outer, inner), "map entropy needs a trace-preserving channel"
-    _require(KrausChannel(n, tuple(folded.reshape(-1, n, n))), "stochastic", what, tol)
+    _require(KrausChannel(n, folded.reshape(-1, n, n)), "stochastic", what, tol)
     s_composed = _map_entropy_bits(folded, n)
     del folded  # the two stacks below need not coexist with it
     # Kraus stacks of adjoint(phi) o phi, then of adjoint(phi) o phi o psi, in <= N^2 rows
@@ -563,7 +563,7 @@ def fixed_point_space(
     j N'^2) memory for d basis elements.
     """
     _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
-    n, kraus = phi.dim, np.stack(phi.kraus)
+    n, kraus = phi.dim, phi.kraus
     stack = _product_stack(kraus.conj().transpose(0, 2, 1), kraus)
     weights, u = np.linalg.eigh(stack @ stack.conj().T)  # stack = U S L
     canonical = (u.conj().T @ stack).reshape(-1, n, n)  # the s_a L_a, lightest first
@@ -582,9 +582,9 @@ def fixed_point_space(
         basis = np.empty((edges[-1], n, n), dtype=complex)
         for cols, lo, hi in zip(classes, edges, edges[1:]):
             _block_units(cols, out=basis[lo:hi])
-        basis.setflags(write=False)  # the elements are read-only views
+        basis.setflags(write=False)
         structure = _block_structure(n, classes)
-        return FixedPointBasis(n, tuple(basis), tuple(float(r) for r in residuals), gap, structure)
+        return FixedPointBasis(n, basis, tuple(float(r) for r in residuals), gap, structure)
 
     return _retrying(seed, attempt)
 
@@ -643,7 +643,7 @@ def block_form_residual(f: FixedPointBasis, structure: BlockStructure) -> float:
     the right factor, divided by dR) (x) I.
     """
     v = np.concatenate([b.isometry for b in structure.blocks], axis=1)
-    conjugated = v.conj().T @ np.asarray(f.basis) @ v
+    conjugated = v.conj().T @ f.basis @ v
     edges = np.cumsum([0] + [b.isometry.shape[1] for b in structure.blocks])
     worst = 0.0
     for j, block in enumerate(structure.blocks):
@@ -788,7 +788,7 @@ def verify_block_structure(
     what = "a block of the state does not factor as left (x) maximally mixed"
     _check_residual(fact_res, tol.eq * n, what)
 
-    c = v.conj().T @ np.asarray(phi.kraus) @ v
+    c = v.conj().T @ phi.kraus @ v
     left_unitaries, residuals = [], []
     for (dl, dr), sj in zip(structure.block_dims, rows):
         leak = np.delete(c[:, :, sj], sj, axis=1)

@@ -6,20 +6,29 @@ import pytest
 
 from qentropy import (
     DimensionMismatchError,
+    KrausChannel,
     NotStochasticError,
     ValidationError,
     adjoint,
     apply_channel,
     channel_distance,
+    channel_from_bistochastic,
+    channel_from_choi,
+    choi_matrix,
     classify,
     compose,
+    fixed_point_space,
     kraus_channel,
+    parse_block_spec,
     petz_recovery,
     random_bistochastic_channel,
+    random_bistochastic_matrix,
     random_density,
     random_stochastic_channel,
     random_unitary,
+    synthesize_pair,
 )
+from qentropy.serialization import channel_from_obj, channel_to_obj
 
 from conftest import (
     SIGMA_X,
@@ -191,6 +200,53 @@ class TestClassify:
         cogram = sum(m @ m.conj().T for m in phi.kraus)
         np.testing.assert_allclose(cogram, np.diag([1.5, 0.5]), atol=1e-12)
         assert cls.unital_residual == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+
+# constructor name -> maker of a bi-stochastic channel built by it
+CONSTRUCTORS = {
+    "kraus_channel": lambda: kraus_channel(random_bistochastic_channel(3, 2, 1).kraus),
+    "adjoint": lambda: adjoint(random_bistochastic_channel(3, 2, 2)),
+    "compose": lambda: compose(
+        random_bistochastic_channel(3, 2, 3), random_bistochastic_channel(3, 3, 4)
+    ),
+    "channel_from_choi": lambda: channel_from_choi(
+        choi_matrix(random_bistochastic_channel(3, 2, 5))
+    ),
+    "channel_from_bistochastic": lambda: channel_from_bistochastic(
+        random_bistochastic_matrix(3, 2, 6)
+    ),
+    # phi(I/N) = I/N, so the recovery map is adjoint(phi)
+    "petz_recovery": lambda: petz_recovery(
+        random_bistochastic_channel(3, 2, 7), maximally_mixed(3)
+    ),
+    "random_bistochastic_channel": lambda: random_bistochastic_channel(4, 3, 8),
+    "random_stochastic_channel": lambda: random_stochastic_channel(3, 1, 9),
+    "synthesize_pair": lambda: synthesize_pair(parse_block_spec("2x1,1x2"), seed=10)[0],
+    "channel_from_obj": lambda: channel_from_obj(
+        channel_to_obj(random_bistochastic_channel(3, 2, 11))
+    ),
+}
+
+
+@pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+class TestOneRepresentation:
+    def test_kraus_is_one_read_only_complex_stack(self, make):
+        phi = make()
+        assert isinstance(phi.kraus, np.ndarray) and phi.kraus.dtype == complex
+        assert phi.kraus.ndim == 3 and phi.kraus.shape[1:] == (phi.dim, phi.dim)
+        assert phi.kraus.flags.c_contiguous and not phi.kraus.flags.writeable
+
+    def test_kept_gram_numbers_equal_a_recomputation(self, make):
+        phi = make()
+        fresh = KrausChannel(phi.dim, phi.kraus.copy())
+        assert classify(phi).as_dict() == classify(fresh).as_dict()
+
+    def test_fixed_point_basis_is_one_read_only_stack(self, make):
+        phi = make()
+        basis = fixed_point_space(phi).basis
+        assert isinstance(basis, np.ndarray) and basis.ndim == 3
+        assert basis.shape[1:] == (phi.dim, phi.dim)
+        assert not basis.flags.writeable
 
 
 class TestSuperoperator:

@@ -149,6 +149,33 @@ class TestDeclaredDim:
         assert code == 0 and result["report"]["dim"] == 2
 
 
+class TestDeeplyNestedJson:
+    """json raises RecursionError, not a ValueError, on too deep nesting; it is bad input too."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze-state", "{nested}"],
+            ["analyze-pair", "{nested}", "{state}"],
+            ["analyze-pair", "{channel}", "{nested}"],
+            ["decompose", "{nested}"],
+            ["map-entropy", "{nested}"],
+            ["map-entropy", "{channel}", "{nested}"],
+            ["classical-check", "{nested}"],
+        ],
+        ids=lambda argv: "-".join(a.strip("{}") for a in argv),
+    )
+    def test_exits_2_with_one_object(self, capsys, tmp_path, channel_file, state_file, argv):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100000 + "]" * 100000)
+        files = {"nested": str(nested), "channel": channel_file(identity_channel(2)),
+                 "state": state_file(maximally_mixed(2))}
+        code, result = run_cli(capsys, [a.format(**files) for a in argv])
+        assert code == 2 and result["status"] == "error" and result["report"] == {}
+        assert len(result["diagnostics"]) == 1
+        assert result["diagnostics"][0].startswith("RecursionError: ")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, fragment",

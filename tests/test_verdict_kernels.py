@@ -18,6 +18,7 @@ from qentropy import (
     channel_distance,
     channel_from_bistochastic,
     check_petz_equality,
+    classify,
     compose,
     entropy_monotonicity_check,
     entropy_preservation_report,
@@ -35,7 +36,7 @@ from qentropy import (
     validate_state,
 )
 from qentropy.cli import main
-from qentropy.serialization import save_json, state_to_obj
+from qentropy.serialization import channel_to_obj, save_json, state_to_obj
 
 
 def dense_superoperator(phi):
@@ -240,6 +241,59 @@ class TestOneEigendecompositionPerState:
         assert main(["analyze-state", str(path)]) == 0
         capsys.readouterr()
         assert calls == ["eigh"]
+
+
+class TestOneGramPerChannel:
+    """A channel forms sum M^dag M and its top eigenvalue once, when validated, and the reports
+    read the kept numbers: on N=4, k=3 channels only validation and S(phi(rho)) call eigvalsh."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+
+        def run(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        return run
+
+    @pytest.fixture
+    def cli(self, tmp_path, capsys):
+        """main([command, *files]) for objects written to files, asserting a verdict exit code."""
+
+        def run(command, *objects):
+            paths = [str(tmp_path / f"{i}.json") for i in range(len(objects))]
+            for path, obj in zip(paths, objects):
+                save_json(path, obj)
+            assert main([command, *paths]) in (0, 1)
+            capsys.readouterr()
+
+        return run
+
+    def test_analyze_pair(self, eigvalsh_calls, cli):
+        phi = channel_to_obj(random_bistochastic_channel(4, 3, seed=21))
+        rho = state_to_obj(random_density(4, 4, seed=22))
+        assert eigvalsh_calls(cli, "analyze-pair", phi, rho) == 2
+
+    def test_two_channel_map_entropy(self, eigvalsh_calls, cli):
+        phi = channel_to_obj(random_bistochastic_channel(4, 3, seed=21))
+        psi = channel_to_obj(random_stochastic_channel(4, 3, seed=23))
+        assert eigvalsh_calls(cli, "map-entropy", phi, psi) == 3
+
+    def test_one_channel_map_entropy(self, eigvalsh_calls, cli):
+        psi = channel_to_obj(random_stochastic_channel(4, 3, seed=23))
+        assert eigvalsh_calls(cli, "map-entropy", psi) == 1
+
+    def test_classify_of_a_validated_channel(self, eigvalsh_calls):
+        phi = random_bistochastic_channel(4, 3, seed=21)
+        assert eigvalsh_calls(classify, phi) == 0
 
 
 def _hex(*values):
