@@ -216,12 +216,13 @@ def petz_recovery(
     _require(phi, "stochastic", "recovery map needs a trace-preserving channel", tol)
     _require_same_dim(channel=phi.dim, state=sigma.dim)
     spec_out = spectral_decomposition(apply_channel(phi, sigma.matrix))
-    return _petz_recovery(phi, sigma.spectrum, spec_out, tol)
+    return kraus_channel(_petz_recovery(phi, sigma.spectrum, spec_out, tol).kraus, tol)
 
 
 def _petz_recovery(
     phi: KrausChannel, spec_sigma: Spectrum, spec_out: Spectrum, tol: ToleranceConfig
 ) -> KrausChannel:
-    """:func:`petz_recovery` from the spectra of sigma and phi(sigma), phi unchecked."""
+    """:func:`petz_recovery` from the spectra of sigma and phi(sigma), phi unchecked and the
+    result not validated (sum R^dag R is the projector onto the support of phi(sigma))."""
     left, right = _psd_root(spec_sigma, False, tol), _psd_root(spec_out, True, tol)
-    return kraus_channel([left @ m.conj().T @ right for m in phi.kraus], tol)
+    return KrausChannel(phi.dim, frozen_array([left @ m.conj().T @ right for m in phi.kraus]))

@@ -95,6 +95,11 @@ __all__ = [
 # algebra machinery; true spectra here are separated by many orders.
 _RANK_RTOL = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
+# Up to this N' = sum dR the block-frame gap is one eigvalsh of an N'^2 x N'^2 real matrix (256 x
+# 256 at most); above it Lanczos, whose memory is O(j N'^2) against the exact path's O(N'^4).
+# Measured: at N' = 16 the exact path was faster on every channel tried; by N' = 18-20 it was no
+# faster on a channel with a wide gap, and it held 2-5x the memory up to N' = 32, 3-12x at 48.
+_EXACT_GAP_DIM = 16
 _T = TypeVar("_T")
 
 
@@ -111,9 +116,10 @@ class FixedPointBasis:
     array of Hermitian elements.  ``spectral_gap`` is the distance from 1 to the largest
     eigenvalue of adjoint(phi) o phi outside the span, so tests can assert
     the cut was unambiguous; it is +inf when everything is fixed.  It is read
-    by Lanczos in the block frame, on the right-factor space Herm(sum dR),
-    where an exact frame leaves the same eigenvalues.  ``structure`` holds the
-    blocks of that frame (None only for a basis built by hand).
+    in the block frame, on the right-factor space Herm(sum dR), where an exact
+    frame leaves the same eigenvalues: by an exact eigensolve for sum dR <= 16,
+    Lanczos above.  ``structure`` holds the blocks of that frame (None only for
+    a basis built by hand).
     """
 
     dim: int
@@ -471,7 +477,7 @@ def _unit_residuals(canonical: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _block_frame_gap(
-    kraus: np.ndarray, classes: list[np.ndarray], rng: np.random.Generator
+    kraus: np.ndarray, twice: np.ndarray, classes: list[np.ndarray], rng: np.random.Generator
 ) -> float:
     """1 minus the top eigenvalue of adjoint(phi) o phi outside its fixed space, in the block frame.
 
@@ -480,19 +486,56 @@ def _block_frame_gap(
     Y -> W^dag adjoint(phi)(phi(W Y W^dag)) W to Herm(sum dR) has the same eigenvalues, and its
     fixed space is spanned by the I_dR_j / sqrt(dR_j).  Two blocks merged into one class, or one
     block split by left index, leave a fixed direction (a second identity, a cross-pair
-    identity) outside that span, so the gap reads ~0.
+    identity) outside that span, so the gap reads ~0.  For N' = sum dR <= 16 the compression is
+    solved exactly from the W^dag O_s W of any (r, N, N) Kraus stack ``twice`` of adjoint(phi) o
+    phi (:func:`_exact_top_outside`); above, by Lanczos on phi's (k, N, N) stack ``kraus``
+    (:func:`_top_eigenvalue_outside`), whose only memory is O(j N'^2) for j steps.
     """
     w = np.concatenate([cols[:, 0, :] for cols in classes], axis=1)
-    edges = np.cumsum([0] + [cols.shape[2] for cols in classes])
-    ids = np.zeros((len(classes), edges[-1], edges[-1]), dtype=complex)
-    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        ids[j, np.arange(lo, hi), np.arange(lo, hi)] = 1.0 / math.sqrt(hi - lo)
+    dims = [cols.shape[2] for cols in classes]
+    units = np.repeat(np.eye(len(dims)) / np.sqrt(dims), dims, axis=0)  # diagonals of the ids
+    if w.shape[1] <= _EXACT_GAP_DIM:
+        return 1.0 - _exact_top_outside(w.conj().T @ twice @ w, units)
+    ids = np.zeros((len(dims), w.shape[1], w.shape[1]), dtype=complex)
+    ids[:, np.arange(w.shape[1]), np.arange(w.shape[1])] = units.T
     return 1.0 - _top_eigenvalue_outside(_gram_map(kraus @ w), ids, rng)
+
+
+def _exact_top_outside(ops: np.ndarray, units: np.ndarray) -> float:
+    """Top eigenvalue of the self-adjoint Y -> sum_s C_s Y C_s^dag on Herm(n), for an (r, n, n)
+    stack C_s, outside the diagonal matrices diag(u_j) of the orthonormal real columns u_j of
+    ``units``; -inf if that space is {0}.
+
+    In coordinates orthonormal for Re tr(A^dag B) -- the diagonal of Y against an orthonormal
+    basis D of the complement of the u_j in R^n, then sqrt(2) Re Y_ab and sqrt(2) Im Y_ab for
+    a < b -- the map is one real symmetric matrix, solved by one eigvalsh.  Its entries come from
+    k[c, a, d, b] = sum_s C_s[c, a] conj(C_s[d, b]), entry (c, d) of the image of |a><b|: rows
+    (c, d) against columns (a, b), both off-diagonal, with x = k[c, a, d, b] and
+    y = k[c, b, d, a], form [[Re(x + y), Im(y - x)], [Im(x + y), Re(x - y)]].  Only the entries
+    read are kept, so the complex k is freed before the real matrix is formed.
+    """
+    r, n, _ = ops.shape
+    k = (ops.reshape(r, n * n).T @ ops.reshape(r, n * n).conj()).reshape(n, n, n, n)
+    rows, cols = np.triu_indices(n, 1)
+    c, d, diag = rows[:, None], cols[:, None], np.arange(n)
+    x, y = k[c, rows, d, cols], k[c, cols, d, rows]
+    basis = np.linalg.qr(units, mode="complete")[0][:, units.shape[1] :]  # the D
+    across = math.sqrt(2) * k[c, diag, d, diag] @ basis  # against diag(D_j)
+    within = basis.T @ k[diag[:, None], diag, diag[:, None], diag].real @ basis
+    del k
+    vals = np.linalg.eigvalsh(
+        np.block([
+            [within, across.real.T, across.imag.T],
+            [across.real, x.real + y.real, y.imag - x.imag],
+            [across.imag, x.imag + y.imag, x.real - y.real],
+        ])
+    )
+    return float(vals[-1]) if vals.size else -math.inf
 
 
 def _top_eigenvalue_outside(gram, basis: np.ndarray, rng: np.random.Generator) -> float:
     """Top eigenvalue of self-adjoint ``gram`` on Herm(n) minus span(basis), for an (d, n, n)
-    orthonormal Hermitian ``basis``; -inf if that is {0}.
+    orthonormal Hermitian ``basis`` with d < n^2.
 
     Lanczos in the inner product Re tr(A^dag B) from a random Hermitian start.  Each step takes
     the Hermitian part of gram(q) (else i times the fixed space leaks back in through rounding)
@@ -503,9 +546,7 @@ def _top_eigenvalue_outside(gram, basis: np.ndarray, rng: np.random.Generator) -
     """
     d, n, _ = basis.shape
     room = n * n - d
-    if room == 0:
-        return -math.inf
-    q = np.concatenate([basis.reshape(d, -1).view(float), np.empty((min(room, 32), 2 * n * n))])
+    q = np.concatenate([basis.reshape(d, -1).view(float), np.empty((32, 2 * n * n))])
     w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     w = (w + w.conj().T).reshape(-1).view(float)
     alphas, betas, m, check, last = [], [], d, 8, (0, 0.0)
@@ -540,33 +581,39 @@ def fixed_point_space(
 
     adjoint(phi) o phi is then unital and trace preserving, so its fixed space is the commutant
     (+)_k M_dL (x) I_dR of the algebra its Kraus operators generate (Kribs 2003); no N^2 x N^2
-    array is formed.  The stack {M_i^dag M_j} (QR-folded to <= N^2 rows) gives, from its Gram
-    matrix, the s_a L_a of its thin SVD (weights s_a^2 sum to N); the lightest, of total weight
-    <= N tol.fix, are cut.  (Mixing in another channel with weight eps moves the raw family by
-    O(sqrt(eps)), the kept L_a only by O(eps).)  An attempt splits them at complex Gaussian z
-    (:func:`_split`): the eigenspaces of x + x^dag, x = sum z_a s_a L_a, are the dR spaces
-    H^L (x) e_r of each block, and groups linked by a weight above tol.fix times the largest form
-    one aligned (N, dL, dR) class.  The basis is V (E (x) I/sqrt(dR)) V^dag over the
+    array is formed.  The stack {M_i^dag M_j} (QR-folded to m <= N^2 rows) gives, from its Gram
+    matrix, the s_a L_a of its thin SVD (weights s_a^2 sum to N).  Those of weight at rounding
+    level (<= N eps_mach times the largest) are dropped, which leaves the r canonical Kraus
+    operators O_s of adjoint(phi) o phi, r its Kraus rank; of these the lightest, of total weight
+    <= N tol.fix, are cut for the split.  (Mixing in another channel with weight eps moves the raw
+    family by O(sqrt(eps)), the kept L_a only by O(eps).)  An attempt splits them at complex
+    Gaussian z (:func:`_split`): the eigenspaces of x + x^dag, x = sum z_a s_a L_a, are the dR
+    spaces H^L (x) e_r of each block, and groups linked by a weight above tol.fix times the
+    largest form one aligned (N, dL, dR) class.  The basis is V (E (x) I/sqrt(dR)) V^dag over the
     Hermitian units E of M_dL (:func:`_block_units`), and its certificate stays in that block
-    frame: the residuals ||adjoint(phi)(phi(B)) - B||_F come from all r canonical operators,
-    uncut, applied to V (:func:`_unit_residuals`), and spectral_gap is 1 minus the top eigenvalue
-    of the compression of adjoint(phi) o phi to Herm(N'), N' = sum dR, outside the block
-    identities (:func:`_block_frame_gap`): in an exact frame, the top eigenvalue outside the span.
-    The classes come back as ``structure`` too (:func:`_block_structure`).
+    frame: the residuals ||adjoint(phi)(phi(B)) - B||_F come from all r canonical operators, not
+    cut at tol.fix, applied to V (:func:`_unit_residuals`), and spectral_gap is 1 minus the top
+    eigenvalue of the compression of adjoint(phi) o phi to Herm(N'), N' = sum dR, outside the
+    block identities (:func:`_block_frame_gap`: an exact eigensolve for N' <= 16, Lanczos above):
+    in an exact frame, the top eigenvalue outside the span.  The classes come back as
+    ``structure`` too (:func:`_block_structure`).
 
     Every residual must be <= tol.fix (the elements are fixed) and the gap > tol.fix (no fixed
     direction was missed); an ambiguous grouping or a failed certificate retries with the next
     ``_seeded_rng(seed, attempt)``, and the fourth failure raises AmbiguousGroupingError, as does an
     eigenvalue within tol.fix of 1 outside the commutant (a dense eigensolve counts it as fixed).
-    Cost: O(r^2 N^2 + r^3) for r <= min(k^2, N^2) products, O(r N^3) per attempt, O(r dL^2 dR N^2)
-    per block for the residuals, O(k N^2 N' + j N'^2) per Lanczos step j, and O((r + d) N^2 +
-    j N'^2) memory for d basis elements.
+    Cost: O(m^2 N^2 + m^3) for the m <= min(k^2, N^2) products, O(r N^3) per attempt,
+    O(r dL^2 dR N^2) per block for the residuals, and for the gap O(r N^2 N' + r N'^4 + N'^6) once
+    (N' <= 16) or O(k N^2 N' + j N'^2) per Lanczos step j; memory O((m + d) N^2 + N'^4) or
+    O((m + d) N^2 + j N'^2) for d basis elements.
     """
     _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
     n, kraus = phi.dim, phi.kraus
     stack = _product_stack(kraus.conj().transpose(0, 2, 1), kraus)
     weights, u = np.linalg.eigh(stack @ stack.conj().T)  # stack = U S L
-    canonical = (u.conj().T @ stack).reshape(-1, n, n)  # the s_a L_a, lightest first
+    rank = int(np.count_nonzero(weights > n * np.finfo(float).eps * weights[-1]))
+    canonical = (u[:, -rank:].conj().T @ stack).reshape(rank, n, n)  # the s_a L_a, lightest first
+    del stack
     ops = canonical[-int(np.count_nonzero(np.cumsum(weights) > n * tol.fix)) :]
 
     def attempt(rng: np.random.Generator) -> FixedPointBasis:
@@ -575,7 +622,7 @@ def fixed_point_space(
         residuals = np.concatenate([_unit_residuals(canonical, cols) for cols in classes])
         if residuals.max() > tol.fix:
             raise _Ambiguous(f"a basis element is not fixed (residual {residuals.max():.3e})")
-        gap = _block_frame_gap(kraus, classes, rng)
+        gap = _block_frame_gap(kraus, canonical, classes, rng)
         if gap <= tol.fix:
             raise _Ambiguous(f"a fixed direction lies outside the commutant (gap {gap:.3e})")
         edges = np.cumsum([0] + [cols.shape[1] ** 2 for cols in classes])

@@ -4,12 +4,14 @@ The oracles below are the direct dense algorithms: a complex eigensolve of
 s^dag s on all N x N matrices, and a loop over block pairs for the block-form
 residual.  The library computes the same objects without them: the commutant
 of the Kraus operators of adjoint(phi) o phi, certified in its block frame
-(residuals from the block isometries, a Lanczos gap on the right-factor space
-Herm(sum dR), which must also expose a frame with merged or split blocks), and
-one batched conjugation.  Random block specs (hypothesis) and eps-mixtures
-check dimension and gap against the dense oracle.  Decompositions computed
-from a channel are certified against the channel and the state it was
-synthesized with.
+(residuals from the block isometries, and a gap on the right-factor space
+Herm(sum dR) by an exact eigensolve for sum dR <= 16, Lanczos above, which
+must also expose a frame with merged or split blocks), and one batched
+conjugation.  Random block specs (hypothesis), eps-mixtures and channels with
+sum dR > 16 check dimension and gap against the dense oracle, and the two gap
+solvers agree on the same compressed maps.  Decompositions computed from a
+channel are certified against the channel and the state it was synthesized
+with.
 """
 
 import math
@@ -39,7 +41,14 @@ from qentropy import (
     verify_block_structure,
 )
 from qentropy import entropy_analysis
-from qentropy.entropy_analysis import _block_frame_gap, _partial_trace_right, block_form_residual
+from qentropy.entropy_analysis import (
+    _block_frame_gap,
+    _exact_top_outside,
+    _gram_map,
+    _partial_trace_right,
+    _top_eigenvalue_outside,
+    block_form_residual,
+)
 from qentropy.generators import _seeded_rng
 
 from conftest import SIGMA_X, SIGMA_Z, dephasing_channel, superoperator_matrix, unvec, vec
@@ -94,9 +103,18 @@ def channels():
 
 CASES = list(channels())
 IDS = [name for name, _ in CASES]
+# sum dR > 16, so the gap comes from Lanczos: twenty 1x1 blocks, and two 1x9 blocks
+LANCZOS_CASES = {
+    "bistochastic n=20 k=2": lambda: random_bistochastic_channel(20, 2, seed=3),
+    "synthesized 1x9,1x9": lambda: synthesize_pair(parse_block_spec("1x9,1x9"), seed=3)[0],
+}
 
 
-@pytest.mark.parametrize("phi", [phi for _, phi in CASES], ids=IDS)
+@pytest.mark.parametrize(
+    "phi",
+    [phi for _, phi in CASES] + [make() for make in LANCZOS_CASES.values()],
+    ids=IDS + list(LANCZOS_CASES),
+)
 def test_fixed_point_space_matches_dense_oracle(phi, tol):
     f = fixed_point_space(phi)
     mats, gap = oracle_fixed_point_space(phi, tol)
@@ -170,18 +188,73 @@ def test_fixed_point_space_memory_stays_small_at_n48():
     assert peak <= 16 * 2**20
 
 
-def test_block_frame_gap_catches_an_incomplete_basis(tol):
+def kraus_and_frames(spec, seed):
+    """phi's Kraus stack, the stack of its products M_i^dag M_j (a Kraus stack of adjoint(phi) o
+    phi), and the synthesized classes with their merged (blocks of equal dL in one class) and
+    split-by-left-index frames."""
+    phi, _, structure = synthesize_pair(parse_block_spec(spec), seed=seed)
+    kraus = np.asarray(phi.kraus)
+    twice = (kraus.conj().transpose(0, 2, 1)[:, None] @ kraus[None]).reshape(-1, phi.dim, phi.dim)
+    classes = [b.isometry.reshape(phi.dim, b.dim_left, b.dim_right) for b in structure.blocks]
+    by_left = {}
+    for cols in classes:
+        by_left.setdefault(cols.shape[1], []).append(cols)
+    assert len(by_left) < len(classes)
+    merged = [np.concatenate(group, axis=2) for group in by_left.values()]
+    split = [cols[:, [left]] for cols in classes for left in range(cols.shape[1])]
+    return phi, kraus, twice, {"exact": classes, "merged": merged, "split": split}
+
+
+# 2x2,2x2 is solved exactly in all three frames; 1x8,1x9,2x1 (sum dR = 18) by Lanczos in all three
+@pytest.mark.parametrize("spec", ["2x2,2x2", "1x8,1x9,2x1"])
+def test_block_frame_gap_catches_an_incomplete_basis(spec, tol):
     # merged blocks leave a second identity fixed, a block split by left index
     # the cross-pair identities: either way the compressed gap reads ~0
-    phi, _, structure = synthesize_pair(parse_block_spec("2x2,2x2"), seed=5)
-    kraus = np.stack(phi.kraus)
-    classes = [b.isometry.reshape(phi.dim, b.dim_left, b.dim_right) for b in structure.blocks]
-    merged = [np.concatenate(classes, axis=2)]
-    split = [cols[:, [left]] for cols in classes for left in range(cols.shape[1])]
+    phi, kraus, twice, frames = kraus_and_frames(spec, seed=5)
     _, dense = oracle_fixed_point_space(phi, tol)
-    assert abs(_block_frame_gap(kraus, classes, _seeded_rng(0)) - dense) <= 1e-10
-    assert _block_frame_gap(kraus, merged, _seeded_rng(0)) <= tol.fix
-    assert _block_frame_gap(kraus, split, _seeded_rng(0)) <= tol.fix
+    assert abs(_block_frame_gap(kraus, twice, frames["exact"], _seeded_rng(0)) - dense) <= 1e-10
+    assert _block_frame_gap(kraus, twice, frames["merged"], _seeded_rng(0)) <= tol.fix
+    assert _block_frame_gap(kraus, twice, frames["split"], _seeded_rng(0)) <= tol.fix
+
+
+@pytest.mark.parametrize(
+    "spec", ["2x2,2x2", "1x2,1x3,2x2", "3x2,3x3", "2x3,2x1,1x4", "1x1,1x1,1x1"]
+)
+def test_exact_gap_matches_lanczos_on_the_same_compressed_maps(spec):
+    # every frame here has sum dR <= 16; the merged and split ones have a top eigenvalue ~1
+    _, kraus, twice, frames = kraus_and_frames(spec, seed=9)
+    for name, classes in frames.items():
+        w = np.concatenate([cols[:, 0, :] for cols in classes], axis=1)
+        n = w.shape[1]
+        assert n <= 16
+        dims = [cols.shape[2] for cols in classes]
+        units = np.repeat(np.eye(len(dims)) / np.sqrt(dims), dims, axis=0)  # diagonals of the ids
+        ids = np.zeros((len(dims), n, n), dtype=complex)
+        ids[:, np.arange(n), np.arange(n)] = units.T
+        exact = _exact_top_outside(w.conj().T @ twice @ w, units)
+        lanczos = _top_eigenvalue_outside(_gram_map(kraus @ w), ids, _seeded_rng(0))
+        assert abs(exact - lanczos) <= 1e-10, name
+
+
+# tracemalloc bounds (MB) on fixed_point_space and the sum dR of each spec.  At 15 and 14 the gap
+# is exact and the bounds are the peaks read when every gap came from Lanczos; an exact path that
+# held the complex N'^2 x N'^2 superoperator and its transforms at once reached 6.2 and 5.8 MB.
+# At 48 Lanczos reads ~10 MB, where the exact path's complex k alone takes 85 MB (its peak 123 MB).
+GAP_MEMORY_BOUNDS = {"2x5,3x2,1x8": (2.60, 15), "3x4,2x5,2x5": (3.81, 14), "1x24,1x24": (16, 48)}
+
+
+@pytest.mark.parametrize("spec, mb, right", [(s, *v) for s, v in GAP_MEMORY_BOUNDS.items()])
+def test_block_frame_gap_keeps_memory_small(spec, mb, right):
+    phi = synthesize_pair(parse_block_spec(spec), 3)[0]
+    tracemalloc.start()
+    try:
+        f = fixed_point_space(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(b.dim_right for b in f.structure.blocks) == right
+    assert f.spectral_gap > DEFAULT_TOL.fix
+    assert peak <= mb * 2**20
 
 
 BLOCK_LISTS = st.lists(

@@ -192,6 +192,25 @@ def counted(monkeypatch):
     return run
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count np.linalg.eigvalsh calls made inside a callable."""
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+
+    def run(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    return run
+
+
 def _instance():
     phi = random_stochastic_channel(3, 2, seed=11)
     return phi, random_density(3, 3, seed=12), random_density(3, 3, seed=13)
@@ -200,8 +219,11 @@ def _instance():
 class TestOneEigendecompositionPerState:
     """rho and sigma arrive validated; only phi(rho) and phi(sigma) are diagonalized."""
 
-    def test_petz(self, counted):
-        assert counted(check_petz_equality, *_instance()) == (2, 1)
+    def test_petz(self, counted, eigvalsh_calls):
+        # the recovery map is applied once, so its Gram matrix is never diagonalized
+        args = _instance()
+        assert counted(check_petz_equality, *args) == (2, 1)
+        assert eigvalsh_calls(check_petz_equality, *args) == 0
 
     def test_monotonicity(self, counted):
         assert counted(entropy_monotonicity_check, *_instance()) == (2, 1)
@@ -246,23 +268,6 @@ class TestOneEigendecompositionPerState:
 class TestOneGramPerChannel:
     """A channel forms sum M^dag M and its top eigenvalue once, when validated, and the reports
     read the kept numbers: on N=4, k=3 channels only validation and S(phi(rho)) call eigvalsh."""
-
-    @pytest.fixture
-    def eigvalsh_calls(self, monkeypatch):
-        eigvalsh, calls = np.linalg.eigvalsh, []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return eigvalsh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-
-        def run(fn, *args):
-            calls.clear()
-            fn(*args)
-            return len(calls)
-
-        return run
 
     @pytest.fixture
     def cli(self, tmp_path, capsys):
