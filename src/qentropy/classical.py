@@ -152,24 +152,20 @@ def channel_from_bistochastic(
 
 
 def corollary_check(
-    b: StochasticMatrix,
-    p: ProbabilityVector,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    entropy_tol: float | None = None,
-    residual_tol: float | None = None,
+    b: StochasticMatrix, p: ProbabilityVector, tol: ToleranceConfig = DEFAULT_TOL
 ) -> EquivalenceReport:
     """Check ``H(Bp) = H(p)`` against ``B^T B p = p`` and report both residuals.
 
-    Verdict thresholds default to tol.eq; both can be pinned explicitly.
+    Both verdicts are judged at tol.eq: the entropy gap |H(Bp) - H(p)| in bits
+    and the residual ||B^T B p - p||_2.  A caller that needs other thresholds
+    compares the report's ``entropy_gap`` and ``fixed_point_residual`` itself.
     """
     _require_bistochastic(b)
     _require_same_dim(matrix=b.dim, vector=p.dim)
-    entropy_tol = tol.eq if entropy_tol is None else entropy_tol
-    residual_tol = tol.eq if residual_tol is None else residual_tol
     h_out = shannon_entropy(probability_vector(b.matrix @ p.entries, tol))
     residual = float(np.linalg.norm(b.matrix.T @ (b.matrix @ p.entries) - p.entries))
     return EquivalenceReport.judge(
-        "preservation", shannon_entropy(p), h_out, residual, entropy_tol, residual_tol
+        "preservation", shannon_entropy(p), h_out, residual, tol.eq, tol.eq
     )
 
 

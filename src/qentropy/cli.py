@@ -2,7 +2,8 @@
 
 Every command prints one JSON object ``{"status", "report", "diagnostics"}``
 and exits 0 when the status is ``ok``, 1 when a checked property is false
-(``violated``) and 2 on invalid input or a failed precondition (``error``).
+(``violated``) and 2 on invalid input, a failed precondition or a size too large
+to allocate (``error``).
 Reports always embed the tolerance values used.  Tolerances come from the
 ``--tol-eq/--tol-fix/--tol-psd`` flags, falling back to the ``TOL_EQ``,
 ``TOL_FIX`` and ``TOL_PSD`` environment variables, then to the defaults.
@@ -264,8 +265,9 @@ def main(argv: list[str] | None = None) -> int:
         result = args.handler(args, tol)
         result["report"]["tolerances"] = tol.as_dict()
     except (QentropyError, UsageError, OSError, KeyError, ValueError, TypeError,
-            RecursionError) as exc:
-        # json.JSONDecodeError is a ValueError; json raises RecursionError on too deep nesting
+            RecursionError, MemoryError) as exc:
+        # json.JSONDecodeError is a ValueError; json raises RecursionError on too deep nesting,
+        # numpy MemoryError on a dimension too large to allocate
         result = {"status": "error", "report": {}, "diagnostics": [f"{type(exc).__name__}: {exc}"]}
     sys.stdout.write(ser.dumps(result))
     sys.stdout.write("\n")

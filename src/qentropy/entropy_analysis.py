@@ -152,16 +152,11 @@ class BlockStructure:
 class BlockSpec:
     """Specification for synthesizing an entropy-preserving pair.
 
-    ``blocks`` lists (left dim, right dim) pairs; ``weights`` are the block
-    probabilities (random simplex point when omitted); ``left_states`` and
-    ``left_unitaries`` pin the per-block state and unitary (random when
-    omitted).
+    ``blocks`` lists (left dim, right dim) pairs; :func:`synthesize_pair`
+    draws everything else about the pair from its seed.
     """
 
     blocks: tuple[tuple[int, int], ...]
-    weights: tuple[float, ...] | None = None
-    left_states: tuple[np.ndarray, ...] | None = None
-    left_unitaries: tuple[np.ndarray, ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -893,7 +888,10 @@ def synthesize_pair(
     algebra of adjoint(phi) o phi is then exactly the direct sum the spec
     asked for, so decomposition round-trips recover the block dimensions.
 
-    Deterministic given (spec, seed).
+    Deterministic given (spec, seed).  One generator seeded by ``seed`` draws,
+    in this order: the block weights (a uniform point of the simplex), every
+    block's left state, every block's left unitary, the right channels of the
+    blocks with dR > 1, and the global basis change.
     """
     if not spec.blocks:
         raise InvalidSpecError("spec needs at least one block")
@@ -901,56 +899,23 @@ def synthesize_pair(
         if dl < 1 or dr < 1:
             raise InvalidSpecError(f"block dims must be positive, got ({dl}, {dr})")
     n = spec.dim
-    k_blocks = len(spec.blocks)
     rng = _seeded_rng(seed)
 
     def child_seed() -> int:
         return int(rng.integers(0, 2**63))
 
-    if spec.weights is not None:
-        weights = np.asarray(spec.weights, dtype=float)
-        if weights.shape != (k_blocks,):
-            raise InvalidSpecError(
-                f"expected {k_blocks} weights, got shape {weights.shape}"
-            )
-        if np.min(weights) < -tol.psd or abs(float(weights.sum()) - 1.0) > tol.eq:
-            raise InvalidSpecError("weights must be a probability vector")
-        weights = np.clip(weights, 0.0, None)
-    else:
-        weights = rng.dirichlet(np.ones(k_blocks))
+    weights = rng.dirichlet(np.ones(len(spec.blocks)))
+    # the whole state is validated below
+    left_states = [_gaussian_state(dl, dl, child_seed()) for dl, _ in spec.blocks]
+    unitaries = [np.asarray(random_unitary(dl, child_seed())) for dl, _ in spec.blocks]
 
-    left_states = []
-    for k, (dl, _) in enumerate(spec.blocks):
-        if spec.left_states is not None:
-            state = validate_state(spec.left_states[k], tol)
-            if state.dim != dl:
-                raise InvalidSpecError(
-                    f"left state {k} has dim {state.dim}, expected {dl}"
-                )
-            left_states.append(state.matrix)
-        else:  # the whole state is validated below
-            left_states.append(_gaussian_state(dl, dl, child_seed()))
-
-    unitaries = []
-    for k, (dl, _) in enumerate(spec.blocks):
-        if spec.left_unitaries is not None:
-            u = np.asarray(spec.left_unitaries[k], dtype=complex)
-            if u.shape != (dl, dl):
-                raise InvalidSpecError(f"unitary {k} has shape {u.shape}, expected ({dl}, {dl})")
-            if float(np.linalg.norm(u.conj().T @ u - np.eye(dl))) > tol.recon * dl:
-                raise InvalidSpecError(f"matrix {k} is not unitary")
-            unitaries.append(u)
-        else:
-            unitaries.append(np.asarray(random_unitary(dl, child_seed())))
-
-    right_channels = []
-    for dl, dr in spec.blocks:
-        if dr == 1:
-            right_channels.append(kraus_channel([np.eye(1)], tol))
-        else:
-            # three mixed unitaries keep the right factor's own fixed space
-            # trivial, so the synthesized fixed algebra matches the spec
-            right_channels.append(random_bistochastic_channel(dr, 3, child_seed(), tol))
+    right_channels = [
+        kraus_channel([np.eye(1)], tol) if dr == 1
+        # three mixed unitaries keep the right factor's own fixed space
+        # trivial, so the synthesized fixed algebra matches the spec
+        else random_bistochastic_channel(dr, 3, child_seed(), tol)
+        for _, dr in spec.blocks
+    ]
 
     basis_change = np.asarray(random_unitary(n, child_seed()))
 

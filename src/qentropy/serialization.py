@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -54,16 +55,16 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """JSON text with floats at 17 significant digits.
+def dumps(obj) -> str:
+    """JSON text with floats at 17 significant digits, indented by 2 spaces per level.
 
     Non-finite floats use the same ``Infinity``/``NaN`` literals the standard
     library emits and accepts.
     """
 
     def render(node, depth: int) -> str:
-        pad = " " * (indent * depth)
-        inner_pad = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        inner_pad = "  " * (depth + 1)
         if isinstance(node, dict):
             if not node:
                 return "{}"
@@ -182,25 +183,15 @@ def save_json(path, obj) -> None:
         handle.write("\n")
 
 
-def _batch_from_json_obj(
-    obj, tol: ToleranceConfig
-) -> list[tuple[StochasticMatrix, ProbabilityVector]]:
-    records = obj if isinstance(obj, list) else [obj]
-    out = []
-    for record in records:
-        if not isinstance(record, dict) or "matrix" not in record or "p" not in record:
-            raise ValidationError('each record needs "matrix" and "p" fields')
-        matrix = stochastic_matrix(np.asarray(record["matrix"], dtype=float), tol)
-        _check_declared_dim(record, matrix.dim, "matrix rows")
-        out.append((matrix, probability_vector(record["p"], tol)))
-    return out
-
-
-def _batch_from_csv(
-    text: str, tol: ToleranceConfig
-) -> list[tuple[StochasticMatrix, ProbabilityVector]]:
+def _records(text: str) -> Iterator[tuple[object, int | None]]:
+    """The records of a classical batch, each with the CSV line it starts on (None in JSON).  A
+    CSV record is parsed only after the one before it has been validated."""
+    if text.lstrip().startswith(("{", "[")):
+        obj = json.loads(text)
+        yield from ((record, None) for record in (obj if isinstance(obj, list) else [obj]))
+        return
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    out = []
+    numbers = [i for i, line in enumerate(text.splitlines(), 1) if line.strip()]
     pos = 0
     while pos < len(lines):
         try:
@@ -209,25 +200,36 @@ def _batch_from_csv(
             raise ValidationError(f"expected a dimension line, got {lines[pos]!r}") from exc
         if pos + n + 1 >= len(lines):
             raise ValidationError("truncated CSV record")
-        rows = []
-        for line in lines[pos + 1 : pos + 1 + n]:
-            rows.append([float(x) for x in line.split(",")])
-        p_entries = [float(x) for x in lines[pos + 1 + n].split(",")]
-        out.append(
-            (stochastic_matrix(np.asarray(rows), tol), probability_vector(p_entries, tol))
-        )
+        rows = [[float(x) for x in line.split(",")] for line in lines[pos + 1 : pos + 1 + n]]
+        yield {"matrix": rows, "p": [float(x) for x in lines[pos + 1 + n].split(",")]}, numbers[pos]
         pos += n + 2
-    return out
 
 
 def load_classical_batch(
     path, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[tuple[StochasticMatrix, ProbabilityVector]]:
-    """Load (B, p) records from a CSV or JSON file (format sniffed by content)."""
+    """Load (B, p) records from a CSV or JSON file (format sniffed by content).
+
+    Matrix rows of unequal lengths are refused by record number (from 1) and, in CSV, the line
+    the record starts on, before numpy sees them.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    is_json = text.lstrip().startswith(("{", "["))
-    batch = _batch_from_json_obj(json.loads(text), tol) if is_json else _batch_from_csv(text, tol)
+    batch = []
+    for record, line in _records(text):
+        if not isinstance(record, dict) or "matrix" not in record or "p" not in record:
+            raise ValidationError('each record needs "matrix" and "p" fields')
+        rows = record["matrix"]
+        if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
+            lengths = [len(row) for row in rows]
+            if len(set(lengths)) > 1:
+                where = f"record {len(batch) + 1}" + ("" if line is None else f" (line {line})")
+                raise ValidationError(
+                    f"{where}: matrix rows have unequal lengths {_shortened(str(lengths))}"
+                )
+        matrix = stochastic_matrix(np.asarray(rows, dtype=float), tol)
+        _check_declared_dim(record, matrix.dim, "matrix rows")
+        batch.append((matrix, probability_vector(record["p"], tol)))
     if not batch:
         raise ValidationError("empty classical batch")
     return batch

@@ -330,9 +330,10 @@ def test_classical_corollary():
         else:
             b = random_bistochastic_matrix(n, 2 + i % 3, seed=190_000 + i)
             p = random_probability_vector(n, seed=200_000 + i)
-        report = corollary_check(b, p, entropy_tol=1e-9, residual_tol=1e-8)
-        agreements.append(report.agreement)
-        preserved_count += int(report.entropy_preserved)
+        report = corollary_check(b, p)
+        preserved = report.entropy_gap <= 1e-9
+        agreements.append(preserved == (report.fixed_point_residual <= 1e-8))
+        preserved_count += int(preserved)
 
     transpose_worst = 0.0
     for i in range(100):

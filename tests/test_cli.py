@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qentropy import entropy_analysis, parse_block_spec, synthesize_pair
+from qentropy import cli, entropy_analysis, parse_block_spec, synthesize_pair
 from qentropy.cli import main
 from qentropy.serialization import channel_to_obj, save_json, state_to_obj
 
@@ -380,6 +380,35 @@ class TestClassicalCheck:
         assert code == 2 and result["status"] == "error"
         assert result["diagnostics"] == ["ValidationError: empty classical batch"]
 
+    @pytest.mark.parametrize(
+        "name, text, where, lengths",
+        [
+            ("batch.csv", "2\n0.5,0.5\n0.5,0.5,0.1\n0.5,0.5\n", "record 1 (line 1)", [2, 3]),
+            # blank lines count: the second record starts on line 6
+            (
+                "batch.csv",
+                "2\n0,1\n1,0\n1,0\n\n2\n0.5,0.5\n\n0.5\n0.5,0.5\n",
+                "record 2 (line 6)",
+                [2, 1],
+            ),
+            (
+                "batch.json",
+                json.dumps([{"matrix": [[0, 1], [1, 0]], "p": [1, 0]},
+                            {"matrix": [[0.5, 0.5], [0.5]], "p": [0.5, 0.5]}]),
+                "record 2",
+                [2, 1],
+            ),
+        ],
+    )
+    def test_ragged_rows_name_their_record(self, capsys, tmp_path, name, text, where, lengths):
+        path = tmp_path / name
+        path.write_text(text)
+        code, result = run_cli(capsys, ["classical-check", str(path)])
+        assert code == 2 and result["status"] == "error"
+        assert result["diagnostics"] == [
+            f"ValidationError: {where}: matrix rows have unequal lengths {lengths}"
+        ]
+
     def test_column_stochastic_only_exits_2(self, capsys, tmp_path):
         path = tmp_path / "batch.csv"
         path.write_text("2\n1,0.5\n0,0.5\n0.5,0.5\n")
@@ -448,6 +477,27 @@ class TestGen:
         _, plus = run_cli(capsys, ["gen", kind, "--dim", "2", "--seed", "1"])
         assert code == 0 and minus["status"] == "ok" and minus["report"]["seed"] == -1
         assert minus["report"]["object"] != plus["report"]["object"]
+
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            (cli, ["gen", "unitary", "--dim", "100000"]),
+            (entropy_analysis, ["synthesize", "--spec", "1x100000", "--out-dir", "{out}"]),
+        ],
+        ids=["gen", "synthesize"],
+    )
+    def test_memory_error_exits_2_with_one_object(
+        self, capsys, tmp_path, monkeypatch, module, argv
+    ):
+        """numpy raises MemoryError for a size it cannot allocate; nothing here allocates it."""
+
+        def refuse(n, seed):
+            raise MemoryError("Unable to allocate 149. GiB")
+
+        monkeypatch.setattr(module, "random_unitary", refuse)
+        code, result = run_cli(capsys, [a.format(out=tmp_path / "out") for a in argv])
+        assert code == 2 and result["status"] == "error" and result["report"] == {}
+        assert result["diagnostics"] == ["MemoryError: Unable to allocate 149. GiB"]
 
     def test_gen_to_file_feeds_other_commands(self, capsys, tmp_path):
         chan = tmp_path / "chan.json"

@@ -46,6 +46,27 @@ from conftest import (
     pure_state,
     unitary_channel,
 )
+from qentropy.entropy_analysis import _block_structure
+from qentropy.generators import _gaussian_state, _seeded_rng
+
+
+def assemble_pair(blocks, weights, left_states, unitaries, right_channels, basis_change):
+    """(phi, rho, structure) for phi = W (sum_k U_k (x) T_k) W^dag, each block's Kraus operators
+    embedded on their own, and rho = W (sum_k w_k rho_k (x) I/dR) W^dag; built from the given
+    parts with the arithmetic of synthesize_pair, so that equal parts give equal bits."""
+    n = sum(dl * dr for dl, dr in blocks)
+    kraus_ops, rho, classes, offset = [], np.zeros((n, n), dtype=complex), [], 0
+    for (dl, dr), w, left, u, right in zip(blocks, weights, left_states, unitaries, right_channels):
+        span = slice(offset, offset + dl * dr)
+        for m in right.kraus:
+            big = np.zeros((n, n), dtype=complex)
+            big[span, span] = np.kron(u, m)
+            kraus_ops.append(basis_change @ big @ basis_change.conj().T)
+        rho[span, span] = w * np.kron(left, np.eye(dr) / dr)
+        classes.append(basis_change[:, span].reshape(n, dl, dr))
+        offset += dl * dr
+    rho_state = validate_state(basis_change @ rho @ basis_change.conj().T)
+    return kraus_channel(kraus_ops), rho_state, _block_structure(n, classes)
 
 
 class TestPreservationReport:
@@ -284,24 +305,32 @@ class TestVerifyBlockStructure:
         assert phase_invariant_unitary_distance(np.eye(3), u) <= 1e-6
 
     def test_synthesized_round_trip(self, tol):
-        spec = BlockSpec(blocks=((2, 1), (1, 2)), weights=(0.7, 0.3))
-        phi, rho, structure = synthesize_pair(spec, seed=20)
+        phi, rho, structure = assemble_pair(
+            blocks=((2, 1), (1, 2)),
+            weights=(0.7, 0.3),
+            left_states=(np.diag([0.6, 0.4]), np.eye(1)),
+            unitaries=(np.asarray(random_unitary(2, 20)), np.eye(1)),
+            right_channels=(identity_channel(1), random_bistochastic_channel(2, 3, seed=20)),
+            basis_change=np.asarray(random_unitary(4, 20)),
+        )
         result = verify_block_structure(structure, phi, rho)
         assert result.block_dims in (((1, 2), (2, 1)), ((2, 1), (1, 2)))
         np.testing.assert_allclose(sorted(result.weights), [0.3, 0.7], atol=tol.eq)
         assert result.action_residual <= tol.eq * 4
 
-    def test_recovers_specified_unitary(self):
+    def test_recovers_specified_unitary(self, tol):
         u = np.asarray(random_unitary(2, 21))
-        spec = BlockSpec(
+        phi, rho, structure = assemble_pair(
             blocks=((2, 1),),
             weights=(1.0,),
-            left_unitaries=(u,),
-            left_states=(np.diag([0.6, 0.4]).astype(complex),),
+            left_states=(np.diag([0.6, 0.4]),),
+            unitaries=(u,),
+            right_channels=(identity_channel(1),),
+            basis_change=np.asarray(random_unitary(2, 22)),
         )
-        phi, rho, structure = synthesize_pair(spec, seed=22)
         result = verify_block_structure(structure, phi, rho)
         assert phase_invariant_unitary_distance(u, result.left_unitaries[0]) <= 1e-6
+        np.testing.assert_allclose(result.left_states[0], np.diag([0.6, 0.4]), atol=tol.eq)
 
     def test_depolarizing_claimed_unitary_block_mismatch(self):
         phi = depolarizing_channel(2)
@@ -361,13 +390,42 @@ class TestSynthesizePair:
         for ma, mb in zip(a_phi.kraus, b_phi.kraus):
             np.testing.assert_array_equal(ma, mb)
 
+    @pytest.mark.parametrize(
+        "text, seed", [("2x2,2x1,1x2", 0), ("1x4,2x2", 7), ("3x1,1x3,1x1", -3)]
+    )
+    def test_draw_order(self, text, seed):
+        """One generator seeded by ``seed`` draws the weights, every left state, every left
+        unitary, the right channels of the blocks with dR > 1, then the basis change; the
+        benchmark's instances depend on this order."""
+        blocks = parse_block_spec(text).blocks
+        rng = _seeded_rng(seed)
+
+        def child_seed() -> int:
+            return int(rng.integers(0, 2**63))
+
+        weights = rng.dirichlet(np.ones(len(blocks)))
+        left_states = [_gaussian_state(dl, dl, child_seed()) for dl, _ in blocks]
+        unitaries = [np.asarray(random_unitary(dl, child_seed())) for dl, _ in blocks]
+        right_channels = [
+            random_bistochastic_channel(dr, 3, child_seed()) if dr > 1 else identity_channel(1)
+            for _, dr in blocks
+        ]
+        basis_change = np.asarray(random_unitary(sum(dl * dr for dl, dr in blocks), child_seed()))
+        phi, rho, structure = assemble_pair(
+            blocks, weights, left_states, unitaries, right_channels, basis_change
+        )
+        got_phi, got_rho, got_structure = synthesize_pair(parse_block_spec(text), seed)
+        np.testing.assert_array_equal(got_phi.kraus, phi.kraus)
+        np.testing.assert_array_equal(got_rho.matrix, rho.matrix)
+        assert got_structure.block_dims == structure.block_dims
+        for got, want in zip(got_structure.blocks, structure.blocks):
+            np.testing.assert_array_equal(got.isometry, want.isometry)
+
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpecError):
             synthesize_pair(BlockSpec(blocks=()), seed=0)
         with pytest.raises(InvalidSpecError):
             synthesize_pair(BlockSpec(blocks=((0, 2),)), seed=0)
-        with pytest.raises(InvalidSpecError):
-            synthesize_pair(BlockSpec(blocks=((2, 1),), weights=(0.4, 0.6)), seed=0)
 
     def test_parse_block_spec(self):
         assert parse_block_spec("2x1,1x2").blocks == ((2, 1), (1, 2))
