@@ -95,11 +95,12 @@ __all__ = [
 # algebra machinery; true spectra here are separated by many orders.
 _RANK_RTOL = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
-# Up to this N' = sum dR the block-frame gap is one eigvalsh of an N'^2 x N'^2 real matrix (256 x
-# 256 at most); above it Lanczos, whose memory is O(j N'^2) against the exact path's O(N'^4).
-# Measured: at N' = 16 the exact path was faster on every channel tried; by N' = 18-20 it was no
-# faster on a channel with a wide gap, and it held 2-5x the memory up to N' = 32, 3-12x at 48.
-_EXACT_GAP_DIM = 16
+# Largest side of an exact eigvalsh in the block-frame gap: a block pair's dR_j dR_l, or N'^2 for
+# a coupled frame; above it Lanczos on the whole frame.  Measured on 1x24,1x24 (576-side pairs,
+# one BLAS thread): 0.28-0.35 s and 64 MB by pairs, 0.16 s and 11 MB by Lanczos.  The pair gap
+# stands when the coupling bound is at most _PAIR_COUPLING, below the 1e-10 to which it matches
+# a dense eigensolve.
+_EXACT_GAP_DIM, _PAIR_COUPLING = 256, 1e-11
 _T = TypeVar("_T")
 
 
@@ -117,7 +118,9 @@ class FixedPointBasis:
     eigenvalue of adjoint(phi) o phi outside the span, so tests can assert
     the cut was unambiguous; it is +inf when everything is fixed.  It is read
     in the block frame, on the right-factor space Herm(sum dR), where an exact
-    frame leaves the same eigenvalues: by an exact eigensolve for sum dR <= 16,
+    frame leaves the same eigenvalues: one block pair (j, l) at a time, by an
+    exact eigensolve of side dR_j dR_l <= 256, as a lower bound within 2e-11 of
+    the whole; else the whole frame, exactly for (sum dR)^2 <= 256 and by
     Lanczos above.  ``structure`` holds the blocks of that frame (None only for
     a basis built by hand).
     """
@@ -412,36 +415,59 @@ def _split(ops: np.ndarray, z: np.ndarray, tol: ToleranceConfig) -> list[np.ndar
     return list(_aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1)))
 
 
-def _gram_map(kraus: np.ndarray):
-    """Y -> sum_ij A_j^dag A_i Y A_i^dag A_j on (..., m, m) arrays for a (k, n, m) stack A_i; for
-    A_i = M_i W this is W^dag adjoint(phi)(phi(W Y W^dag)) W.  Each half multiplies by the stacked
-    [A_1; ..; A_k] (or their adjoints), then, the k products side by side, by the other stack."""
-    k, n, m = kraus.shape
-    down, up = kraus.reshape(k * n, m), kraus.conj().transpose(0, 2, 1).reshape(k * m, n)
+def _hermitian_coords(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates Z = Re X + Im X of twice the Hermitian parts X of P and of iP, P + P^dag and
+    i(P - P^dag), for an (m, N, N) stack.  Re X is symmetric and Im X antisymmetric, so they are
+    orthogonal and Z determines both: X -> Z is an isometry of Herm(N), Re tr(A^dag B), onto
+    R^(N x N), inverted by :func:`_hermitian_from_coords`."""
+    a, b = p.real + p.imag, p.real - p.imag
+    return a + b.swapaxes(1, 2), b - a.swapaxes(1, 2)
 
-    def half(x, left, right):
-        lead, rows, cols = x.shape[:-2], len(left) // k, x.shape[-1]
-        y = (left @ x).reshape(*lead, k, rows, cols).swapaxes(-3, -2)
-        return y.reshape(*lead, rows, k * cols) @ right
 
-    return lambda x: half(half(x, down, up), up, down)
+def _hermitian_from_coords(z: np.ndarray) -> np.ndarray:
+    """The matrices (Z + Z^T)/2 + i(Z - Z^T)/2 of an (m, N, N) coordinate stack, Hermitian to the
+    bit."""
+    out = np.empty(z.shape, dtype=complex)
+    np.add(z, z.swapaxes(1, 2), out=out.real)
+    np.subtract(z, z.swapaxes(1, 2), out=out.imag)
+    out *= 0.5
+    return out
+
+
+def _canonical_operators(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights s_a^2 (ascending) and the Hermitian canonical Kraus operators s_a L_a of
+    adjoint(phi) o phi above rounding level (<= N eps_mach times the largest), lightest first.
+
+    P_ji = P_ij^dag for P_ij = M_i^dag M_j, so P_ii, (P_ij + P_ij^dag)/sqrt(2) and
+    i(P_ij - P_ij^dag)/sqrt(2) (i < j) recombine {P_ij} unitarily: the same Choi matrix, Hermitian
+    members, a real Gram matrix.  The k(k+1)/2 products with i <= j are formed one i at a time in
+    :func:`_hermitian_coords`, and a stack over N^2 rows is replaced by its QR factor R (R^T R is
+    kept).  The Gram eigenvectors U give the s_a L_a as U^T times the stack.
+    """
+    k, n, _ = kraus.shape
+    adjoints, stack, pending = kraus.conj().swapaxes(1, 2), np.zeros((0, n * n)), []
+    for i in range(k):
+        re, im = (z.reshape(k - i, n * n) for z in _hermitian_coords(adjoints[i] @ kraus[i:]))
+        pending += [re[:1] / 2, _SQRT_HALF * re[1:], _SQRT_HALF * im[1:]]  # P_ii, then j > i
+        if i == k - 1 or sum(map(len, pending)) >= n * n:
+            stack, pending = np.concatenate([stack, *pending]), []
+            if len(stack) > n * n:
+                stack = np.linalg.qr(stack, mode="r")
+    weights, u = np.linalg.eigh(stack @ stack.T)
+    rank = int(np.count_nonzero(weights > n * np.finfo(float).eps * weights[-1]))
+    return weights, _hermitian_from_coords((u[:, -rank:].T @ stack).reshape(rank, n, n))
 
 
 def _block_units(cols: np.ndarray, out: np.ndarray) -> None:
-    """V (E (x) I/sqrt(dR)) V^dag for one (N, dL, dR) class (V[:, (l, r)] = cols[:, l, r]), over
-    the Hermitian units E of M_dL: |a><a|, then (|a><b| + |b><a|)/sqrt(2) and
-    i(|a><b| - |b><a|)/sqrt(2) for a < b, each formed as A + A^dag (Hermitian to the bit) in the
-    (dL^2, N, N) slice ``out`` of the basis."""
+    """V (X_ab (x) I/sqrt(dR)) V^dag for one (N, dL, dR) class (V[:, (l, r)] = cols[:, l, r]), over
+    the Hermitian units X_ab = ((1 + i)|a><b| + (1 - i)|b><a|)/2 of M_dL (the images of the unit
+    coordinates in :func:`_hermitian_from_coords`) in row-major (a, b), each formed as A + A^dag
+    (Hermitian to the bit) in the (dL^2, N, N) slice ``out`` of the basis."""
     n, dl, dr = cols.shape
     x = cols.transpose(1, 0, 2).reshape(dl * n, dr)
-    g = (x @ x.conj().T).reshape(dl, n, dl, n)
-    g /= math.sqrt(dr)  # V (|a><b| (x) I) V^dag
-    rows, other = np.triu_indices(dl, 1)
-    real, imag = out[dl : dl + len(rows)], out[dl + len(rows) :]
-    np.divide(g[np.arange(dl), :, np.arange(dl)], 2, out=out[:dl])
-    np.multiply(g[rows, :, other], _SQRT_HALF, out=real)
+    g = (x @ x.conj().T).reshape(dl, n, dl, n)  # V (|a><b| (x) I) V^dag
+    np.multiply(g.swapaxes(1, 2), (0.5 + 0.5j) / math.sqrt(dr), out=out.reshape(dl, dl, n, n))
     del g  # the (dL N)^2 product is the largest array here
-    np.multiply(real, 1j, out=imag)
     out += out.conj().swapaxes(1, 2)
 
 
@@ -451,81 +477,102 @@ def _unit_residuals(canonical: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     With J[:, (l, (s, r))] = (O_s V)[:, (l, r)], adjoint(phi)(phi(V (E (x) I_dR) V^dag)) is
     J (E (x) I_(r dR)) J^dag, so the images come out of the same products as the units, y y^dag
-    against x x^dag, at O(r dL^2 dR N^2).  Left index a is formed against b >= a only, one a at a
-    time, so no second basis is held.
+    against x x^dag, at O(r dL^2 dR N^2).  The difference D_ab for |a><b| is formed against
+    b >= a only, one a at a time, so no second basis is held; D_ba is D_ab^dag.
     """
     n, dl, dr = cols.shape
     x = cols.transpose(1, 0, 2).reshape(dl * n, dr)
     y = (canonical @ cols.reshape(n, dl * dr)).reshape(-1, n, dl, dr)
     y = y.transpose(2, 1, 0, 3).reshape(dl * n, -1)  # y[(l, i), (s, r)] = (O_s V)[i, (l, r)]
-    x_dag, y_dag = x.conj().T, y.conj().T
-    diag, real, imag = [], [], []
+    x_dag, y_dag, out = x.conj().T, y.conj().T, np.empty((dl, dl))
     for a in range(dl):
         rows, rest = slice(a * n, (a + 1) * n), slice(a * n, None)
         d = y[rows] @ y_dag[:, rest] - x[rows] @ x_dag[:, rest]
         d = d.reshape(n, dl - a, n).transpose(1, 0, 2) / math.sqrt(dr)  # d[b - a] = D_ab
         d_dag = d.conj().swapaxes(1, 2)
-        diag.append(np.linalg.norm(d[0] + d_dag[0]) / 2)
-        real.append(np.linalg.norm(d[1:] + d_dag[1:], axis=(1, 2)) * _SQRT_HALF)
-        imag.append(np.linalg.norm(d[1:] - d_dag[1:], axis=(1, 2)) * _SQRT_HALF)
-    return np.concatenate([diag, *real, *imag])
+        out[a, a:] = np.linalg.norm((1 + 1j) * d + (1 - 1j) * d_dag, axis=(1, 2)) / 2
+        out[a + 1 :, a] = np.linalg.norm((1 - 1j) * d[1:] + (1 + 1j) * d_dag[1:], axis=(1, 2)) / 2
+    return out.reshape(-1)
 
 
 def _block_frame_gap(
-    kraus: np.ndarray, twice: np.ndarray, classes: list[np.ndarray], rng: np.random.Generator
+    canonical: np.ndarray, classes: list[np.ndarray], rng: np.random.Generator
 ) -> float:
     """1 minus the top eigenvalue of adjoint(phi) o phi outside its fixed space, in the block frame.
 
     W holds the first left-index columns cols[:, 0, :] of each (N, dL, dR) class.  In an exact
     frame adjoint(phi) o phi acts on block pair (j, l) as id (x) T_jl, so its compression
-    Y -> W^dag adjoint(phi)(phi(W Y W^dag)) W to Herm(sum dR) has the same eigenvalues, and its
-    fixed space is spanned by the I_dR_j / sqrt(dR_j).  Two blocks merged into one class, or one
-    block split by left index, leave a fixed direction (a second identity, a cross-pair
-    identity) outside that span, so the gap reads ~0.  For N' = sum dR <= 16 the compression is
-    solved exactly from the W^dag O_s W of any (r, N, N) Kraus stack ``twice`` of adjoint(phi) o
-    phi (:func:`_exact_top_outside`); above, by Lanczos on phi's (k, N, N) stack ``kraus``
-    (:func:`_top_eigenvalue_outside`), whose only memory is O(j N'^2) for j steps.
+    Y -> sum_s C_s Y C_s, C_s = W^dag O_s W for the (r, N, N) Hermitian ``canonical`` O_s, to
+    Herm(N'), N' = sum dR, has the same eigenvalues, and its fixed space is spanned by the
+    I_dR_j / sqrt(dR_j).  Two blocks merged into one class, or one block split by left index,
+    leave a fixed direction (a second identity, a cross-pair identity) outside that span, so the
+    gap reads ~0.  It is 1 - top - c from the block pairs (:func:`_pair_top`) when c is at most
+    _PAIR_COUPLING, else the whole frame's (:func:`_top_outside`) when N'^2 <= _EXACT_GAP_DIM;
+    pairs or a frame above that take Lanczos (:func:`_top_eigenvalue_outside`), in O(j N'^2)
+    memory for j steps.
     """
     w = np.concatenate([cols[:, 0, :] for cols in classes], axis=1)
-    dims = [cols.shape[2] for cols in classes]
-    units = np.repeat(np.eye(len(dims)) / np.sqrt(dims), dims, axis=0)  # diagonals of the ids
-    if w.shape[1] <= _EXACT_GAP_DIM:
-        return 1.0 - _exact_top_outside(w.conj().T @ twice @ w, units)
-    ids = np.zeros((len(dims), w.shape[1], w.shape[1]), dtype=complex)
-    ids[:, np.arange(w.shape[1]), np.arange(w.shape[1])] = units.T
-    return 1.0 - _top_eigenvalue_outside(_gram_map(kraus @ w), ids, rng)
+    dims, n = [cols.shape[2] for cols in classes], w.shape[1]
+    ops = w.conj().T @ canonical @ w
+    if max(dims) ** 2 <= _EXACT_GAP_DIM:
+        top, coupling = _pair_top(ops, dims)
+        if coupling <= _PAIR_COUPLING:
+            return 1.0 - top - coupling
+    ids = np.zeros((len(dims), n, n), dtype=complex)
+    ids[:, np.arange(n), np.arange(n)] = np.repeat(np.eye(len(dims)) / np.sqrt(dims), dims, 0).T
+    if n * n <= _EXACT_GAP_DIM:  # the fixed columns are the vec(I_dR_j) / sqrt(dR_j)
+        fixed = ids.reshape(1, len(dims), -1).real.swapaxes(1, 2)
+        return 1.0 - _top_outside(ops[None], ops[None], fixed)
+    row = ops.transpose(1, 0, 2).reshape(n, -1)  # [C_1 .. C_r], so sum_s C_s Y C_s is one product
+    return 1.0 - _top_eigenvalue_outside(lambda y: row @ (y @ ops).reshape(-1, n), ids, rng)
 
 
-def _exact_top_outside(ops: np.ndarray, units: np.ndarray) -> float:
-    """Top eigenvalue of the self-adjoint Y -> sum_s C_s Y C_s^dag on Herm(n), for an (r, n, n)
-    stack C_s, outside the diagonal matrices diag(u_j) of the orthonormal real columns u_j of
-    ``units``; -inf if that space is {0}.
+def _top_outside(left: np.ndarray, right: np.ndarray, fixed: np.ndarray) -> float:
+    """Top eigenvalue, over a batch of g, of Y -> sum_s A_s Y B_s on M_(a x b), for (g, r, a, a)
+    and (g, r, b, b) Hermitian stacks, outside the orthonormal (or zero) real columns F of the
+    (g, ab, q) ``fixed``; -inf for g = 0.  In row-major vec the map is the Hermitian
+    K = sum A_s (x) conj(B_s), and P K P - 2 F F^T (P = 1 - F F^T) moves F below its spectrum
+    (|K| <= 1 here), formed by rank-q updates when F is not 0."""
+    g, r, a, _ = left.shape
+    b = right.shape[2]
+    if g == 0:
+        return -math.inf
+    k = left.reshape(g, r, a * a).swapaxes(1, 2) @ right.reshape(g, r, b * b).conj()
+    k = k.reshape(g, a, a, b, b).swapaxes(2, 3).reshape(g, a * b, a * b)
+    if fixed.any():
+        ft = fixed.swapaxes(1, 2)
+        kff = k @ fixed @ ft
+        k += fixed @ (ft @ k @ fixed - 2 * np.eye(ft.shape[1])) @ ft
+        k -= kff + kff.conj().swapaxes(1, 2)
+    return float(np.linalg.eigvalsh(k)[:, -1].max())
 
-    In coordinates orthonormal for Re tr(A^dag B) -- the diagonal of Y against an orthonormal
-    basis D of the complement of the u_j in R^n, then sqrt(2) Re Y_ab and sqrt(2) Im Y_ab for
-    a < b -- the map is one real symmetric matrix, solved by one eigvalsh.  Its entries come from
-    k[c, a, d, b] = sum_s C_s[c, a] conj(C_s[d, b]), entry (c, d) of the image of |a><b|: rows
-    (c, d) against columns (a, b), both off-diagonal, with x = k[c, a, d, b] and
-    y = k[c, b, d, a], form [[Re(x + y), Im(y - x)], [Im(x + y), Re(x - y)]].  Only the entries
-    read are kept, so the complex k is freed before the real matrix is formed.
+
+def _pair_top(ops: np.ndarray, dims: list[int]) -> tuple[float, float]:
+    """For an (r, N', N') Hermitian stack C_s over classes of sizes dR_j: the top eigenvalue of
+    Y -> sum_s C_s Y C_s outside the block identities, one block pair at a time, and a bound c on
+    the rest.  C_s = D_s + F_s splits into class-diagonal blocks D_s^j and the rest; D acts on pair
+    (j, l) as Y -> sum_s D_s^j Y D_s^l (outside I / sqrt(dR_j) when j = l; (l, j) is its adjoint),
+    solved in one batch per pair of sizes (:func:`_top_outside`).  By Weyl the whole is within
+    c = n(D, F) + n(F, D) + n(F, F) of it, for the operator norms
+    n(A, B) = ||sum A_s A_s^dag||^1/2 ||sum B_s^dag B_s||^1/2, so n(D, F) = n(F, D) here.
     """
-    r, n, _ = ops.shape
-    k = (ops.reshape(r, n * n).T @ ops.reshape(r, n * n).conj()).reshape(n, n, n, n)
-    rows, cols = np.triu_indices(n, 1)
-    c, d, diag = rows[:, None], cols[:, None], np.arange(n)
-    x, y = k[c, rows, d, cols], k[c, cols, d, rows]
-    basis = np.linalg.qr(units, mode="complete")[0][:, units.shape[1] :]  # the D
-    across = math.sqrt(2) * k[c, diag, d, diag] @ basis  # against diag(D_j)
-    within = basis.T @ k[diag[:, None], diag, diag[:, None], diag].real @ basis
-    del k
-    vals = np.linalg.eigvalsh(
-        np.block([
-            [within, across.real.T, across.imag.T],
-            [across.real, x.real + y.real, y.imag - x.imag],
-            [across.imag, x.imag + y.imag, x.real - y.real],
-        ])
-    )
-    return float(vals[-1]) if vals.size else -math.inf
+    labels = np.repeat(np.arange(len(dims)), dims)
+    diag = np.where(labels[:, None] == labels, ops, 0)
+    flat = [x.transpose(1, 0, 2).reshape(len(labels), -1) for x in (diag, ops - diag)]
+    d_norm, f_norm = (max(0.0, np.linalg.eigvalsh(x @ x.conj().T)[-1]) for x in flat)  # sum A A^dag
+    stacks = {}
+    for size, (lo, hi) in zip(dims, itertools.pairwise(np.cumsum([0] + dims))):
+        stacks.setdefault(size, []).append(diag[:, lo:hi, lo:hi])
+    stacks = {size: np.stack(blocks) for size, blocks in stacks.items()}  # (classes, r, d, d)
+    top = -math.inf
+    for a, b in itertools.combinations_with_replacement(sorted(stacks), 2):
+        if a == b:  # a 1 x 1 diagonal pair is all fixed
+            j, l = np.triu_indices(len(stacks[a]), int(a == 1))
+        else:
+            j, l = np.divmod(np.arange(len(stacks[a]) * len(stacks[b])), len(stacks[b]))
+        fixed = ((j == l) & (a == b))[:, None, None] * np.eye(a, b).reshape(1, -1, 1) / math.sqrt(a)
+        top = max(top, _top_outside(stacks[a][j], stacks[b][l], fixed))
+    return top, 2.0 * math.sqrt(d_norm * f_norm) + f_norm
 
 
 def _top_eigenvalue_outside(gram, basis: np.ndarray, rng: np.random.Generator) -> float:
@@ -576,39 +623,36 @@ def fixed_point_space(
 
     adjoint(phi) o phi is then unital and trace preserving, so its fixed space is the commutant
     (+)_k M_dL (x) I_dR of the algebra its Kraus operators generate (Kribs 2003); no N^2 x N^2
-    array is formed.  The stack {M_i^dag M_j} (QR-folded to m <= N^2 rows) gives, from its Gram
-    matrix, the s_a L_a of its thin SVD (weights s_a^2 sum to N).  Those of weight at rounding
-    level (<= N eps_mach times the largest) are dropped, which leaves the r canonical Kraus
-    operators O_s of adjoint(phi) o phi, r its Kraus rank; of these the lightest, of total weight
-    <= N tol.fix, are cut for the split.  (Mixing in another channel with weight eps moves the raw
-    family by O(sqrt(eps)), the kept L_a only by O(eps).)  An attempt splits them at complex
-    Gaussian z (:func:`_split`): the eigenspaces of x + x^dag, x = sum z_a s_a L_a, are the dR
-    spaces H^L (x) e_r of each block, and groups linked by a weight above tol.fix times the
-    largest form one aligned (N, dL, dR) class.  The basis is V (E (x) I/sqrt(dR)) V^dag over the
-    Hermitian units E of M_dL (:func:`_block_units`), and its certificate stays in that block
-    frame: the residuals ||adjoint(phi)(phi(B)) - B||_F come from all r canonical operators, not
-    cut at tol.fix, applied to V (:func:`_unit_residuals`), and spectral_gap is 1 minus the top
-    eigenvalue of the compression of adjoint(phi) o phi to Herm(N'), N' = sum dR, outside the
-    block identities (:func:`_block_frame_gap`: an exact eigensolve for N' <= 16, Lanczos above):
-    in an exact frame, the top eigenvalue outside the span.  The classes come back as
-    ``structure`` too (:func:`_block_structure`).
+    array is formed.  The Hermitian recombination of the products M_i^dag M_j (QR-folded to
+    m <= N^2 rows) gives, from its real Gram matrix, the r Hermitian canonical Kraus operators
+    s_a L_a of adjoint(phi) o phi above rounding level (:func:`_canonical_operators`; weights s_a^2
+    sum to N), r its Kraus rank; of these the lightest, of total weight <= N tol.fix, are cut for
+    the split.  (Mixing in another channel with weight eps moves the raw family by O(sqrt(eps)),
+    the kept L_a only by O(eps).)  An attempt splits them at complex Gaussian z (:func:`_split`):
+    the eigenspaces of x + x^dag, x = sum z_a s_a L_a, are the dR spaces H^L (x) e_r of each
+    block, and groups linked by a weight above tol.fix times the largest form one aligned
+    (N, dL, dR) class.  The basis is V (E (x) I/sqrt(dR)) V^dag over Hermitian units E of M_dL
+    (:func:`_block_units`), and its certificate stays in that block frame: the residuals
+    ||adjoint(phi)(phi(B)) - B||_F come from all r canonical operators, not cut at tol.fix, applied
+    to V (:func:`_unit_residuals`), and spectral_gap is 1 minus the top eigenvalue of the
+    compression of adjoint(phi) o phi to Herm(N'), N' = sum dR, outside the block identities
+    (:func:`_block_frame_gap`: by block pairs while they decouple, else the whole frame; exact
+    eigensolves of side <= 256, Lanczos above): in an exact frame, the top eigenvalue outside the
+    span.  The classes come back as ``structure`` too (:func:`_block_structure`).
 
     Every residual must be <= tol.fix (the elements are fixed) and the gap > tol.fix (no fixed
     direction was missed); an ambiguous grouping or a failed certificate retries with the next
     ``_seeded_rng(seed, attempt)``, and the fourth failure raises AmbiguousGroupingError, as does an
     eigenvalue within tol.fix of 1 outside the commutant (a dense eigensolve counts it as fixed).
-    Cost: O(m^2 N^2 + m^3) for the m <= min(k^2, N^2) products, O(r N^3) per attempt,
-    O(r dL^2 dR N^2) per block for the residuals, and for the gap O(r N^2 N' + r N'^4 + N'^6) once
-    (N' <= 16) or O(k N^2 N' + j N'^2) per Lanczos step j; memory O((m + d) N^2 + N'^4) or
-    O((m + d) N^2 + j N'^2) for d basis elements.
+    Cost: O(k^2 N^3 + m^2 N^2 + m^3) for the k(k+1)/2 products and their m <= min(k^2, N^2)
+    family, O(r N^3) per attempt, O(r dL^2 dR N^2) per block for the residuals, and for the gap
+    O(r N^2 N') plus, over pairs j <= l, O(r p^2 + p^3) for p = dR_j dR_l (O(r N'^4 + N'^6) for a
+    coupled frame), or O(r N'^3 + j N'^2) per Lanczos step j; memory O((m + d) N^2 + r N'^2)
+    plus the largest batch of pair matrices, or j N'^2 for Lanczos, for d basis elements.
     """
     _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
     n, kraus = phi.dim, phi.kraus
-    stack = _product_stack(kraus.conj().transpose(0, 2, 1), kraus)
-    weights, u = np.linalg.eigh(stack @ stack.conj().T)  # stack = U S L
-    rank = int(np.count_nonzero(weights > n * np.finfo(float).eps * weights[-1]))
-    canonical = (u[:, -rank:].conj().T @ stack).reshape(rank, n, n)  # the s_a L_a, lightest first
-    del stack
+    weights, canonical = _canonical_operators(kraus)
     ops = canonical[-int(np.count_nonzero(np.cumsum(weights) > n * tol.fix)) :]
 
     def attempt(rng: np.random.Generator) -> FixedPointBasis:
@@ -617,7 +661,7 @@ def fixed_point_space(
         residuals = np.concatenate([_unit_residuals(canonical, cols) for cols in classes])
         if residuals.max() > tol.fix:
             raise _Ambiguous(f"a basis element is not fixed (residual {residuals.max():.3e})")
-        gap = _block_frame_gap(kraus, canonical, classes, rng)
+        gap = _block_frame_gap(canonical, classes, rng)
         if gap <= tol.fix:
             raise _Ambiguous(f"a fixed direction lies outside the commutant (gap {gap:.3e})")
         edges = np.cumsum([0] + [cols.shape[1] ** 2 for cols in classes])

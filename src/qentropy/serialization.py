@@ -210,8 +210,8 @@ def load_classical_batch(
 ) -> list[tuple[StochasticMatrix, ProbabilityVector]]:
     """Load (B, p) records from a CSV or JSON file (format sniffed by content).
 
-    Matrix rows of unequal lengths are refused by record number (from 1) and, in CSV, the line
-    the record starts on, before numpy sees them.
+    Matrix rows of unequal lengths, and matrices numpy cannot read as one array of floats, are
+    refused by record number (from 1) and, in CSV, the line the record starts on.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -220,14 +220,18 @@ def load_classical_batch(
         if not isinstance(record, dict) or "matrix" not in record or "p" not in record:
             raise ValidationError('each record needs "matrix" and "p" fields')
         rows = record["matrix"]
+        where = f"record {len(batch) + 1}" + ("" if line is None else f" (line {line})")
         if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
             lengths = [len(row) for row in rows]
             if len(set(lengths)) > 1:
-                where = f"record {len(batch) + 1}" + ("" if line is None else f" (line {line})")
                 raise ValidationError(
                     f"{where}: matrix rows have unequal lengths {_shortened(str(lengths))}"
                 )
-        matrix = stochastic_matrix(np.asarray(rows, dtype=float), tol)
+        try:  # rows mixed with numbers, uneven nesting or entries that are not numbers
+            rows = np.asarray(rows, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{where}: matrix is not equal-length rows of numbers") from exc
+        matrix = stochastic_matrix(rows, tol)
         _check_declared_dim(record, matrix.dim, "matrix rows")
         batch.append((matrix, probability_vector(record["p"], tol)))
     if not batch:

@@ -409,6 +409,29 @@ class TestClassicalCheck:
             f"ValidationError: {where}: matrix rows have unequal lengths {lengths}"
         ]
 
+    @pytest.mark.parametrize(
+        "records, where",
+        [
+            # a row that is a number, not a list: numpy's "inhomogeneous shape" before
+            ([{"matrix": [[0.5, 0.5], 0.5], "p": [0.5, 0.5]}], "record 1"),
+            # rows of equal length that nest unevenly
+            (
+                [{"matrix": [[0, 1], [1, 0]], "p": [1, 0]},
+                 {"matrix": [[[0.5], [0.5]], [0.5, 0.5]], "p": [0.5, 0.5]}],
+                "record 2",
+            ),
+            ([{"matrix": [["a", 0.5], [0.5, 0.5]], "p": [0.5, 0.5]}], "record 1"),
+        ],
+    )
+    def test_malformed_matrix_names_its_record(self, capsys, tmp_path, records, where):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(records))
+        code, result = run_cli(capsys, ["classical-check", str(path)])
+        assert code == 2 and result["status"] == "error"
+        assert result["diagnostics"] == [
+            f"ValidationError: {where}: matrix is not equal-length rows of numbers"
+        ]
+
     def test_column_stochastic_only_exits_2(self, capsys, tmp_path):
         path = tmp_path / "batch.csv"
         path.write_text("2\n1,0.5\n0,0.5\n0.5,0.5\n")

@@ -5,11 +5,13 @@ s^dag s on all N x N matrices, and a loop over block pairs for the block-form
 residual.  The library computes the same objects without them: the commutant
 of the Kraus operators of adjoint(phi) o phi, certified in its block frame
 (residuals from the block isometries, and a gap on the right-factor space
-Herm(sum dR) by an exact eigensolve for sum dR <= 16, Lanczos above, which
-must also expose a frame with merged or split blocks), and one batched
-conjugation.  Random block specs (hypothesis), eps-mixtures and channels with
-sum dR > 16 check dimension and gap against the dense oracle, and the two gap
-solvers agree on the same compressed maps.  Decompositions computed from a
+Herm(sum dR), one block pair at a time while the pairs decouple, else the
+whole frame, by exact eigensolves of side <= 256 and Lanczos above, which must
+also expose a frame with merged or split blocks), and one batched conjugation.
+Random block specs (hypothesis), eps-mixtures and channels with sum dR > 16
+check dimension and gap against the dense oracle, the gap solvers agree on the
+same compressed maps, and the Hermitian canonical Kraus operators keep the
+Choi matrix of the products they come from.  Decompositions computed from a
 channel are certified against the channel and the state it was synthesized
 with.
 """
@@ -31,22 +33,26 @@ from qentropy import (
     adjoint,
     apply_channel,
     channel_distance,
+    channel_from_bistochastic,
     decompose_fixed_point_algebra,
     fixed_point_space,
     kraus_channel,
     parse_block_spec,
     random_bistochastic_channel,
+    random_bistochastic_matrix,
     random_unitary,
     synthesize_pair,
     verify_block_structure,
 )
 from qentropy import entropy_analysis
 from qentropy.entropy_analysis import (
+    _PAIR_COUPLING,
     _block_frame_gap,
-    _exact_top_outside,
-    _gram_map,
+    _canonical_operators,
+    _pair_top,
     _partial_trace_right,
     _top_eigenvalue_outside,
+    _top_outside,
     block_form_residual,
 )
 from qentropy.generators import _seeded_rng
@@ -103,17 +109,19 @@ def channels():
 
 CASES = list(channels())
 IDS = [name for name, _ in CASES]
-# sum dR > 16, so the gap comes from Lanczos: twenty 1x1 blocks, and two 1x9 blocks
-LANCZOS_CASES = {
+# sum dR > 16: twenty 1x1 blocks (190 pairs of side 1) and two 1x9 blocks (pairs of side 81) take
+# the gap by pairs; one 1x17 block (a trivial algebra) is one pair of side 289, so Lanczos
+WIDE_CASES = {
     "bistochastic n=20 k=2": lambda: random_bistochastic_channel(20, 2, seed=3),
     "synthesized 1x9,1x9": lambda: synthesize_pair(parse_block_spec("1x9,1x9"), seed=3)[0],
+    "bistochastic n=17 k=3": lambda: random_bistochastic_channel(17, 3, seed=3),
 }
 
 
 @pytest.mark.parametrize(
     "phi",
-    [phi for _, phi in CASES] + [make() for make in LANCZOS_CASES.values()],
-    ids=IDS + list(LANCZOS_CASES),
+    [phi for _, phi in CASES] + [make() for make in WIDE_CASES.values()],
+    ids=IDS + list(WIDE_CASES),
 )
 def test_fixed_point_space_matches_dense_oracle(phi, tol):
     f = fixed_point_space(phi)
@@ -188,13 +196,11 @@ def test_fixed_point_space_memory_stays_small_at_n48():
     assert peak <= 16 * 2**20
 
 
-def kraus_and_frames(spec, seed):
-    """phi's Kraus stack, the stack of its products M_i^dag M_j (a Kraus stack of adjoint(phi) o
-    phi), and the synthesized classes with their merged (blocks of equal dL in one class) and
-    split-by-left-index frames."""
+def canonical_and_frames(spec, seed):
+    """phi, the Hermitian canonical Kraus operators of adjoint(phi) o phi, and the synthesized
+    classes with their merged (blocks of equal dL in one class) and split-by-left-index frames."""
     phi, _, structure = synthesize_pair(parse_block_spec(spec), seed=seed)
-    kraus = np.asarray(phi.kraus)
-    twice = (kraus.conj().transpose(0, 2, 1)[:, None] @ kraus[None]).reshape(-1, phi.dim, phi.dim)
+    canonical = _canonical_operators(np.asarray(phi.kraus))[1]
     classes = [b.isometry.reshape(phi.dim, b.dim_left, b.dim_right) for b in structure.blocks]
     by_left = {}
     for cols in classes:
@@ -202,27 +208,31 @@ def kraus_and_frames(spec, seed):
     assert len(by_left) < len(classes)
     merged = [np.concatenate(group, axis=2) for group in by_left.values()]
     split = [cols[:, [left]] for cols in classes for left in range(cols.shape[1])]
-    return phi, kraus, twice, {"exact": classes, "merged": merged, "split": split}
+    return phi, canonical, {"exact": classes, "merged": merged, "split": split}
 
 
-# 2x2,2x2 is solved exactly in all three frames; 1x8,1x9,2x1 (sum dR = 18) by Lanczos in all three
+# 2x2,2x2 is solved by pairs in all three frames; 1x8,1x9,2x1 (sum dR = 18) by pairs in the exact
+# and split frames, and by Lanczos in the merged one, whose 1x8 + 1x9 class makes a 289-side pair
 @pytest.mark.parametrize("spec", ["2x2,2x2", "1x8,1x9,2x1"])
 def test_block_frame_gap_catches_an_incomplete_basis(spec, tol):
     # merged blocks leave a second identity fixed, a block split by left index
     # the cross-pair identities: either way the compressed gap reads ~0
-    phi, kraus, twice, frames = kraus_and_frames(spec, seed=5)
+    phi, canonical, frames = canonical_and_frames(spec, seed=5)
     _, dense = oracle_fixed_point_space(phi, tol)
-    assert abs(_block_frame_gap(kraus, twice, frames["exact"], _seeded_rng(0)) - dense) <= 1e-10
-    assert _block_frame_gap(kraus, twice, frames["merged"], _seeded_rng(0)) <= tol.fix
-    assert _block_frame_gap(kraus, twice, frames["split"], _seeded_rng(0)) <= tol.fix
+    gap = _block_frame_gap(canonical, frames["exact"], _seeded_rng(0))
+    assert abs(gap - dense) <= 1e-10
+    assert _block_frame_gap(canonical, frames["merged"], _seeded_rng(0)) <= tol.fix
+    assert _block_frame_gap(canonical, frames["split"], _seeded_rng(0)) <= tol.fix
 
 
 @pytest.mark.parametrize(
     "spec", ["2x2,2x2", "1x2,1x3,2x2", "3x2,3x3", "2x3,2x1,1x4", "1x1,1x1,1x1"]
 )
 def test_exact_gap_matches_lanczos_on_the_same_compressed_maps(spec):
-    # every frame here has sum dR <= 16; the merged and split ones have a top eigenvalue ~1
-    _, kraus, twice, frames = kraus_and_frames(spec, seed=9)
+    # the pair kernel, the same kernel on the whole frame, and Lanczos, on each frame (sum dR <=
+    # 16 throughout); the merged and split frames have a top eigenvalue ~1, and every frame here
+    # decouples into its block pairs
+    _, canonical, frames = canonical_and_frames(spec, seed=9)
     for name, classes in frames.items():
         w = np.concatenate([cols[:, 0, :] for cols in classes], axis=1)
         n = w.shape[1]
@@ -231,15 +241,77 @@ def test_exact_gap_matches_lanczos_on_the_same_compressed_maps(spec):
         units = np.repeat(np.eye(len(dims)) / np.sqrt(dims), dims, axis=0)  # diagonals of the ids
         ids = np.zeros((len(dims), n, n), dtype=complex)
         ids[:, np.arange(n), np.arange(n)] = units.T
-        exact = _exact_top_outside(w.conj().T @ twice @ w, units)
-        lanczos = _top_eigenvalue_outside(_gram_map(kraus @ w), ids, _seeded_rng(0))
-        assert abs(exact - lanczos) <= 1e-10, name
+        ops = w.conj().T @ canonical @ w
+        pairs, coupling = _pair_top(ops, dims)
+        fixed = ids.reshape(1, len(dims), -1).real.swapaxes(1, 2)  # the vec(I_dR_j) / sqrt(dR_j)
+        whole = _top_outside(ops[None], ops[None], fixed)
+        gram = lambda y: np.sum(ops @ y @ ops, axis=0)
+        lanczos = _top_eigenvalue_outside(gram, ids, _seeded_rng(0))
+        assert coupling <= 1e-13, name
+        assert abs(pairs - lanczos) <= 1e-10, name
+        assert abs(whole - lanczos) <= 1e-10, name
+
+
+@pytest.mark.parametrize(
+    "make_phi, coupled",
+    [
+        (lambda: synthesize_pair(parse_block_spec("2x2,2x1,1x2"), seed=4)[0], False),
+        (lambda: synthesize_pair(parse_block_spec("3x2,2x3"), seed=8)[0], False),
+        # the light canonical operators of an eps-mixture couple the block pairs by O(sqrt(eps))
+        (lambda: eps_mixture("2x2,2x1,1x2", 1e-12, 3), True),
+        (lambda: eps_mixture("3x2,2x3", 1e-10, 11), True),
+    ],
+    ids=["pairs 2x2,2x1,1x2", "pairs 3x2,2x3", "coupled 2x2,2x1,1x2", "coupled 3x2,2x3"],
+)
+def test_gap_paths_match_dense_oracle(make_phi, coupled, monkeypatch, tol):
+    # the pair gap is taken only when the coupling bound is at most _PAIR_COUPLING, else the
+    # whole frame is solved; both match the dense eigensolve
+    couplings, pair_top = [], entropy_analysis._pair_top
+
+    def recorded(*args):
+        top, coupling = pair_top(*args)
+        couplings.append(coupling)
+        return top, coupling
+
+    monkeypatch.setattr(entropy_analysis, "_pair_top", recorded)
+    phi = make_phi()
+    f = fixed_point_space(phi)
+    _, gap = oracle_fixed_point_space(phi, tol)
+    assert couplings and all((c > _PAIR_COUPLING) == coupled for c in couplings)
+    assert abs(f.spectral_gap - gap) <= 1e-10
+
+
+CANONICAL_CASES = {
+    # k^2 <= N^2: the family is solved as formed
+    "bistochastic n=5 k=3": lambda: random_bistochastic_channel(5, 3, seed=12),
+    "synthesized 2x2,2x1,1x2": lambda: synthesize_pair(parse_block_spec("2x2,2x1,1x2"), 2)[0],
+    # k^2 > N^2: the family is QR-folded to N^2 rows in real coordinates
+    "bistochastic n=3 k=5": lambda: random_bistochastic_channel(3, 5, seed=13),
+    "from_bistochastic n=4": lambda: channel_from_bistochastic(
+        random_bistochastic_matrix(4, 3, 14)
+    ),
+}
+
+
+@pytest.mark.parametrize("make_phi", CANONICAL_CASES.values(), ids=CANONICAL_CASES.keys())
+def test_canonical_operators_are_hermitian_and_keep_the_choi_matrix(make_phi):
+    kraus = np.asarray(make_phi().kraus)
+    k, n, _ = kraus.shape
+    weights, canonical = _canonical_operators(kraus)
+    assert len(canonical) <= min(k * k, n * n)
+    assert np.array_equal(canonical, canonical.conj().transpose(0, 2, 1))
+    products = (kraus.conj().transpose(0, 2, 1)[:, None] @ kraus[None]).reshape(k * k, n * n)
+    flat = canonical.reshape(len(canonical), n * n)
+    choi = products.T @ products.conj()
+    np.testing.assert_allclose(flat.T @ flat.conj(), choi, rtol=0, atol=1e-12)
+    assert weights.sum() == pytest.approx(n, abs=1e-12)
 
 
 # tracemalloc bounds (MB) on fixed_point_space and the sum dR of each spec.  At 15 and 14 the gap
-# is exact and the bounds are the peaks read when every gap came from Lanczos; an exact path that
-# held the complex N'^2 x N'^2 superoperator and its transforms at once reached 6.2 and 5.8 MB.
-# At 48 Lanczos reads ~10 MB, where the exact path's complex k alone takes 85 MB (its peak 123 MB).
+# comes from block pairs and the bounds are the peaks read when every gap came from Lanczos; an
+# exact path that held the complex N'^2 x N'^2 superoperator and its transforms at once reached
+# 6.2 and 5.8 MB.  At 48 (576-side pairs) Lanczos reads ~10 MB, where a whole-frame exact path's
+# complex N'^4 array alone would take 85 MB.
 GAP_MEMORY_BOUNDS = {"2x5,3x2,1x8": (2.60, 15), "3x4,2x5,2x5": (3.81, 14), "1x24,1x24": (16, 48)}
 
 
@@ -255,6 +327,21 @@ def test_block_frame_gap_keeps_memory_small(spec, mb, right):
     assert sum(b.dim_right for b in f.structure.blocks) == right
     assert f.spectral_gap > DEFAULT_TOL.fix
     assert peak <= mb * 2**20
+
+
+def test_fixed_point_space_memory_at_a_narrow_gap():
+    # forty-eight 1x1 blocks and a gap of ~2e-4: Lanczos on Herm(48) held 42 MB of Krylov vectors
+    # here and took 2.2 s; the 1128 pairs of side 1 and the 48 x N^2 basis take ~3.6 MB
+    phi = random_bistochastic_channel(48, 2, seed=3)
+    tracemalloc.start()
+    try:
+        f = fixed_point_space(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.structure.block_dims == ((1, 1),) * 48
+    assert DEFAULT_TOL.fix < f.spectral_gap < 1e-3
+    assert peak <= 6 * 2**20
 
 
 BLOCK_LISTS = st.lists(
