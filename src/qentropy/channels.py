@@ -13,6 +13,7 @@ only permutes entries, so it reads the distance off a QR of the two Kraus stacks
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -61,8 +62,8 @@ class KrausChannel:
     def _gram_numbers(self) -> tuple[float, float, float]:
         """(||sum M^dag M - I||_F, ||sum M M^dag - I||_F, top eigenvalue of sum M^dag M)."""
         eye = np.eye(self.dim)
-        gram = sum(m.conj().T @ m for m in self.kraus)
-        cogram = sum(m @ m.conj().T for m in self.kraus)
+        gram = _sliced_sum(self.kraus, lambda ks: ks.conj().swapaxes(1, 2) @ ks)
+        cogram = _sliced_sum(self.kraus, lambda ks: ks @ ks.conj().swapaxes(1, 2))
         top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
         return float(np.linalg.norm(gram - eye)), float(np.linalg.norm(cogram - eye)), top
 
@@ -96,6 +97,8 @@ def kraus_channel(operators, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel
             raise NotSquareError(f"Kraus operator of shape {m.shape} is not square")
         if m.shape[0] != n:
             raise DimensionMismatchError("Kraus operators act on different dimensions")
+    if n == 0:
+        raise ValidationError("Kraus operators must be at least 1x1")
     phi = KrausChannel(dim=n, kraus=frozen_array(mats))
     top = phi._gram_numbers[2]
     if top > 1.0 + tol.eq:
@@ -137,17 +140,41 @@ def _require(phi: KrausChannel, prop: str, what: str, tol: ToleranceConfig) -> C
     return cls
 
 
+_SLICE_ENTRIES = 8192  # 128 KiB of complex entries, glibc's default mmap threshold
+
+
+def _sliced_sum(kraus: np.ndarray, batch: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Sum of the N x N terms of ``batch(S)`` over consecutive (s, N, N) slices S of a Kraus stack.
+
+    s = max(1, 8192 // N^2) keeps a batch within 128 KiB, so a call reuses heap memory where one
+    (k, N, N) batch at N >= 48 would fault in fresh pages each time.  The terms join a zero sum
+    one at a time in operator order: bit for bit a loop over the operators, which a reduction
+    over the stack (pairwise, or starting from the first term) would not be.
+    """
+    n = kraus.shape[1]
+    out, step = np.zeros((n, n), dtype=complex), max(1, _SLICE_ENTRIES // (n * n))
+    for i in range(0, len(kraus), step):
+        for term in batch(kraus[i : i + step]):
+            out += term
+        del term  # a view: it would keep this batch alive while the next one is formed
+    return out
+
+
+def _apply(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j M_j X M_j^dag for a (k, N, N) stack and a complex N x N X, neither checked."""
+    return _sliced_sum(kraus, lambda ks: ks @ x @ ks.conj().swapaxes(1, 2))
+
+
 def apply_channel(phi: KrausChannel, x: np.ndarray) -> np.ndarray:
-    """sum_j M_j X M_j^dag."""
+    """sum_j M_j X M_j^dag, in O(k N^3): batched products over max(1, 8192 // N^2) operators at a
+    time, whose three temporaries hold at most 128 KiB each (one N x N matrix when N > 90) beside
+    the O(N^2) input and result, whatever k is."""
     arr = as_complex_matrix(x)
     if arr.shape != (phi.dim, phi.dim):
         raise DimensionMismatchError(
             f"operator of shape {arr.shape} does not match channel dimension {phi.dim}"
         )
-    out = np.zeros_like(arr)
-    for m in phi.kraus:
-        out += m @ arr @ m.conj().T
-    return out
+    return _apply(phi.kraus, arr)
 
 
 def adjoint(phi: KrausChannel) -> KrausChannel:
@@ -215,7 +242,7 @@ def petz_recovery(
     """
     _require(phi, "stochastic", "recovery map needs a trace-preserving channel", tol)
     _require_same_dim(channel=phi.dim, state=sigma.dim)
-    spec_out = spectral_decomposition(apply_channel(phi, sigma.matrix))
+    spec_out = spectral_decomposition(_apply(phi.kraus, sigma.matrix))
     return kraus_channel(_petz_recovery(phi, sigma.spectrum, spec_out, tol).kraus, tol)
 
 
@@ -225,4 +252,4 @@ def _petz_recovery(
     """:func:`petz_recovery` from the spectra of sigma and phi(sigma), phi unchecked and the
     result not validated (sum R^dag R is the projector onto the support of phi(sigma))."""
     left, right = _psd_root(spec_sigma, False, tol), _psd_root(spec_out, True, tol)
-    return KrausChannel(phi.dim, frozen_array([left @ m.conj().T @ right for m in phi.kraus]))
+    return KrausChannel(phi.dim, frozen_array(left @ phi.kraus.conj().swapaxes(1, 2) @ right))

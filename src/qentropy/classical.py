@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel, classify, kraus_channel
+from .channels import KrausChannel, _apply, classify, kraus_channel
 from .errors import (
     NotBistochasticError,
     NotDiagonalError,
@@ -197,7 +197,8 @@ def bridge_check(
         )
     p = probability_vector(np.real(np.diagonal(rho.matrix)), tol)
     b = kraus_matrix(phi, tol)
-    q_direct = np.real(np.diagonal(apply_channel(phi, rho.matrix)))
+    _require_same_dim(channel=phi.dim, state=rho.dim)
+    q_direct = np.real(np.diagonal(_apply(phi.kraus, rho.matrix)))
     q_via_b = b.matrix @ p.entries
     residual = float(np.max(np.abs(q_direct - q_via_b)))
     return BridgeReport(

@@ -40,13 +40,12 @@ import numpy as np
 from .channels import (
     ChannelClass,
     KrausChannel,
+    _apply,
     _choi_distance,
     _kraus_stack,
     _petz_recovery,
     _product_stack,
     _require,
-    adjoint,
-    apply_channel,
     kraus_channel,
 )
 from .choi import _map_entropy_bits
@@ -209,8 +208,8 @@ def entropy_preservation_report(
     """Evaluate entropy preservation and the fixed-point condition side by side."""
     _require(phi, "bistochastic", "report needs a bi-stochastic channel", tol)
     _require_same_dim(channel=phi.dim, state=rho.dim)
-    out = apply_channel(phi, rho.matrix)
-    residual = float(np.linalg.norm(apply_channel(adjoint(phi), out) - rho.matrix))
+    out = _apply(phi.kraus, rho.matrix)
+    residual = float(np.linalg.norm(_apply(phi.kraus.conj().swapaxes(1, 2), out) - rho.matrix))
     s_in, s_out = von_neumann_entropy(rho), entropy_of_matrix(out)
     return EquivalenceReport.judge("preservation", s_in, s_out, residual, tol.eq, tol.fix)
 
@@ -255,8 +254,8 @@ def _relative_entropy_across(
             "supp(rho) is not contained in supp(sigma); "
             f"leakage {_support_leak(rho.spectrum, sigma.spectrum, tol):.3e}"
         )
-    out_rho = validate_state(apply_channel(phi, rho.matrix), tol)
-    out_sigma = validate_state(apply_channel(phi, sigma.matrix), tol)
+    out_rho = validate_state(_apply(phi.kraus, rho.matrix), tol)
+    out_sigma = validate_state(_apply(phi.kraus, sigma.matrix), tol)
     return cls, s_before, relative_entropy(out_rho, out_sigma, tol), out_rho, out_sigma
 
 
@@ -299,7 +298,7 @@ def check_petz_equality(
     what = "equality check needs a trace-preserving channel"
     _, s_before, s_after, out_rho, out_sigma = _relative_entropy_across(phi, rho, sigma, what, tol)
     recovery = _petz_recovery(phi, sigma.spectrum, out_sigma.spectrum, tol)
-    recovered = apply_channel(recovery, out_rho.matrix)
+    recovered = _apply(recovery.kraus, out_rho.matrix)
     residual = float(np.linalg.norm(recovered - rho.matrix))
     return EquivalenceReport.judge("petz", s_before, s_after, residual, tol.eq, tol.fix)
 

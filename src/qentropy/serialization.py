@@ -147,12 +147,13 @@ def channel_to_obj(phi: KrausChannel) -> dict:
 def channel_from_obj(obj, tol: ToleranceConfig = DEFAULT_TOL) -> KrausChannel:
     if not isinstance(obj, dict) or "kraus" not in obj:
         raise ValidationError('expected an object with a "kraus" field')
+    if not isinstance(obj["kraus"], list):
+        raise ValidationError('"kraus" must be a list of Kraus operators')
     mats = []
-    for entry in obj["kraus"]:
-        if isinstance(entry, dict):
-            mats.append(matrix_from_obj(entry["matrix"]))
-        else:
-            mats.append(matrix_from_obj(entry))
+    for number, entry in enumerate(obj["kraus"], 1):
+        if isinstance(entry, dict) and "matrix" not in entry:
+            raise ValidationError(f'Kraus entry {number}: expected an object with a "matrix" field')
+        mats.append(matrix_from_obj(entry["matrix"] if isinstance(entry, dict) else entry))
     phi = kraus_channel(mats, tol)
     _check_declared_dim(obj, phi.dim, "Kraus dimension")
     return phi

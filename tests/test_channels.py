@@ -1,6 +1,8 @@
 """Tests for Kraus channels: application, adjoint, composition, classification,
 superoperator matrices and the sigma-weighted recovery map."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,10 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError):
             kraus_channel([np.eye(2), np.eye(3)])
 
+    def test_rejects_a_0x0_operator(self):
+        with pytest.raises(ValidationError, match="at least 1x1"):
+            kraus_channel([np.zeros((0, 0))])
+
 
 class TestApply:
     def test_identity(self):
@@ -119,6 +125,52 @@ class TestApply:
         phi = random_bistochastic_channel(3, 3, seed)
         out = apply_channel(phi, np.eye(3))
         assert np.linalg.norm(out - np.eye(3)) <= tol.eq * 3
+
+
+def loop_reference(phi, x):
+    """sum_j M_j X M_j^dag one operator at a time: the sum apply_channel must equal bit for bit."""
+    out = np.zeros((phi.dim, phi.dim), dtype=complex)
+    for m in phi.kraus:
+        out += m @ x @ m.conj().T
+    return out
+
+
+def slice_size(n):
+    return max(1, 8192 // n**2)
+
+
+# k = 1, one full slice s, s + 1 (a second slice of one operator), and N^2 + 1 where that stack
+# stays small (at N = 48 it would be 85 MB); the N^2 x N^2 superoperator is formed for N <= 12
+KERNEL_CASES = sorted(
+    {(n, k) for n in (1, 2, 12, 48, 96) for k in (1, slice_size(n), slice_size(n) + 1)}
+    | {(n, n * n + 1) for n in (1, 2, 12)}
+)
+
+
+class TestSlicedKernel:
+    @pytest.mark.parametrize("n, k", KERNEL_CASES, ids=[f"n={n}-k={k}" for n, k in KERNEL_CASES])
+    def test_matches_the_operator_loop_bit_for_bit(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        ops = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        phi = KrausChannel(n, ops / np.sqrt(k * n))
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))  # not Hermitian
+        out = apply_channel(phi, x)
+        assert out.tobytes() == loop_reference(phi, x).tobytes()
+        if n <= 12:
+            dense = unvec(superoperator_matrix(phi) @ vec(x))
+            assert np.max(np.abs(out - dense)) <= 1e-12
+
+    def test_memory_stays_at_the_slice_size(self):
+        # one unsliced (64, 64, 64) complex product is 4 MiB; a slice of two is 128 KiB
+        phi = random_bistochastic_channel(64, 64, seed=3)
+        x = random_density(64, 64, seed=4).matrix
+        tracemalloc.start()
+        try:
+            apply_channel(phi, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
 
 
 class TestAdjoint:

@@ -149,6 +149,24 @@ class TestDeclaredDim:
         assert code == 0 and result["report"]["dim"] == 2
 
 
+class TestMalformedKraus:
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"kraus": [{"foo": 1}]}, 'Kraus entry 1: expected an object with a "matrix" field'),
+            ({"kraus": 5}, '"kraus" must be a list of Kraus operators'),
+        ],
+        ids=["entry-without-matrix", "kraus-not-a-list"],
+    )
+    @pytest.mark.parametrize("command", ["decompose", "map-entropy"])
+    def test_exits_2_naming_the_field(self, capsys, tmp_path, command, obj, message):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(obj))
+        code, result = run_cli(capsys, [command, str(path)])
+        assert code == 2 and result["status"] == "error" and result["report"] == {}
+        assert result["diagnostics"] == ["ValidationError: " + message]
+
+
 class TestDeeplyNestedJson:
     """json raises RecursionError, not a ValueError, on too deep nesting; it is bad input too."""
 

@@ -74,6 +74,17 @@ class TestChannelFormat:
         with pytest.raises(ValidationError):
             channel_from_obj({"dim": 2})
 
+    @pytest.mark.parametrize("kraus", [5, None, "ab", {"matrix": [[[1.0, 0.0]]]}])
+    def test_kraus_that_is_not_a_list_is_named(self, kraus):
+        with pytest.raises(ValidationError, match='^"kraus" must be a list of Kraus operators$'):
+            channel_from_obj({"kraus": kraus})
+
+    def test_entry_without_matrix_is_named_from_1(self):
+        identity = matrix_to_obj(np.eye(2))
+        message = '^Kraus entry 2: expected an object with a "matrix" field$'
+        with pytest.raises(ValidationError, match=message):
+            channel_from_obj({"kraus": [{"matrix": identity}, {"foo": 1}]})
+
 
 class TestBlockStructureFormat:
     def test_round_trip(self):

@@ -8,6 +8,7 @@ spectrum it keeps: the counts are taken by wrapping ``np.linalg.eigh`` (and
 floats to the last bit, so reusing a spectrum cannot move them.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -299,6 +300,47 @@ class TestOneGramPerChannel:
     def test_classify_of_a_validated_channel(self, eigvalsh_calls):
         phi = random_bistochastic_channel(4, 3, seed=21)
         assert eigvalsh_calls(classify, phi) == 0
+
+
+@pytest.fixture
+def calls_of(monkeypatch):
+    """Count calls of the named functions made inside a callable, through whichever qentropy
+    module's binding of each name the call goes."""
+    counts = {}
+
+    def counting(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    def run(names, fn, *args):
+        for module in [m for key, m in sys.modules.items() if key.startswith("qentropy.")]:
+            for name in set(names) & set(vars(module)):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        counts.update(dict.fromkeys(names, 0))
+        fn(*args)
+        return tuple(counts[name] for name in names)
+
+    return run
+
+
+class TestNoRecoercion:
+    """Validated states and stacks go straight to the channel kernel: a report coerces only the
+    two outputs it validates, and applies phi^dag to phi(rho) without an adjoint channel."""
+
+    def test_preservation(self, calls_of):
+        phi = random_bistochastic_channel(3, 2, seed=14)
+        rho = random_density(3, 3, seed=12)
+        calls = calls_of(["adjoint", "as_complex_matrix"], entropy_preservation_report, phi, rho)
+        assert calls == (0, 0)
+
+    def test_petz(self, calls_of):
+        assert calls_of(["as_complex_matrix"], check_petz_equality, *_instance()) == (2,)
+
+    def test_monotonicity(self, calls_of):
+        assert calls_of(["as_complex_matrix"], entropy_monotonicity_check, *_instance()) == (2,)
 
 
 def _hex(*values):
