@@ -61,9 +61,12 @@ class KrausChannel:
     @cached_property
     def _gram_numbers(self) -> tuple[float, float, float]:
         """(||sum M^dag M - I||_F, ||sum M M^dag - I||_F, top eigenvalue of sum M^dag M)."""
+        def terms(ks: np.ndarray) -> np.ndarray:  # (s, 2, N, N): one conjugate for both sums
+            kh = ks.conj().swapaxes(1, 2)
+            return np.stack((kh @ ks, ks @ kh), axis=1)
+
         eye = np.eye(self.dim)
-        gram = _sliced_sum(self.kraus, lambda ks: ks.conj().swapaxes(1, 2) @ ks)
-        cogram = _sliced_sum(self.kraus, lambda ks: ks @ ks.conj().swapaxes(1, 2))
+        gram, cogram = _sliced_sum(self.kraus, terms)
         top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
         return float(np.linalg.norm(gram - eye)), float(np.linalg.norm(cogram - eye)), top
 
@@ -144,24 +147,32 @@ _SLICE_ENTRIES = 8192  # 128 KiB of complex entries, glibc's default mmap thresh
 
 
 def _sliced_sum(kraus: np.ndarray, batch: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Sum of the N x N terms of ``batch(S)`` over consecutive (s, N, N) slices S of a Kraus stack.
+    """Sum of the terms of ``batch(S)`` over consecutive (s, N, N) slices S of a Kraus stack.
 
-    s = max(1, 8192 // N^2) keeps a batch within 128 KiB, so a call reuses heap memory where one
-    (k, N, N) batch at N >= 48 would fault in fresh pages each time.  The terms join a zero sum
-    one at a time in operator order: bit for bit a loop over the operators, which a reduction
-    over the stack (pairwise, or starting from the first term) would not be.
+    ``batch(S)`` has one term per operator of S: an N x N matrix, or an (m, N, N) stack of m
+    matrices summed apart.  s = max(1, 8192 // N^2) keeps a slice's N x N products within
+    128 KiB, so a call reuses heap memory where one (k, N, N) batch at N >= 48 would fault in
+    fresh pages each time.  The terms join a zero sum one at a time in operator order: bit for
+    bit a loop over the operators, which a reduction over the stack (pairwise, or starting from
+    the first term) would not be.
     """
     n = kraus.shape[1]
-    out, step = np.zeros((n, n), dtype=complex), max(1, _SLICE_ENTRIES // (n * n))
-    for i in range(0, len(kraus), step):
-        for term in batch(kraus[i : i + step]):
-            out += term
-        del term  # a view: it would keep this batch alive while the next one is formed
+    step = max(1, _SLICE_ENTRIES // (n * n))
+    for i in range(0, max(len(kraus), 1), step):  # an empty stack still gives the terms' shape
+        terms = batch(kraus[i : i + step])
+        if i == 0:
+            out = np.zeros(terms.shape[1:], dtype=complex)
+        for j in range(len(terms)):
+            out += terms[j]
+        del terms  # it would stay alive while the next batch is formed
     return out
 
 
-def _apply(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j M_j X M_j^dag for a (k, N, N) stack and a complex N x N X, neither checked."""
+def _apply(kraus: np.ndarray, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """sum_j M_j X M_j^dag for a (k, N, N) stack and a complex N x N X, neither checked; with
+    ``adjoint``, sum_j M_j^dag X M_j, the adjoint map applied from the same stack."""
+    if adjoint:
+        return _sliced_sum(kraus, lambda ks: ks.conj().swapaxes(1, 2) @ x @ ks)
     return _sliced_sum(kraus, lambda ks: ks @ x @ ks.conj().swapaxes(1, 2))
 
 
@@ -216,9 +227,9 @@ def _product_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """
     n2 = left.shape[1] ** 2
     step = max(1, n2 // len(right))
-    stack = np.zeros((0, n2), dtype=complex)
     for i in range(0, len(left), step):
-        stack = np.concatenate([stack, (left[i : i + step, None] @ right[None]).reshape(-1, n2)])
+        block = (left[i : i + step, None] @ right[None]).reshape(-1, n2)
+        stack = np.concatenate([stack, block]) if i else block
         if len(stack) > n2:
             stack = np.linalg.qr(stack, mode="r")
     return stack
@@ -243,13 +254,13 @@ def petz_recovery(
     _require(phi, "stochastic", "recovery map needs a trace-preserving channel", tol)
     _require_same_dim(channel=phi.dim, state=sigma.dim)
     spec_out = spectral_decomposition(_apply(phi.kraus, sigma.matrix))
-    return kraus_channel(_petz_recovery(phi, sigma.spectrum, spec_out, tol).kraus, tol)
+    return kraus_channel(_petz_recovery(phi, sigma.spectrum, spec_out, tol), tol)
 
 
 def _petz_recovery(
     phi: KrausChannel, spec_sigma: Spectrum, spec_out: Spectrum, tol: ToleranceConfig
-) -> KrausChannel:
-    """:func:`petz_recovery` from the spectra of sigma and phi(sigma), phi unchecked and the
-    result not validated (sum R^dag R is the projector onto the support of phi(sigma))."""
+) -> np.ndarray:
+    """:func:`petz_recovery`'s Kraus stack, neither validated nor copied, from the spectra of sigma
+    and phi(sigma), phi unchecked (sum R^dag R is the projector onto the support of phi(sigma))."""
     left, right = _psd_root(spec_sigma, False, tol), _psd_root(spec_out, True, tol)
-    return KrausChannel(phi.dim, frozen_array(left @ phi.kraus.conj().swapaxes(1, 2) @ right))
+    return left @ phi.kraus.conj().swapaxes(1, 2) @ right

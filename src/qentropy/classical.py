@@ -10,7 +10,6 @@ the channel's action on basis-diagonal states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,14 +139,9 @@ def channel_from_bistochastic(
     channel).
     """
     _require_bistochastic(t)
-    n = t.dim
-    ops = []
-    for j in range(n):
-        for i in range(n):
-            if t.matrix[j, i] > tol.psd:
-                op = np.zeros((n, n), dtype=complex)
-                op[j, i] = math.sqrt(t.matrix[j, i])
-                ops.append(op)
+    rows, cols = np.nonzero(t.matrix > tol.psd)  # row-major: j outer, i inner
+    ops = np.zeros((len(rows), t.dim, t.dim), dtype=complex)
+    ops[np.arange(len(rows)), rows, cols] = np.sqrt(t.matrix[rows, cols])
     return kraus_channel(ops, tol)
 
 

@@ -129,16 +129,11 @@ def _cmd_map_entropy(args, tol: ToleranceConfig) -> dict:
 
 def _cmd_classical_check(args, tol: ToleranceConfig) -> dict:
     batch = ser.load_classical_batch(args.batch_file, tol)
-    rows = []
-    preserved = disagreements = 0
-    for b, p in batch:
-        row = corollary_check(b, p, tol).as_dict()
-        rows.append(row)
-        preserved += int(row["entropy_preserved"])
-        disagreements += int(not row["agreement"])
+    rows = [corollary_check(b, p, tol).as_dict() for b, p in batch]
+    disagreements = sum(not row["agreement"] for row in rows)
     report = {
         "instances": len(rows),
-        "preserved": preserved,
+        "preserved": sum(row["entropy_preserved"] for row in rows),
         "disagreements": disagreements,
         "rows": rows,
     }
@@ -153,11 +148,8 @@ def _cmd_synthesize(args, tol: ToleranceConfig) -> dict:
     spec = parse_block_spec(args.spec)
     phi, rho, structure = synthesize_pair(spec, seed=args.seed, tol=tol)
     os.makedirs(args.out_dir, exist_ok=True)
-    paths = {
-        "channel": os.path.join(args.out_dir, "channel.json"),
-        "state": os.path.join(args.out_dir, "state.json"),
-        "structure": os.path.join(args.out_dir, "structure.json"),
-    }
+    paths = {name: os.path.join(args.out_dir, f"{name}.json")
+             for name in ("channel", "state", "structure")}
     ser.save_json(paths["channel"], ser.channel_to_obj(phi))
     ser.save_json(paths["state"], ser.state_to_obj(rho))
     ser.save_json(paths["structure"], ser.block_structure_to_obj(structure))

@@ -46,6 +46,7 @@ from .channels import (
     _petz_recovery,
     _product_stack,
     _require,
+    _sliced_sum,
     kraus_channel,
 )
 from .choi import _map_entropy_bits
@@ -53,6 +54,7 @@ from .errors import (
     AmbiguousGroupingError,
     InvalidSpecError,
     NotAnAlgebraError,
+    NotStochasticError,
     StructureMismatchError,
     SupportViolationError,
 )
@@ -209,7 +211,7 @@ def entropy_preservation_report(
     _require(phi, "bistochastic", "report needs a bi-stochastic channel", tol)
     _require_same_dim(channel=phi.dim, state=rho.dim)
     out = _apply(phi.kraus, rho.matrix)
-    residual = float(np.linalg.norm(_apply(phi.kraus.conj().swapaxes(1, 2), out) - rho.matrix))
+    residual = float(np.linalg.norm(_apply(phi.kraus, out, adjoint=True) - rho.matrix))
     s_in, s_out = von_neumann_entropy(rho), entropy_of_matrix(out)
     return EquivalenceReport.judge("preservation", s_in, s_out, residual, tol.eq, tol.fix)
 
@@ -268,19 +270,11 @@ def entropy_monotonicity_check(
     """Relative entropy before vs after the channel; slack must be >= -tol.eq."""
     what = "monotonicity needs a trace-preserving channel"
     cls, s_before, s_after, out_rho, _ = _relative_entropy_across(phi, rho, sigma, what, tol)
-    entropy_in = entropy_out = gain = None
-    n = phi.dim
+    entropies, n = (), phi.dim  # (entropy_in, entropy_out, entropy_gain) when filled
     if cls.bistochastic and np.linalg.norm(sigma.matrix - np.eye(n) / n) <= tol.eq:
         entropy_in, entropy_out = von_neumann_entropy(rho), von_neumann_entropy(out_rho)
-        gain = entropy_out - entropy_in
-    return MonotonicityReport(
-        relative_entropy_in=s_before,
-        relative_entropy_out=s_after,
-        slack=s_before - s_after,
-        entropy_in=entropy_in,
-        entropy_out=entropy_out,
-        entropy_gain=gain,
-    )
+        entropies = (entropy_in, entropy_out, entropy_out - entropy_in)
+    return MonotonicityReport(s_before, s_after, s_before - s_after, *entropies)
 
 
 def check_petz_equality(
@@ -298,8 +292,7 @@ def check_petz_equality(
     what = "equality check needs a trace-preserving channel"
     _, s_before, s_after, out_rho, out_sigma = _relative_entropy_across(phi, rho, sigma, what, tol)
     recovery = _petz_recovery(phi, sigma.spectrum, out_sigma.spectrum, tol)
-    recovered = _apply(recovery.kraus, out_rho.matrix)
-    residual = float(np.linalg.norm(recovered - rho.matrix))
+    residual = float(np.linalg.norm(_apply(recovery, out_rho.matrix) - rho.matrix))
     return EquivalenceReport.judge("petz", s_before, s_after, residual, tol.eq, tol.fix)
 
 
@@ -314,17 +307,21 @@ def map_entropy_preservation_report(
     stack of the products M_i N_j and the norm from the Kraus stacks of psi
     and of adjoint(phi) o phi o psi; the product stacks are QR-folded to at
     most N^2 rows (realignment only permutes entries), and no superoperator
-    is formed.
+    is formed.  The composition keeps a trace check of its own, as the
+    residuals of phi and psi add: ||sum P^dag P - I||_F <= tol.eq N for the
+    folded stack {P} (folding keeps sum P^dag P), formed alone with no
+    classification, else NotStochasticError.
     """
     _require(phi, "bistochastic", "outer channel must be bi-stochastic", tol)
     _require(psi, "stochastic", "inner channel must be trace preserving", tol)
     _require_same_dim(phi=phi.dim, psi=psi.dim)
     outer, inner, n = phi.kraus, psi.kraus, phi.dim
     s_inner = _map_entropy_bits(_kraus_stack(psi), n)
-    # psi passed its check above; phi o psi keeps its own, as the residuals add.  Its stack folds
-    # to <= N^2 rows, whose operators keep sum P^dag P and sum P P^dag
     folded, what = _product_stack(outer, inner), "map entropy needs a trace-preserving channel"
-    _require(KrausChannel(n, folded.reshape(-1, n, n)), "stochastic", what, tol)
+    gram = _sliced_sum(folded.reshape(-1, n, n), lambda ps: ps.conj().swapaxes(1, 2) @ ps)
+    residual = float(np.linalg.norm(gram - np.eye(n)))
+    if residual > tol.eq * n:
+        raise NotStochasticError(f"{what}; residual {residual:.3e}")
     s_composed = _map_entropy_bits(folded, n)
     del folded  # the two stacks below need not coexist with it
     # Kraus stacks of adjoint(phi) o phi, then of adjoint(phi) o phi o psi, in <= N^2 rows

@@ -51,14 +51,15 @@ def as_complex_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2:
         raise ValidationError(f"expected a matrix, got an array of ndim {arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # one pass: a complex entry is finite when both parts are
         raise ValidationError("matrix contains non-finite entries")
     return arr
 
 
-def frozen_array(arr, dtype=complex) -> np.ndarray:
-    """Copy an array and mark it read-only (values are immutable by contract)."""
-    out = np.array(arr, dtype=dtype)
+def frozen_array(arr, dtype=complex, copy: bool = True) -> np.ndarray:
+    """Copy an array and mark it read-only (values are immutable by contract); with copy=False,
+    a fresh array that nothing else holds is frozen in place, cast to dtype only if need be."""
+    out = np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -92,7 +93,9 @@ def spectral_decomposition(m: np.ndarray) -> Spectrum:
     """Eigendecompose the Hermitian part of m, eigenvalues (unclipped) sorted descending."""
     vals, vecs = np.linalg.eigh(hermitian_part(m))
     order = np.argsort(vals)[::-1]
-    return Spectrum(frozen_array(vals[order], dtype=float), frozen_array(vecs[:, order]))
+    # indexing by order made fresh arrays, in the layout a copy keeps: freeze them as they are
+    vals = frozen_array(vals[order], dtype=float, copy=False)
+    return Spectrum(vals, frozen_array(vecs[:, order], copy=False))
 
 
 def validate_state(m, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
@@ -107,10 +110,10 @@ def validate_state(m, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
     rows, cols = arr.shape
     if rows != cols:
         raise NotSquareError(f"state matrix must be square, got {rows}x{cols}")
-    herm_dev = float(np.max(np.abs(arr - arr.conj().T))) if rows else 0.0
+    herm_dev = float(np.abs(arr - arr.conj().T).max()) if rows else 0.0
     if herm_dev > tol.herm:
         raise NotHermitianError(f"hermiticity deviation {herm_dev:.3e} exceeds {tol.herm:.1e}")
-    trace_dev = abs(complex(np.trace(arr)) - 1.0)
+    trace_dev = abs(complex(arr.trace()) - 1.0)
     if trace_dev > tol.trace:
         raise TraceNotOneError(f"|trace - 1| = {trace_dev:.3e} exceeds {tol.trace:.1e}")
     spectrum = spectral_decomposition(arr)
@@ -137,8 +140,7 @@ def state_spectrum(rho: DensityMatrix) -> Spectrum:
 def _entropy_bits(p: np.ndarray) -> float:
     """-sum p log2 p in bits over p clipped to [0, 1], so 0*log2(0) := 0; never -0.0.  The one
     entropy kernel (von Neumann, relative, map, Shannon); the clip drops rounding noise."""
-    p = np.clip(p, 0.0, 1.0)
-    pos = p[p > 0.0]
+    pos = np.minimum(p[p > 0.0], 1.0)  # the clip, on the entries it keeps
     return float(-(pos * np.log2(pos)).sum() + 0.0)
 
 
@@ -229,21 +231,24 @@ def relative_entropy(
 ) -> float:
     """tr(rho (log2 rho - log2 sigma)) in bits, or +inf outside sigma's support.
 
-    Support inclusion is tested through projector composition: the result is
-    finite only when ||(I - P_sigma) P_rho||_F <= tol.psd.  Borderline supports
-    (eigenvalues within tol.psd of zero) are therefore reported as +inf
-    conservatively.
+    sigma's support is spanned by its eigenvectors whose clipped eigenvalue exceeds tol.psd.
+    When all do, it is the whole space and no projector is formed; else the result is finite
+    only when ||(I - P_sigma) P_rho||_F <= tol.psd, so borderline supports (eigenvalues within
+    tol.psd of zero) are reported as +inf conservatively.  That leak is rounding noise of
+    ~1e-16 to 1e-15 for rho inside the support: at a tol.psd below it (~0), rounding decides a
+    rank-deficient sigma, +inf or a finite value set by the log of a noise eigenvalue.
     """
     _require_same_dim(rho=rho.dim, sigma=sigma.dim)
-    if _support_leak(rho.spectrum, sigma.spectrum, tol) > tol.psd:
-        return math.inf
-    vals = np.clip(sigma.spectrum.eigenvalues, 0.0, 1.0)
+    vals, vecs = np.clip(sigma.spectrum.eigenvalues, 0.0, 1.0), sigma.spectrum.eigenvectors
     keep = vals > tol.psd
-    vecs = sigma.spectrum.eigenvectors[:, keep]
+    if not keep.all():
+        if _support_leak(rho.spectrum, sigma.spectrum, tol) > tol.psd:
+            return math.inf
+        vals, vecs = vals[keep], vecs[:, keep]
     # <v_k| rho |v_k> for the support eigenvectors of sigma
-    weights = np.real(np.sum(vecs.conj() * (rho.matrix @ vecs), axis=0))
+    weights = (vecs.conj() * (rho.matrix @ vecs)).sum(axis=0).real
     # tr(rho log2 rho) = -S(rho); subtracting from +0.0 keeps a zero term positive
-    return (0.0 - von_neumann_entropy(rho)) - float((weights * np.log2(vals[keep])).sum())
+    return (0.0 - von_neumann_entropy(rho)) - float((weights * np.log2(vals)).sum())
 
 
 def _psd_root(spec: Spectrum, inverse: bool, tol: ToleranceConfig) -> np.ndarray:

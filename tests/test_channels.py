@@ -160,6 +160,27 @@ class TestSlicedKernel:
             dense = unvec(superoperator_matrix(phi) @ vec(x))
             assert np.max(np.abs(out - dense)) <= 1e-12
 
+    def test_gram_numbers_match_the_operator_loop_bit_for_bit(self):
+        # N = 48 takes slice_size(48) = 3 operators at a time: k = 7 runs slices of 3, 3 and 1,
+        # and each slice is conjugated once for both sums
+        rng = np.random.default_rng(48)
+        ops = rng.standard_normal((7, 48, 48)) + 1j * rng.standard_normal((7, 48, 48))
+        phi = KrausChannel(48, ops / np.sqrt(7 * 48))
+        gram, cogram = np.zeros((2, 48, 48), dtype=complex)
+        for m in phi.kraus:
+            gram += m.conj().T @ m
+            cogram += m @ m.conj().T
+        eye = np.eye(48)
+        top = np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]
+        expected = (np.linalg.norm(gram - eye), np.linalg.norm(cogram - eye), top)
+        assert slice_size(48) == 3
+        assert [float(x).hex() for x in phi._gram_numbers] == [float(x).hex() for x in expected]
+
+    def test_an_empty_stack_is_the_zero_map(self):
+        phi = KrausChannel(3, np.zeros((0, 3, 3), dtype=complex))
+        assert apply_channel(phi, np.eye(3)).tolist() == np.zeros((3, 3)).tolist()
+        assert classify(phi).stochastic_residual == classify(phi).unital_residual == np.sqrt(3)
+
     def test_memory_stays_at_the_slice_size(self):
         # one unsliced (64, 64, 64) complex product is 4 MiB; a slice of two is 128 KiB
         phi = random_bistochastic_channel(64, 64, seed=3)

@@ -365,6 +365,17 @@ class TestMapEntropy:
         code, result = run_cli(capsys, ["map-entropy", half, str(bad)])
         assert code == 2
 
+    def test_non_stochastic_composition_exits_2(self, capsys, tmp_path):
+        # each factor passes with residual 1.27e-8 <= 2 tol.eq, their composition does not
+        s = float(np.sqrt(1.0 + 0.9e-8))
+        path = tmp_path / "scaled.json"
+        save_json(path, {"dim": 2, "kraus": [[[[s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [s, 0.0]]]]})
+        code, result = run_cli(capsys, ["map-entropy", str(path), str(path)])
+        assert code == 2 and result["status"] == "error"
+        assert result["diagnostics"] == [
+            "NotStochasticError: map entropy needs a trace-preserving channel; residual 2.546e-08"
+        ]
+
 
 class TestClassicalCheck:
     def test_permutation_batch_ok(self, capsys, tmp_path):

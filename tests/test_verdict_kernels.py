@@ -16,6 +16,7 @@ import pytest
 
 import qentropy.channels
 from qentropy import (
+    DEFAULT_TOL,
     channel_distance,
     channel_from_bistochastic,
     check_petz_equality,
@@ -291,7 +292,8 @@ class TestOneGramPerChannel:
     def test_two_channel_map_entropy(self, eigvalsh_calls, cli):
         phi = channel_to_obj(random_bistochastic_channel(4, 3, seed=21))
         psi = channel_to_obj(random_stochastic_channel(4, 3, seed=23))
-        assert eigvalsh_calls(cli, "map-entropy", phi, psi) == 3
+        # the composition's trace check forms sum P^dag P alone, with no eigvalsh
+        assert eigvalsh_calls(cli, "map-entropy", phi, psi) == 2
 
     def test_one_channel_map_entropy(self, eigvalsh_calls, cli):
         psi = channel_to_obj(random_stochastic_channel(4, 3, seed=23))
@@ -397,3 +399,60 @@ class TestPinnedFloats:
             "0x1.af87682bf26fap+0", "0x1.0db86d9c5c67bp+1",
         ]
         assert relative_entropy(rho, low) == float("inf")
+
+
+def _rank_deficient_instance():
+    """(phi, rho inside supp(sigma), sigma of rank 2 in N=3)."""
+    phi, _, _ = _instance()
+    low = random_density(3, 2, seed=15)
+    squared = low.matrix @ low.matrix
+    return phi, validate_state(squared / np.trace(squared).real), low
+
+
+class TestSupportFromSpectrum:
+    """relative_entropy reads a full-rank sigma's support off its spectrum and forms the support
+    projectors only when sigma has an eigenvalue at or below tol.psd."""
+
+    @pytest.mark.parametrize("check", [check_petz_equality, entropy_monotonicity_check])
+    def test_full_rank_reference_forms_no_projector(self, calls_of, check):
+        assert calls_of(["_support_leak"], check, *_instance()) == (0,)
+
+    @pytest.mark.parametrize("check", [check_petz_equality, entropy_monotonicity_check])
+    def test_rank_deficient_reference_still_tests_the_leak(self, calls_of, check):
+        # S(rho||sigma) tests the leak; phi(sigma) has full rank, so S after does not
+        assert calls_of(["_support_leak"], check, *_rank_deficient_instance()) == (1,)
+
+    def test_map_report_classifies_only_its_two_channels(self, calls_of):
+        phi = random_bistochastic_channel(4, 3, seed=21)
+        psi = random_stochastic_channel(4, 3, seed=23)
+        assert calls_of(["classify"], map_entropy_preservation_report, phi, psi) == (2,)
+
+
+# tol.psd values at or below the rounding floor of a support projector (~1e-16 to 1e-15)
+FLOOR_TOLS = [0.0, 1e-17, 1e-16, 1e-15]
+FULL_RANK_PAIRS = [(n, seed) for n in range(2, 12) for seed in range(5)]
+
+
+class TestTolPsdBelowTheRoundingFloor:
+    """A full-rank sigma has full support at any tol.psd below its smallest eigenvalue, so the
+    relative entropy is finite and the checks run; the support leak, rounding noise of ~1e-16,
+    used to be compared with tol.psd and made every such pair +inf."""
+
+    @pytest.mark.parametrize("psd", FLOOR_TOLS)
+    def test_relative_entropy_is_finite(self, psd):
+        tol, changed = DEFAULT_TOL.replace(psd=psd), []
+        for n, seed in FULL_RANK_PAIRS:
+            rho, sigma = random_density(n, n, seed=seed), random_density(n, n, seed=seed + 50)
+            if relative_entropy(rho, sigma, tol) != relative_entropy(rho, sigma):
+                changed.append((n, seed))
+        assert changed == []
+
+    @pytest.mark.parametrize("psd", FLOOR_TOLS)
+    def test_checks_accept_full_rank_pairs(self, psd):
+        tol = DEFAULT_TOL.replace(psd=psd)
+        for n in (2, 5, 11):
+            phi = random_stochastic_channel(n, 2, seed=n)
+            rho, sigma = random_density(n, n, seed=n + 1), random_density(n, n, seed=n + 2)
+            assert check_petz_equality(phi, rho, sigma, tol) == check_petz_equality(phi, rho, sigma)
+            monotonicity = entropy_monotonicity_check(phi, rho, sigma, tol)
+            assert monotonicity == entropy_monotonicity_check(phi, rho, sigma)
