@@ -73,7 +73,6 @@ from .states import (
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
-    "EquivalenceReport",
     "MonotonicityReport",
     "FixedPointBasis",
     "Block",

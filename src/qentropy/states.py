@@ -34,14 +34,10 @@ __all__ = [
     "Spectrum",
     "DensityMatrix",
     "EquivalenceReport",
-    "as_complex_matrix",
-    "frozen_array",
-    "hermitian_part",
     "spectral_decomposition",
     "validate_state",
     "state_spectrum",
     "von_neumann_entropy",
-    "entropy_of_matrix",
     "relative_entropy",
 ]
 
