@@ -4,8 +4,6 @@ Decides whether a bi-stochastic channel preserves the von Neumann entropy of
 a state, certifies why (fixed-point and block-structure characterizations),
 constructs preserving pairs from block specifications, and carries the
 classical (Shannon / doubly-stochastic) counterpart of the same equivalence.
-
-Each public name is declared once, in the ``__all__`` of the module defining it.
 """
 
 from .channels import *

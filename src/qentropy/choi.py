@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, _kraus_stack, _require
-from .errors import NotHermitianError, NotPositiveError, NotSquareError, ValidationError
+from .errors import NotPositiveError, NotSquareError, ValidationError
 from .states import (
     _entropy_bits,
+    _require_hermitian,
     as_complex_matrix,
     frozen_array,
     spectral_decomposition,
@@ -60,9 +61,9 @@ def choi_from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiMatrix:
     n = math.isqrt(arr.shape[0])
     if n * n != arr.shape[0]:
         raise ValidationError(f"Choi matrix size {arr.shape[0]} is not a perfect square")
-    herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if herm_dev > tol.herm:
-        raise NotHermitianError(f"hermiticity deviation {herm_dev:.3e} exceeds {tol.herm:.1e}")
+    if n == 0:
+        raise ValidationError("Choi matrix must be non-empty")
+    _require_hermitian(arr, tol)
     return ChoiMatrix(dim=n, matrix=frozen_array(arr))
 
 

@@ -66,17 +66,24 @@ def _require_bistochastic(m: StochasticMatrix) -> None:
         )
 
 
+def _clipped_entries(arr: np.ndarray, what: str, tol: ToleranceConfig) -> np.ndarray:
+    """arr with entries in [-tol.psd, 0) clipped to zero; empty, non-finite or lower is refused."""
+    if arr.size == 0:
+        raise ValidationError(f"{what} must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} contains non-finite entries")
+    if np.min(arr) < -tol.psd:
+        raise NotPositiveError(f"entry {np.min(arr):.3e} below -{tol.psd:.1e}")
+    return np.clip(arr, 0.0, None)
+
+
 def probability_vector(entries, tol: ToleranceConfig = DEFAULT_TOL) -> ProbabilityVector:
     """Validate entries as a probability vector; entries in [-tol.psd, 0) are
     clipped to zero."""
     arr = np.asarray(entries, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("probability vector must be a non-empty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("probability vector contains non-finite entries")
-    if np.min(arr) < -tol.psd:
-        raise NotPositiveError(f"entry {np.min(arr):.3e} below -{tol.psd:.1e}")
-    arr = np.clip(arr, 0.0, None)
+    arr = _clipped_entries(arr, "probability vector", tol)
     total = float(arr.sum())
     if abs(total - 1.0) > tol.eq:
         raise ValidationError(f"entries sum to {total!r}, not 1")
@@ -88,13 +95,9 @@ def stochastic_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> StochasticMatrix
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("matrix contains non-finite entries")
-    if np.min(arr) < -tol.psd:
-        raise NotPositiveError(f"entry {np.min(arr):.3e} below -{tol.psd:.1e}")
-    arr = np.clip(arr, 0.0, None)
-    col_res = float(np.max(np.abs(arr.sum(axis=0) - 1.0))) if arr.size else 0.0
-    row_res = float(np.max(np.abs(arr.sum(axis=1) - 1.0))) if arr.size else 0.0
+    arr = _clipped_entries(arr, "matrix", tol)
+    col_res = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
+    row_res = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
     column_stochastic = col_res <= tol.eq
     return StochasticMatrix(
         dim=arr.shape[0],

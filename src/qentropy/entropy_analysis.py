@@ -683,7 +683,7 @@ def _orthonormal_span(mats: np.ndarray) -> tuple[np.ndarray, int]:
     """Hilbert-Schmidt orthonormal basis of the span of an (m, n, n) stack, plus its rank."""
     m, n, _ = mats.shape
     _, svals, vh = np.linalg.svd(mats.reshape(m, n * n), full_matrices=False)
-    rank = int(np.sum(svals > _RANK_RTOL * max(1.0, float(svals[0]))))
+    rank = int(np.sum(svals > _RANK_RTOL * float(svals.max(initial=1.0))))  # rank 0 when m = 0
     return vh[:rank].reshape(rank, n, n), rank
 
 
@@ -714,6 +714,20 @@ def _block_structure(n: int, classes: list[np.ndarray]) -> BlockStructure:
     return BlockStructure(n, tuple(sorted(blocks, key=key)))
 
 
+def _block_isometries(structure: BlockStructure, **dims: int) -> list[np.ndarray]:
+    """Isometries of a structure of the dims given, filling the space, each N x dL dR, or raise."""
+    n, isos = structure.dim, [b.isometry for b in structure.blocks]
+    _require_same_dim(structure=n, **dims)
+    if sum(dl * dr for dl, dr in structure.block_dims) != n:
+        raise StructureMismatchError("block dimensions do not add up to the space")
+    for k, (v, (dl, dr)) in enumerate(zip(isos, structure.block_dims)):
+        if v.shape != (n, dl * dr):
+            raise StructureMismatchError(
+                f"isometry {k} has shape {v.shape}, expected {(n, dl * dr)} for a {dl}x{dr} block"
+            )
+    return isos
+
+
 def block_form_residual(f: FixedPointBasis, structure: BlockStructure) -> float:
     """Worst deviation of the conjugated basis from block (left (x) scalar) form.
 
@@ -721,9 +735,9 @@ def block_form_residual(f: FixedPointBasis, structure: BlockStructure) -> float:
     a complete structure) and every basis element B is conjugated at once,
     V^dag B V.  The result is the largest Frobenius norm of an off-diagonal
     block, or of a diagonal block's deviation from (its partial trace over
-    the right factor, divided by dR) (x) I.
+    the right factor, divided by dR) (x) I.  The structure must fill the basis's space.
     """
-    v = np.concatenate([b.isometry for b in structure.blocks], axis=1)
+    v = np.concatenate(_block_isometries(structure, basis=f.dim), axis=1)
     conjugated = v.conj().T @ f.basis @ v
     edges = np.cumsum([0] + [b.isometry.shape[1] for b in structure.blocks])
     worst = 0.0
@@ -836,15 +850,8 @@ def verify_block_structure(
     sub-check raises :class:`~qentropy.errors.StructureMismatchError` naming it.
     """
     n = structure.dim
-    _require_same_dim(structure=n, channel=phi.dim, state=rho.dim)
-    if sum(dl * dr for dl, dr in structure.block_dims) != n:
-        raise StructureMismatchError("block dimensions do not add up to the space")
-    isos = [b.isometry for b in structure.blocks]
-    for k, (v, (dl, dr)) in enumerate(zip(isos, structure.block_dims)):
-        if v.shape != (n, dl * dr):
-            raise StructureMismatchError(
-                f"isometry {k} has shape {v.shape}, expected {(n, dl * dr)} for a {dl}x{dr} block"
-            )
+    isos = _block_isometries(structure, channel=phi.dim, state=rho.dim)
+    for k, v in enumerate(isos):
         if float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]))) > tol.recon * n:
             raise StructureMismatchError(f"isometry {k} columns are not orthonormal")
     for j, k in itertools.combinations(range(len(isos)), 2):

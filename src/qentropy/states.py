@@ -94,6 +94,13 @@ def spectral_decomposition(m: np.ndarray) -> Spectrum:
     return Spectrum(vals, frozen_array(vecs[:, order], copy=False))
 
 
+def _require_hermitian(arr: np.ndarray, tol: ToleranceConfig) -> None:
+    """Raise NotHermitianError when max |arr - arr^dag| exceeds tol.herm (0 for an empty arr)."""
+    herm_dev = float(np.abs(arr - arr.conj().T).max(initial=0.0))
+    if herm_dev > tol.herm:
+        raise NotHermitianError(f"hermiticity deviation {herm_dev:.3e} exceeds {tol.herm:.1e}")
+
+
 def validate_state(m, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
     """Validate a matrix as a quantum state.
 
@@ -106,9 +113,7 @@ def validate_state(m, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
     rows, cols = arr.shape
     if rows != cols:
         raise NotSquareError(f"state matrix must be square, got {rows}x{cols}")
-    herm_dev = float(np.abs(arr - arr.conj().T).max()) if rows else 0.0
-    if herm_dev > tol.herm:
-        raise NotHermitianError(f"hermiticity deviation {herm_dev:.3e} exceeds {tol.herm:.1e}")
+    _require_hermitian(arr, tol)
     trace_dev = abs(complex(arr.trace()) - 1.0)
     if trace_dev > tol.trace:
         raise TraceNotOneError(f"|trace - 1| = {trace_dev:.3e} exceeds {tol.trace:.1e}")

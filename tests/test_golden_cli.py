@@ -1,4 +1,4 @@
-"""Golden CLI outputs: every command of the benchmark's ``cli`` mix and of the CI console-script steps.
+"""Golden CLI outputs: every command of the benchmark's ``cli`` mix and of the CI console steps.
 
 The cases run in order through ``cli.main`` in-process, in one temporary directory, with N <= 48;
 later cases read the files earlier ones wrote.  ``tests/golden/cli.json`` records for each case
@@ -37,7 +37,8 @@ REL_TOL, ABS_TOL = 1e-9, 1e-12
 _PAYLOADS = ("isometry", "object")  # matrix data, left to the hashes
 
 _SPECS = (("2x2,1x2", 5), ("4x3,3x4", 3), ("8x4,4x4", 3), ("1x2,1x2,2x1", 3))
-_BIST = (("bist20", 20, 2), ("bist48", 48, 2), ("bist24", 24, 3))  # gen --seed 3; bist24 takes Lanczos
+# gen bistochastic-channel --seed 3 (name, dim, unitaries); bist24 takes the Lanczos gap
+_BIST = (("bist20", 20, 2), ("bist48", 48, 2), ("bist24", 24, 3))
 
 # case id -> argv, "{tmp}" standing for the directory; in run order
 CASES = {
@@ -46,11 +47,13 @@ CASES = {
     "analyze-state N=8": "analyze-state {tmp}/state8.json",
     "synthesize 2x2,2x1,1x2": "synthesize --spec 2x2,2x1,1x2 --seed 12 --out-dir {tmp}/pair8",
     "analyze-pair preserving N=8": "analyze-pair {tmp}/pair8/channel.json {tmp}/pair8/state.json",
-    "gen stochastic-channel N=8": "gen stochastic-channel --dim 8 --env-dim 2 --seed 13 --out {tmp}/nonunital8.json",
+    "gen stochastic-channel N=8":
+        "gen stochastic-channel --dim 8 --env-dim 2 --seed 13 --out {tmp}/nonunital8.json",
     "analyze-pair non-unital N=8": "analyze-pair {tmp}/nonunital8.json {tmp}/state8.json",
     "synthesize decompose input": "synthesize --spec 2x2,2x1,1x2 --seed 14 --out-dir {tmp}/dec8",
     "decompose 2x2,2x1,1x2": "decompose {tmp}/dec8/channel.json --seed 0",
-    "gen bistochastic-channel N=8": "gen bistochastic-channel --dim 8 --num-unitaries 3 --seed 15 --out {tmp}/outer8.json",
+    "gen bistochastic-channel N=8":
+        "gen bistochastic-channel --dim 8 --num-unitaries 3 --seed 15 --out {tmp}/outer8.json",
     "map-entropy single N=8": "map-entropy {tmp}/outer8.json",
     "map-entropy composed N=8": "map-entropy {tmp}/outer8.json {tmp}/nonunital8.json",
     "classical-check csv N=8": "classical-check {tmp}/batch8.csv",
@@ -58,17 +61,21 @@ CASES = {
     "gen density N=8": "gen density --dim 8 --seed 17",
     # the CI console-script steps
     "gen density N=2": "gen density --dim 2",
-    "gen stochastic-channel N=2": "gen stochastic-channel --dim 2 --seed 1 --out {tmp}/channel2.json",
+    "gen stochastic-channel N=2":
+        "gen stochastic-channel --dim 2 --seed 1 --out {tmp}/channel2.json",
     "gen density N=2 out": "gen density --dim 2 --seed 2 --out {tmp}/state2.json",
     "analyze-pair non-unital N=2": "analyze-pair {tmp}/channel2.json {tmp}/state2.json",
     "analyze-state overflowing dim": "analyze-state {tmp}/huge_dim.json",
     "gen density negative seed": "gen density --dim 2 --seed -1",
-    "gen stochastic-channel N=3": "gen stochastic-channel --dim 3 --env-dim 2 --seed 3 --out {tmp}/psi3.json",
+    "gen stochastic-channel N=3":
+        "gen stochastic-channel --dim 3 --env-dim 2 --seed 3 --out {tmp}/psi3.json",
     "map-entropy single N=3": "map-entropy {tmp}/psi3.json",
-    "gen unitary channel N=3": "gen bistochastic-channel --dim 3 --num-unitaries 1 --seed 4 --out {tmp}/outer3.json",
+    "gen unitary channel N=3":
+        "gen bistochastic-channel --dim 3 --num-unitaries 1 --seed 4 --out {tmp}/outer3.json",
     "map-entropy composed N=3": "map-entropy {tmp}/outer3.json {tmp}/psi3.json",
     "map-entropy non-stochastic composition": "map-entropy {tmp}/a.json {tmp}/b.json",
-    "gen bistochastic-matrix N=3": "gen bistochastic-matrix --dim 3 --num-perms 1 --seed 2 --out {tmp}/perm3.json",
+    "gen bistochastic-matrix N=3":
+        "gen bistochastic-matrix --dim 3 --num-perms 1 --seed 2 --out {tmp}/perm3.json",
     "gen probability N=3": "gen probability --dim 3 --seed 4 --out {tmp}/p3.json",
     "classical-check json N=3": "classical-check {tmp}/batch3.json",
     "classical-check declared dim mismatch": "classical-check {tmp}/bad_dim.json",
@@ -76,13 +83,15 @@ CASES = {
     "analyze-pair preserving N=3": "analyze-pair {tmp}/pair21/channel.json {tmp}/pair21/state.json",
     "analyze-state nested": "analyze-state {tmp}/nested.json",
     "analyze-pair no matrix": "analyze-pair {tmp}/no_matrix.json {tmp}/pair21/state.json",
-    "gen bistochastic-channel N=48 k=3": "gen bistochastic-channel --dim 48 --num-unitaries 3 --out {tmp}/generic48.json",
+    "gen bistochastic-channel N=48 k=3":
+        "gen bistochastic-channel --dim 48 --num-unitaries 3 --out {tmp}/generic48.json",
     "gen density N=48": "gen density --dim 48 --out {tmp}/rho48.json",
     "analyze-pair generic N=48": "analyze-pair {tmp}/generic48.json {tmp}/rho48.json",
-    **{f"gen {name}": f"gen bistochastic-channel --dim {n} --num-unitaries {k} --seed 3 --out {{tmp}}/{name}.json"
-       for name, n, k in _BIST},
+    **{f"gen {name}": f"gen bistochastic-channel --dim {n} --num-unitaries {k} --seed 3 "
+                      f"--out {{tmp}}/{name}.json" for name, n, k in _BIST},
     **{case: argv for spec, seed in _SPECS for case, argv in (
-        (f"synthesize {spec}", f"synthesize --spec {spec} --seed {seed} --out-dir {{tmp}}/syn_{spec}"),
+        (f"synthesize {spec}",
+         f"synthesize --spec {spec} --seed {seed} --out-dir {{tmp}}/syn_{spec}"),
         (f"decompose {spec}", f"decompose {{tmp}}/syn_{spec}/channel.json"),
     )},
     **{f"decompose {name}": f"decompose {{tmp}}/{name}.json" for name, _, _ in _BIST},
@@ -117,7 +126,8 @@ def _write_inputs(tmp: Path) -> None:
         b = random_bistochastic_matrix(8, 1 if i % 2 == 0 else 3, 100 + i)
         lines.append("8")
         lines.extend(",".join(repr(float(x)) for x in row) for row in b.matrix)
-        lines.append(",".join(repr(float(x)) for x in random_probability_vector(8, 200 + i).entries))
+        p = random_probability_vector(8, 200 + i)
+        lines.append(",".join(repr(float(x)) for x in p.entries))
     texts["batch8.csv"] = "\n".join(lines)
     for name, text in texts.items():
         (tmp / name).write_text(text + "\n", encoding="utf-8")
@@ -128,7 +138,8 @@ def _sha(data: bytes) -> str:
 
 
 def _file_hashes(tmp: Path) -> dict:
-    return {p.relative_to(tmp).as_posix(): _sha(p.read_bytes()) for p in sorted(tmp.rglob("*")) if p.is_file()}
+    files = sorted(p for p in tmp.rglob("*") if p.is_file())
+    return {p.relative_to(tmp).as_posix(): _sha(p.read_bytes()) for p in files}
 
 
 def _portable(value):
@@ -181,7 +192,8 @@ def _close(got, want) -> bool:
 
 def _mismatches(expected: dict, actual: dict, exact: bool) -> list[str]:
     fields = ("exit", "stdout", "files", "record") if exact else ("exit",)
-    bad = [f"{f}: {actual[f]} != recorded {expected[f]}" for f in fields if actual[f] != expected[f]]
+    bad = [f"{f}: {actual[f]} != recorded {expected[f]}" for f in fields
+           if actual[f] != expected[f]]
     if not exact and not _close(actual["record"], expected["record"]):
         bad.append(f"record: {actual['record']} != recorded {expected['record']}")
     return bad
@@ -196,7 +208,8 @@ def _exact(recorded_env: dict) -> bool:
     return _cli_environment() == recorded_env and recorded_env["OPENBLAS_NUM_THREADS"] == "1"
 
 
-GOLDEN_DATA = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"environment": {}, "cases": {}}
+GOLDEN_DATA = (json.loads(GOLDEN.read_text()) if GOLDEN.exists()
+               else {"environment": {}, "cases": {}})
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +224,8 @@ def test_file_covers_the_cases_and_stays_small():
 
 @pytest.mark.parametrize("case_id", list(CASES))
 def test_cli_matches_golden(results, case_id):
-    assert _mismatches(GOLDEN_DATA["cases"][case_id], results[case_id], _exact(GOLDEN_DATA["environment"])) == []
+    exact = _exact(GOLDEN_DATA["environment"])
+    assert _mismatches(GOLDEN_DATA["cases"][case_id], results[case_id], exact) == []
 
 
 def main(argv=None) -> int:
@@ -225,7 +239,8 @@ def main(argv=None) -> int:
         actual = run_cases(Path(tmp))
     if args.update:
         GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(json.dumps({"environment": _cli_environment(), "cases": actual}, indent=1) + "\n")
+        data = {"environment": _cli_environment(), "cases": actual}
+        GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
         print(f"wrote {len(actual)} cases to {GOLDEN}")
         return 0
     exact, failed = _exact(GOLDEN_DATA["environment"]), 0
@@ -233,7 +248,8 @@ def main(argv=None) -> int:
         for line in _mismatches(GOLDEN_DATA["cases"][case_id], result, exact):
             print(f"{case_id}: {line}")
             failed += 1
-    print(f"{len(actual)} cases, {failed} mismatches, {'exact' if exact else 'tolerant'} comparison")
+    mode = "exact" if exact else "tolerant"
+    print(f"{len(actual)} cases, {failed} mismatches, {mode} comparison")
     return 1 if failed else 0
 
 

@@ -7,7 +7,10 @@ import sys
 
 import qentropy
 
-MODULES = ("channels", "choi", "classical", "entropy_analysis", "errors", "generators", "states", "tolerances")
+MODULES = (
+    "channels", "choi", "classical", "entropy_analysis",
+    "errors", "generators", "states", "tolerances",
+)
 
 # sorted public attributes of the package: 74 API names and the 8 modules above
 PUBLIC = [
@@ -45,7 +48,9 @@ def test_public_names_are_pinned():
     # a fresh interpreter: importing qentropy.cli elsewhere in the suite adds it to the package
     code = "import qentropy; print(*sorted(n for n in dir(qentropy) if not n.startswith('_')))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
     assert out.stdout.split() == PUBLIC
     assert len(PUBLIC) == 82
 
