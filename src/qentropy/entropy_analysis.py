@@ -191,10 +191,9 @@ def parse_block_spec(text: str) -> BlockSpec:
         if len(parts) != 2:
             raise InvalidSpecError(f"bad block {piece!r}; expected format like 2x1")
         try:
-            dl, dr = int(parts[0]), int(parts[1])
+            blocks.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise InvalidSpecError(f"bad block {piece!r}: {exc}") from exc
-        blocks.append((dl, dr))
     return BlockSpec(blocks=tuple(blocks))
 
 

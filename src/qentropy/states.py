@@ -95,8 +95,7 @@ def spectral_decomposition(m: np.ndarray) -> Spectrum:
 
 
 def _require_hermitian(arr: np.ndarray, tol: ToleranceConfig) -> None:
-    """Raise NotHermitianError when max |arr - arr^dag| exceeds tol.herm (0 for an empty arr)."""
-    herm_dev = float(np.abs(arr - arr.conj().T).max(initial=0.0))
+    herm_dev = float(np.abs(arr - arr.conj().T).max(initial=0.0))  # 0 for an empty arr
     if herm_dev > tol.herm:
         raise NotHermitianError(f"hermiticity deviation {herm_dev:.3e} exceeds {tol.herm:.1e}")
 
