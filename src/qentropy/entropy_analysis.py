@@ -191,9 +191,10 @@ def parse_block_spec(text: str) -> BlockSpec:
         if len(parts) != 2:
             raise InvalidSpecError(f"bad block {piece!r}; expected format like 2x1")
         try:
-            blocks.append((int(parts[0]), int(parts[1])))
+            dl, dr = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise InvalidSpecError(f"bad block {piece!r}: {exc}") from exc
+        blocks.append((dl, dr))
     return BlockSpec(blocks=tuple(blocks))
 
 
