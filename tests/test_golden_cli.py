@@ -9,10 +9,11 @@ significant digits and each diagnostic cut to its exception type, leaving out th
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden_cli.py --update
 
-and check it without pytest by leaving out ``--update``.  Exit codes and records are always
-compared, floats to a relative 1e-9 with an absolute 1e-12 for values at the rounding floor;
-hashes and exact records only when the environment of ``test_golden_verdicts`` (numpy, its SIMD
-targets, its BLAS and ``OPENBLAS_NUM_THREADS=1``) and the Python version match the recorded ones.
+and check it without pytest by leaving out ``--update``.  Exit codes, the names of the files
+written and records are always compared, floats to a relative 1e-9 with an absolute 1e-12 for
+values at the rounding floor; hashes and exact records only when the environment of
+``test_golden_verdicts`` (numpy, its SIMD targets, its BLAS and ``OPENBLAS_NUM_THREADS=1``) and
+the Python version match the recorded ones.
 """
 
 import argparse
@@ -194,6 +195,9 @@ def _mismatches(expected: dict, actual: dict, exact: bool) -> list[str]:
     fields = ("exit", "stdout", "files", "record") if exact else ("exit",)
     bad = [f"{f}: {actual[f]} != recorded {expected[f]}" for f in fields
            if actual[f] != expected[f]]
+    written, recorded = sorted(actual["files"]), sorted(expected["files"])
+    if not exact and written != recorded:
+        bad.append(f"files written: {written} != recorded {recorded}")
     if not exact and not _close(actual["record"], expected["record"]):
         bad.append(f"record: {actual['record']} != recorded {expected['record']}")
     return bad
