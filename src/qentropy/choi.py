@@ -61,9 +61,7 @@ def choi_from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiMatrix:
     n = math.isqrt(arr.shape[0])
     if n * n != arr.shape[0]:
         raise ValidationError(f"Choi matrix size {arr.shape[0]} is not a perfect square")
-    if n == 0:
-        raise ValidationError("Choi matrix must be non-empty")
-    _require_hermitian(arr, tol)
+    _require_hermitian(arr, "Choi matrix", tol)
     return ChoiMatrix(dim=n, matrix=frozen_array(arr))
 
 

@@ -110,7 +110,7 @@ def _cmd_decompose(args, tol: ToleranceConfig) -> dict:
     phi = ser.channel_from_obj(ser.load_json(args.channel_file), tol)
     basis = fixed_point_space(phi, tol, seed=args.seed)
     report = ser.block_structure_to_obj(basis.structure)
-    report["fixed_space_dimension"] = len(basis.basis)
+    report["fixed_space_dimension"] = sum(dl * dl for dl, _ in basis.structure.block_dims)
     report["spectral_gap"] = basis.spectral_gap
     report["block_form_residual"] = block_form_residual(basis, basis.structure)
     return {"status": "ok", "report": report, "diagnostics": []}

@@ -33,6 +33,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TypeVar
 
 import numpy as np
@@ -109,27 +110,64 @@ _T = TypeVar("_T")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FixedPointBasis:
     """Orthonormal basis of the fixed-point space of adjoint(phi) o phi.
 
-    :func:`fixed_point_space` returns ``basis`` as one read-only (d, N, N)
-    array of Hermitian elements.  ``spectral_gap`` is the distance from 1 to the largest
-    eigenvalue of adjoint(phi) o phi outside the span, so tests can assert
-    the cut was unambiguous; it is +inf when everything is fixed.  It is read
-    in the block frame, on the right-factor space Herm(sum dR), where an exact
-    frame leaves the same eigenvalues: one block pair (j, l) at a time, by an
-    exact eigensolve of side dR_j dR_l <= 256, as a lower bound within 2e-11 of
-    the whole; else the whole frame, exactly for (sum dR)^2 <= 256 and by
-    Lanczos above.  ``structure`` holds the blocks of that frame (None only for
-    a basis built by hand).
+    ``basis`` is one read-only (d, N, N) array of Hermitian elements and ``eigenvalue_residuals``
+    their ||adjoint(phi)(phi(B)) - B||_F, in the same order.  ``spectral_gap`` is the distance
+    from 1 to the largest eigenvalue of adjoint(phi) o phi outside the span, so tests can assert
+    the cut was unambiguous; it is +inf when everything is fixed.  It is read in the block frame,
+    on the right-factor space Herm(sum dR), where an exact frame leaves the same eigenvalues: one
+    block pair (j, l) at a time, by an exact eigensolve of side dR_j dR_l <= 256, as a lower bound
+    within 2e-11 of the whole; else the whole frame, exactly for (sum dR)^2 <= 256 and by Lanczos
+    above.  ``structure`` holds the blocks of that frame (None only for a basis built by hand).
+
+    A basis built by hand, ``FixedPointBasis(dim, basis, eigenvalue_residuals, spectral_gap[,
+    structure])``, holds what it is given.  One from :func:`fixed_point_space` computes ``basis``
+    and, when its commutation certificate made the exact residuals unnecessary,
+    ``eigenvalue_residuals`` on first read (``functools.cached_property``), from the certified
+    classes and the canonical operators it keeps: the same values, bit for bit, as if they had
+    been formed during the solve.  ``dim``, ``spectral_gap`` and ``structure`` are set at once.
     """
 
     dim: int
-    basis: np.ndarray
-    eigenvalue_residuals: tuple[float, ...]
     spectral_gap: float
-    structure: BlockStructure | None = None
+    structure: BlockStructure | None
+
+    def __init__(
+        self,
+        dim: int,
+        basis: np.ndarray | None,
+        eigenvalue_residuals: tuple[float, ...] | None,
+        spectral_gap: float,
+        structure: BlockStructure | None = None,
+        _frame: tuple[np.ndarray, list[np.ndarray]] | None = None,
+    ):
+        """``basis`` or ``eigenvalue_residuals`` may be None only with ``_frame``, the canonical
+        operators and (N, dL, dR) classes they are then computed from on first read."""
+        given = {"basis": basis, "eigenvalue_residuals": eigenvalue_residuals}
+        vars(self).update({k: v for k, v in given.items() if v is not None})  # a filled cache
+        vars(self).update(dim=dim, spectral_gap=spectral_gap, structure=structure, _frame=_frame)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """V (E (x) I/sqrt(dR)) V^dag over the Hermitian units E of each class, class by class in
+        the order of the split (:func:`_block_units`)."""
+        _, classes = self._frame
+        n, edges = self.dim, np.cumsum([0] + [cols.shape[1] ** 2 for cols in classes])
+        basis = np.empty((edges[-1], n, n), dtype=complex)
+        for cols, lo, hi in zip(classes, edges, edges[1:]):
+            _block_units(cols, out=basis[lo:hi])
+        basis.setflags(write=False)
+        return basis
+
+    @cached_property
+    def eigenvalue_residuals(self) -> tuple[float, ...]:
+        """The exact residuals of the :attr:`basis` elements, in their order
+        (:func:`_unit_residuals`)."""
+        canonical, classes = self._frame
+        return _exact_residuals(canonical, classes)
 
 
 @dataclass(frozen=True)
@@ -490,6 +528,47 @@ def _unit_residuals(canonical: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _exact_residuals(canonical: np.ndarray, classes: list[np.ndarray]) -> tuple[float, ...]:
+    """The :func:`_unit_residuals` of every class, in class order, as floats."""
+    return tuple(float(r) for r in np.concatenate([_unit_residuals(canonical, c) for c in classes]))
+
+
+def _commutation_bounds(
+    phi: KrausChannel, weights: np.ndarray, canonical: np.ndarray, classes: list[np.ndarray]
+) -> np.ndarray:
+    """For each (N, dL, dR) class V_j, a bound B_j on the residual of every unit of
+    :func:`_block_units`: (2 / sqrt(dR_j)) sum_s omega_s ||O_s V_j - V_j (I (x) n_s)||_F + delta,
+    n_s = tr_L(V_j^dag O_s V_j) / dL_j, from one product P = O_s V of the r canonical operators
+    of adjoint(phi) o phi (:func:`_canonical_operators`, ``weights`` ascending) with the stacked
+    classes; :func:`fixed_point_space` gives the proof.  O(r N^3) time and O(r N^2) memory for P,
+    then O(r N dL dR^2) per class.
+
+    delta >= ||sum_s O_s^2 - I||_2: over all canonical operators sum O_s^2 = adjoint(phi)(phi(I))
+    = I + A + adjoint(phi)(B) for A = sum M^dag M - I and B = sum M M^dag - I; adjoint(phi) is
+    positive, so it multiplies the operator norm of the Hermitian B by at most
+    ||adjoint(phi)(I)||_2 = t, the top eigenvalue of sum M^dag M.  With the Frobenius norms a, b
+    of A, B (``KrausChannel._gram_numbers``), delta = a + t b plus the weights of the operators
+    dropped at rounding level.  omega_s = min(sqrt(w_s), sqrt(1 + delta)) >= ||O_s||_2, as
+    ||O_s||_2 <= ||O_s||_F = sqrt(w_s) and O_s^2 <= sum O^2.
+    """
+    stochastic_res, unital_res, top = phi._gram_numbers
+    dropped = float(np.clip(weights[: len(weights) - len(canonical)], 0.0, None).sum())
+    delta = stochastic_res + top * unital_res + dropped
+    omega = np.minimum(np.sqrt(weights[len(weights) - len(canonical) :]), math.sqrt(1.0 + delta))
+    n = phi.dim
+    v = np.concatenate([cols.reshape(n, -1) for cols in classes], axis=1)
+    p = (canonical.reshape(-1, n) @ v).reshape(-1, n, n)  # one GEMM for all r products O_s V
+    bounds, lo = [], 0
+    for cols in classes:
+        _, dl, dr = cols.shape
+        x = cols.reshape(n * dl, dr)  # rows (i, l), as in P_j = O_s V_j below
+        p_j, lo = p[:, :, lo : lo + dl * dr].reshape(-1, n * dl, dr), lo + dl * dr
+        # n_s = sum_l V_l^dag O_s V_l / dL over the V_l = cols[:, l]
+        dev = p_j - x @ ((x.conj().T @ p_j) / dl)
+        bounds.append(2.0 / math.sqrt(dr) * float(omega @ np.linalg.norm(dev, axis=(1, 2))))
+    return np.array(bounds) + delta
+
+
 def _block_frame_gap(
     canonical: np.ndarray, classes: list[np.ndarray], rng: np.random.Generator
 ) -> float:
@@ -626,24 +705,43 @@ def fixed_point_space(
     the kept L_a only by O(eps).)  An attempt splits them at complex Gaussian z (:func:`_split`):
     the eigenspaces of x + x^dag, x = sum z_a s_a L_a, are the dR spaces H^L (x) e_r of each
     block, and groups linked by a weight above tol.fix times the largest form one aligned
-    (N, dL, dR) class.  The basis is V (E (x) I/sqrt(dR)) V^dag over Hermitian units E of M_dL
-    (:func:`_block_units`), and its certificate stays in that block frame: the residuals
-    ||adjoint(phi)(phi(B)) - B||_F come from all r canonical operators, not cut at tol.fix, applied
-    to V (:func:`_unit_residuals`), and spectral_gap is 1 minus the top eigenvalue of the
-    compression of adjoint(phi) o phi to Herm(N'), N' = sum dR, outside the block identities
-    (:func:`_block_frame_gap`: by block pairs while they decouple, else the whole frame; exact
-    eigensolves of side <= 256, Lanczos above): in an exact frame, the top eigenvalue outside the
-    span.  The classes come back as ``structure`` too (:func:`_block_structure`).
+    (N, dL, dR) class.  The basis is V (E (x) I/sqrt(dR)) V^dag over the Hermitian units E of
+    M_dL (:func:`_block_units`), and its certificate stays in that block frame.  The basis and
+    the exact residuals are formed only when read (:class:`FixedPointBasis`); spectral_gap is 1
+    minus the top eigenvalue of the compression of adjoint(phi) o phi to Herm(N'), N' = sum dR,
+    outside the block identities (:func:`_block_frame_gap`: by block pairs while they decouple,
+    else the whole frame; exact eigensolves of side <= 256, Lanczos above): in an exact frame,
+    the top eigenvalue outside the span.  The classes come back as ``structure`` too
+    (:func:`_block_structure`).
+
+    The elements are certified fixed by commutation, one class at a time.  For the Hermitian
+    canonical operators O_s (all r of them, not cut at tol.fix),
+    adjoint(phi)(phi(X)) - X = sum_s O_s [X, O_s] + (sum_s O_s^2 - I) X.  Write
+    O_s V = V (I (x) n_s) + D_s with n_s = tr_L(V^dag O_s V) / dL (Hermitian) for a class V; a unit
+    X = V Y V^dag, Y = E (x) I/sqrt(dR), commutes with V (I (x) n_s) V^dag, so
+    [X, O_s] = V Y D_s^dag - D_s Y V^dag and ||[X, O_s]||_F <= 2 ||Y||_2 ||D_s||_F, with
+    ||Y||_2 <= ||E||_F / sqrt(dR) = 1 / sqrt(dR) and ||X||_F = 1.  So every unit residual of class
+    j is at most B_j = (2 / sqrt(dR_j)) sum_s omega_s ||D_s||_F + delta
+    (:func:`_commutation_bounds`), for omega_s >= ||O_s||_2 and delta >= ||sum O_s^2 - I||_2 read
+    off the Kraus Gram sums and the canonical weights.  delta is needed: the channel check admits
+    ||sum M^dag M - I||_F up to tol.eq N, above tol.fix for N > 10.  The bound holds in exact
+    arithmetic, for any V with orthonormal columns; the rounding of both sides is O(N eps_mach).
+    When max B_j <= tol.fix the attempt accepts the elements.  Otherwise it computes the exact
+    residuals ||adjoint(phi)(phi(B)) - B||_F of every unit from the same operators
+    (:func:`_unit_residuals`) and decides on them, so every accept or retry is the one the exact
+    residuals give.
 
     Every residual must be <= tol.fix (the elements are fixed) and the gap > tol.fix (no fixed
     direction was missed); an ambiguous grouping or a failed certificate retries with the next
     ``_seeded_rng(seed, attempt)``, and the fourth failure raises AmbiguousGroupingError, as does an
     eigenvalue within tol.fix of 1 outside the commutant (a dense eigensolve counts it as fixed).
     Cost: O(k^2 N^3 + m^2 N^2 + m^3) for the k(k+1)/2 products and their m <= min(k^2, N^2)
-    family, O(r N^3) per attempt, O(r dL^2 dR N^2) per block for the residuals, and for the gap
-    O(r N^2 N') plus, over pairs j <= l, O(r p^2 + p^3) for p = dR_j dR_l (O(r N'^4 + N'^6) for a
-    coupled frame), or O(r N'^3 + j N'^2) per Lanczos step j; memory O((m + d) N^2 + r N'^2)
-    plus the largest batch of pair matrices, or j N'^2 for Lanczos, for d basis elements.
+    family, O(r N^3) per attempt, for the split and for the certificate's one product O_s V; the
+    exact residuals, only when the certificate fails or when read, O(r dL^2 dR N^2) per block; for
+    the gap O(r N^2 N') plus, over pairs j <= l, O(r p^2 + p^3) for p = dR_j dR_l (O(r N'^4 + N'^6)
+    for a coupled frame), or O(r N'^3 + j N'^2) per Lanczos step j.  Memory O((m + r) N^2 +
+    r N'^2) plus the largest batch of pair matrices, or j N'^2 for Lanczos; reading the basis adds
+    its d N^2 entries for d = sum dL^2.  The result keeps the r canonical operators for that read.
     """
     _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
     n, kraus = phi.dim, phi.kraus
@@ -653,19 +751,16 @@ def fixed_point_space(
     def attempt(rng: np.random.Generator) -> FixedPointBasis:
         z = rng.standard_normal((2, len(ops))) + 1j * rng.standard_normal((2, len(ops)))
         classes = _split(ops, z, tol)
-        residuals = np.concatenate([_unit_residuals(canonical, cols) for cols in classes])
-        if residuals.max() > tol.fix:
-            raise _Ambiguous(f"a basis element is not fixed (residual {residuals.max():.3e})")
+        residuals = None  # left to first read when the certificate holds
+        if _commutation_bounds(phi, weights, canonical, classes).max() > tol.fix:
+            residuals = _exact_residuals(canonical, classes)
+            if max(residuals) > tol.fix:
+                raise _Ambiguous(f"a basis element is not fixed (residual {max(residuals):.3e})")
         gap = _block_frame_gap(canonical, classes, rng)
         if gap <= tol.fix:
             raise _Ambiguous(f"a fixed direction lies outside the commutant (gap {gap:.3e})")
-        edges = np.cumsum([0] + [cols.shape[1] ** 2 for cols in classes])
-        basis = np.empty((edges[-1], n, n), dtype=complex)
-        for cols, lo, hi in zip(classes, edges, edges[1:]):
-            _block_units(cols, out=basis[lo:hi])
-        basis.setflags(write=False)
         structure = _block_structure(n, classes)
-        return FixedPointBasis(n, basis, tuple(float(r) for r in residuals), gap, structure)
+        return FixedPointBasis(n, None, residuals, gap, structure, (canonical, classes))
 
     return _retrying(seed, attempt)
 

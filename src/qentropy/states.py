@@ -87,17 +87,28 @@ class DensityMatrix:
 
 def spectral_decomposition(m: np.ndarray) -> Spectrum:
     """Eigendecompose the Hermitian part of m, eigenvalues (unclipped) sorted descending."""
-    vals, vecs = np.linalg.eigh(hermitian_part(m))
+    return _descending_eigh(hermitian_part(m))
+
+
+def _descending_eigh(h: np.ndarray) -> Spectrum:
+    """The :class:`Spectrum` of a Hermitian matrix, eigenvalues (unclipped) sorted descending."""
+    vals, vecs = np.linalg.eigh(h)
     order = np.argsort(vals)[::-1]
     # indexing by order made fresh arrays, in the layout a copy keeps: freeze them as they are
     vals = frozen_array(vals[order], dtype=float, copy=False)
     return Spectrum(vals, frozen_array(vecs[:, order], copy=False))
 
 
-def _require_hermitian(arr: np.ndarray, tol: ToleranceConfig) -> None:
-    herm_dev = float(np.abs(arr - arr.conj().T).max(initial=0.0))  # 0 for an empty arr
+def _require_hermitian(arr: np.ndarray, what: str, tol: ToleranceConfig) -> np.ndarray:
+    """Raise unless the square ``arr`` is non-empty ("``what`` must be non-empty") and Hermitian
+    to tol.herm; return arr^dag, formed once for the check."""
+    if arr.size == 0:
+        raise ValidationError(f"{what} must be non-empty")
+    adj = arr.conj().T
+    herm_dev = float(np.abs(arr - adj).max())
     if herm_dev > tol.herm:
         raise NotHermitianError(f"hermiticity deviation {herm_dev:.3e} exceeds {tol.herm:.1e}")
+    return adj
 
 
 def validate_state(m, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
@@ -106,17 +117,18 @@ def validate_state(m, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
     Eigenvalues in [-tol.psd, 0) are treated as numerical zeros (clipped by
     the spectral accessors); anything below -tol.psd is rejected as genuinely
     non-positive rather than noisy.  The eigendecomposition behind that check
-    is kept as the state's ``spectrum``.
+    is kept as the state's ``spectrum``.  An empty matrix is refused before
+    the trace check, whose empty trace 0 would blame the trace.
     """
     arr = as_complex_matrix(m)
     rows, cols = arr.shape
     if rows != cols:
         raise NotSquareError(f"state matrix must be square, got {rows}x{cols}")
-    _require_hermitian(arr, tol)
+    adj = _require_hermitian(arr, "state matrix", tol)
     trace_dev = abs(complex(arr.trace()) - 1.0)
     if trace_dev > tol.trace:
         raise TraceNotOneError(f"|trace - 1| = {trace_dev:.3e} exceeds {tol.trace:.1e}")
-    spectrum = spectral_decomposition(arr)
+    spectrum = _descending_eigh((arr + adj) / 2.0)  # the Hermitian part, as hermitian_part forms it
     smallest = float(spectrum.eigenvalues[-1])
     if smallest < -tol.psd:
         raise NotPositiveError(f"smallest eigenvalue {smallest:.3e} below -{tol.psd:.1e}")

@@ -1,11 +1,18 @@
 """Shared fixtures, channel builders and dense reference helpers for the test suite."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qentropy import DEFAULT_TOL, kraus_channel, validate_state
+
+# HYPOTHESIS_PROFILE=deep draws 2,000 examples in each property test that leaves its count to the
+# profile (CI runs the commutation certificate's test under it); unset, Hypothesis's default holds.
+settings.register_profile("deep", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -4,7 +4,8 @@ The oracles below are the direct dense algorithms: a complex eigensolve of
 s^dag s on all N x N matrices, and a loop over block pairs for the block-form
 residual.  The library computes the same objects without them: the commutant
 of the Kraus operators of adjoint(phi) o phi, certified in its block frame
-(residuals from the block isometries, and a gap on the right-factor space
+(a commutation bound per class, which must cover the exact residuals of the
+block isometries that it stands in for, and a gap on the right-factor space
 Herm(sum dR), one block pair at a time while the pairs decouple, else the
 whole frame, by exact eigensolves of side <= 256 and Lanczos above, which must
 also expose a frame with merged or split blocks), and one batched conjugation.
@@ -49,10 +50,12 @@ from qentropy.entropy_analysis import (
     _PAIR_COUPLING,
     _block_frame_gap,
     _canonical_operators,
+    _commutation_bounds,
     _pair_top,
     _partial_trace_right,
     _top_eigenvalue_outside,
     _top_outside,
+    _unit_residuals,
     block_form_residual,
 )
 from qentropy.generators import _seeded_rng
@@ -194,6 +197,22 @@ def test_fixed_point_space_memory_stays_small_at_n48():
         tracemalloc.stop()
     assert len(f.basis) == 80
     assert peak <= 16 * 2**20
+
+
+def test_fixed_point_space_memory_at_n192_with_the_basis_unread():
+    # the 400 x N^2 basis alone would take 236 MB; left unread, the solve holds the canonical
+    # family and the certificate's one (r, N, N) product
+    phi = synthesize_pair(parse_block_spec("16x6,12x8"), seed=7)[0]
+    tracemalloc.start()
+    try:
+        f = fixed_point_space(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "basis" not in vars(f) and "eigenvalue_residuals" not in vars(f)
+    assert sorted(f.structure.block_dims) == [(12, 8), (16, 6)]
+    assert f.spectral_gap > DEFAULT_TOL.fix
+    assert peak <= 60 * 2**20
 
 
 def canonical_and_frames(spec, seed):
@@ -363,6 +382,123 @@ def test_fixed_point_space_matches_dense_oracle_on_random_specs(blocks, seed):
         assert abs(f.spectral_gap - gap) <= 1e-10
     assert sorted(decompose_fixed_point_algebra(f).block_dims) == sorted(blocks)
     assert sorted(f.structure.block_dims) == sorted(blocks)
+
+
+def scaled_to_the_trace_bound(phi, fraction):
+    """phi with every Kraus operator times 1 + eta, eta a ``fraction`` of the largest that keeps
+    the top eigenvalue of sum M^dag M within kraus_channel's 1 + tol.eq."""
+    eta = fraction * (math.sqrt((1.0 + DEFAULT_TOL.eq) / phi._gram_numbers[2]) - 1.0)
+    return kraus_channel(phi.kraus * (1.0 + eta))
+
+
+# the hypothesis profile sets the example count: 100 by default, more under HYPOTHESIS_PROFILE=deep
+@settings(deadline=None)
+@given(
+    blocks=BLOCK_LISTS,
+    seed=st.integers(0, 2**40),
+    family=st.sampled_from(["synthesized", "eps-mixture", "scaled"]),
+    log_eps=st.floats(-14, -9),
+    fraction=st.floats(0, 0.999),
+)
+def test_commutation_bound_covers_every_unit_residual(blocks, seed, family, log_eps, fraction):
+    # B_j >= the exact residual of every unit of class j, for any isometry frame: the synthesized
+    # blocks, the same blocks rotated by a Haar unitary (residuals O(1)) and split by left index;
+    # the scaled families move sum O_s^2 off I by up to ~2e-8, which only delta covers.  Both
+    # sides carry rounding, seen up to N eps_mach where both are at rounding level
+    spec = ",".join(f"{dl}x{dr}" for dl, dr in blocks)
+    phi, _, structure = synthesize_pair(parse_block_spec(spec), seed=seed)
+    if family == "eps-mixture":
+        phi = eps_mixture(spec, 10.0**log_eps, seed)
+    elif family == "scaled":
+        phi = scaled_to_the_trace_bound(phi, fraction)
+    n = phi.dim
+    weights, canonical = _canonical_operators(phi.kraus)
+    classes = [b.isometry.reshape(n, b.dim_left, b.dim_right) for b in structure.blocks]
+    u = np.asarray(random_unitary(n, seed))
+    rotated = [(u @ cols.reshape(n, -1)).reshape(cols.shape) for cols in classes]
+    split = [cols[:, [left]] for cols in classes for left in range(cols.shape[1])]
+    for frame in (classes, rotated, split):
+        bounds = _commutation_bounds(phi, weights, canonical, frame)
+        exact = np.array([_unit_residuals(canonical, cols).max() for cols in frame])
+        assert np.all(bounds >= exact - 4 * n * np.finfo(float).eps)
+
+
+def solved_fields(f):
+    """Every field of a solved basis, arrays as bytes, for bit-for-bit comparison."""
+    blocks = tuple((b.dim_left, b.dim_right, b.isometry.tobytes()) for b in f.structure.blocks)
+    return f.dim, f.basis.tobytes(), f.eigenvalue_residuals, f.spectral_gap, blocks
+
+
+def exact_only(monkeypatch):
+    """Make every certificate fail, so each attempt decides on the exact unit residuals."""
+    monkeypatch.setattr(
+        entropy_analysis, "_commutation_bounds", lambda *args: np.array([math.inf])
+    )
+
+
+CERTIFIED_CASES = {
+    "synthesized 2x2,2x1,1x2": lambda: synthesize_pair(parse_block_spec("2x2,2x1,1x2"), 4)[0],
+    "synthesized 4x3,3x4": lambda: synthesize_pair(parse_block_spec("4x3,3x4"), 1)[0],
+    "eps-mixture 3x2,2x3 1e-10": lambda: eps_mixture("3x2,2x3", 1e-10, 11),
+    "scaled 1x2,1x2,2x1": lambda: scaled_to_the_trace_bound(
+        synthesize_pair(parse_block_spec("1x2,1x2,2x1"), 3)[0], 0.9
+    ),
+    "bistochastic n=17 k=3": lambda: random_bistochastic_channel(17, 3, seed=3),
+}
+
+
+@pytest.mark.parametrize("make_phi", CERTIFIED_CASES.values(), ids=CERTIFIED_CASES.keys())
+def test_certificate_leaves_every_field_as_the_exact_residuals_do(make_phi, monkeypatch):
+    phi = make_phi()
+    certified = solved_fields(fixed_point_space(phi))
+    exact_only(monkeypatch)
+    assert certified == solved_fields(fixed_point_space(phi))
+
+
+def counted_kernels(monkeypatch, *names):
+    """Count the calls of the named entropy_analysis kernels, which still run."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(entropy_analysis, name)
+
+        def counting(*args, name=name, real=real, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(entropy_analysis, name, counting)
+    return counts
+
+
+def test_fallback_decides_where_the_bound_exceeds_tol_fix(monkeypatch):
+    # at eps = 1e-9 the bound reads ~1.1e-7 and the exact residuals ~2.5e-8: at tol.fix = 5e-8
+    # between them the exact residuals run in the solve and accept, with the exact rule's result
+    phi, tol = eps_mixture("2x2,2x1,1x2", 1e-9, 3), DEFAULT_TOL.replace(fix=5e-8)
+    weights, canonical = _canonical_operators(phi.kraus)
+    classes = [b.isometry.reshape(phi.dim, b.dim_left, b.dim_right)
+               for b in fixed_point_space(phi, tol).structure.blocks]
+    bounds = _commutation_bounds(phi, weights, canonical, classes)
+    exact = max(_unit_residuals(canonical, cols).max() for cols in classes)
+    assert exact <= tol.fix < bounds.max()
+    counts = counted_kernels(monkeypatch, "_unit_residuals")
+    f = fixed_point_space(phi, tol)
+    assert counts["_unit_residuals"] == len(classes)
+    assert max(f.eigenvalue_residuals) <= tol.fix
+    assert counts["_unit_residuals"] == len(classes)  # kept from the solve, not formed again
+    exact_only(monkeypatch)
+    assert solved_fields(f) == solved_fields(fixed_point_space(phi, tol))
+
+
+def test_basis_and_residuals_are_computed_on_first_read(monkeypatch):
+    counts = counted_kernels(monkeypatch, "_unit_residuals", "_block_units")
+    f = fixed_point_space(synthesize_pair(parse_block_spec("2x2,1x3"), seed=1)[0])
+    assert counts == {"_unit_residuals": 0, "_block_units": 0}
+    residuals = f.eigenvalue_residuals
+    assert f.eigenvalue_residuals is residuals
+    assert counts == {"_unit_residuals": 2, "_block_units": 0}  # once per class
+    basis = f.basis
+    assert f.basis is basis and len(basis) == len(residuals) == 5
+    assert counts == {"_unit_residuals": 2, "_block_units": 2}
+    assert not basis.flags.writeable
 
 
 def test_decompose_rejects_merged_blocks(monkeypatch):

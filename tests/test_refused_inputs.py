@@ -14,7 +14,6 @@ from qentropy import (
     NotAnAlgebraError,
     NotHermitianError,
     StructureMismatchError,
-    TraceNotOneError,
     ValidationError,
     block_form_residual,
     choi_from_matrix,
@@ -78,8 +77,9 @@ class TestEmptyInputs:
         with pytest.raises(ValidationError, match="^Choi matrix must be non-empty$"):
             choi_from_matrix(np.zeros((0, 0)))
 
-    def test_state_keeps_its_trace_error(self):
-        with pytest.raises(TraceNotOneError):
+    def test_state_matrix(self):
+        # refused before its trace check, which read the empty trace 0 as |trace - 1| = 1
+        with pytest.raises(ValidationError, match="^state matrix must be non-empty$"):
             validate_state(np.zeros((0, 0)))
 
     def test_empty_fixed_point_basis(self):
