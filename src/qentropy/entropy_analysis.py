@@ -114,24 +114,24 @@ _T = TypeVar("_T")
 class FixedPointBasis:
     """Orthonormal basis of the fixed-point space of adjoint(phi) o phi.
 
-    ``basis`` is one read-only (d, N, N) array of Hermitian elements and ``eigenvalue_residuals``
-    their ||adjoint(phi)(phi(B)) - B||_F, in the same order.  ``spectral_gap`` is the distance
-    from 1 to the largest eigenvalue of adjoint(phi) o phi outside the span, so tests can assert
-    the cut was unambiguous; it is +inf when everything is fixed.  It is read in the block frame,
-    on the right-factor space Herm(sum dR), where an exact frame leaves the same eigenvalues: one
-    block pair (j, l) at a time, by an exact eigensolve of side dR_j dR_l <= 256, as a lower bound
-    within 2e-11 of the whole; else the whole frame, exactly for (sum dR)^2 <= 256 and by Lanczos
-    above.  ``structure`` holds the blocks of that frame (None only for a basis built by hand).
+    ``basis`` is one read-only (d, N, N) array of Hermitian elements, and ``residual_bound`` the
+    float the solve accepted them on, at least every ||adjoint(phi)(phi(B)) - B||_F up to
+    rounding.  ``spectral_gap`` is the distance from 1 to the largest eigenvalue of
+    adjoint(phi) o phi outside the span, so tests can assert the cut was unambiguous; it is +inf
+    when everything is fixed.  It is read in the block frame, on the right-factor space
+    Herm(sum dR), where an exact frame leaves the same eigenvalues: one block pair (j, l) at a
+    time, by an exact eigensolve of side dR_j dR_l <= 256, as a lower bound within 2e-11 of the
+    whole; else the whole frame, exactly for (sum dR)^2 <= 256 and by Lanczos above.
+    ``structure`` holds the blocks of that frame (None only for a basis built by hand).
 
-    A basis built by hand, ``FixedPointBasis(dim, basis, eigenvalue_residuals, spectral_gap[,
-    structure])``, holds what it is given.  One from :func:`fixed_point_space` computes ``basis``
-    and, when its commutation certificate made the exact residuals unnecessary,
-    ``eigenvalue_residuals`` on first read (``functools.cached_property``), from the certified
-    classes and the canonical operators it keeps: the same values, bit for bit, as if they had
-    been formed during the solve.  ``dim``, ``spectral_gap`` and ``structure`` are set at once.
+    A basis built by hand, ``FixedPointBasis(dim, basis, residual_bound, spectral_gap[,
+    structure])``, holds what it is given.  One from :func:`fixed_point_space` holds only its
+    structure and three numbers (``basis`` is None), and builds ``basis`` from the blocks on first
+    read (``functools.cached_property``).
     """
 
     dim: int
+    residual_bound: float
     spectral_gap: float
     structure: BlockStructure | None
 
@@ -139,35 +139,27 @@ class FixedPointBasis:
         self,
         dim: int,
         basis: np.ndarray | None,
-        eigenvalue_residuals: tuple[float, ...] | None,
+        residual_bound: float,
         spectral_gap: float,
         structure: BlockStructure | None = None,
-        _frame: tuple[np.ndarray, list[np.ndarray]] | None = None,
     ):
-        """``basis`` or ``eigenvalue_residuals`` may be None only with ``_frame``, the canonical
-        operators and (N, dL, dR) classes they are then computed from on first read."""
-        given = {"basis": basis, "eigenvalue_residuals": eigenvalue_residuals}
-        vars(self).update({k: v for k, v in given.items() if v is not None})  # a filled cache
-        vars(self).update(dim=dim, spectral_gap=spectral_gap, structure=structure, _frame=_frame)
+        if basis is not None:
+            vars(self)["basis"] = basis  # a filled cache
+        vars(self).update(
+            dim=dim, residual_bound=residual_bound, spectral_gap=spectral_gap, structure=structure
+        )
 
     @cached_property
     def basis(self) -> np.ndarray:
-        """V (E (x) I/sqrt(dR)) V^dag over the Hermitian units E of each class, class by class in
-        the order of the split (:func:`_block_units`)."""
-        _, classes = self._frame
-        n, edges = self.dim, np.cumsum([0] + [cols.shape[1] ** 2 for cols in classes])
+        """V (E (x) I/sqrt(dR)) V^dag over the Hermitian units E of each block, block by block in
+        the order of ``structure`` (:func:`_block_units`)."""
+        n, blocks = self.dim, self.structure.blocks
+        edges = np.cumsum([0] + [b.dim_left**2 for b in blocks])
         basis = np.empty((edges[-1], n, n), dtype=complex)
-        for cols, lo, hi in zip(classes, edges, edges[1:]):
-            _block_units(cols, out=basis[lo:hi])
+        for b, lo, hi in zip(blocks, edges, edges[1:]):
+            _block_units(b.isometry.reshape(n, b.dim_left, b.dim_right), out=basis[lo:hi])
         basis.setflags(write=False)
         return basis
-
-    @cached_property
-    def eigenvalue_residuals(self) -> tuple[float, ...]:
-        """The exact residuals of the :attr:`basis` elements, in their order
-        (:func:`_unit_residuals`)."""
-        canonical, classes = self._frame
-        return _exact_residuals(canonical, classes)
 
 
 @dataclass(frozen=True)
@@ -528,11 +520,6 @@ def _unit_residuals(canonical: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _exact_residuals(canonical: np.ndarray, classes: list[np.ndarray]) -> tuple[float, ...]:
-    """The :func:`_unit_residuals` of every class, in class order, as floats."""
-    return tuple(float(r) for r in np.concatenate([_unit_residuals(canonical, c) for c in classes]))
-
-
 def _commutation_bounds(
     phi: KrausChannel, weights: np.ndarray, canonical: np.ndarray, classes: list[np.ndarray]
 ) -> np.ndarray:
@@ -706,8 +693,8 @@ def fixed_point_space(
     the eigenspaces of x + x^dag, x = sum z_a s_a L_a, are the dR spaces H^L (x) e_r of each
     block, and groups linked by a weight above tol.fix times the largest form one aligned
     (N, dL, dR) class.  The basis is V (E (x) I/sqrt(dR)) V^dag over the Hermitian units E of
-    M_dL (:func:`_block_units`), and its certificate stays in that block frame.  The basis and
-    the exact residuals are formed only when read (:class:`FixedPointBasis`); spectral_gap is 1
+    M_dL (:func:`_block_units`), and its certificate stays in that block frame.  The basis is
+    formed only when read, from the blocks (:class:`FixedPointBasis`); spectral_gap is 1
     minus the top eigenvalue of the compression of adjoint(phi) o phi to Herm(N'), N' = sum dR,
     outside the block identities (:func:`_block_frame_gap`: by block pairs while they decouple,
     else the whole frame; exact eigensolves of side <= 256, Lanczos above): in an exact frame,
@@ -726,10 +713,10 @@ def fixed_point_space(
     off the Kraus Gram sums and the canonical weights.  delta is needed: the channel check admits
     ||sum M^dag M - I||_F up to tol.eq N, above tol.fix for N > 10.  The bound holds in exact
     arithmetic, for any V with orthonormal columns; the rounding of both sides is O(N eps_mach).
-    When max B_j <= tol.fix the attempt accepts the elements.  Otherwise it computes the exact
-    residuals ||adjoint(phi)(phi(B)) - B||_F of every unit from the same operators
-    (:func:`_unit_residuals`) and decides on them, so every accept or retry is the one the exact
-    residuals give.
+    When max B_j <= tol.fix the attempt accepts the elements, with ``residual_bound`` = max B_j.
+    Otherwise it computes the exact residuals ||adjoint(phi)(phi(B)) - B||_F of every unit from
+    the same operators (:func:`_unit_residuals`) and decides on them, so every accept or retry is
+    the one the exact residuals give, and ``residual_bound`` is their largest.
 
     Every residual must be <= tol.fix (the elements are fixed) and the gap > tol.fix (no fixed
     direction was missed); an ambiguous grouping or a failed certificate retries with the next
@@ -737,11 +724,11 @@ def fixed_point_space(
     eigenvalue within tol.fix of 1 outside the commutant (a dense eigensolve counts it as fixed).
     Cost: O(k^2 N^3 + m^2 N^2 + m^3) for the k(k+1)/2 products and their m <= min(k^2, N^2)
     family, O(r N^3) per attempt, for the split and for the certificate's one product O_s V; the
-    exact residuals, only when the certificate fails or when read, O(r dL^2 dR N^2) per block; for
+    exact residuals, only when the certificate fails, O(r dL^2 dR N^2) per block; for
     the gap O(r N^2 N') plus, over pairs j <= l, O(r p^2 + p^3) for p = dR_j dR_l (O(r N'^4 + N'^6)
     for a coupled frame), or O(r N'^3 + j N'^2) per Lanczos step j.  Memory O((m + r) N^2 +
     r N'^2) plus the largest batch of pair matrices, or j N'^2 for Lanczos; reading the basis adds
-    its d N^2 entries for d = sum dL^2.  The result keeps the r canonical operators for that read.
+    its d N^2 entries for d = sum dL^2.  The result keeps the N^2 entries of its isometries.
     """
     _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
     n, kraus = phi.dim, phi.kraus
@@ -751,16 +738,15 @@ def fixed_point_space(
     def attempt(rng: np.random.Generator) -> FixedPointBasis:
         z = rng.standard_normal((2, len(ops))) + 1j * rng.standard_normal((2, len(ops)))
         classes = _split(ops, z, tol)
-        residuals = None  # left to first read when the certificate holds
-        if _commutation_bounds(phi, weights, canonical, classes).max() > tol.fix:
-            residuals = _exact_residuals(canonical, classes)
-            if max(residuals) > tol.fix:
-                raise _Ambiguous(f"a basis element is not fixed (residual {max(residuals):.3e})")
+        bound = float(_commutation_bounds(phi, weights, canonical, classes).max())
+        if bound > tol.fix:
+            bound = max(float(_unit_residuals(canonical, cols).max()) for cols in classes)
+            if bound > tol.fix:
+                raise _Ambiguous(f"a basis element is not fixed (residual {bound:.3e})")
         gap = _block_frame_gap(canonical, classes, rng)
         if gap <= tol.fix:
             raise _Ambiguous(f"a fixed direction lies outside the commutant (gap {gap:.3e})")
-        structure = _block_structure(n, classes)
-        return FixedPointBasis(n, None, residuals, gap, structure, (canonical, classes))
+        return FixedPointBasis(n, None, bound, gap, _block_structure(n, classes))
 
     return _retrying(seed, attempt)
 
@@ -771,7 +757,24 @@ def fixed_point_space(
 
 
 def _partial_trace_right(m: np.ndarray, dl: int, dr: int) -> np.ndarray:
-    return np.einsum("arbr->ab", m.reshape(dl, dr, dl, dr))
+    """tr_R of a (..., dL dR, dL dR) stack on H^L (x) H^R, as a (..., dL, dL) stack."""
+    return np.einsum("...arbr->...ab", m.reshape(*m.shape[:-2], dl, dr, dl, dr))
+
+
+def _block_expectation(x: np.ndarray, dims) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The block pieces of X - E(X), E(X) = (+)_j tr_R(X_jj) / dR (x) I_dR, for a (..., N, N) stack
+    X = V^dag B V in a frame of (dL, dR) blocks: their Frobenius norms over block pairs (j, k), a
+    (..., K, K) array, and the partial traces tr_R(X_jj), one (..., dL, dL) stack per block."""
+    edges = np.cumsum([0] + [dl * dr for dl, dr in dims])
+    norms, lefts = np.empty(x.shape[:-2] + (len(dims), len(dims))), []
+    for j, (dl, dr) in enumerate(dims):
+        for k in range(len(dims)):
+            piece = x[..., edges[j] : edges[j + 1], edges[k] : edges[k + 1]]
+            if j == k:
+                lefts.append(_partial_trace_right(piece, dl, dr))
+                piece = piece - np.kron(lefts[-1] / dr, np.eye(dr))
+            norms[..., j, k] = np.linalg.norm(piece, axis=(-2, -1))
+    return norms, lefts
 
 
 def _orthonormal_span(mats: np.ndarray) -> tuple[np.ndarray, int]:
@@ -826,26 +829,14 @@ def _block_isometries(structure: BlockStructure, **dims: int) -> list[np.ndarray
 def block_form_residual(f: FixedPointBasis, structure: BlockStructure) -> float:
     """Worst deviation of the conjugated basis from block (left (x) scalar) form.
 
-    The block isometries are stacked into one matrix V (an N x N unitary for
-    a complete structure) and every basis element B is conjugated at once,
-    V^dag B V.  The result is the largest Frobenius norm of an off-diagonal
-    block, or of a diagonal block's deviation from (its partial trace over
-    the right factor, divided by dR) (x) I.  The structure must fill the basis's space.
+    The block isometries are stacked into one matrix V (an N x N unitary for a complete structure)
+    and every basis element B is conjugated at once, V^dag B V.  The result is the largest
+    Frobenius norm of an off-diagonal block, or of a diagonal block's deviation from (its partial
+    trace over the right factor, divided by dR) (x) I (:func:`_block_expectation`).  The
+    structure must fill the basis's space.
     """
     v = np.concatenate(_block_isometries(structure, basis=f.dim), axis=1)
-    conjugated = v.conj().T @ f.basis @ v
-    edges = np.cumsum([0] + [b.isometry.shape[1] for b in structure.blocks])
-    worst = 0.0
-    for j, block in enumerate(structure.blocks):
-        rows = conjugated[:, edges[j] : edges[j + 1]]
-        for k in range(len(structure.blocks)):
-            cross = rows[:, :, edges[k] : edges[k + 1]]
-            if j == k:
-                dl, dr = block.dim_left, block.dim_right
-                left = np.einsum("zarbr->zab", cross.reshape(-1, dl, dr, dl, dr)) / dr
-                cross = cross - np.einsum("zab,rs->zarbs", left, np.eye(dr)).reshape(cross.shape)
-            worst = max(worst, float(np.linalg.norm(cross, axis=(1, 2)).max()))
-    return worst
+    return float(_block_expectation(v.conj().T @ f.basis @ v, structure.block_dims)[0].max())
 
 
 def decompose_fixed_point_algebra(
@@ -936,11 +927,12 @@ def verify_block_structure(
     singular vector u of [Z_1 | ... | Z_k] is u_U / sqrt(dL), and n_i = u^dag Z_i / sqrt(dL).
     Residuals, Frobenius norms maxed over blocks: block_diagonal of R[s_j, s_l], j != l;
     factorization of R_jj - p_j L_j (x) I/dR (weight p_j = tr R_jj, left state
-    L_j = tr_R R_jj / p_j); invariance of the superoperator from inputs on s_j to outputs off
-    (s_j, s_j) and action of its difference to Ad_U (x) N, both from k x k Gram matrices and
-    quadratic in the Kraus operators (so an eps-mixture moves them by O(eps)); unitary of
-    U^dag U - I; right_bistochastic of sum N_i^dag N_i - I and sum N_i N_i^dag - I.  Cost: O(k N^3)
-    for the conjugation, then per block O(k^2 N n_j) and one dL^2 x k dR^2 SVD; O(k N^2) memory.
+    L_j = tr_R R_jj / p_j), both block pieces of R - E(R) (:func:`_block_expectation`); invariance
+    of the superoperator from inputs on s_j to outputs off (s_j, s_j) and action of its
+    difference to Ad_U (x) N, both from k x k Gram matrices and quadratic in the Kraus operators
+    (so an eps-mixture moves them by O(eps)); unitary of U^dag U - I; right_bistochastic of
+    sum N_i^dag N_i - I and sum N_i N_i^dag - I.  Cost: O(k N^3) for the conjugation, then per
+    block O(k^2 N n_j) and one dL^2 x k dR^2 SVD; O(k N^2) memory.
     Weights, left states and left unitaries (up to phase) come back with the residuals; a failed
     sub-check raises :class:`~qentropy.errors.StructureMismatchError` naming it.
     """
@@ -956,18 +948,13 @@ def verify_block_structure(
     v = np.hstack(isos)
     r = v.conj().T @ rho.matrix @ v
     rows = [slice(a, b) for a, b in itertools.pairwise(np.cumsum([0] + [i.shape[1] for i in isos]))]
-    cross = [float(np.linalg.norm(r[a, b])) for a, b in itertools.permutations(rows, 2)]
-    diag_res = max(cross, default=0.0)
+    norms, lefts = _block_expectation(r, structure.block_dims)
+    diag_res = float(norms.max(initial=0.0, where=~np.eye(len(rows), dtype=bool)))
     _check_residual(diag_res, tol.eq, "state couples distinct blocks")
-    weights, left_states, fact_res = [], [], 0.0
-    for (dl, dr), sj in zip(structure.block_dims, rows):
-        weights.append(float(np.real(np.trace(r[sj, sj]))))
-        if weights[-1] <= tol.psd:
-            left_states.append(np.eye(dl) / dl)
-            continue
-        left_states.append(_partial_trace_right(r[sj, sj], dl, dr) / weights[-1])
-        rebuilt = weights[-1] * np.kron(left_states[-1], np.eye(dr) / dr)
-        fact_res = max(fact_res, float(np.linalg.norm(r[sj, sj] - rebuilt)))
+    weights = [float(np.real(np.trace(r[sj, sj]))) for sj in rows]
+    kept = np.array(weights) > tol.psd  # a block without weight gets I / dL as its left state
+    left_states = [t / w if k else np.eye(len(t)) / len(t) for t, w, k in zip(lefts, weights, kept)]
+    fact_res = float(np.diagonal(norms).max(initial=0.0, where=kept))
     what = "a block of the state does not factor as left (x) maximally mixed"
     _check_residual(fact_res, tol.eq * n, what)
 

@@ -210,7 +210,7 @@ class TestFixedPointSpace:
 
     def test_residuals_and_gap(self, tol):
         basis = fixed_point_space(random_bistochastic_channel(3, 3, seed=15))
-        assert max(basis.eigenvalue_residuals) <= tol.fix
+        assert basis.residual_bound <= tol.fix
         assert basis.spectral_gap > tol.fix
 
     def test_hermitian_representatives(self):
@@ -250,9 +250,7 @@ class TestDecompose:
         # span{|0><1|} is not dagger-closed and has no identity
         element = np.zeros((2, 2), dtype=complex)
         element[0, 1] = 1.0
-        fake = FixedPointBasis(
-            dim=2, basis=(element,), eigenvalue_residuals=(0.0,), spectral_gap=1.0
-        )
+        fake = FixedPointBasis(dim=2, basis=(element,), residual_bound=0.0, spectral_gap=1.0)
         with pytest.raises(NotAnAlgebraError):
             decompose_fixed_point_algebra(fake)
 
@@ -264,7 +262,7 @@ class TestDecompose:
         fake = FixedPointBasis(
             dim=2,
             basis=(element, offs / np.sqrt(2)),
-            eigenvalue_residuals=(0.0, 0.0),
+            residual_bound=0.0,
             spectral_gap=1.0,
         )
         with pytest.raises(NotAnAlgebraError):

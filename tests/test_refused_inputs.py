@@ -83,7 +83,7 @@ class TestEmptyInputs:
             validate_state(np.zeros((0, 0)))
 
     def test_empty_fixed_point_basis(self):
-        f = FixedPointBasis(3, np.zeros((0, 3, 3), dtype=complex), (), inf)
+        f = FixedPointBasis(3, np.zeros((0, 3, 3), dtype=complex), 0.0, inf)
         with pytest.raises(NotAnAlgebraError, match="^identity is not in the span$"):
             decompose_fixed_point_algebra(f)
 

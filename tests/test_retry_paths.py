@@ -145,7 +145,7 @@ def test_decompose_retries_a_frame_that_misses_the_block_form(monkeypatch):
 
 def test_decompose_refuses_a_dependent_basis():
     eye = np.eye(2, dtype=complex)
-    f = FixedPointBasis(2, np.stack([eye, eye]), (0.0, 0.0), inf)
+    f = FixedPointBasis(2, np.stack([eye, eye]), 0.0, inf)
     with pytest.raises(NotAnAlgebraError, match="^basis elements are not linearly independent$"):
         decompose_fixed_point_algebra(f)
 
