@@ -96,11 +96,10 @@ __all__ = [
 # algebra machinery; true spectra here are separated by many orders.
 _RANK_RTOL = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
-# Largest side of an exact eigvalsh in the block-frame gap: a block pair's dR_j dR_l, or N'^2 for
-# a coupled frame; above it Lanczos on the whole frame.  Measured on 1x24,1x24 (576-side pairs,
-# one BLAS thread): 0.28-0.35 s and 64 MB by pairs, 0.16 s and 11 MB by Lanczos.  The pair gap
-# stands when the coupling bound is at most _PAIR_COUPLING, below the 1e-10 to which it matches
-# a dense eigensolve.
+# For the pair gap (:func:`_block_frame_gap`): the largest side dR_j dR_l of a pair's eigvalsh,
+# and the largest coupling bound, below the 1e-10 to which the pair gap matches a dense eigensolve.
+# Measured on 1x24,1x24 (576-side pairs, one BLAS thread): 0.28-0.35 s and 64 MB by pairs, 0.16 s
+# and 11 MB by Lanczos.
 _EXACT_GAP_DIM, _PAIR_COUPLING = 256, 1e-11
 _T = TypeVar("_T")
 
@@ -121,7 +120,7 @@ class FixedPointBasis:
     when everything is fixed.  It is read in the block frame, on the right-factor space
     Herm(sum dR), where an exact frame leaves the same eigenvalues: one block pair (j, l) at a
     time, by an exact eigensolve of side dR_j dR_l <= 256, as a lower bound within 2e-11 of the
-    whole; else the whole frame, exactly for (sum dR)^2 <= 256 and by Lanczos above.
+    whole; else the whole frame by Lanczos (the rule: :func:`_block_frame_gap`).
     ``structure`` holds the blocks of that frame (None only for a basis built by hand).
 
     A basis built by hand, ``FixedPointBasis(dim, basis, residual_bound, spectral_gap[,
@@ -567,10 +566,10 @@ def _block_frame_gap(
     Herm(N'), N' = sum dR, has the same eigenvalues, and its fixed space is spanned by the
     I_dR_j / sqrt(dR_j).  Two blocks merged into one class, or one block split by left index,
     leave a fixed direction (a second identity, a cross-pair identity) outside that span, so the
-    gap reads ~0.  It is 1 - top - c from the block pairs (:func:`_pair_top`) when c is at most
-    _PAIR_COUPLING, else the whole frame's (:func:`_top_outside`) when N'^2 <= _EXACT_GAP_DIM;
-    pairs or a frame above that take Lanczos (:func:`_top_eigenvalue_outside`), in O(j N'^2)
-    memory for j steps.
+    gap reads ~0.  It is taken one of two ways: 1 - top - c from the block pairs
+    (:func:`_pair_top`) when every pair side dR_j dR_l is at most _EXACT_GAP_DIM and the coupling
+    bound c at most _PAIR_COUPLING; otherwise by Lanczos on the whole frame
+    (:func:`_top_eigenvalue_outside`), in O(j N'^2) memory for j steps.
     """
     w = np.concatenate([cols[:, 0, :] for cols in classes], axis=1)
     dims, n = [cols.shape[2] for cols in classes], w.shape[1]
@@ -581,9 +580,6 @@ def _block_frame_gap(
             return 1.0 - top - coupling
     ids = np.zeros((len(dims), n, n), dtype=complex)
     ids[:, np.arange(n), np.arange(n)] = np.repeat(np.eye(len(dims)) / np.sqrt(dims), dims, 0).T
-    if n * n <= _EXACT_GAP_DIM:  # the fixed columns are the vec(I_dR_j) / sqrt(dR_j)
-        fixed = ids.reshape(1, len(dims), -1).real.swapaxes(1, 2)
-        return 1.0 - _top_outside(ops[None], ops[None], fixed)
     row = ops.transpose(1, 0, 2).reshape(n, -1)  # [C_1 .. C_r], so sum_s C_s Y C_s is one product
     return 1.0 - _top_eigenvalue_outside(lambda y: row @ (y @ ops).reshape(-1, n), ids, rng)
 
@@ -697,9 +693,8 @@ def fixed_point_space(
     formed only when read, from the blocks (:class:`FixedPointBasis`); spectral_gap is 1
     minus the top eigenvalue of the compression of adjoint(phi) o phi to Herm(N'), N' = sum dR,
     outside the block identities (:func:`_block_frame_gap`: by block pairs while they decouple,
-    else the whole frame; exact eigensolves of side <= 256, Lanczos above): in an exact frame,
-    the top eigenvalue outside the span.  The classes come back as ``structure`` too
-    (:func:`_block_structure`).
+    else by Lanczos): in an exact frame, the top eigenvalue outside the span.  The classes come
+    back as ``structure`` too (:func:`_block_structure`).
 
     The elements are certified fixed by commutation, one class at a time.  For the Hermitian
     canonical operators O_s (all r of them, not cut at tol.fix),
@@ -725,10 +720,10 @@ def fixed_point_space(
     Cost: O(k^2 N^3 + m^2 N^2 + m^3) for the k(k+1)/2 products and their m <= min(k^2, N^2)
     family, O(r N^3) per attempt, for the split and for the certificate's one product O_s V; the
     exact residuals, only when the certificate fails, O(r dL^2 dR N^2) per block; for
-    the gap O(r N^2 N') plus, over pairs j <= l, O(r p^2 + p^3) for p = dR_j dR_l (O(r N'^4 + N'^6)
-    for a coupled frame), or O(r N'^3 + j N'^2) per Lanczos step j.  Memory O((m + r) N^2 +
-    r N'^2) plus the largest batch of pair matrices, or j N'^2 for Lanczos; reading the basis adds
-    its d N^2 entries for d = sum dL^2.  The result keeps the N^2 entries of its isometries.
+    the gap O(r N^2 N') plus, over pairs j <= l, O(r p^2 + p^3) for p = dR_j dR_l, or
+    O(r N'^3 + j N'^2) per Lanczos step j.  Memory O((m + r) N^2 + r N'^2) plus the largest batch
+    of pair matrices, or j N'^2 for Lanczos; reading the basis adds its d N^2 entries for
+    d = sum dL^2.  The result keeps the N^2 entries of its isometries.
     """
     _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
     n, kraus = phi.dim, phi.kraus
@@ -836,7 +831,8 @@ def block_form_residual(f: FixedPointBasis, structure: BlockStructure) -> float:
     structure must fill the basis's space.
     """
     v = np.concatenate(_block_isometries(structure, basis=f.dim), axis=1)
-    return float(_block_expectation(v.conj().T @ f.basis @ v, structure.block_dims)[0].max())
+    norms = _block_expectation(v.conj().T @ f.basis @ v, structure.block_dims)[0]
+    return float(norms.max(initial=0.0))  # 0.0 for a basis with no elements
 
 
 def decompose_fixed_point_algebra(

@@ -1,9 +1,5 @@
-"""Numerical tolerances used by every validator and verdict in the package.
-
-The defaults sit comfortably above double-precision eigensolver error at the
-dimensions this toolkit targets (N <= 16) and far below any structural gap the
-verdicts have to resolve.
-"""
+"""Numerical tolerances used by every validator and verdict in the package; how each threshold
+scales is listed on :class:`ToleranceConfig`, and no range of N is claimed for the defaults."""
 
 from __future__ import annotations
 
@@ -17,15 +13,17 @@ __all__ = ["ToleranceConfig", "DEFAULT_TOL"]
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Tolerance bundle threaded through validation and verdict code.
+    """Tolerance bundle threaded through validation and verdict code, and how each is scaled.
 
-    herm   -- max-abs deviation allowed between a matrix and its adjoint
-    trace  -- allowed |trace - 1| for states
-    psd    -- eigenvalues in [-psd, 0) count as numerical zeros; below is an error
-    recon  -- spectral-reconstruction and isometry-orthonormality slack
-    eq     -- equality slack for entropies and channel comparisons
-    fix    -- residual threshold for fixed-point membership
-    group  -- relative gap under which eigenvalues are grouped as degenerate
+    herm   -- absolute: max-abs entry of A - A^dag, for states and Choi matrices
+    trace  -- absolute: |trace - 1| of a state
+    psd    -- absolute: eigenvalues in [-psd, 0) are numerical zeros, lower is an error
+    recon  -- x N: isometry orthonormality and overlap in verify_block_structure (tol.recon * n)
+    eq     -- absolute: entropy gaps, the 1 + eq cap on sum M^dag M, classical residuals, a state's
+              block coupling; x N: channel-class and block-factor residuals (x dL: left unitary)
+    fix    -- absolute: fixed-point residuals and the spectral gap; x N: the canonical cut
+              (n * tol.fix); relative: the link threshold (x the largest weight), span membership
+    group  -- relative: eigenvalue gaps below group x max(1, spread) are grouped as degenerate
     """
 
     herm: float = 1e-9

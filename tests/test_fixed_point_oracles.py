@@ -6,9 +6,9 @@ residual.  The library computes the same objects without them: the commutant
 of the Kraus operators of adjoint(phi) o phi, certified in its block frame
 (a commutation bound per class, which must cover the exact residuals of the
 block isometries that it stands in for, and a gap on the right-factor space
-Herm(sum dR), one block pair at a time while the pairs decouple, else the
-whole frame, by exact eigensolves of side <= 256 and Lanczos above, which must
-also expose a frame with merged or split blocks), and one batched conjugation.
+Herm(sum dR), by exact eigensolves of side <= 256 one block pair at a time
+while the pairs decouple, else by Lanczos on the whole frame, which must also
+expose a frame with merged or split blocks), and one batched conjugation.
 Random block specs (hypothesis), eps-mixtures and channels with sum dR > 16
 check dimension and gap against the dense oracle, the gap solvers agree on the
 same compressed maps, and the Hermitian canonical Kraus operators keep the
@@ -301,8 +301,9 @@ def test_exact_gap_matches_lanczos_on_the_same_compressed_maps(spec):
     ids=["pairs 2x2,2x1,1x2", "pairs 3x2,2x3", "coupled 2x2,2x1,1x2", "coupled 3x2,2x3"],
 )
 def test_gap_paths_match_dense_oracle(make_phi, coupled, monkeypatch, tol):
-    # the pair gap is taken only when the coupling bound is at most _PAIR_COUPLING, else the
-    # whole frame is solved; both match the dense eigensolve
+    # the pair gap is taken only when the coupling bound is at most _PAIR_COUPLING, else Lanczos
+    # solves the whole frame, once per coupled attempt; both match the dense eigensolve
+    lanczos = counted_kernels(monkeypatch, "_top_eigenvalue_outside")
     couplings, pair_top = [], entropy_analysis._pair_top
 
     def recorded(*args):
@@ -315,6 +316,7 @@ def test_gap_paths_match_dense_oracle(make_phi, coupled, monkeypatch, tol):
     f = fixed_point_space(phi)
     _, gap = oracle_fixed_point_space(phi, tol)
     assert couplings and all((c > _PAIR_COUPLING) == coupled for c in couplings)
+    assert lanczos["_top_eigenvalue_outside"] == (len(couplings) if coupled else 0)
     assert abs(f.spectral_gap - gap) <= 1e-10
 
 
@@ -386,18 +388,36 @@ BLOCK_LISTS = st.lists(
 ).filter(lambda blocks: sum(dl * dr for dl, dr in blocks) <= 12)
 
 
-@settings(max_examples=30, deadline=None)
-@given(blocks=BLOCK_LISTS, seed=st.integers(-(2**40), 2**40))
-@example(blocks=[(2, 2), (1, 2)], seed=-5)
-def test_fixed_point_space_matches_dense_oracle_on_random_specs(blocks, seed):
-    phi = synthesize_pair(BlockSpec(blocks=tuple(blocks)), seed=seed)[0]
+# the hypothesis profile sets the example count: 100 by default, more under HYPOTHESIS_PROFILE=deep
+@settings(deadline=None)
+@given(
+    blocks=BLOCK_LISTS,
+    seed=st.integers(-(2**40), 2**40),
+    family=st.sampled_from(["synthesized", "eps-mixture"]),
+    log_eps=st.floats(-14, -9),
+)
+@example(blocks=[(2, 2), (1, 2)], seed=-5, family="synthesized", log_eps=-14)
+def test_fixed_point_space_matches_dense_oracle_on_random_specs(blocks, seed, family, log_eps):
+    # An eps-mixture's gap is only O(eps)-accurate, whichever solver takes it (its light canonical
+    # operators couple the block pairs, so Lanczos does where there are two blocks or more).
+    # Phi_eps = (1 - eps) Phi + eps Psi with Phi, Psi unital, so both contract the Hilbert-Schmidt
+    # norm and ||Phi_eps^dag Phi_eps - Phi^dag Phi|| <= (2 eps - eps^2) + 2 eps (1 - eps) + eps^2
+    # <= 4 eps: by Weyl the dense gap is within 4 eps of Phi's.  The library reads the compression
+    # of Phi_eps^dag Phi_eps to the block frame, within 4 eps of Phi^dag Phi's compression, whose
+    # gap is Phi's in an exact frame: c = 8.  The frame the split finds is exact only to O(eps);
+    # measured on 400 draws, |gap - dense| stays below 1.4 eps.
+    spec = ",".join(f"{dl}x{dr}" for dl, dr in blocks)
+    phi, eps = synthesize_pair(parse_block_spec(spec), seed=seed)[0], 0.0
+    if family == "eps-mixture":
+        eps = 10.0**log_eps
+        phi = eps_mixture(spec, eps, seed)
     f = fixed_point_space(phi)
     mats, gap = oracle_fixed_point_space(phi, DEFAULT_TOL)
     assert len(f.basis) == len(mats) == sum(dl * dl for dl, _ in blocks)
     if math.isinf(gap):
         assert math.isinf(f.spectral_gap)
     else:
-        assert abs(f.spectral_gap - gap) <= 1e-10
+        assert abs(f.spectral_gap - gap) <= 1e-10 + 8 * eps
     assert sorted(decompose_fixed_point_algebra(f).block_dims) == sorted(blocks)
     assert sorted(f.structure.block_dims) == sorted(blocks)
 

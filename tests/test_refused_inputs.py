@@ -86,6 +86,8 @@ class TestEmptyInputs:
         f = FixedPointBasis(3, np.zeros((0, 3, 3), dtype=complex), 0.0, inf)
         with pytest.raises(NotAnAlgebraError, match="^identity is not in the span$"):
             decompose_fixed_point_algebra(f)
+        # no element deviates from any block form
+        assert block_form_residual(f, BlockStructure(3, (Block(np.eye(3), 1, 3),))) == 0.0
 
 
 @pytest.mark.parametrize("validate", [validate_state, choi_from_matrix], ids=["state", "choi"])
