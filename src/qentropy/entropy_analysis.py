@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TypeVar
@@ -379,8 +379,8 @@ def _retrying(seed: int, attempt: Callable[[np.random.Generator], _T]) -> _T:
     raise AmbiguousGroupingError(f"{last_failure} after 3 retries")
 
 
-def _group_eigenvalues(vals: np.ndarray, tol: ToleranceConfig) -> list[np.ndarray]:
-    """Group sorted eigenvalues whose relative gap is below tol.group.
+def _group_eigenvalues(vals: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Group sorted eigenvalues whose relative gap is below tol.group, as run bounds b[g]:b[g + 1].
 
     A gap inside the window just above the threshold, where degenerate and
     distinct eigenvalues cannot be told apart, raises the retry signal.
@@ -389,34 +389,47 @@ def _group_eigenvalues(vals: np.ndarray, tol: ToleranceConfig) -> list[np.ndarra
     gaps = np.diff(vals)
     if np.any((gaps > threshold) & (gaps < 100.0 * threshold)):
         raise _Ambiguous("eigenvalue gap inside the ambiguous window")
-    return np.split(np.arange(vals.size), np.flatnonzero(gaps > threshold) + 1)
+    return np.concatenate(([0], np.flatnonzero(gaps > threshold) + 1, [vals.size]))
 
 
-def _aligned_blocks(vecs, groups, linked, connector) -> Iterator[np.ndarray]:
+def _block_sums(squares: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The (..., K, K) sums of a (..., N, N) stack over its blocks, by runs of positive length."""
+    return np.add.reduceat(np.add.reduceat(squares, bounds[:-1], axis=-2), bounds[:-1], axis=-1)
+
+
+def _aligned_blocks(vecs, bounds, linked, connector) -> list[np.ndarray]:
     """Each class of linked eigenvector groups, as one (N, size, members) array in one frame.
 
     A class is walked breadth first from its lowest group; a group q reached from p is rotated by
     the polar part of the eigenbasis block connector[q, p], times p's rotation, so that connector
-    blocks within the class become multiples of the identity.  Linked groups of unequal size or
-    a singular block raise the retry signal.
+    blocks within the class become multiples of the identity; one SVD takes the blocks of all edges
+    of a size.  Linked groups of unequal size, then a singular block, raise the retry signal.
     """
-    seen = np.zeros(len(groups), dtype=bool)
-    for root in np.arange(len(groups)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order, frames = [root], [np.eye(groups[root].size)]
-        for p, frame in zip(order, frames):  # both lists grow during the walk
-            for q in np.flatnonzero(linked[p] & ~seen):
-                if groups[q].size != groups[root].size:
+    links, sizes = linked.tolist(), np.diff(bounds).tolist()
+    seen, classes, edges = [False] * len(sizes), [], {}  # edges: size -> [(q, p)], walk order
+    for root in (g for g in range(len(sizes)) if not seen[g]):
+        seen[root], order = True, [root]
+        for p in order:  # grows during the walk
+            for q in [q for q, on in enumerate(links[p]) if on and not seen[q]]:
+                if sizes[q] != sizes[root]:
                     raise _Ambiguous("linked eigenspaces differ in dimension")
-                u, svals, vh = np.linalg.svd(connector[np.ix_(groups[q], groups[p])])
-                if svals[-1] <= 1e-8 * max(1.0, float(svals[0])):
-                    raise _Ambiguous("connecting element is numerically singular")
                 seen[q] = True
                 order.append(q)
-                frames.append(u @ vh @ frame)
-        yield np.stack([vecs[:, groups[q]] @ f for q, f in zip(order, frames)], axis=2)
+                edges.setdefault(sizes[q], []).append((q, p))
+        classes.append(order)
+    frames = {order[0]: np.eye(sizes[order[0]]) for order in classes}
+    for size, pairs in edges.items():
+        rows, cols = (np.add.outer(bounds[list(g)], np.arange(size)) for g in zip(*pairs))
+        u, svals, vh = np.linalg.svd(connector[rows[:, :, None], cols[:, None, :]])
+        if np.any(svals[:, -1] <= 1e-8 * np.maximum(1.0, svals[:, 0])):
+            raise _Ambiguous("connecting element is numerically singular")
+        for (q, p), polar in zip(pairs, u @ vh):  # p's frame is set before q's
+            frames[q] = polar @ frames[p]
+    return [
+        (vecs[:, np.add.outer(bounds[order], np.arange(sizes[order[0]]))].transpose(1, 0, 2)
+         @ np.stack([frames[q] for q in order])).transpose(1, 2, 0)
+        for order in classes
+    ]
 
 
 def _split(ops: np.ndarray, z: np.ndarray, tol: ToleranceConfig) -> list[np.ndarray]:
@@ -427,16 +440,15 @@ def _split(ops: np.ndarray, z: np.ndarray, tol: ToleranceConfig) -> list[np.ndar
     the largest weight; for a block-diagonal family it is 0 across blocks.  Each connected class
     comes back aligned by the connector sum z[1, j] c_j (:func:`_aligned_blocks`).
     """
-    x = np.tensordot(z[0], ops, axes=1)
+    m, n, _ = ops.shape
+    x = (z[0] @ ops.reshape(m, -1)).reshape(n, n)
     vals, vecs = np.linalg.eigh(x + x.conj().T)
-    groups = _group_eigenvalues(vals, tol)
+    bounds = _group_eigenvalues(vals, tol)
     c = vecs.conj().T @ ops @ vecs
-    starts = [g[0] for g in groups]
-    power = np.sum(np.abs(c) ** 2, axis=0)
-    weight = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
+    weight = _block_sums(np.sum(np.abs(c) ** 2, axis=0), bounds)
     weight = weight + weight.T
     linked = weight > tol.fix * weight.max()
-    return list(_aligned_blocks(vecs, groups, linked, np.tensordot(z[1], c, axes=1)))
+    return _aligned_blocks(vecs, bounds, linked, (z[1] @ c.reshape(m, -1)).reshape(n, n))
 
 
 def _hermitian_coords(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -466,7 +478,9 @@ def _canonical_operators(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i(P_ij - P_ij^dag)/sqrt(2) (i < j) recombine {P_ij} unitarily: the same Choi matrix, Hermitian
     members, a real Gram matrix.  The k(k+1)/2 products with i <= j are formed one i at a time in
     :func:`_hermitian_coords`, and a stack over N^2 rows is replaced by its QR factor R (R^T R is
-    kept).  The Gram eigenvectors U give the s_a L_a as U^T times the stack.
+    kept).  The lightest rows, products of operators with orthogonal supports (k_b operators per
+    block leave sum k_b^2 of k^2), go while their total squared norm, weights[0], is <= eps_mach
+    times the largest.  The Gram eigenvectors U give the s_a L_a as U^T times the stack.
     """
     k, n, _ = kraus.shape
     adjoints, stack, pending = kraus.conj().swapaxes(1, 2), np.zeros((0, n * n)), []
@@ -477,8 +491,13 @@ def _canonical_operators(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             stack, pending = np.concatenate([stack, *pending]), []
             if len(stack) > n * n:
                 stack = np.linalg.qr(stack, mode="r")
+    norms = np.einsum("ij,ij->i", stack, stack)
+    light = np.argsort(norms)
+    light = light[np.cumsum(norms[light]) <= np.finfo(float).eps * norms.max()]
+    stack = np.delete(stack, light, axis=0) if light.size else stack
     weights, u = np.linalg.eigh(stack @ stack.T)
     rank = int(np.count_nonzero(weights > n * np.finfo(float).eps * weights[-1]))
+    weights = np.concatenate(([norms[light].sum()], weights))
     return weights, _hermitian_from_coords((u[:, -rank:].T @ stack).reshape(rank, n, n))
 
 
@@ -534,7 +553,8 @@ def _commutation_bounds(
     positive, so it multiplies the operator norm of the Hermitian B by at most
     ||adjoint(phi)(I)||_2 = t, the top eigenvalue of sum M^dag M.  With the Frobenius norms a, b
     of A, B (``KrausChannel._gram_numbers``), delta = a + t b plus the weights of the operators
-    dropped at rounding level.  omega_s = min(sqrt(w_s), sqrt(1 + delta)) >= ||O_s||_2, as
+    dropped at rounding level (the first: the rows dropped before the Gram eigensolve, whose sum of
+    H^2 has norm at most theirs).  omega_s = min(sqrt(w_s), sqrt(1 + delta)) >= ||O_s||_2, as
     ||O_s||_2 <= ||O_s||_F = sqrt(w_s) and O_s^2 <= sum O^2.
     """
     stochastic_res, unital_res, top = phi._gram_numbers
@@ -584,18 +604,22 @@ def _block_frame_gap(
     return 1.0 - _top_eigenvalue_outside(lambda y: row @ (y @ ops).reshape(-1, n), ids, rng)
 
 
-def _top_outside(left: np.ndarray, right: np.ndarray, fixed: np.ndarray) -> float:
+def _top_outside(left: np.ndarray, right: np.ndarray, fixed: np.ndarray, real=False) -> float:
     """Top eigenvalue, over a batch of g, of Y -> sum_s A_s Y B_s on M_(a x b), for (g, r, a, a)
     and (g, r, b, b) Hermitian stacks, outside the orthonormal (or zero) real columns F of the
-    (g, ab, q) ``fixed``; -inf for g = 0.  In row-major vec the map is the Hermitian
+    (g or 1, ab, q) ``fixed``; -inf for g = 0.  In row-major vec the map is the Hermitian
     K = sum A_s (x) conj(B_s), and P K P - 2 F F^T (P = 1 - F F^T) moves F below its spectrum
-    (|K| <= 1 here), formed by rank-q updates when F is not 0."""
+    (|K| <= 1 here), formed by rank-q updates when F is not 0.  ``real`` (A_s = B_s: K preserves
+    Herm(a)) takes the real Re K + Im K S (S vec(Y) = vec(Y^T)), K on the coordinates of
+    :func:`_hermitian_coords`, of the same spectrum."""
     g, r, a, _ = left.shape
     b = right.shape[2]
     if g == 0:
         return -math.inf
     k = left.reshape(g, r, a * a).swapaxes(1, 2) @ right.reshape(g, r, b * b).conj()
     k = k.reshape(g, a, a, b, b).swapaxes(2, 3).reshape(g, a * b, a * b)
+    if real:
+        k = k.real + k.imag.reshape(g, a * a, a, a).swapaxes(2, 3).reshape(g, a * a, a * a)
     if fixed.any():
         ft = fixed.swapaxes(1, 2)
         kff = k @ fixed @ ft
@@ -609,8 +633,8 @@ def _pair_top(ops: np.ndarray, dims: list[int]) -> tuple[float, float]:
     Y -> sum_s C_s Y C_s outside the block identities, one block pair at a time, and a bound c on
     the rest.  C_s = D_s + F_s splits into class-diagonal blocks D_s^j and the rest; D acts on pair
     (j, l) as Y -> sum_s D_s^j Y D_s^l (outside I / sqrt(dR_j) when j = l; (l, j) is its adjoint),
-    solved in one batch per pair of sizes (:func:`_top_outside`).  By Weyl the whole is within
-    c = n(D, F) + n(F, D) + n(F, F) of it, for the operator norms
+    solved in one batch per pair of sizes (:func:`_top_outside`; real for j = l).  By Weyl the
+    whole is within c = n(D, F) + n(F, D) + n(F, F) of it, for the operator norms
     n(A, B) = ||sum A_s A_s^dag||^1/2 ||sum B_s^dag B_s||^1/2, so n(D, F) = n(F, D) here.
     """
     labels = np.repeat(np.arange(len(dims)), dims)
@@ -623,12 +647,14 @@ def _pair_top(ops: np.ndarray, dims: list[int]) -> tuple[float, float]:
     stacks = {size: np.stack(blocks) for size, blocks in stacks.items()}  # (classes, r, d, d)
     top = -math.inf
     for a, b in itertools.combinations_with_replacement(sorted(stacks), 2):
-        if a == b:  # a 1 x 1 diagonal pair is all fixed
-            j, l = np.triu_indices(len(stacks[a]), int(a == 1))
+        if a == b:
+            j, l = np.triu_indices(len(stacks[a]), 1)
+            if a > 1:  # the pairs (j, j); a 1 x 1 one is all fixed
+                unit = np.eye(a).reshape(1, -1, 1) / math.sqrt(a)
+                top = max(top, _top_outside(stacks[a], stacks[a], unit, real=True))
         else:
             j, l = np.divmod(np.arange(len(stacks[a]) * len(stacks[b])), len(stacks[b]))
-        fixed = ((j == l) & (a == b))[:, None, None] * np.eye(a, b).reshape(1, -1, 1) / math.sqrt(a)
-        top = max(top, _top_outside(stacks[a][j], stacks[b][l], fixed))
+        top = max(top, _top_outside(stacks[a][j], stacks[b][l], np.zeros((1, a * b, 1))))
     return top, 2.0 * math.sqrt(d_norm * f_norm) + f_norm
 
 
@@ -715,28 +741,33 @@ def fixed_point_space(
 
     Every residual must be <= tol.fix (the elements are fixed) and the gap > tol.fix (no fixed
     direction was missed); an ambiguous grouping or a failed certificate retries with the next
-    ``_seeded_rng(seed, attempt)``, and the fourth failure raises AmbiguousGroupingError, as does an
-    eigenvalue within tol.fix of 1 outside the commutant (a dense eigensolve counts it as fixed).
-    Cost: O(k^2 N^3 + m^2 N^2 + m^3) for the k(k+1)/2 products and their m <= min(k^2, N^2)
-    family, O(r N^3) per attempt, for the split and for the certificate's one product O_s V; the
-    exact residuals, only when the certificate fails, O(r dL^2 dR N^2) per block; for
-    the gap O(r N^2 N') plus, over pairs j <= l, O(r p^2 + p^3) for p = dR_j dR_l, or
-    O(r N'^3 + j N'^2) per Lanczos step j.  Memory O((m + r) N^2 + r N'^2) plus the largest batch
-    of pair matrices, or j N'^2 for Lanczos; reading the basis adds its d N^2 entries for
-    d = sum dL^2.  The result keeps the N^2 entries of its isometries.
+    ``_seeded_rng(seed, attempt)`` (the one after a failed certificate on the uncut family: the cut
+    can drop what holds a block together), and the fourth failure raises AmbiguousGroupingError, as
+    does an eigenvalue within tol.fix of 1 outside the commutant (a dense eigensolve counts it as
+    fixed).  Cost: O(k^2 N^3 + m^2 N^2 + m^3) for the k(k+1)/2 products and their m <= min(k^2, N^2)
+    family (rows of vanishing products dropped), O(r N^3) per attempt, for the split and for the
+    certificate's one product O_s V; the exact residuals, only when the certificate fails,
+    O(r dL^2 dR N^2) per block; for the gap O(r N^2 N') plus, over pairs j <= l, O(r p^2 + p^3)
+    for p = dR_j dR_l, or O(r N'^3 + j N'^2) per Lanczos step j.  Memory O((m + r) N^2 + r N'^2)
+    plus the largest batch of pair matrices, or j N'^2 for Lanczos; reading the basis adds its
+    d N^2 entries for d = sum dL^2.  The result keeps the N^2 entries of its isometries.
     """
     _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
     n, kraus = phi.dim, phi.kraus
     weights, canonical = _canonical_operators(kraus)
-    ops = canonical[-int(np.count_nonzero(np.cumsum(weights) > n * tol.fix)) :]
+    cut = canonical[-int(np.count_nonzero(np.cumsum(weights) > n * tol.fix)) :]
+    uncut = False  # set by a failed certificate, for the next attempt only
 
     def attempt(rng: np.random.Generator) -> FixedPointBasis:
+        nonlocal uncut
+        ops, uncut = (canonical if uncut else cut), False
         z = rng.standard_normal((2, len(ops))) + 1j * rng.standard_normal((2, len(ops)))
         classes = _split(ops, z, tol)
         bound = float(_commutation_bounds(phi, weights, canonical, classes).max())
         if bound > tol.fix:
             bound = max(float(_unit_residuals(canonical, cols).max()) for cols in classes)
             if bound > tol.fix:
+                uncut = True  # the cut may have dropped what holds a block together
                 raise _Ambiguous(f"a basis element is not fixed (residual {bound:.3e})")
         gap = _block_frame_gap(canonical, classes, rng)
         if gap <= tol.fix:
@@ -751,25 +782,18 @@ def fixed_point_space(
 # ---------------------------------------------------------------------------
 
 
-def _partial_trace_right(m: np.ndarray, dl: int, dr: int) -> np.ndarray:
-    """tr_R of a (..., dL dR, dL dR) stack on H^L (x) H^R, as a (..., dL, dL) stack."""
-    return np.einsum("...arbr->...ab", m.reshape(*m.shape[:-2], dl, dr, dl, dr))
-
-
 def _block_expectation(x: np.ndarray, dims) -> tuple[np.ndarray, list[np.ndarray]]:
     """The block pieces of X - E(X), E(X) = (+)_j tr_R(X_jj) / dR (x) I_dR, for a (..., N, N) stack
     X = V^dag B V in a frame of (dL, dR) blocks: their Frobenius norms over block pairs (j, k), a
-    (..., K, K) array, and the partial traces tr_R(X_jj), one (..., dL, dL) stack per block."""
-    edges = np.cumsum([0] + [dl * dr for dl, dr in dims])
-    norms, lefts = np.empty(x.shape[:-2] + (len(dims), len(dims))), []
-    for j, (dl, dr) in enumerate(dims):
-        for k in range(len(dims)):
-            piece = x[..., edges[j] : edges[j + 1], edges[k] : edges[k + 1]]
-            if j == k:
-                lefts.append(_partial_trace_right(piece, dl, dr))
-                piece = piece - np.kron(lefts[-1] / dr, np.eye(dr))
-            norms[..., j, k] = np.linalg.norm(piece, axis=(-2, -1))
-    return norms, lefts
+    (..., K, K) array, and the partial traces tr_R(X_jj), one (..., dL, dL) stack per block; |X|^2,
+    its entries X_jj[(a, r), (b, r)] less tr_R(X_jj)[a, b] / dR, summed over all blocks at once."""
+    edges, squares, lefts = np.cumsum([0] + [dl * dr for dl, dr in dims]), np.abs(x) ** 2, []
+    for lo, hi, (dl, dr) in zip(edges, edges[1:], dims):  # the entries with equal r, as views
+        entries, out = (np.einsum("...arbr->...abr", a[..., lo:hi, lo:hi].reshape(
+            *x.shape[:-2], dl, dr, dl, dr)) for a in (x, squares))
+        lefts.append(entries.sum(axis=-1))
+        out[...] = np.abs(entries - lefts[-1][..., None] / dr) ** 2
+    return np.sqrt(_block_sums(squares, edges)), lefts
 
 
 def _orthonormal_span(mats: np.ndarray) -> tuple[np.ndarray, int]:
@@ -814,6 +838,8 @@ def _block_isometries(structure: BlockStructure, **dims: int) -> list[np.ndarray
     if sum(dl * dr for dl, dr in structure.block_dims) != n:
         raise StructureMismatchError("block dimensions do not add up to the space")
     for k, (v, (dl, dr)) in enumerate(zip(isos, structure.block_dims)):
+        if min(dl, dr) < 1:
+            raise StructureMismatchError(f"block {k} is {dl}x{dr}; both dims must be positive")
         if v.shape != (n, dl * dr):
             raise StructureMismatchError(
                 f"isometry {k} has shape {v.shape}, expected {(n, dl * dr)} for a {dl}x{dr} block"
@@ -843,10 +869,12 @@ def decompose_fixed_point_algebra(
     The algebra A (the span of ``f.basis``, Hermitian or not) is split into
     isometries V_k onto H^L_k (x) H^R_k such that V_k^dag a V_k is
     (arbitrary on H^L_k) (x) (scalar on H^R_k) for every a in A.  The span is
-    orthonormalized (W_1..W_d, one SVD) and checked to be independent,
-    dagger-closed and unital; then each attempt takes x = sum z_j W_j with
-    complex Gaussian z (real z would miss Hermitian elements, e.g. of i times
-    a Hermitian basis) and
+    orthonormalized (W_1..W_d, one SVD, unless ||G - I||_F <= _RANK_RTOL for
+    the Gram matrix G of a nonempty basis, as from :func:`fixed_point_space`:
+    not tol.fix, against which the span checks compare) and checked to be
+    independent, dagger-closed and unital; then each attempt takes
+    x = sum z_j W_j with complex Gaussian z (real z would miss Hermitian
+    elements, e.g. of i times a Hermitian basis) and
 
     * checks that the d products x W_i stay in the span: an out-of-span part
       of some W_j W_i makes theirs a nonzero linear function of z;
@@ -861,13 +889,16 @@ def decompose_fixed_point_algebra(
       below still holds (merged blocks of equal dR pass it).
 
     The result must pass :func:`block_form_residual` <= 10 tol.fix.  Cost:
-    O(d N^3 + d^2 N^2) time and O(d N^2) memory.  Draws come from ``seed``
-    (s and -s differ); an ambiguous gap, unequal linked groups, a missed
-    count, a singular connector or a failed certificate retries up to 3
-    times, then raises :class:`~qentropy.errors.AmbiguousGroupingError`.
+    O(d N^3 + d^2 N^2) time (the SVD's d^2 N^2 with a larger constant) and
+    O(d N^2) memory.  Draws come from ``seed`` (s and -s differ); an
+    ambiguous gap, unequal linked groups, a missed count, a singular
+    connector or a failed certificate retries up to 3 times, then raises
+    :class:`~qentropy.errors.AmbiguousGroupingError`.
     """
-    n = f.dim
-    work, d = _orthonormal_span(np.asarray(f.basis, dtype=complex))
+    n, work, d = f.dim, np.asarray(f.basis, dtype=complex), len(f.basis)
+    flat = work.reshape(d, n * n)
+    if not d or np.linalg.norm(flat.conj() @ flat.T - np.eye(d)) > _RANK_RTOL:
+        work, d = _orthonormal_span(work)
     if d != len(f.basis):
         raise NotAnAlgebraError("basis elements are not linearly independent")
     if _outside_span(work, work.conj().transpose(0, 2, 1), tol):
@@ -877,7 +908,7 @@ def decompose_fixed_point_algebra(
 
     def attempt(rng: np.random.Generator) -> BlockStructure:
         z = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
-        if _outside_span(work, np.tensordot(z[0], work, axes=1) @ work, tol):
+        if _outside_span(work, (z[0] @ work.reshape(d, -1)).reshape(n, n) @ work, tol):
             raise NotAnAlgebraError("span is not closed under products")
         classes = _split(work, z, tol)  # (N, dR, dL) each: a group is one e_l (x) H^R
         if sum(v.shape[2] ** 2 for v in classes) != d:
@@ -933,17 +964,16 @@ def verify_block_structure(
     sub-check raises :class:`~qentropy.errors.StructureMismatchError` naming it.
     """
     n = structure.dim
-    isos = _block_isometries(structure, channel=phi.dim, state=rho.dim)
-    for k, v in enumerate(isos):
-        if float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]))) > tol.recon * n:
-            raise StructureMismatchError(f"isometry {k} columns are not orthonormal")
-    for j, k in itertools.combinations(range(len(isos)), 2):
-        if float(np.linalg.norm(isos[j].conj().T @ isos[k])) > tol.recon * n:
-            raise StructureMismatchError(f"blocks {j} and {k} have overlapping ranges")
+    v = np.hstack(_block_isometries(structure, channel=phi.dim, state=rho.dim))
+    edges = np.cumsum([0] + [dl * dr for dl, dr in structure.block_dims])
+    over = np.sqrt(_block_sums(np.abs(v.conj().T @ v - np.eye(n)) ** 2, edges)) > tol.recon * n
+    for k in np.flatnonzero(np.diagonal(over))[:1]:  # the first k, then the first pair j < k
+        raise StructureMismatchError(f"isometry {k} columns are not orthonormal")
+    for j, k in np.argwhere(np.triu(over, 1))[:1]:
+        raise StructureMismatchError(f"blocks {j} and {k} have overlapping ranges")
 
-    v = np.hstack(isos)
     r = v.conj().T @ rho.matrix @ v
-    rows = [slice(a, b) for a, b in itertools.pairwise(np.cumsum([0] + [i.shape[1] for i in isos]))]
+    rows = [slice(a, b) for a, b in itertools.pairwise(edges)]
     norms, lefts = _block_expectation(r, structure.block_dims)
     diag_res = float(norms.max(initial=0.0, where=~np.eye(len(rows), dtype=bool)))
     _check_residual(diag_res, tol.eq, "state couples distinct blocks")

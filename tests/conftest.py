@@ -99,6 +99,12 @@ def superoperator_matrix(phi):
     return sum(np.kron(m.conj(), m) for m in phi.kraus)
 
 
+def partial_trace_right(m, dl, dr):
+    """tr_R of a (dL dR, dL dR) matrix on H^L (x) H^R, as a (dL, dL) matrix; the library takes it
+    for whole frames at once, this is the reference for one block."""
+    return np.einsum("arbr->ab", np.asarray(m).reshape(dl, dr, dl, dr))
+
+
 def phase_invariant_unitary_distance(u, v):
     """min over phases theta of ||u - e^(i theta) v||_F.
 

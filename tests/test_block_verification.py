@@ -28,13 +28,13 @@ from qentropy import (
     validate_state,
     verify_block_structure,
 )
-from qentropy.entropy_analysis import _partial_trace_right
 
 from conftest import (
     SIGMA_X,
     amplitude_damping_channel,
     dephasing_channel,
     maximally_mixed,
+    partial_trace_right,
     phase_invariant_unitary_distance,
 )
 
@@ -79,7 +79,7 @@ def oracle_verify(structure, phi, rho, tol):
         if p_k <= tol.psd:
             left_states.append(np.eye(dl) / dl)
             continue
-        left = _partial_trace_right(rho_k, dl, dr) / p_k
+        left = partial_trace_right(rho_k, dl, dr) / p_k
         fact_res = max(fact_res, float(np.linalg.norm(rho_k - p_k * np.kron(left, np.eye(dr) / dr))))
         left_states.append(left)
     if fact_res > tol.eq * n:
@@ -100,7 +100,7 @@ def oracle_verify(structure, phi, rho, tol):
             for b in range(dl):
                 image, leak = on_block(np.kron(_unit(dl, a, b), np.eye(dr)))
                 inv_res = max(inv_res, leak)
-                j_left += np.kron(_partial_trace_right(image, dl, dr) / dr, _unit(dl, a, b))
+                j_left += np.kron(partial_trace_right(image, dl, dr) / dr, _unit(dl, a, b))
         if inv_res > tol.eq * n:
             raise StructureMismatchError("channel maps a block outside itself")
         vals, vecs = np.linalg.eigh((j_left + j_left.conj().T) / 2.0)
@@ -251,6 +251,11 @@ def _mismatch_cases():
             identity2,
             mixed2,
         ),
+        "block 1 is 0x3; both dims must be positive": (
+            BlockStructure(dim=2, blocks=(Block(np.eye(2), 1, 2), Block(np.zeros((2, 0)), 0, 3))),
+            identity2,
+            mixed2,
+        ),
         "isometry 0 has shape": (
             BlockStructure(
                 dim=3, blocks=(Block(np.eye(3)[:, :2], 1, 1), Block(np.eye(3)[:, 2:], 2, 1))
@@ -288,6 +293,20 @@ class TestMismatchRaises:
         structure, phi, rho = _mismatch_cases()[message]
         with pytest.raises(StructureMismatchError, match=message):
             verify_block_structure(structure, phi, rho, tol)
+
+    def test_isometry_faults_are_named_in_order(self):
+        # orthonormality by block before any overlap, then the first overlapping pair j < k
+        e = np.eye(3, dtype=complex)
+        faults = {
+            "isometry 1 columns are not orthonormal": (e[:, :1], 2 * e[:, 1:2], 2 * e[:, :1]),
+            "blocks 0 and 2 have overlapping ranges": (
+                e[:, :1], e[:, 1:2], (e[:, :1] + e[:, 1:2]) / math.sqrt(2)
+            ),
+        }
+        for message, isos in faults.items():
+            structure = BlockStructure(dim=3, blocks=tuple(Block(v, 1, 1) for v in isos))
+            with pytest.raises(StructureMismatchError, match=f"^{message}$"):
+                verify_block_structure(structure, kraus_channel([np.eye(3)]), maximally_mixed(3))
 
     def test_dimension_mismatch(self):
         phi, rho, structure = synthesize_pair(parse_block_spec("2x1"), seed=1)

@@ -3,8 +3,9 @@
 A wrapped kernel hands the first attempt a wrong frame (rotated, split by left index, merged or
 with every eigenspace group linked); the retry with the next seed must then return the right
 block dims, and a frame that is wrong on every attempt must raise AmbiguousGroupingError naming
-the reason after the fourth failure.  Also here: a dependent basis, and a block of the state with
-no weight in verify_block_structure.
+the reason after the fourth failure.  Also here: a certificate that fails because the canonical cut
+dropped what holds a block together, retried on the uncut family; a dependent basis; and a block of
+the state with no weight in verify_block_structure.
 """
 
 from math import inf
@@ -102,12 +103,31 @@ def test_fixed_point_space_gives_up_after_four_failed_certificates(frame, monkey
     assert len(calls) == 4
 
 
-def _all_linked(real, vecs, groups, linked, connector):
-    return real(vecs, groups, np.ones_like(linked), connector)
+def test_a_failed_certificate_retries_on_the_uncut_family(monkeypatch):
+    # the 3x2 block's nearly unitary right channel rides on two canonical operators of total
+    # weight 8.9e-7 <= N tol.fix, which the cut drops: the first attempt splits the block by left
+    # index and fails its certificate (residual 2.1e-7), the next splits the whole family
+    phi = synthesize_pair(parse_block_spec("3x2,1x3"), seed=707566911170)[0]
+    families = []
+
+    def recorded(real, ops, *args):
+        families.append(len(ops))
+        return real(ops, *args)
+
+    _wrap(monkeypatch, "_split", recorded, failures=4)
+    f = fixed_point_space(phi)
+    assert len(families) == 2 and families[0] < families[1]
+    assert _dims(f.structure) == [(1, 3), (3, 2)]
+    assert len(f.basis) == 10
+    assert f.spectral_gap == pytest.approx(2.97e-7, rel=0.01)  # the dense oracle's, 3 tol.fix
 
 
-def _zero_connector(real, vecs, groups, linked, connector):
-    return real(vecs, groups, linked, np.zeros_like(connector))
+def _all_linked(real, vecs, bounds, linked, connector):
+    return real(vecs, bounds, np.ones_like(linked), connector)
+
+
+def _zero_connector(real, vecs, bounds, linked, connector):
+    return real(vecs, bounds, linked, np.zeros_like(connector))
 
 
 ALIGNMENT_FAULTS = {
@@ -122,7 +142,6 @@ ALIGNMENT_FAULTS = {
 def test_aligned_blocks_retries_then_gives_up(fault, monkeypatch):
     change, reason = ALIGNMENT_FAULTS[fault]
     phi = _pair()
-    # a generator: the wrapped call returns it, and the fault is raised when _split lists it
     calls = _wrap(monkeypatch, "_aligned_blocks", change, failures=1)
     assert _dims(fixed_point_space(phi).structure) == [(1, 3), (2, 2)]
     assert len(calls) == 2
