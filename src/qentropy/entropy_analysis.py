@@ -58,6 +58,7 @@ from .errors import (
     NotStochasticError,
     StructureMismatchError,
     SupportViolationError,
+    ValidationError,
 )
 from .generators import _gaussian_state, _seeded_rng, random_bistochastic_channel, random_unitary
 from .states import (
@@ -124,9 +125,9 @@ class FixedPointBasis:
     ``structure`` holds the blocks of that frame (None only for a basis built by hand).
 
     A basis built by hand, ``FixedPointBasis(dim, basis, residual_bound, spectral_gap[,
-    structure])``, holds what it is given.  One from :func:`fixed_point_space` holds only its
-    structure and three numbers (``basis`` is None), and builds ``basis`` from the blocks on first
-    read (``functools.cached_property``).
+    structure])``, holds what it is given (neither basis nor structure raises ValidationError).
+    One from :func:`fixed_point_space` holds only its structure and three numbers (``basis`` is
+    None), and builds ``basis`` from the blocks on first read (``functools.cached_property``).
     """
 
     dim: int
@@ -142,6 +143,8 @@ class FixedPointBasis:
         spectral_gap: float,
         structure: BlockStructure | None = None,
     ):
+        if basis is None and structure is None:
+            raise ValidationError("a fixed-point basis needs basis or structure; both are None")
         if basis is not None:
             vars(self)["basis"] = basis  # a filled cache
         vars(self).update(
@@ -402,11 +405,14 @@ def _aligned_blocks(vecs, bounds, linked, connector) -> list[np.ndarray]:
 
     A class is walked breadth first from its lowest group; a group q reached from p is rotated by
     the polar part of the eigenbasis block connector[q, p], times p's rotation, so that connector
-    blocks within the class become multiples of the identity; one SVD takes the blocks of all edges
-    of a size.  Linked groups of unequal size, then a singular block, raise the retry signal.
+    blocks within the class become multiples of the identity.  One SVD takes the blocks B of all
+    edges, each padded to the largest group size as B (+) pI, p = ||B||_F / sqrt(size): p lies
+    between the extreme singular values that the singularity test reads, and the polar part is
+    polar(B) (+) I.  The eigenvectors take all rotations in one product with a block-diagonal frame.
+    Linked groups of unequal size, then a singular block, raise the retry signal.
     """
-    links, sizes = linked.tolist(), np.diff(bounds).tolist()
-    seen, classes, edges = [False] * len(sizes), [], {}  # edges: size -> [(q, p)], walk order
+    links, sizes, frame = linked.tolist(), np.diff(bounds).tolist(), np.identity(len(vecs), complex)
+    seen, classes, edges = [False] * len(sizes), [], []  # edges: (q, p, size) in walk order
     for root in (g for g in range(len(sizes)) if not seen[g]):
         seen[root], order = True, [root]
         for p in order:  # grows during the walk
@@ -415,21 +421,20 @@ def _aligned_blocks(vecs, bounds, linked, connector) -> list[np.ndarray]:
                     raise _Ambiguous("linked eigenspaces differ in dimension")
                 seen[q] = True
                 order.append(q)
-                edges.setdefault(sizes[q], []).append((q, p))
+                edges.append((q, p, sizes[q]))
         classes.append(order)
-    frames = {order[0]: np.eye(sizes[order[0]]) for order in classes}
-    for size, pairs in edges.items():
-        rows, cols = (np.add.outer(bounds[list(g)], np.arange(size)) for g in zip(*pairs))
-        u, svals, vh = np.linalg.svd(connector[rows[:, :, None], cols[:, None, :]])
-        if np.any(svals[:, -1] <= 1e-8 * np.maximum(1.0, svals[:, 0])):
-            raise _Ambiguous("connecting element is numerically singular")
-        for (q, p), polar in zip(pairs, u @ vh):  # p's frame is set before q's
-            frames[q] = polar @ frames[p]
-    return [
-        (vecs[:, np.add.outer(bounds[order], np.arange(sizes[order[0]]))].transpose(1, 0, 2)
-         @ np.stack([frames[q] for q in order])).transpose(1, 2, 0)
-        for order in classes
-    ]
+    padded = np.tile(np.eye(max(sizes), dtype=complex), (len(edges), 1, 1))
+    for x, (q, p, s) in zip(padded, edges):
+        x[:s, :s] = block = connector[bounds[q] : bounds[q + 1], bounds[p] : bounds[p + 1]]
+        x[s:, s:] *= math.sqrt(np.vdot(block, block).real / s)
+    u, svals, vh = np.linalg.svd(padded)
+    if np.any(svals[:, -1] <= 1e-8 * np.maximum(1.0, svals[:, 0])):
+        raise _Ambiguous("connecting element is numerically singular")
+    for (q, p, s), polar in zip(edges, u @ vh):  # p's frame is set before q's
+        fq, fp = slice(bounds[q], bounds[q + 1]), slice(bounds[p], bounds[p + 1])
+        frame[fq, fq] = polar[:s, :s] @ frame[fp, fp]
+    aligned, cols = vecs @ frame, [np.add.outer(bounds[o], np.arange(sizes[o[0]])) for o in classes]
+    return [aligned[:, c].transpose(0, 2, 1) for c in cols]
 
 
 def _split(ops: np.ndarray, z: np.ndarray, tol: ToleranceConfig) -> list[np.ndarray]:
@@ -476,29 +481,40 @@ def _canonical_operators(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     P_ji = P_ij^dag for P_ij = M_i^dag M_j, so P_ii, (P_ij + P_ij^dag)/sqrt(2) and
     i(P_ij - P_ij^dag)/sqrt(2) (i < j) recombine {P_ij} unitarily: the same Choi matrix, Hermitian
-    members, a real Gram matrix.  The k(k+1)/2 products with i <= j are formed one i at a time in
-    :func:`_hermitian_coords`, and a stack over N^2 rows is replaced by its QR factor R (R^T R is
-    kept).  The lightest rows, products of operators with orthogonal supports (k_b operators per
-    block leave sum k_b^2 of k^2), go while their total squared norm, weights[0], is <= eps_mach
-    times the largest.  The Gram eigenvectors U give the s_a L_a as U^T times the stack.
+    members, a real Gram matrix.  No P_ij whose ||P_ij||_F^2 = tr(A_i A_j), A_i = M_i M_i^dag, is
+    within the rounding N eps_mach ||A_i||_F ||A_j||_F of the A_i's Gram matrix is formed (k_b per
+    block leave k + sum k_b (k_b + 1) / 2 products); the rest, in slices of whole i as one i at a
+    time would form them (one :func:`_hermitian_coords` each), fold a stack over N^2 rows into its
+    QR factor R (R^T R is kept), and the lightest rows go while their total squared norm is <=
+    eps_mach times the largest.  weights[0] holds that total, the skipped weight and its rounding.
+    The Gram eigenvectors U give the s_a L_a as U^T times the stack.
     """
     k, n, _ = kraus.shape
-    adjoints, stack, pending = kraus.conj().swapaxes(1, 2), np.zeros((0, n * n)), []
-    for i in range(k):
-        re, im = (z.reshape(k - i, n * n) for z in _hermitian_coords(adjoints[i] @ kraus[i:]))
-        pending += [re[:1] / 2, _SQRT_HALF * re[1:], _SQRT_HALF * im[1:]]  # P_ii, then j > i
-        if i == k - 1 or sum(map(len, pending)) >= n * n:
-            stack, pending = np.concatenate([stack, *pending]), []
-            if len(stack) > n * n:
-                stack = np.linalg.qr(stack, mode="r")
+    adjoints, stack = kraus.conj().swapaxes(1, 2), np.zeros((0, n * n))
+    gram = (kraus @ adjoints).reshape(k, n * n)  # the A_i as rows, then their Gram matrix
+    gram = np.abs((gram.conj() @ gram.T).real)
+    level = n * np.finfo(float).eps * np.sqrt(np.outer(np.diagonal(gram), np.diagonal(gram)))
+    i, j = np.nonzero(np.triu(gram > level))  # the pairs formed, (i, j) with i <= j
+    run = itertools.accumulate(np.bincount(i, 2 - (i == j), k), lambda s, r: s * (s < n * n) + r)
+    ends = [x + 1 for x, s in enumerate(run) if s >= n * n or x == k - 1]  # slices of whole i
+    for a, b in zip(*(np.split(x, np.searchsorted(i, ends[:-1])) for x in (i, j))):
+        re, im = (z.reshape(len(a), n * n) for z in _hermitian_coords(adjoints[a] @ kraus[b]))
+        off = a < b  # rows of one i at a time: P_ii, the Hermitian parts, the anti-Hermitian parts
+        at = np.argsort(np.argsort(np.concatenate([2 * k * a + b, 2 * k * a[off] + k + b[off]])))
+        at, stack = at + len(stack), np.concatenate([stack, np.empty((len(at), n * n))])
+        stack[at[: len(a)]] = np.where(off, _SQRT_HALF, 0.5)[:, None] * re
+        stack[at[len(a) :]] = _SQRT_HALF * im[off]
+        del re, im  # before a QR copies the stack
+        if len(stack) > n * n:
+            stack = np.linalg.qr(stack, mode="r")
     norms = np.einsum("ij,ij->i", stack, stack)
-    light = np.argsort(norms)
-    light = light[np.cumsum(norms[light]) <= np.finfo(float).eps * norms.max()]
+    light = np.argsort(norms)[np.cumsum(np.sort(norms)) <= np.finfo(float).eps * norms.max()]
     stack = np.delete(stack, light, axis=0) if light.size else stack
     weights, u = np.linalg.eigh(stack @ stack.T)
     rank = int(np.count_nonzero(weights > n * np.finfo(float).eps * weights[-1]))
-    weights = np.concatenate(([norms[light].sum()], weights))
-    return weights, _hermitian_from_coords((u[:, -rank:].T @ stack).reshape(rank, n, n))
+    stack = (u[:, -rank:].T @ stack).reshape(rank, n, n)  # freed before the complex copy
+    weights = np.r_[np.sum(gram + level, where=gram <= level) + norms[light].sum(), weights]
+    return weights, _hermitian_from_coords(stack)
 
 
 def _block_units(cols: np.ndarray, out: np.ndarray) -> None:
@@ -553,9 +569,9 @@ def _commutation_bounds(
     positive, so it multiplies the operator norm of the Hermitian B by at most
     ||adjoint(phi)(I)||_2 = t, the top eigenvalue of sum M^dag M.  With the Frobenius norms a, b
     of A, B (``KrausChannel._gram_numbers``), delta = a + t b plus the weights of the operators
-    dropped at rounding level (the first: the rows dropped before the Gram eigensolve, whose sum of
-    H^2 has norm at most theirs).  omega_s = min(sqrt(w_s), sqrt(1 + delta)) >= ||O_s||_2, as
-    ||O_s||_2 <= ||O_s||_F = sqrt(w_s) and O_s^2 <= sum O^2.
+    dropped at rounding level (the first bounds the weight of the products never formed, whose
+    sum of H^2 has norm at most that weight).  omega_s = min(sqrt(w_s), sqrt(1 + delta)) >=
+    ||O_s||_2, as ||O_s||_2 <= ||O_s||_F = sqrt(w_s) and O_s^2 <= sum O^2.
     """
     stochastic_res, unital_res, top = phi._gram_numbers
     dropped = float(np.clip(weights[: len(weights) - len(canonical)], 0.0, None).sum())
@@ -633,28 +649,27 @@ def _pair_top(ops: np.ndarray, dims: list[int]) -> tuple[float, float]:
     Y -> sum_s C_s Y C_s outside the block identities, one block pair at a time, and a bound c on
     the rest.  C_s = D_s + F_s splits into class-diagonal blocks D_s^j and the rest; D acts on pair
     (j, l) as Y -> sum_s D_s^j Y D_s^l (outside I / sqrt(dR_j) when j = l; (l, j) is its adjoint),
-    solved in one batch per pair of sizes (:func:`_top_outside`; real for j = l).  By Weyl the
-    whole is within c = n(D, F) + n(F, D) + n(F, F) of it, for the operator norms
-    n(A, B) = ||sum A_s A_s^dag||^1/2 ||sum B_s^dag B_s||^1/2, so n(D, F) = n(F, D) here.
+    solved in one batch per pair of sizes (:func:`_top_outside`; real for j = l): every (j, j),
+    then each j < l whose bound sum_s ||D_s^j||_F ||D_s^l||_F on its map's norm exceeds the top so
+    far (no other can change the top; across the blocks of a block channel the bound is at
+    rounding level).  By Weyl the whole is within c = n(D, F) + n(F, D) + n(F, F) of it, for the
+    operator norms n(A, B) = ||sum A_s A_s^dag||^1/2 ||sum B_s^dag B_s||^1/2, so n(D, F) = n(F, D).
     """
-    labels = np.repeat(np.arange(len(dims)), dims)
+    edges, sizes, labels = np.cumsum([0] + dims), np.array(dims), np.repeat(range(len(dims)), dims)
     diag = np.where(labels[:, None] == labels, ops, 0)
-    flat = [x.transpose(1, 0, 2).reshape(len(labels), -1) for x in (diag, ops - diag)]
-    d_norm, f_norm = (max(0.0, np.linalg.eigvalsh(x @ x.conj().T)[-1]) for x in flat)  # sum A A^dag
-    stacks = {}
-    for size, (lo, hi) in zip(dims, itertools.pairwise(np.cumsum([0] + dims))):
-        stacks.setdefault(size, []).append(diag[:, lo:hi, lo:hi])
-    stacks = {size: np.stack(blocks) for size, blocks in stacks.items()}  # (classes, r, d, d)
-    top = -math.inf
-    for a, b in itertools.combinations_with_replacement(sorted(stacks), 2):
-        if a == b:
-            j, l = np.triu_indices(len(stacks[a]), 1)
-            if a > 1:  # the pairs (j, j); a 1 x 1 one is all fixed
-                unit = np.eye(a).reshape(1, -1, 1) / math.sqrt(a)
-                top = max(top, _top_outside(stacks[a], stacks[a], unit, real=True))
-        else:
-            j, l = np.divmod(np.arange(len(stacks[a]) * len(stacks[b])), len(stacks[b]))
-        top = max(top, _top_outside(stacks[a][j], stacks[b][l], np.zeros((1, a * b, 1))))
+    flat = np.stack([x.transpose(1, 0, 2).reshape(len(labels), -1) for x in (diag, ops - diag)])
+    d_norm, f_norm = np.maximum(0.0, np.linalg.eigvalsh(flat @ flat.conj().swapaxes(1, 2))[:, -1])
+    blocks, top = [diag[:, lo:hi, lo:hi] for lo, hi in itertools.pairwise(edges)], -math.inf
+    for a in sorted(set(dims) - {1}):  # the pairs (j, j); a 1 x 1 one is all fixed
+        unit = np.eye(a).reshape(1, -1, 1) / math.sqrt(a)
+        stack = np.stack([x for x, size in zip(blocks, dims) if size == a])
+        top = max(top, _top_outside(stack, stack, unit, real=True))
+    norms = np.sqrt(np.diagonal(_block_sums(np.abs(diag) ** 2, edges), axis1=1, axis2=2))
+    j, l = np.nonzero(np.triu(norms.T @ norms > top, 1))
+    for a, b in sorted(set(zip(sizes[j].tolist(), sizes[l].tolist()))):
+        pairs = np.flatnonzero((sizes[j] == a) & (sizes[l] == b))
+        left, right = (np.stack([blocks[x] for x in idx[pairs]]) for idx in (j, l))
+        top = max(top, _top_outside(left, right, np.zeros((1, a * b, 1))))
     return top, 2.0 * math.sqrt(d_norm * f_norm) + f_norm
 
 
@@ -744,11 +759,12 @@ def fixed_point_space(
     ``_seeded_rng(seed, attempt)`` (the one after a failed certificate on the uncut family: the cut
     can drop what holds a block together), and the fourth failure raises AmbiguousGroupingError, as
     does an eigenvalue within tol.fix of 1 outside the commutant (a dense eigensolve counts it as
-    fixed).  Cost: O(k^2 N^3 + m^2 N^2 + m^3) for the k(k+1)/2 products and their m <= min(k^2, N^2)
-    family (rows of vanishing products dropped), O(r N^3) per attempt, for the split and for the
-    certificate's one product O_s V; the exact residuals, only when the certificate fails,
-    O(r dL^2 dR N^2) per block; for the gap O(r N^2 N') plus, over pairs j <= l, O(r p^2 + p^3)
-    for p = dR_j dR_l, or O(r N'^3 + j N'^2) per Lanczos step j.  Memory O((m + r) N^2 + r N'^2)
+    fixed).  Cost: O(k N^3 + k^2 N^2) for the Gram of the A_i, O(q N^3 + m^2 N^2 + m^3) for the
+    q products it keeps (sum k_b (k_b + 1) / 2 for k_b per block) and their m <= min(k^2, N^2)
+    rows, O(r N^3) per attempt, for the split and the certificate's one product O_s V; the exact
+    residuals, only when the certificate fails, O(r dL^2 dR N^2) per block; for the gap
+    O(r N^2 N') plus O(r p^2 + p^3), p = dR_j dR_l, for each pair (j, j) and each j < l not pruned
+    (:func:`_pair_top`), or O(r N'^3 + j N'^2) per Lanczos step j.  Memory O((m + r) N^2 + r N'^2)
     plus the largest batch of pair matrices, or j N'^2 for Lanczos; reading the basis adds its
     d N^2 entries for d = sum dL^2.  The result keeps the N^2 entries of its isometries.
     """
@@ -821,13 +837,14 @@ def _outside_span(work: np.ndarray, mats: np.ndarray, tol: ToleranceConfig) -> b
 def _block_structure(n: int, classes: list[np.ndarray]) -> BlockStructure:
     """The blocks of (N, dL, dR) classes, isometry columns (l, r) with l outer, in a deterministic
     order: by dims, then by the rounded projector V V^dag (its bytes), which, unlike V (unique
-    only up to U_L (x) U_R), is a function of the algebra."""
+    only up to U_L (x) U_R), is a function of the algebra; it is formed only where dims tie."""
+    blocks = [Block(frozen_array(c.reshape(n, -1)), c.shape[1], c.shape[2]) for c in classes]
 
-    def key(b: Block):
-        proj = np.round(b.isometry @ b.isometry.conj().T, 6) + 0.0  # + 0.0 turns -0.0 into 0.0
+    def key(b: Block):  # + 0.0 below turns -0.0 into 0.0
+        tied = [c.shape[1:] for c in classes].count((b.dim_left, b.dim_right)) > 1
+        proj = np.round(b.isometry @ b.isometry.conj().T, 6) + 0.0 if tied else np.empty(0)
         return (b.dim_left, b.dim_right, proj.tobytes())
 
-    blocks = [Block(frozen_array(c.reshape(n, -1)), c.shape[1], c.shape[2]) for c in classes]
     return BlockStructure(n, tuple(sorted(blocks, key=key)))
 
 
@@ -866,15 +883,14 @@ def decompose_fixed_point_algebra(
 ) -> BlockStructure:
     """Block-diagonalize a dagger-closed unital matrix algebra from one generic element.
 
-    The algebra A (the span of ``f.basis``, Hermitian or not) is split into
-    isometries V_k onto H^L_k (x) H^R_k such that V_k^dag a V_k is
-    (arbitrary on H^L_k) (x) (scalar on H^R_k) for every a in A.  The span is
-    orthonormalized (W_1..W_d, one SVD, unless ||G - I||_F <= _RANK_RTOL for
-    the Gram matrix G of a nonempty basis, as from :func:`fixed_point_space`:
-    not tol.fix, against which the span checks compare) and checked to be
-    independent, dagger-closed and unital; then each attempt takes
-    x = sum z_j W_j with complex Gaussian z (real z would miss Hermitian
-    elements, e.g. of i times a Hermitian basis) and
+    The algebra A (the span of ``f.basis``, Hermitian or not) is split into isometries V_k onto
+    H^L_k (x) H^R_k such that V_k^dag a V_k is (arbitrary on H^L_k) (x) (scalar on H^R_k) for
+    every a in A.  The span is orthonormalized (W_1..W_d, one SVD, unless ||G - I||_F <= _RANK_RTOL
+    for the Gram matrix G of a nonempty basis, as from :func:`fixed_point_space`: not tol.fix,
+    against which the span checks compare) and checked to be independent, dagger-closed (with no
+    projection when the W_j are Hermitian to the bit, as a solved basis is) and unital; then each
+    attempt takes x = sum z_j W_j with complex Gaussian z (real z would miss Hermitian elements,
+    e.g. of i times a Hermitian basis) and
 
     * checks that the d products x W_i stay in the span: an out-of-span part
       of some W_j W_i makes theirs a nonzero linear function of z;
@@ -901,7 +917,8 @@ def decompose_fixed_point_algebra(
         work, d = _orthonormal_span(work)
     if d != len(f.basis):
         raise NotAnAlgebraError("basis elements are not linearly independent")
-    if _outside_span(work, work.conj().transpose(0, 2, 1), tol):
+    daggers = work.conj().transpose(0, 2, 1)
+    if not np.array_equal(daggers, work) and _outside_span(work, daggers, tol):
         raise NotAnAlgebraError("span is not closed under conjugate transpose")
     if _outside_span(work, np.eye(n, dtype=complex)[None], tol):
         raise NotAnAlgebraError("identity is not in the span")

@@ -42,8 +42,8 @@ def _seeded_rng(seed: int, *words: int) -> np.random.Generator:
     a spawn key, which numpy mixes in apart from the entropy words, so it
     cannot collide with any non-negative seed below 2**128.
     """
-    spawn_key = (1,) if seed < 0 else ()
-    return np.random.default_rng(np.random.SeedSequence([abs(seed), *words], spawn_key=spawn_key))
+    sequence = np.random.SeedSequence([abs(seed), *words], spawn_key=(1,) if seed < 0 else ())
+    return np.random.Generator(np.random.PCG64(sequence))  # default_rng's stream, no dispatch
 
 
 def _require_positive(**counts: int) -> None:

@@ -14,12 +14,15 @@ check dimension and gap against the dense oracle, the gap solvers agree on the
 same compressed maps, and the Hermitian canonical Kraus operators keep the
 Choi matrix of the products they come from.  The batched kernels match their
 loop versions: the alignment (one SVD per tree edge), the block expectation
-(one block pair at a time) and the real diagonal pair (the complex one).  Decompositions computed from a
-channel are certified against the channel and the state it was synthesized
-with.
+(one block pair at a time), the real diagonal pair (the complex one) and the
+pruned gap pairs (every pair solved, bit for bit).  Decompositions computed
+from a channel are certified against the channel and the state it was
+synthesized with.
 """
 
+import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -30,6 +33,7 @@ from hypothesis import strategies as st
 from qentropy import (
     DEFAULT_TOL,
     AmbiguousGroupingError,
+    Block,
     BlockSpec,
     FixedPointBasis,
     NotAnAlgebraError,
@@ -340,7 +344,28 @@ CANONICAL_CASES = {
     "from_bistochastic n=4": lambda: channel_from_bistochastic(
         random_bistochastic_matrix(4, 3, 14)
     ),
+    # three blocks: the 27 products across them are never formed
+    "synthesized 2x2,1x3,2x2": lambda: synthesize_pair(parse_block_spec("2x2,1x3,2x2"), 5)[0],
+    # two blocks of five operators each: 50 rows of products within the blocks, folded to N^2 = 16
+    "block sum n=2+2 k=5+5": lambda: block_sum(
+        random_bistochastic_channel(2, 5, seed=15), random_bistochastic_channel(2, 5, seed=16)
+    ),
+    "eps-mixture 2x2,2x1,1x2 1e-12": lambda: eps_mixture("2x2,2x1,1x2", 1e-12, 3),
 }
+
+
+def block_sum(*channels):
+    """The direct sum of the channels, each Kraus operator on its own block and 0 elsewhere,
+    conjugated by one random unitary."""
+    n = sum(phi.dim for phi in channels)
+    u, ops, lo = np.asarray(random_unitary(n, 17)), [], 0
+    for phi in channels:
+        for m in phi.kraus:
+            op = np.zeros((n, n), dtype=complex)
+            op[lo : lo + phi.dim, lo : lo + phi.dim] = m
+            ops.append(u @ op @ u.conj().T)
+        lo += phi.dim
+    return kraus_channel(ops)
 
 
 @pytest.mark.parametrize("make_phi", CANONICAL_CASES.values(), ids=CANONICAL_CASES.keys())
@@ -357,22 +382,56 @@ def test_canonical_operators_are_hermitian_and_keep_the_choi_matrix(make_phi):
     assert weights.sum() == pytest.approx(n, abs=1e-12)
 
 
-def test_canonical_operators_drop_the_rows_of_vanishing_products(monkeypatch):
-    # three Kraus operators in each block: the 54 rows of products across blocks vanish, so the
-    # Gram matrix is solved on 3 * 3^2 = 27 rows, not 9^2 = 81; a mixed-unitary channel loses none
+def test_canonical_operators_skip_the_products_that_vanish(monkeypatch):
+    # three Kraus operators in each of three blocks: each ||M_i^dag M_j||_F^2 is read off the Gram
+    # matrix of the A_i = M_i M_i^dag first, and the 27 products across blocks are never formed:
+    # 3 * 6 = 18 of the 45 with i <= j are, and the Gram matrix of their rows has side
+    # 3 * 3^2 = 27, not 9^2 = 81.  weights[0] covers the weight of every product across blocks; a
+    # mixed-unitary channel skips none
     block = synthesize_pair(parse_block_spec("2x2,1x3,2x2"), seed=5)[0]
     generic = random_bistochastic_channel(block.dim, 3, seed=5)
     assert len(block.kraus) == 9
-    eigh, sides = np.linalg.eigh, []
+    coords, eigh, formed, sides = entropy_analysis._hermitian_coords, np.linalg.eigh, [], []
 
-    def recorded(a, *args, **kwargs):
+    def recorded_coords(products):
+        formed.append(len(products))
+        return coords(products)
+
+    def recorded_eigh(a, *args, **kwargs):
         sides.append(len(a))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    monkeypatch.setattr(entropy_analysis, "_hermitian_coords", recorded_coords)
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
     dropped = [_canonical_operators(np.asarray(phi.kraus))[0][0] for phi in (block, generic)]
-    assert sides == [27, 9]
-    assert 0.0 < dropped[0] <= 1e-14 and dropped[1] == 0.0
+    assert formed == [18, 6] and sides == [27, 9]
+    kraus = np.asarray(block.kraus)
+    weight = np.sum(np.abs(kraus.conj().transpose(0, 2, 1)[:, None] @ kraus[None]) ** 2, (2, 3))
+    across = np.repeat(np.arange(3), 3)[:, None] != np.repeat(np.arange(3), 3)
+    assert 0.0 < weight[across].sum() <= dropped[0] <= 1e-12
+    assert dropped[1] == 0.0
+
+
+# the largest Kraus rank here: the (32, 64) case runs under HYPOTHESIS_PROFILE=deep only
+DEEP_ONLY = pytest.mark.skipif(
+    os.environ.get("HYPOTHESIS_PROFILE") != "deep", reason="runs under HYPOTHESIS_PROFILE=deep"
+)
+
+
+@pytest.mark.parametrize("n, k, mb", [(24, 30, 12), pytest.param(32, 64, 46, marks=DEEP_ONLY)])
+def test_canonical_operators_memory_at_high_kraus_rank(n, k, mb):
+    # the products are formed in slices of whole i, each folded into the QR factor once it holds
+    # N^2 rows: 11.1 and 43.1 MB here, 13.0 and 43.7 formed one i at a time, 12.6 and 98.7 as one
+    # unsliced batch
+    kraus = np.asarray(random_bistochastic_channel(n, k, seed=3).kraus)
+    tracemalloc.start()
+    try:
+        weights, canonical = _canonical_operators(kraus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(canonical) == n * n and weights.sum() == pytest.approx(n, abs=1e-10)
+    assert peak <= mb * 2**20
 
 
 # tracemalloc bounds (MB) on fixed_point_space and the sum dR of each spec.  At 15 and 14 the gap
@@ -475,6 +534,103 @@ def test_fixed_point_space_matches_dense_oracle_on_random_specs(blocks, seed, fa
     assert sorted(f.structure.block_dims) == sorted(blocks)
 
 
+def oracle_pair_top(ops, dims):
+    """Every block pair solved on its own, none skipped: (j, j) outside I / sqrt(dR_j) as a real
+    matrix and every j < l, each by one _top_outside call; the coupling from one eigvalsh per
+    part of C_s = D_s + F_s."""
+    edges = np.cumsum([0] + dims)
+    labels = np.repeat(np.arange(len(dims)), dims)
+    diag = np.where(labels[:, None] == labels, ops, 0)
+    # contiguous, as the kernel stacks them: a strided 1 x 1 block takes another matmul path
+    blocks = [np.stack([diag[:, lo:hi, lo:hi]]) for lo, hi in zip(edges, edges[1:])]
+    top = -math.inf
+    for j, l in itertools.combinations_with_replacement(range(len(dims)), 2):
+        if j < l:
+            zero = np.zeros((1, dims[j] * dims[l], 1))
+            top = max(top, _top_outside(blocks[j], blocks[l], zero))
+        elif dims[j] > 1:
+            unit = np.eye(dims[j]).reshape(1, -1, 1) / math.sqrt(dims[j])
+            top = max(top, _top_outside(blocks[j], blocks[j], unit, real=True))
+    flat = [x.transpose(1, 0, 2).reshape(len(labels), -1) for x in (diag, ops - diag)]
+    d_norm, f_norm = (max(0.0, np.linalg.eigvalsh(x @ x.conj().T)[-1]) for x in flat)
+    return top, 2.0 * math.sqrt(d_norm * f_norm) + f_norm
+
+
+def recorded_pair_tops(phi):
+    """The arguments and results of every _pair_top call of fixed_point_space(phi), with the
+    number of _top_outside calls each made."""
+    calls, solved = [], []
+    pair_top, top_outside = entropy_analysis._pair_top, entropy_analysis._top_outside
+
+    def counting(*args, **kwargs):
+        solved[-1] += 1
+        return top_outside(*args, **kwargs)
+
+    def recorded(ops, dims):
+        solved.append(0)
+        calls.append((ops, dims, pair_top(ops, dims)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entropy_analysis, "_pair_top", recorded)
+        patch.setattr(entropy_analysis, "_top_outside", counting)
+        fixed_point_space(phi)
+    return [(*call, count) for call, count in zip(calls, solved)]
+
+
+# the hypothesis profile sets the example count: 100 by default, more under HYPOTHESIS_PROFILE=deep
+@settings(deadline=None)
+@given(
+    blocks=BLOCK_LISTS,
+    seed=st.integers(-(2**40), 2**40),
+    family=st.sampled_from(["synthesized", "eps-mixture"]),
+    log_eps=st.floats(-14, -9),
+)
+def test_pair_top_matches_an_unpruned_loop_on_random_specs(blocks, seed, family, log_eps):
+    # the pairs j < l skipped by their bound leave the top and the coupling bit for bit as they are
+    spec = ",".join(f"{dl}x{dr}" for dl, dr in blocks)
+    phi = synthesize_pair(parse_block_spec(spec), seed=seed)[0]
+    if family == "eps-mixture":
+        phi = eps_mixture(spec, 10.0**log_eps, seed)
+    calls = recorded_pair_tops(phi)
+    assert calls
+    for ops, dims, got, _ in calls:
+        assert got == oracle_pair_top(ops, dims)
+
+
+@pytest.mark.parametrize(
+    "spec", ["2x2,2x1,1x2", "1x4,2x2", "3x2,2x3", "2x3,1x6", "4x2,2x3,1x2", "2x4,2x4"]
+)
+def test_pair_top_skips_every_pair_across_blocks(spec):
+    # the structure benchmark's channels: once the pairs (j, j) have set a top, every pair j < l
+    # is skipped, so one batch is solved per size dR > 1.  Not a law: where two blocks' canonical
+    # weights tie (2x2,2x1,2x1 at seed 0), the canonical operators mix them and a bound can exceed
+    # the top, and a frame of 1 x 1 blocks has no pair (j, j) to set one
+    (_, dims, _, solved), = recorded_pair_tops(synthesize_pair(parse_block_spec(spec), seed=1)[0])
+    assert solved == len(set(dims) - {1})
+
+
+# the hypothesis profile sets the example count: 100 by default, more under HYPOTHESIS_PROFILE=deep
+@settings(deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    rank=st.integers(1, 3),
+    coupling=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_top_matches_an_unpruned_loop_on_random_stacks(dims, rank, coupling, seed):
+    # Hermitian stacks whose class-diagonal blocks have random scales, so a pair j < l can hold the
+    # top (always, where every dR is 1) and the bound prunes some pairs and keeps others
+    rng = np.random.default_rng(seed)
+    n = sum(dims)
+    h = rng.standard_normal((rank, n, n)) + 1j * rng.standard_normal((rank, n, n))
+    h = (h + h.conj().swapaxes(1, 2)) / (2 * math.sqrt(rank * n))
+    labels = np.repeat(np.arange(len(dims)), dims)
+    scale = np.repeat(np.exp(rng.uniform(-2, 1, len(dims))), dims)
+    ops = np.where(labels[:, None] == labels, np.sqrt(np.outer(scale, scale)), coupling) * h
+    assert _pair_top(ops, dims) == oracle_pair_top(ops, dims)
+
+
 def scaled_to_the_trace_bound(phi, fraction):
     """phi with every Kraus operator times 1 + eta, eta a ``fraction`` of the largest that keeps
     the top eigenvalue of sum M^dag M within kraus_channel's 1 + tol.eq."""
@@ -535,6 +691,15 @@ def test_residual_bound_covers_every_direct_residual(blocks, seed, family, log_e
     f = fixed_point_space(phi)
     assert f.residual_bound <= DEFAULT_TOL.fix
     assert max(direct_residuals(phi, f)) <= f.residual_bound + 4 * phi.dim * np.finfo(float).eps
+
+
+def test_eps_mixture_solves_within_three_attempts(monkeypatch):
+    # the eps-mixture of the @example above: its first attempt fails the certificate on the cut
+    # family; the solve must still find the spec's blocks with one attempt to spare
+    counts = counted_kernels(monkeypatch, "_split")
+    f = fixed_point_space(eps_mixture("1x3,2x1,2x1", 1e-10, 13437))
+    assert sorted(f.structure.block_dims) == [(1, 3), (2, 1), (2, 1)]
+    assert counts["_split"] <= 3
 
 
 def solved_fields(f):
@@ -646,6 +811,31 @@ def test_decompose_block_order_does_not_depend_on_the_seed(spec, seed):
             )
 
 
+def oracle_block_order(n, classes):
+    """The blocks sorted by dims and the rounded projector of every block, tied dims or not."""
+
+    def key(b):
+        proj = np.round(b.isometry @ b.isometry.conj().T, 6) + 0.0
+        return (b.dim_left, b.dim_right, proj.tobytes())
+
+    blocks = [Block(c.reshape(n, -1), c.shape[1], c.shape[2]) for c in classes]
+    return [b.isometry.tobytes() for b in sorted(blocks, key=key)]
+
+
+@pytest.mark.parametrize(
+    "spec", ["2x2,2x2", "1x2,1x2,2x1", "1x1,1x1,1x1", "2x2,2x1,1x2", "3x2,2x3"]
+)
+def test_block_structure_order_is_the_full_key_order(spec):
+    # the projector is formed only where dims tie, and the order is the one every key gives, from
+    # every order of the classes
+    phi, _, structure = synthesize_pair(parse_block_spec(spec), seed=6)
+    n = phi.dim
+    classes = [b.isometry.reshape(n, b.dim_left, b.dim_right) for b in structure.blocks]
+    for order in itertools.permutations(classes):
+        got = [b.isometry.tobytes() for b in entropy_analysis._block_structure(n, order).blocks]
+        assert got == oracle_block_order(n, order)
+
+
 @pytest.mark.parametrize("phi", [phi for _, phi in CASES], ids=IDS)
 def test_block_form_residual_matches_loop_oracle(phi):
     f = fixed_point_space(phi)
@@ -713,8 +903,8 @@ def assert_same_classes(got, want):
 @settings(deadline=None)
 @given(blocks=BLOCK_LISTS, seed=st.integers(-(2**40), 2**40))
 def test_aligned_blocks_match_a_per_edge_loop_oracle_on_random_specs(blocks, seed):
-    # every alignment of a solve and of its decomposition: the classes from one SVD per group
-    # size against those from one SVD per tree edge
+    # every alignment of a solve and of its decomposition: the classes from one padded SVD over
+    # all edges against those from one SVD per tree edge
     spec = ",".join(f"{dl}x{dr}" for dl, dr in blocks)
     phi = synthesize_pair(parse_block_spec(spec), seed=seed)[0]
     calls, aligned = [], entropy_analysis._aligned_blocks
@@ -729,6 +919,63 @@ def test_aligned_blocks_match_a_per_edge_loop_oracle_on_random_specs(blocks, see
     assert len(calls) >= 2
     for args, got in calls:
         assert_same_classes(got, oracle_aligned_blocks(*args))
+
+
+def test_aligned_blocks_pad_three_group_sizes_into_one_svd(monkeypatch):
+    # the solve of 3x2,2x2,1x2 splits groups of sizes dL = 3, 2 and 1, each linked to one other:
+    # the three edges are padded to 3 x 3 for one SVD, and match the per-edge loop
+    phi = synthesize_pair(parse_block_spec("3x2,2x2,1x2"), seed=4)[0]
+    calls, aligned, svd = [], entropy_analysis._aligned_blocks, np.linalg.svd
+    shapes = []
+
+    def recorded(*args):
+        calls.append((args, aligned(*args)))
+        return calls[-1][1]
+
+    def recorded_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(entropy_analysis, "_aligned_blocks", recorded)
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    f = fixed_point_space(phi)
+    assert sorted(f.structure.block_dims) == [(1, 2), (2, 2), (3, 2)]
+    (args, got), = calls
+    assert sorted(np.diff(args[1]).tolist()) == [1, 1, 2, 2, 3, 3]
+    assert shapes == [(3, 3, 3)]
+    assert_same_classes(got, oracle_aligned_blocks(*args))
+
+
+def judged_singular(block):
+    """The singularity test on one connector block, unpadded."""
+    svals = np.linalg.svd(block, compute_uv=False)
+    return svals[-1] <= 1e-8 * max(1.0, svals[0])
+
+
+@pytest.mark.parametrize("scale", [0.5, 3.0])
+@pytest.mark.parametrize("ratio", [0.5, 0.999, 1.001, 2.0])
+def test_padded_svd_judges_a_near_singular_connector_as_the_per_size_svd(scale, ratio):
+    # a class of two 2-dim groups whose connector block has singular values scale and
+    # ratio * 1e-8 * max(1, scale), next to a class of two 3-dim groups: the 2 x 2 block is
+    # padded to 3 x 3 by ||B||_F / sqrt(2), between its singular values, so it is refused exactly
+    # when the unpadded block is
+    rng = np.random.default_rng(5)
+    bounds, groups = np.array([0, 2, 4, 7, 10]), [(0, 1), (2, 3)]
+    linked = np.eye(4, dtype=bool)
+    for a, b in groups:
+        linked[a, b] = linked[b, a] = True
+    gaussian = rng.standard_normal((4, 10, 10)) + 1j * rng.standard_normal((4, 10, 10))
+    vecs, connector = np.linalg.qr(gaussian[0])[0], gaussian[1]
+    u, v = (np.linalg.qr(x[:2, :2])[0] for x in gaussian[2:])
+    small = ratio * 1e-8 * max(1.0, scale)
+    connector[2:4, 0:2] = u @ np.diag([scale, small]) @ v.conj().T  # the block of edge (1, 0)
+    assert judged_singular(connector[2:4, 0:2]) == (ratio < 1)
+    if ratio < 1:
+        with pytest.raises(entropy_analysis._Ambiguous, match="numerically singular"):
+            _aligned_blocks(vecs, bounds, linked, connector)
+    else:
+        args = (vecs, bounds, linked, connector)
+        assert_same_classes(_aligned_blocks(*args), oracle_aligned_blocks(*args))
 
 
 @st.composite
@@ -821,6 +1068,19 @@ def test_decompose_takes_no_svd_of_an_orthonormal_basis(spec, monkeypatch):
         np.testing.assert_allclose(
             a.isometry @ a.isometry.conj().T, b.isometry @ b.isometry.conj().T, atol=1e-9
         )
+
+
+def test_decompose_projects_no_dagger_of_a_hermitian_basis(monkeypatch):
+    # a solved basis is Hermitian to the bit, so each element is its own dagger: the span checks
+    # project only the identity and the products; i times that basis is not Hermitian, and its
+    # daggers are projected too
+    f = fixed_point_space(synthesize_pair(parse_block_spec("2x2,2x1,1x2"), seed=5)[0])
+    counts = counted_kernels(monkeypatch, "_outside_span")
+    hermitian = decompose_fixed_point_algebra(f)
+    assert counts["_outside_span"] == 2
+    skew = decompose_fixed_point_algebra(FixedPointBasis(f.dim, 1j * f.basis, 0.0, f.spectral_gap))
+    assert counts["_outside_span"] == 2 + 3
+    assert hermitian.block_dims == skew.block_dims
 
 
 def as_basis(mats):

@@ -89,6 +89,12 @@ class TestEmptyInputs:
         # no element deviates from any block form
         assert block_form_residual(f, BlockStructure(3, (Block(np.eye(3), 1, 3),))) == 0.0
 
+    def test_fixed_point_basis_with_neither_basis_nor_structure(self):
+        # refused when built, not by an AttributeError on the first read of its basis
+        message = "^a fixed-point basis needs basis or structure; both are None$"
+        with pytest.raises(ValidationError, match=message):
+            FixedPointBasis(2, None, 0.0, 1.0)
+
 
 @pytest.mark.parametrize("validate", [validate_state, choi_from_matrix], ids=["state", "choi"])
 def test_one_hermiticity_message(validate):
