@@ -485,9 +485,8 @@ def _canonical_operators(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     within the rounding N eps_mach ||A_i||_F ||A_j||_F of the A_i's Gram matrix is formed (k_b per
     block leave k + sum k_b (k_b + 1) / 2 products); the rest, in slices of whole i as one i at a
     time would form them (one :func:`_hermitian_coords` each), fold a stack over N^2 rows into its
-    QR factor R (R^T R is kept), and the lightest rows go while their total squared norm is <=
-    eps_mach times the largest.  weights[0] holds that total, the skipped weight and its rounding.
-    The Gram eigenvectors U give the s_a L_a as U^T times the stack.
+    QR factor R (R^T R is kept).  weights[0] holds the skipped weight and its rounding.  The Gram
+    eigenvectors U give the s_a L_a as U^T times the stack.
     """
     k, n, _ = kraus.shape
     adjoints, stack = kraus.conj().swapaxes(1, 2), np.zeros((0, n * n))
@@ -507,13 +506,10 @@ def _canonical_operators(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         del re, im  # before a QR copies the stack
         if len(stack) > n * n:
             stack = np.linalg.qr(stack, mode="r")
-    norms = np.einsum("ij,ij->i", stack, stack)
-    light = np.argsort(norms)[np.cumsum(np.sort(norms)) <= np.finfo(float).eps * norms.max()]
-    stack = np.delete(stack, light, axis=0) if light.size else stack
     weights, u = np.linalg.eigh(stack @ stack.T)
     rank = int(np.count_nonzero(weights > n * np.finfo(float).eps * weights[-1]))
     stack = (u[:, -rank:].T @ stack).reshape(rank, n, n)  # freed before the complex copy
-    weights = np.r_[np.sum(gram + level, where=gram <= level) + norms[light].sum(), weights]
+    weights = np.r_[np.sum(gram + level, where=gram <= level), weights]
     return weights, _hermitian_from_coords(stack)
 
 
@@ -623,15 +619,13 @@ def _block_frame_gap(
 def _top_outside(left: np.ndarray, right: np.ndarray, fixed: np.ndarray, real=False) -> float:
     """Top eigenvalue, over a batch of g, of Y -> sum_s A_s Y B_s on M_(a x b), for (g, r, a, a)
     and (g, r, b, b) Hermitian stacks, outside the orthonormal (or zero) real columns F of the
-    (g or 1, ab, q) ``fixed``; -inf for g = 0.  In row-major vec the map is the Hermitian
-    K = sum A_s (x) conj(B_s), and P K P - 2 F F^T (P = 1 - F F^T) moves F below its spectrum
-    (|K| <= 1 here), formed by rank-q updates when F is not 0.  ``real`` (A_s = B_s: K preserves
-    Herm(a)) takes the real Re K + Im K S (S vec(Y) = vec(Y^T)), K on the coordinates of
-    :func:`_hermitian_coords`, of the same spectrum."""
+    (g or 1, ab, q) ``fixed``.  In row-major vec the map is the Hermitian K = sum A_s (x) conj(B_s),
+    and P K P - 2 F F^T (P = 1 - F F^T) moves F below its spectrum (|K| <= 1 here), formed by
+    rank-q updates when F is not 0.  ``real`` (A_s = B_s: K preserves Herm(a)) takes the real
+    Re K + Im K S (S vec(Y) = vec(Y^T)), K on the coordinates of :func:`_hermitian_coords`, of the
+    same spectrum."""
     g, r, a, _ = left.shape
     b = right.shape[2]
-    if g == 0:
-        return -math.inf
     k = left.reshape(g, r, a * a).swapaxes(1, 2) @ right.reshape(g, r, b * b).conj()
     k = k.reshape(g, a, a, b, b).swapaxes(2, 3).reshape(g, a * b, a * b)
     if real:
@@ -756,34 +750,36 @@ def fixed_point_space(
 
     Every residual must be <= tol.fix (the elements are fixed) and the gap > tol.fix (no fixed
     direction was missed); an ambiguous grouping or a failed certificate retries with the next
-    ``_seeded_rng(seed, attempt)`` (the one after a failed certificate on the uncut family: the cut
-    can drop what holds a block together), and the fourth failure raises AmbiguousGroupingError, as
-    does an eigenvalue within tol.fix of 1 outside the commutant (a dense eigensolve counts it as
-    fixed).  Cost: O(k N^3 + k^2 N^2) for the Gram of the A_i, O(q N^3 + m^2 N^2 + m^3) for the
-    q products it keeps (sum k_b (k_b + 1) / 2 for k_b per block) and their m <= min(k^2, N^2)
-    rows, O(r N^3) per attempt, for the split and the certificate's one product O_s V; the exact
-    residuals, only when the certificate fails, O(r dL^2 dR N^2) per block; for the gap
-    O(r N^2 N') plus O(r p^2 + p^3), p = dR_j dR_l, for each pair (j, j) and each j < l not pruned
-    (:func:`_pair_top`), or O(r N'^3 + j N'^2) per Lanczos step j.  Memory O((m + r) N^2 + r N'^2)
-    plus the largest batch of pair matrices, or j N'^2 for Lanczos; reading the basis adds its
-    d N^2 entries for d = sum dL^2.  The result keeps the N^2 entries of its isometries.
+    ``_seeded_rng(seed, attempt)`` (the one after the first failed certificate, and only that one,
+    on the uncut family: the cut can drop what holds a block together), and the fourth failure
+    raises AmbiguousGroupingError, as does an eigenvalue within tol.fix of 1 outside the commutant
+    (a dense eigensolve counts it as fixed).  Cost: O(k N^3 + k^2 N^2) for the Gram of the A_i,
+    O(q N^3 + m^2 N^2 + m^3) for the q products it keeps (sum k_b (k_b + 1) / 2 for k_b per block)
+    and their m <= min(k^2, N^2) rows, O(r N^3) per attempt, for the split and the certificate's
+    one product O_s V; the exact residuals, only when the certificate fails, O(r dL^2 dR N^2) per
+    block; for the gap O(r N^2 N') plus O(r p^2 + p^3), p = dR_j dR_l, for each pair (j, j) and
+    each j < l not pruned (:func:`_pair_top`), or O(r N'^3 + j N'^2) per Lanczos step j.  Memory
+    O((m + r) N^2 + r N'^2) plus the largest batch of pair matrices, or j N'^2 for Lanczos; reading
+    the basis adds its d N^2 entries for d = sum dL^2.  The result keeps the N^2 entries of its
+    isometries.
     """
     _require(phi, "bistochastic", "fixed-point space needs a bi-stochastic channel", tol)
     n, kraus = phi.dim, phi.kraus
     weights, canonical = _canonical_operators(kraus)
     cut = canonical[-int(np.count_nonzero(np.cumsum(weights) > n * tol.fix)) :]
-    uncut = False  # set by a failed certificate, for the next attempt only
+    uncut = spent = False  # the attempt after the first failed certificate splits the uncut family
 
     def attempt(rng: np.random.Generator) -> FixedPointBasis:
-        nonlocal uncut
-        ops, uncut = (canonical if uncut else cut), False
+        nonlocal uncut, spent
+        ops = canonical if uncut else cut
+        spent, uncut = spent or uncut, False
         z = rng.standard_normal((2, len(ops))) + 1j * rng.standard_normal((2, len(ops)))
         classes = _split(ops, z, tol)
         bound = float(_commutation_bounds(phi, weights, canonical, classes).max())
         if bound > tol.fix:
             bound = max(float(_unit_residuals(canonical, cols).max()) for cols in classes)
             if bound > tol.fix:
-                uncut = True  # the cut may have dropped what holds a block together
+                uncut = not spent  # the cut may have dropped what holds a block together
                 raise _Ambiguous(f"a basis element is not fixed (residual {bound:.3e})")
         gap = _block_frame_gap(canonical, classes, rng)
         if gap <= tol.fix:

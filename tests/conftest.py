@@ -7,12 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qentropy import DEFAULT_TOL, kraus_channel, validate_state
+from qentropy import (
+    DEFAULT_TOL,
+    kraus_channel,
+    parse_block_spec,
+    random_bistochastic_channel,
+    random_unitary,
+    synthesize_pair,
+    validate_state,
+)
 
-# HYPOTHESIS_PROFILE=deep draws 2,000 examples in each property test that leaves its count to the
-# profile (CI runs the commutation certificate's test under it); unset, Hypothesis's default holds.
+# the profile behind the ``deep`` marker (registered, with what it does, in pyproject.toml)
 settings.register_profile("deep", max_examples=2000, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+DEEP_ONLY = pytest.mark.skipif(
+    os.environ.get("HYPOTHESIS_PROFILE") != "deep", reason="runs under HYPOTHESIS_PROFILE=deep"
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -68,6 +78,19 @@ def amplitude_damping_channel(gamma=0.5):
     k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
     return kraus_channel([k0, k1])
+
+
+def eps_mixture(spec, eps, seed):
+    """(1 - eps) phi + eps noise for the channel synthesized from ``spec``.
+
+    The joint Kraus family is remixed by a random unitary, so every operator
+    carries an O(sqrt(eps)) share of the noise operators.
+    """
+    phi = synthesize_pair(parse_block_spec(spec), seed=seed)[0]
+    noise = random_bistochastic_channel(phi.dim, 3, seed=seed + 1)
+    ops = [math.sqrt(1 - eps) * m for m in phi.kraus] + [math.sqrt(eps) * m for m in noise.kraus]
+    remix = np.asarray(random_unitary(len(ops), seed + 2))
+    return kraus_channel(list(np.tensordot(remix, np.stack(ops), axes=1)))
 
 
 def pure_state(n, index=0):

@@ -11,6 +11,7 @@ from qentropy.cli import main
 from qentropy.serialization import channel_to_obj, save_json, state_to_obj
 
 from conftest import (
+    DEEP_ONLY,
     amplitude_damping_channel,
     depolarizing_channel,
     identity_channel,
@@ -331,6 +332,26 @@ class TestDecompose:
         report = json.loads(capsys.readouterr().out)["report"]
         assert code == 0 and report["fixed_space_dimension"] == 80
         assert peak <= 12 * 2**20
+
+    @pytest.mark.deep
+    @DEEP_ONLY
+    def test_analyze_pair_and_decompose_at_scale(self, capsys, tmp_path):
+        # a generic N=64 pair with k=3 (the channel kernel takes its operators in two slices,
+        # 2 + 1) violates both verdicts, which agree; at N=96 decompose prints the blocks the
+        # fixed-point solve certified, with sum dL^2 = 320
+        channel, state, pair = (str(tmp_path / f) for f in ("bist64.json", "rho64.json", "pair"))
+        for argv in (f"gen bistochastic-channel --dim 64 --num-unitaries 3 --out {channel}",
+                     f"gen density --dim 64 --out {state}",
+                     f"synthesize --spec 16x3,8x6 --seed 3 --out-dir {pair}"):
+            assert run_cli(capsys, argv.split())[0] == 0, argv
+        code, result = run_cli(capsys, ["analyze-pair", channel, state])
+        assert code == 1 and result["status"] == "violated" and result["report"]["agreement"]
+        code, result = run_cli(capsys, ["decompose", f"{pair}/channel.json"])
+        report = result["report"]
+        dims = sorted((b["dim_left"], b["dim_right"]) for b in report["blocks"])
+        assert code == 0 and dims == [(8, 6), (16, 3)]
+        assert report["fixed_space_dimension"] == 320
+        assert report["spectral_gap"] > 1e-7 and report["block_form_residual"] <= 1e-6
 
 
 class TestMapEntropy:

@@ -22,7 +22,6 @@ synthesized with.
 
 import itertools
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -68,9 +67,11 @@ from qentropy.entropy_analysis import (
 from qentropy.generators import _seeded_rng
 
 from conftest import (
+    DEEP_ONLY,
     SIGMA_X,
     SIGMA_Z,
     dephasing_channel,
+    eps_mixture,
     partial_trace_right,
     superoperator_matrix,
     unvec,
@@ -154,19 +155,6 @@ def test_fixed_point_space_matches_dense_oracle(phi, tol):
     np.testing.assert_allclose(gram, np.eye(len(f.basis)), atol=1e-12)
     for b in f.basis:
         assert np.max(np.abs(b - b.conj().T)) <= 1e-12
-
-
-def eps_mixture(spec, eps, seed):
-    """(1 - eps) phi + eps noise for the channel synthesized from ``spec``.
-
-    The joint Kraus family is remixed by a random unitary, so every operator
-    carries an O(sqrt(eps)) share of the noise operators.
-    """
-    phi = synthesize_pair(parse_block_spec(spec), seed=seed)[0]
-    noise = random_bistochastic_channel(phi.dim, 3, seed=seed + 1)
-    ops = [math.sqrt(1 - eps) * m for m in phi.kraus] + [math.sqrt(eps) * m for m in noise.kraus]
-    remix = np.asarray(random_unitary(len(ops), seed + 2))
-    return kraus_channel(list(np.tensordot(remix, np.stack(ops), axes=1)))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -413,11 +401,7 @@ def test_canonical_operators_skip_the_products_that_vanish(monkeypatch):
 
 
 # the largest Kraus rank here: the (32, 64) case runs under HYPOTHESIS_PROFILE=deep only
-DEEP_ONLY = pytest.mark.skipif(
-    os.environ.get("HYPOTHESIS_PROFILE") != "deep", reason="runs under HYPOTHESIS_PROFILE=deep"
-)
-
-
+@pytest.mark.deep
 @pytest.mark.parametrize("n, k, mb", [(24, 30, 12), pytest.param(32, 64, 46, marks=DEEP_ONLY)])
 def test_canonical_operators_memory_at_high_kraus_rank(n, k, mb):
     # the products are formed in slices of whole i, each folded into the QR factor once it holds
@@ -459,6 +443,7 @@ def test_block_frame_gap_keeps_memory_small(spec, mb, right):
     assert peak <= mb * 2**20
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     size=st.integers(1, 5),
@@ -500,7 +485,7 @@ BLOCK_LISTS = st.lists(
 ).filter(lambda blocks: sum(dl * dr for dl, dr in blocks) <= 12)
 
 
-# the hypothesis profile sets the example count: 100 by default, more under HYPOTHESIS_PROFILE=deep
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     blocks=BLOCK_LISTS,
@@ -509,6 +494,12 @@ BLOCK_LISTS = st.lists(
     log_eps=st.floats(-14, -9),
 )
 @example(blocks=[(2, 2), (1, 2)], seed=-5, family="synthesized", log_eps=-14)
+# the first attempt fails its certificate on the cut family and the next on the uncut one, whose
+# light noise operators leave residuals of ~1e-4: the third goes back to the cut
+@example(blocks=[(1, 1), (1, 2), (1, 1)], seed=-6294, family="eps-mixture", log_eps=-9.0)
+@example(blocks=[(1, 3), (1, 2)], seed=0, family="eps-mixture", log_eps=-9.0)
+@example(blocks=[(1, 1), (1, 1), (1, 2)], seed=417216394501, family="eps-mixture",
+         log_eps=math.log10(4.86e-10))
 def test_fixed_point_space_matches_dense_oracle_on_random_specs(blocks, seed, family, log_eps):
     # An eps-mixture's gap is only O(eps)-accurate, whichever solver takes it (its light canonical
     # operators couple the block pairs, so Lanczos does where there are two blocks or more).
@@ -578,7 +569,7 @@ def recorded_pair_tops(phi):
     return [(*call, count) for call, count in zip(calls, solved)]
 
 
-# the hypothesis profile sets the example count: 100 by default, more under HYPOTHESIS_PROFILE=deep
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     blocks=BLOCK_LISTS,
@@ -610,7 +601,7 @@ def test_pair_top_skips_every_pair_across_blocks(spec):
     assert solved == len(set(dims) - {1})
 
 
-# the hypothesis profile sets the example count: 100 by default, more under HYPOTHESIS_PROFILE=deep
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     dims=st.lists(st.integers(1, 3), min_size=1, max_size=5),
@@ -638,7 +629,7 @@ def scaled_to_the_trace_bound(phi, fraction):
     return kraus_channel(phi.kraus * (1.0 + eta))
 
 
-# the hypothesis profile sets the example count: 100 by default, more under HYPOTHESIS_PROFILE=deep
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     blocks=BLOCK_LISTS,
@@ -670,7 +661,7 @@ def test_commutation_bound_covers_every_unit_residual(blocks, seed, family, log_
         assert np.all(bounds >= exact - 4 * n * np.finfo(float).eps)
 
 
-# the hypothesis profile sets the example count: 100 by default, more under HYPOTHESIS_PROFILE=deep
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     blocks=BLOCK_LISTS,
@@ -900,6 +891,7 @@ def assert_same_classes(got, want):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(blocks=BLOCK_LISTS, seed=st.integers(-(2**40), 2**40))
 def test_aligned_blocks_match_a_per_edge_loop_oracle_on_random_specs(blocks, seed):
@@ -1000,6 +992,7 @@ def linked_groups(draw):
     return np.linalg.qr(gaussian[0])[0], bounds, linked, gaussian[1]
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(args=linked_groups())
 def test_aligned_blocks_match_a_per_edge_loop_oracle_along_chains(args):
@@ -1024,6 +1017,7 @@ def oracle_block_expectation(x, dims):
     return norms, lefts
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     dims=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=5),

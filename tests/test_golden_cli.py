@@ -1,7 +1,8 @@
-"""Golden CLI outputs: every command of the benchmark's ``cli`` mix and of the CI console steps.
+"""Golden CLI outputs: the CLI contract over the benchmark's ``cli`` mix, error paths and decompose.
 
-The cases run in order through ``cli.main`` in-process, in one temporary directory, with N <= 48;
-later cases read the files earlier ones wrote.  ``tests/golden/cli.json`` records for each case
+The cases run in order through ``cli.main`` in-process, in one temporary directory, with N <= 48
+(``test_cli`` runs N = 64 and 96 under the ``deep`` marker); later cases read the files earlier
+ones wrote.  ``tests/golden/cli.json`` records for each case
 its exit code, the sha256 of its stdout (with the directory written as ``$TMP``), the sha256 of
 each file it wrote, and a portable record: the printed object with every float rounded to 10
 significant digits and each diagnostic cut to its exception type, leaving out the matrix payloads
@@ -37,7 +38,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 REL_TOL, ABS_TOL = 1e-9, 1e-12
 _PAYLOADS = ("isometry", "object")  # matrix data, left to the hashes
 
-_SPECS = (("2x2,1x2", 5), ("4x3,3x4", 3), ("8x4,4x4", 3), ("1x2,1x2,2x1", 3))
+# synthesize specs and seeds for decompose: 1x2,1x2,2x1 has two blocks of equal dR, which only
+# sum dL^2 = d tells apart; 3x2,1x3's first attempt fails its certificate on the cut family (its
+# 3x2 block has a nearly unitary right channel, gap ~3e-7) and the next splits the uncut family
+_SPECS = (
+    ("2x2,1x2", 5), ("4x3,3x4", 3), ("8x4,4x4", 3), ("1x2,1x2,2x1", 3), ("3x2,1x3", 707566911170)
+)
 # gen bistochastic-channel --seed 3 (name, dim, unitaries); bist24 takes the Lanczos gap
 _BIST = (("bist20", 20, 2), ("bist48", 48, 2), ("bist24", 24, 3))
 
@@ -60,7 +66,7 @@ CASES = {
     "classical-check csv N=8": "classical-check {tmp}/batch8.csv",
     "synthesize 3x2,2x3": "synthesize --spec 3x2,2x3 --seed 16 --out-dir {tmp}/synth",
     "gen density N=8": "gen density --dim 8 --seed 17",
-    # the CI console-script steps
+    # error paths, compositions, classical batches and decompose of synthesized and generic channels
     "gen density N=2": "gen density --dim 2",
     "gen stochastic-channel N=2":
         "gen stochastic-channel --dim 2 --seed 1 --out {tmp}/channel2.json",
@@ -105,7 +111,7 @@ CASES = {
 
 
 def _write_inputs(tmp: Path) -> None:
-    """The hand-written inputs of the CI steps, and the classical batches."""
+    """The hand-written inputs of the error paths and compositions, and the classical batches."""
     s = math.sqrt(1 + 0.9e-8)  # trace preserving within 2 tol.eq; the composition is not
     one_kraus = json.dumps({"dim": 2, "kraus": [[[[s, 0], [0, 0]], [[0, 0], [s, 0]]]]})
     texts = {

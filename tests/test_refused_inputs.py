@@ -1,7 +1,9 @@
-"""Inputs the library refuses with its own errors: empty matrices and bases, and block structures
-that do not fit the fixed-point basis they are read against."""
+"""Inputs the library refuses with its own errors: empty matrices and bases, block structures that
+do not fit the fixed-point basis they are read against, and malformed matrices, Choi matrices,
+classical inputs, channels and serialized records."""
 
-from math import inf
+import json
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -13,18 +15,25 @@ from qentropy import (
     FixedPointBasis,
     NotAnAlgebraError,
     NotHermitianError,
+    NotPositiveError,
+    NotSquareError,
+    NotStochasticError,
     StructureMismatchError,
     ValidationError,
     block_form_residual,
+    channel_from_choi,
     choi_from_matrix,
     decompose_fixed_point_algebra,
     fixed_point_space,
+    kraus_channel,
+    kraus_matrix,
     parse_block_spec,
     probability_vector,
     stochastic_matrix,
     synthesize_pair,
     validate_state,
 )
+from qentropy.serialization import dumps, load_classical_batch, state_from_obj
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +112,93 @@ def test_one_hermiticity_message(validate):
     message = "^hermiticity deviation 1.000e-06 exceeds 1.0e-09$"
     with pytest.raises(NotHermitianError, match=message):
         validate(m)
+
+
+class TestMalformedMatrices:
+    def test_not_a_matrix(self):
+        with pytest.raises(ValidationError, match="^expected a matrix, got an array of ndim 1$"):
+            validate_state([1.0, 0.0])
+
+    def test_non_finite_entries(self):
+        with pytest.raises(ValidationError, match="^matrix contains non-finite entries$"):
+            validate_state([[nan, 0.0], [0.0, 1.0]])
+
+    def test_non_square_choi_matrix(self):
+        message = r"^Choi matrix must be square, got \(2, 3\)$"
+        with pytest.raises(NotSquareError, match=message):
+            choi_from_matrix(np.zeros((2, 3)))
+
+    def test_choi_size_not_a_perfect_square(self):
+        with pytest.raises(ValidationError, match="^Choi matrix size 3 is not a perfect square$"):
+            choi_from_matrix(np.eye(3))
+
+    def test_zero_choi_matrix_has_no_kraus_operators(self):
+        message = "^Choi matrix is numerically zero; no Kraus operators$"
+        with pytest.raises(ValidationError, match=message):
+            channel_from_choi(choi_from_matrix(np.zeros((4, 4))))
+
+    def test_non_square_kraus_operator(self):
+        message = r"^Kraus operator of shape \(2, 3\) is not square$"
+        with pytest.raises(NotSquareError, match=message):
+            kraus_channel([np.zeros((2, 3))])
+
+
+class TestClassicalInputs:
+    @pytest.mark.parametrize(
+        "validate, entries, what",
+        [
+            (probability_vector, [inf, 0.0], "probability vector"),
+            (stochastic_matrix, [[inf, 0.0], [0.0, 1.0]], "matrix"),
+        ],
+        ids=["vector", "matrix"],
+    )
+    def test_non_finite_entries(self, validate, entries, what):
+        with pytest.raises(ValidationError, match=f"^{what} contains non-finite entries$"):
+            validate(entries)
+
+    def test_entry_below_minus_tol_psd(self):
+        with pytest.raises(NotPositiveError, match="^entry -1.000e-01 below -1.0e-10$"):
+            probability_vector([1.1, -0.1])
+
+    def test_entries_that_do_not_sum_to_one(self):
+        with pytest.raises(ValidationError, match="^entries sum to 0.9, not 1$"):
+            probability_vector([0.5, 0.4])
+
+    def test_non_square_stochastic_matrix(self):
+        message = r"^expected a square matrix, got shape \(2, 3\)$"
+        with pytest.raises(NotSquareError, match=message):
+            stochastic_matrix(np.full((2, 3), 0.5))
+
+    def test_kraus_matrix_of_a_channel_neither_stochastic_nor_unital(self):
+        message = (r"^Kraus matrix needs a trace-preserving \(or unital\) channel; "
+                   r"residuals 1.061e\+00 / 1.061e\+00$")
+        with pytest.raises(NotStochasticError, match=message):
+            kraus_matrix(kraus_channel([0.5 * np.eye(2)]))
+
+
+class TestSerializedRecords:
+    def test_state_without_matrix(self):
+        with pytest.raises(ValidationError, match='^expected an object with a "matrix" field$'):
+            state_from_obj({"dim": 2})
+
+    def test_csv_record_without_a_dimension_line(self, tmp_path):
+        path = tmp_path / "batch.csv"
+        path.write_text("0.5,0.5\n0.5,0.5\n")
+        with pytest.raises(ValidationError, match="^expected a dimension line, got '0.5,0.5'$"):
+            load_classical_batch(path)
+
+    @pytest.mark.parametrize("record", [{"p": [1.0]}, {"matrix": [[1.0]]}], ids=["matrix", "p"])
+    def test_batch_record_without_a_field(self, tmp_path, record):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([record]))
+        with pytest.raises(ValidationError, match='^each record needs "matrix" and "p" fields$'):
+            load_classical_batch(path)
+
+    def test_dumps_writes_non_finite_floats_as_the_json_module_reads_them(self):
+        text = dumps([nan, inf, -inf])
+        assert text == "[NaN, Infinity, -Infinity]"
+        assert np.array_equal(json.loads(text), [nan, inf, -inf], equal_nan=True)
+
+    def test_dumps_refuses_a_value_it_cannot_serialize(self):
+        with pytest.raises(TypeError, match="^cannot serialize value of type object$"):
+            dumps({"x": object()})

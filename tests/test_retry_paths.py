@@ -4,8 +4,8 @@ A wrapped kernel hands the first attempt a wrong frame (rotated, split by left i
 with every eigenspace group linked); the retry with the next seed must then return the right
 block dims, and a frame that is wrong on every attempt must raise AmbiguousGroupingError naming
 the reason after the fourth failure.  Also here: a certificate that fails because the canonical cut
-dropped what holds a block together, retried on the uncut family; a dependent basis; and a block of
-the state with no weight in verify_block_structure.
+dropped what holds a block together, retried once on the uncut family; a dependent basis; and a
+block of the state with no weight in verify_block_structure.
 """
 
 from math import inf
@@ -29,6 +29,8 @@ from qentropy import (
     validate_state,
     verify_block_structure,
 )
+
+from conftest import eps_mixture
 
 SPEC = "2x2,1x3"  # dR 2 and 3 differ, and dL = 2 links two groups within a block
 
@@ -120,6 +122,23 @@ def test_a_failed_certificate_retries_on_the_uncut_family(monkeypatch):
     assert _dims(f.structure) == [(1, 3), (3, 2)]
     assert len(f.basis) == 10
     assert f.spectral_gap == pytest.approx(2.97e-7, rel=0.01)  # the dense oracle's, 3 tol.fix
+
+
+def test_the_uncut_family_gets_one_attempt(monkeypatch):
+    # the first attempt fails its certificate on the cut family (residual 1.5e-7) and the next on
+    # the uncut one, whose light noise operators leave residuals of ~3e-4; the third goes back to
+    # the cut family and solves
+    phi = eps_mixture("1x1,1x2,1x1", 1e-9, -6294)
+    families = []
+
+    def recorded(real, ops, *args):
+        families.append(len(ops))
+        return real(ops, *args)
+
+    _wrap(monkeypatch, "_split", recorded, failures=4)
+    f = fixed_point_space(phi)
+    assert len(families) == 3 and families[0] == families[2] < families[1]
+    assert _dims(f.structure) == [(1, 1), (1, 1), (1, 2)]
 
 
 def _all_linked(real, vecs, bounds, linked, connector):
