@@ -115,8 +115,9 @@ class FixedPointBasis:
     """Orthonormal basis of the fixed-point space of adjoint(phi) o phi.
 
     ``basis`` is one read-only (d, N, N) array of Hermitian elements, and ``residual_bound`` the
-    float the solve accepted them on, at least every ||adjoint(phi)(phi(B)) - B||_F up to
-    rounding.  ``spectral_gap`` is the distance from 1 to the largest eigenvalue of
+    float the solve accepted them on (the exact span residual where the certificate failed), up to
+    rounding at least ||adjoint(phi)(phi(X)) - X||_F for every unit X of a block's span.
+    ``spectral_gap`` is the distance from 1 to the largest eigenvalue of
     adjoint(phi) o phi outside the span, so tests can assert the cut was unambiguous; it is +inf
     when everything is fixed.  It is read in the block frame, on the right-factor space
     Herm(sum dR), where an exact frame leaves the same eigenvalues: one block pair (j, l) at a
@@ -526,35 +527,36 @@ def _block_units(cols: np.ndarray, out: np.ndarray) -> None:
     out += out.conj().swapaxes(1, 2)
 
 
-def _unit_residuals(canonical: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """||adjoint(phi)(phi(B)) - B||_F for the :func:`_block_units` B of one (N, dL, dR) class, in
-    their order, from all r canonical operators O_s of adjoint(phi) o phi (an (r, N, N) stack).
+def _span_residual(canonical: np.ndarray, cols: np.ndarray) -> float:
+    """max ||adjoint(phi)(phi(X)) - X||_F over unit X in the span of one (N, dL, dR) class's
+    :func:`_block_units`, from all r canonical operators O_s of adjoint(phi) o phi, (r, N, N).
 
     With J[:, (l, (s, r))] = (O_s V)[:, (l, r)], adjoint(phi)(phi(V (E (x) I_dR) V^dag)) is
-    J (E (x) I_(r dR)) J^dag, so the images come out of the same products as the units, y y^dag
-    against x x^dag, at O(r dL^2 dR N^2).  The difference D_ab for |a><b| is formed against
-    b >= a only, one a at a time, so no second basis is held; D_ba is D_ab^dag.
+    J (E (x) I_(r dR)) J^dag, so |a><b| (x) I / sqrt(dR) leaves D_ab = (y_a y_b^dag - x_a x_b^dag) /
+    sqrt(dR), and D_ba = D_ab^dag.  The map preserves Hermiticity, so the span's maximum is the one
+    over Herm(dL), whose units X_ab leave the coordinates (:func:`_hermitian_coords`)
+    Re D_ab + Im D_ba: the root of the top eigenvalue of their real dL^2 x dL^2 Gram, summed over
+    slices of N / dL rows (dL N^2 entries at a time).  O((r dR + dL^2) dL^2 N^2).
     """
     n, dl, dr = cols.shape
-    x = cols.transpose(1, 0, 2).reshape(dl * n, dr)
+    x = cols.transpose(1, 0, 2)
     y = (canonical @ cols.reshape(n, dl * dr)).reshape(-1, n, dl, dr)
-    y = y.transpose(2, 1, 0, 3).reshape(dl * n, -1)  # y[(l, i), (s, r)] = (O_s V)[i, (l, r)]
-    x_dag, y_dag, out = x.conj().T, y.conj().T, np.empty((dl, dl))
-    for a in range(dl):
-        rows, rest = slice(a * n, (a + 1) * n), slice(a * n, None)
-        d = y[rows] @ y_dag[:, rest] - x[rows] @ x_dag[:, rest]
-        d = d.reshape(n, dl - a, n).transpose(1, 0, 2) / math.sqrt(dr)  # d[b - a] = D_ab
-        d_dag = d.conj().swapaxes(1, 2)
-        out[a, a:] = np.linalg.norm((1 + 1j) * d + (1 - 1j) * d_dag, axis=(1, 2)) / 2
-        out[a + 1 :, a] = np.linalg.norm((1 - 1j) * d[1:] + (1 + 1j) * d_dag[1:], axis=(1, 2)) / 2
-    return out.reshape(-1)
+    y = y.transpose(2, 1, 0, 3).reshape(dl, n, -1)  # y[l, i, (s, r)] = (O_s V)[i, (l, r)]
+    x_dag, y_dag = (z.reshape(dl * n, -1).conj().T for z in (x, y))
+    gram = np.zeros((dl * dl, dl * dl))
+    for y_rows, x_rows in zip(*(np.array_split(z, dl, axis=1) for z in (y, x))):
+        d = y_rows.reshape(-1, y.shape[2]) @ y_dag - x_rows.reshape(-1, dr) @ x_dag
+        d = d.reshape(dl, -1, dl, n)  # d[a, i, b] = row i of the slice of D_ab
+        z = (d.real + d.imag.transpose(2, 1, 0, 3)).swapaxes(1, 2).reshape(dl * dl, -1)
+        gram += z @ z.T
+    return math.sqrt(max(0.0, float(np.linalg.eigvalsh(gram)[-1])) / dr)
 
 
 def _commutation_bounds(
     phi: KrausChannel, weights: np.ndarray, canonical: np.ndarray, classes: list[np.ndarray]
 ) -> np.ndarray:
-    """For each (N, dL, dR) class V_j, a bound B_j on the residual of every unit of
-    :func:`_block_units`: (2 / sqrt(dR_j)) sum_s omega_s ||O_s V_j - V_j (I (x) n_s)||_F + delta,
+    """For each (N, dL, dR) class V_j, a bound B_j on its span residual (:func:`_span_residual`):
+    (2 / sqrt(dR_j)) sum_s omega_s ||O_s V_j - V_j (I (x) n_s)||_F + delta,
     n_s = tr_L(V_j^dag O_s V_j) / dL_j, from one product P = O_s V of the r canonical operators
     of adjoint(phi) o phi (:func:`_canonical_operators`, ``weights`` ascending) with the stacked
     classes; :func:`fixed_point_space` gives the proof.  O(r N^3) time and O(r N^2) memory for P,
@@ -735,18 +737,18 @@ def fixed_point_space(
     canonical operators O_s (all r of them, not cut at tol.fix),
     adjoint(phi)(phi(X)) - X = sum_s O_s [X, O_s] + (sum_s O_s^2 - I) X.  Write
     O_s V = V (I (x) n_s) + D_s with n_s = tr_L(V^dag O_s V) / dL (Hermitian) for a class V; a unit
-    X = V Y V^dag, Y = E (x) I/sqrt(dR), commutes with V (I (x) n_s) V^dag, so
+    X = V Y V^dag of its span, Y = E (x) I/sqrt(dR), commutes with V (I (x) n_s) V^dag, so
     [X, O_s] = V Y D_s^dag - D_s Y V^dag and ||[X, O_s]||_F <= 2 ||Y||_2 ||D_s||_F, with
-    ||Y||_2 <= ||E||_F / sqrt(dR) = 1 / sqrt(dR) and ||X||_F = 1.  So every unit residual of class
-    j is at most B_j = (2 / sqrt(dR_j)) sum_s omega_s ||D_s||_F + delta
-    (:func:`_commutation_bounds`), for omega_s >= ||O_s||_2 and delta >= ||sum O_s^2 - I||_2 read
-    off the Kraus Gram sums and the canonical weights.  delta is needed: the channel check admits
-    ||sum M^dag M - I||_F up to tol.eq N, above tol.fix for N > 10.  The bound holds in exact
+    ||Y||_2 <= ||E||_F / sqrt(dR) = 1 / sqrt(dR) and ||X||_F = 1.  So the span residual of class j,
+    max ||adjoint(phi)(phi(X)) - X||_F, is at most B_j = (2 / sqrt(dR_j)) sum_s omega_s ||D_s||_F
+    + delta (:func:`_commutation_bounds`), for omega_s >= ||O_s||_2 and delta >= ||sum O_s^2 - I||_2
+    read off the Kraus Gram sums and the canonical weights.  delta is needed: the channel check
+    admits ||sum M^dag M - I||_F up to tol.eq N, above tol.fix for N > 10.  The bound holds in exact
     arithmetic, for any V with orthonormal columns; the rounding of both sides is O(N eps_mach).
-    When max B_j <= tol.fix the attempt accepts the elements, with ``residual_bound`` = max B_j.
-    Otherwise it computes the exact residuals ||adjoint(phi)(phi(B)) - B||_F of every unit from
-    the same operators (:func:`_unit_residuals`) and decides on them, so every accept or retry is
-    the one the exact residuals give, and ``residual_bound`` is their largest.
+    The attempt accepts on max B_j <= tol.fix, else on the span residuals (:func:`_span_residual`);
+    ``residual_bound`` is the largest it decided on.  So <X, (I - adjoint(phi) o phi) X> <= tol.fix
+    on each accepted class span, which by Courant-Fischer holds no more directions than
+    adjoint(phi) o phi has eigenvalues within tol.fix of 1 (m tol.fix across m classes).
 
     Every residual must be <= tol.fix (the elements are fixed) and the gap > tol.fix (no fixed
     direction was missed); an ambiguous grouping or a failed certificate retries with the next
@@ -756,8 +758,8 @@ def fixed_point_space(
     (a dense eigensolve counts it as fixed).  Cost: O(k N^3 + k^2 N^2) for the Gram of the A_i,
     O(q N^3 + m^2 N^2 + m^3) for the q products it keeps (sum k_b (k_b + 1) / 2 for k_b per block)
     and their m <= min(k^2, N^2) rows, O(r N^3) per attempt, for the split and the certificate's
-    one product O_s V; the exact residuals, only when the certificate fails, O(r dL^2 dR N^2) per
-    block; for the gap O(r N^2 N') plus O(r p^2 + p^3), p = dR_j dR_l, for each pair (j, j) and
+    one product O_s V; span residuals, only when the certificate fails, O((r dR + dL^2) dL^2 N^2)
+    per block; for the gap O(r N^2 N') plus O(r p^2 + p^3), p = dR_j dR_l, for each pair (j, j) and
     each j < l not pruned (:func:`_pair_top`), or O(r N'^3 + j N'^2) per Lanczos step j.  Memory
     O((m + r) N^2 + r N'^2) plus the largest batch of pair matrices, or j N'^2 for Lanczos; reading
     the basis adds its d N^2 entries for d = sum dL^2.  The result keeps the N^2 entries of its
@@ -777,10 +779,11 @@ def fixed_point_space(
         classes = _split(ops, z, tol)
         bound = float(_commutation_bounds(phi, weights, canonical, classes).max())
         if bound > tol.fix:
-            bound = max(float(_unit_residuals(canonical, cols).max()) for cols in classes)
+            bound = max(_span_residual(canonical, cols) for cols in classes)
             if bound > tol.fix:
                 uncut = not spent  # the cut may have dropped what holds a block together
-                raise _Ambiguous(f"a basis element is not fixed (residual {bound:.3e})")
+                why = f"span residual {bound:.3e} > tol.fix {tol.fix:.1e}"
+                raise _Ambiguous(f"a fixed-space direction is not fixed ({why})")
         gap = _block_frame_gap(canonical, classes, rng)
         if gap <= tol.fix:
             raise _Ambiguous(f"a fixed direction lies outside the commutant (gap {gap:.3e})")
@@ -1086,21 +1089,17 @@ def synthesize_pair(
 
     basis_change = np.asarray(random_unitary(n, child_seed()))
 
-    kraus_ops = []
-    rho = np.zeros((n, n), dtype=complex)
-    classes = []
-    offset = 0
-    for (dl, dr), w, left, u, right in zip(
-        spec.blocks, weights, left_states, unitaries, right_channels
+    kraus_ops, classes, rho = [], [], np.zeros((n, n), dtype=complex)
+    edges = np.cumsum([0] + [dl * dr for dl, dr in spec.blocks])
+    for (dl, dr), w, left, u, right, lo, hi in zip(
+        spec.blocks, weights, left_states, unitaries, right_channels, edges, edges[1:]
     ):
-        span = slice(offset, offset + dl * dr)
         for m in right.kraus:
             big = np.zeros((n, n), dtype=complex)
-            big[span, span] = np.kron(u, m)
+            big[lo:hi, lo:hi] = np.kron(u, m)
             kraus_ops.append(basis_change @ big @ basis_change.conj().T)
-        rho[span, span] = w * np.kron(left, np.eye(dr) / dr)
-        classes.append(basis_change[:, span].reshape(n, dl, dr))
-        offset += dl * dr
+        rho[lo:hi, lo:hi] = w * np.kron(left, np.eye(dr) / dr)
+        classes.append(basis_change[:, lo:hi].reshape(n, dl, dr))
 
     phi = kraus_channel(kraus_ops, tol)
     rho_state = validate_state(basis_change @ rho @ basis_change.conj().T, tol)

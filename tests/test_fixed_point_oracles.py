@@ -4,19 +4,21 @@ The oracles below are the direct dense algorithms: a complex eigensolve of
 s^dag s on all N x N matrices, and a loop over block pairs for the block-form
 residual.  The library computes the same objects without them: the commutant
 of the Kraus operators of adjoint(phi) o phi, certified in its block frame
-(a commutation bound per class, which must cover the exact residuals of the
-block isometries that it stands in for, and a gap on the right-factor space
-Herm(sum dR), by exact eigensolves of side <= 256 one block pair at a time
-while the pairs decouple, else by Lanczos on the whole frame, which must also
-expose a frame with merged or split blocks), and one batched conjugation.
-Random block specs (hypothesis), eps-mixtures and channels with sum dR > 16
-check dimension and gap against the dense oracle, the gap solvers agree on the
-same compressed maps, and the Hermitian canonical Kraus operators keep the
-Choi matrix of the products they come from.  The batched kernels match their
-loop versions: the alignment (one SVD per tree edge), the block expectation
-(one block pair at a time), the real diagonal pair (the complex one) and the
-pruned gap pairs (every pair solved, bit for bit).  Decompositions computed
-from a channel are certified against the channel and the state it was
+(a commutation bound per class, which must cover the exact residual of every
+unit element of the class span that it stands in for, and a gap on the
+right-factor space Herm(sum dR), by exact eigensolves of side <= 256 one block
+pair at a time while the pairs decouple, else by Lanczos on the whole frame,
+which must also expose a frame with merged or split blocks), and one batched
+conjugation.  Random block specs (hypothesis), eps-mixtures and channels with
+sum dR > 16 check dimension and gap against the dense oracle, as does a grid of
+near-unitary block channels whose eigenvalues straddle 1 - tol.fix (a draw may
+refuse, but never return a wrong dimension); the gap solvers agree on the same
+compressed maps, and the Hermitian canonical Kraus operators keep the Choi
+matrix of the products they come from.  The batched kernels match their loop
+versions: the alignment (one SVD per tree edge), the block expectation (one
+block pair at a time), the real diagonal pair (the complex one) and the pruned
+gap pairs (every pair solved, bit for bit).  Decompositions computed from a
+channel are certified against the channel and the state it was
 synthesized with.
 """
 
@@ -59,12 +61,12 @@ from qentropy.entropy_analysis import (
     _canonical_operators,
     _commutation_bounds,
     _pair_top,
+    _span_residual,
     _top_eigenvalue_outside,
     _top_outside,
-    _unit_residuals,
     block_form_residual,
 )
-from qentropy.generators import _seeded_rng
+from qentropy.generators import _haar_unitary, _seeded_rng
 
 from conftest import (
     DEEP_ONLY,
@@ -639,10 +641,11 @@ def scaled_to_the_trace_bound(phi, fraction):
     fraction=st.floats(0, 0.999),
 )
 def test_commutation_bound_covers_every_unit_residual(blocks, seed, family, log_eps, fraction):
-    # B_j >= the exact residual of every unit of class j, for any isometry frame: the synthesized
-    # blocks, the same blocks rotated by a Haar unitary (residuals O(1)) and split by left index;
-    # the scaled families move sum O_s^2 off I by up to ~2e-8, which only delta covers.  Both
-    # sides carry rounding, seen up to N eps_mach where both are at rounding level
+    # B_j >= the exact span residual of class j (the largest over its unit elements, which the
+    # fallback decides on), for any isometry frame: the synthesized blocks, the same blocks
+    # rotated by a Haar unitary (residuals O(1)) and split by left index; the scaled families move
+    # sum O_s^2 off I by up to ~2e-8, which only delta covers.  Both sides carry rounding, seen up
+    # to N eps_mach where both are at rounding level
     spec = ",".join(f"{dl}x{dr}" for dl, dr in blocks)
     phi, _, structure = synthesize_pair(parse_block_spec(spec), seed=seed)
     if family == "eps-mixture":
@@ -657,7 +660,7 @@ def test_commutation_bound_covers_every_unit_residual(blocks, seed, family, log_
     split = [cols[:, [left]] for cols in classes for left in range(cols.shape[1])]
     for frame in (classes, rotated, split):
         bounds = _commutation_bounds(phi, weights, canonical, frame)
-        exact = np.array([_unit_residuals(canonical, cols).max() for cols in frame])
+        exact = np.array([_span_residual(canonical, cols) for cols in frame])
         assert np.all(bounds >= exact - 4 * n * np.finfo(float).eps)
 
 
@@ -673,15 +676,82 @@ def test_commutation_bound_covers_every_unit_residual(blocks, seed, family, log_
 # ambiguous window: the one after goes back to the cut
 @example(blocks=[(1, 3), (2, 1), (2, 1)], seed=13437, family="eps-mixture", log_eps=-10.0)
 def test_residual_bound_covers_every_direct_residual(blocks, seed, family, log_eps):
-    # the bound the solve accepted on, max B_j or the largest exact unit residual, covers each
-    # element's ||adjoint(phi)(phi(B)) - B||_F formed by two channel applications, up to rounding
+    # the bound the solve accepted on, max B_j or the largest exact span residual, covers each
+    # element's ||adjoint(phi)(phi(B)) - B||_F formed by two channel applications, up to rounding,
+    # and that of three random unit elements of each class span, which no basis element stands for
     spec = ",".join(f"{dl}x{dr}" for dl, dr in blocks)
     phi = synthesize_pair(parse_block_spec(spec), seed=seed)[0]
     if family == "eps-mixture":
         phi = eps_mixture(spec, 10.0**log_eps, seed)
     f = fixed_point_space(phi)
     assert f.residual_bound <= DEFAULT_TOL.fix
-    assert max(direct_residuals(phi, f)) <= f.residual_bound + 4 * phi.dim * np.finfo(float).eps
+    rounding = 4 * phi.dim * np.finfo(float).eps
+    assert max(direct_residuals(phi, f)) <= f.residual_bound + rounding
+    adj, rng = adjoint(phi), np.random.default_rng(seed)
+    for block in f.structure.blocks:
+        v, dl, dr = block.isometry, block.dim_left, block.dim_right
+        for _ in range(3):
+            e = rng.standard_normal((dl, dl)) + 1j * rng.standard_normal((dl, dl))
+            e = (e + e.conj().T) / np.linalg.norm(e + e.conj().T)
+            x = v @ np.kron(e, np.eye(dr) / math.sqrt(dr)) @ v.conj().T
+            residual = np.linalg.norm(apply_channel(adj, apply_channel(phi, x)) - x)
+            assert residual <= f.residual_bound + rounding
+
+
+def near_unitary_grid(count):
+    """The first ``count`` draws of a seed-0 grid of near-unitary block channels:
+    {W (I (x) sqrt(1 - eta) U_1), W (I (x) sqrt(eta) U_2)} for (dL, dR) cycling through
+    (3, 2), (2, 3), (1, 4), (2, 2), eta = 10^U(-8.5, -5) and Haar U_1, U_2, W drawn in that order,
+    so the eigenvalues of the right channel's adjoint(phi) o phi sit on either side of
+    1 - tol.fix."""
+    rng = np.random.default_rng(0)
+    for i in range(count):
+        dl, dr = [(3, 2), (2, 3), (1, 4), (2, 2)][i % 4]
+        eta = 10 ** rng.uniform(-8.5, -5)
+        u_1, u_2, w = _haar_unitary(rng, dr), _haar_unitary(rng, dr), _haar_unitary(rng, dl * dr)
+        ops = [w @ np.kron(np.eye(dl), math.sqrt(q) * u) for q, u in ((1 - eta, u_1), (eta, u_2))]
+        yield kraus_channel(ops)
+
+
+# before the fallback decided on the span residual, draws 80, 124 and 207 returned 36, 36 and 16
+# dimensions where the oracle counts 18, 18 and 8 (oracle gaps 1.07e-7, 1.006e-7 and 1.075e-7):
+# every basis unit moved by <= tol.fix, some direction of the span by more
+@pytest.mark.deep
+@pytest.mark.parametrize(
+    "draws, solves",
+    [([*range(100), 124, 207], 85), pytest.param(range(400), 352, marks=DEEP_ONLY)],
+    ids=["draws 0-99, 124, 207", "draws 0-399"],
+)
+def test_near_unitary_grid_never_returns_a_wrong_dimension(draws, solves, tol):
+    # a draw may raise (its oracle gap is near tol.fix), but a dimension it returns is the oracle's;
+    # ``solves`` is the count that solves, so refusing more draws fails too
+    channels, solved = list(near_unitary_grid(max(draws) + 1)), 0
+    for i in draws:
+        try:
+            f = fixed_point_space(channels[i])
+        except AmbiguousGroupingError:
+            continue
+        assert len(f.basis) == len(oracle_fixed_point_space(channels[i], tol)[0]), i
+        solved += 1
+    assert solved >= solves
+
+
+@pytest.mark.deep
+@DEEP_ONLY
+def test_span_residual_memory_at_n96():
+    # the Gram is summed over row slices: 10.4 MB here against the 11.5 MB of the per-unit loop
+    # it replaced, where forming all dL^2 residual images at once took 109 MB
+    phi, _, structure = synthesize_pair(parse_block_spec("16x3,8x6"), seed=7)
+    canonical = _canonical_operators(phi.kraus)[1]
+    classes = [b.isometry.reshape(phi.dim, b.dim_left, b.dim_right) for b in structure.blocks]
+    tracemalloc.start()
+    try:
+        residuals = [_span_residual(canonical, cols) for cols in classes]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(residuals) <= 1e-13
+    assert peak <= 11.5 * 2**20
 
 
 def test_eps_mixture_solves_within_three_attempts(monkeypatch):
@@ -701,7 +771,7 @@ def solved_fields(f):
 
 
 def exact_only(monkeypatch):
-    """Make every certificate fail, so each attempt decides on the exact unit residuals."""
+    """Make every certificate fail, so each attempt decides on the exact span residuals."""
     monkeypatch.setattr(
         entropy_analysis, "_commutation_bounds", lambda *args: np.array([math.inf])
     )
@@ -720,7 +790,7 @@ CERTIFIED_CASES = {
 
 @pytest.mark.parametrize("make_phi", CERTIFIED_CASES.values(), ids=CERTIFIED_CASES.keys())
 def test_certificate_leaves_every_field_as_the_exact_residuals_do(make_phi, monkeypatch):
-    # the residual bound differs by design: max B_j against the largest exact unit residual
+    # the residual bound differs by design: max B_j against the largest exact span residual
     phi = make_phi()
     certified = fixed_point_space(phi)
     exact_only(monkeypatch)
@@ -744,18 +814,19 @@ def counted_kernels(monkeypatch, *names):
 
 
 def test_fallback_decides_where_the_bound_exceeds_tol_fix(monkeypatch):
-    # at eps = 1e-9 the bound reads ~1.1e-7 and the exact residuals ~2.5e-8: at tol.fix = 5e-8
-    # between them the exact residuals run in the solve and accept, with the exact rule's result
+    # at eps = 1e-9 the bound reads ~1.1e-7 and the exact span residuals up to ~2.7e-8: at
+    # tol.fix = 5e-8 between them the span residual runs once per class in the solve and accepts,
+    # with the exact rule's result
     phi, tol = eps_mixture("2x2,2x1,1x2", 1e-9, 3), DEFAULT_TOL.replace(fix=5e-8)
     weights, canonical = _canonical_operators(phi.kraus)
     classes = [b.isometry.reshape(phi.dim, b.dim_left, b.dim_right)
                for b in fixed_point_space(phi, tol).structure.blocks]
     bounds = _commutation_bounds(phi, weights, canonical, classes)
-    exact = max(_unit_residuals(canonical, cols).max() for cols in classes)
+    exact = max(_span_residual(canonical, cols) for cols in classes)
     assert exact <= tol.fix < bounds.max()
-    counts = counted_kernels(monkeypatch, "_unit_residuals")
+    counts = counted_kernels(monkeypatch, "_span_residual")
     f = fixed_point_space(phi, tol)
-    assert counts["_unit_residuals"] == len(classes)
+    assert counts["_span_residual"] == len(classes)
     assert f.residual_bound == exact  # the value the accept was decided on
     exact_only(monkeypatch)
     assert solved_fields(f) == solved_fields(fixed_point_space(phi, tol))
@@ -763,12 +834,12 @@ def test_fallback_decides_where_the_bound_exceeds_tol_fix(monkeypatch):
 
 def test_basis_is_computed_on_first_read(monkeypatch):
     # the certificate holds, so no exact residual is formed, in the solve or after it
-    counts = counted_kernels(monkeypatch, "_unit_residuals", "_block_units")
+    counts = counted_kernels(monkeypatch, "_span_residual", "_block_units")
     f = fixed_point_space(synthesize_pair(parse_block_spec("2x2,1x3"), seed=1)[0])
-    assert counts == {"_unit_residuals": 0, "_block_units": 0}
+    assert counts == {"_span_residual": 0, "_block_units": 0}
     basis = f.basis
     assert f.basis is basis and len(basis) == 5
-    assert counts == {"_unit_residuals": 0, "_block_units": 2}  # once per block
+    assert counts == {"_span_residual": 0, "_block_units": 2}  # once per block
     assert not basis.flags.writeable
 
 

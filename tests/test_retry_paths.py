@@ -76,7 +76,7 @@ def _wrap(monkeypatch, name, change, failures):
 
 
 FIXED_POINT_FRAMES = {
-    "rotated": (_rotated, "a basis element is not fixed"),
+    "rotated": (_rotated, r"a fixed-space direction is not fixed \(span residual \S+ > tol\.fix"),
     "split by left index": (_split_by_left, "a fixed direction lies outside the commutant"),
     "merged": (_merged, "a fixed direction lies outside the commutant"),
 }
