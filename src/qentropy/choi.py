@@ -53,7 +53,7 @@ def choi_matrix(phi: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(dim=phi.dim, matrix=frozen_array(k.T @ k.conj()))
 
 
-def choi_from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiMatrix:
+def choi_from_matrix(m) -> ChoiMatrix:
     """Wrap and validate an N^2 x N^2 matrix as a Choi operator."""
     arr = as_complex_matrix(m)
     if arr.shape[0] != arr.shape[1]:
@@ -61,7 +61,7 @@ def choi_from_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiMatrix:
     n = math.isqrt(arr.shape[0])
     if n * n != arr.shape[0]:
         raise ValidationError(f"Choi matrix size {arr.shape[0]} is not a perfect square")
-    _require_hermitian(arr, "Choi matrix", tol)
+    _require_hermitian(arr, "Choi matrix")
     return ChoiMatrix(dim=n, matrix=frozen_array(arr))
 
 

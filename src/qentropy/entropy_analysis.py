@@ -72,7 +72,7 @@ from .states import (
     validate_state,
     von_neumann_entropy,
 )
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import _GROUP_RTOL, _RECON_TOL, DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "MonotonicityReport",
@@ -383,13 +383,13 @@ def _retrying(seed: int, attempt: Callable[[np.random.Generator], _T]) -> _T:
     raise AmbiguousGroupingError(f"{last_failure} after 3 retries")
 
 
-def _group_eigenvalues(vals: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Group sorted eigenvalues whose relative gap is below tol.group, as run bounds b[g]:b[g + 1].
+def _group_eigenvalues(vals: np.ndarray) -> np.ndarray:
+    """Group sorted eigenvalues whose relative gap is below _GROUP_RTOL, as runs b[g]:b[g + 1].
 
     A gap inside the window just above the threshold, where degenerate and
     distinct eigenvalues cannot be told apart, raises the retry signal.
     """
-    threshold = tol.group * max(1.0, float(vals[-1] - vals[0]))
+    threshold = _GROUP_RTOL * max(1.0, float(vals[-1] - vals[0]))
     gaps = np.diff(vals)
     if np.any((gaps > threshold) & (gaps < 100.0 * threshold)):
         raise _Ambiguous("eigenvalue gap inside the ambiguous window")
@@ -449,7 +449,7 @@ def _split(ops: np.ndarray, z: np.ndarray, tol: ToleranceConfig) -> list[np.ndar
     m, n, _ = ops.shape
     x = (z[0] @ ops.reshape(m, -1)).reshape(n, n)
     vals, vecs = np.linalg.eigh(x + x.conj().T)
-    bounds = _group_eigenvalues(vals, tol)
+    bounds = _group_eigenvalues(vals)
     c = vecs.conj().T @ ops @ vecs
     weight = _block_sums(np.sum(np.abs(c) ** 2, axis=0), bounds)
     weight = weight + weight.T
@@ -982,7 +982,7 @@ def verify_block_structure(
     n = structure.dim
     v = np.hstack(_block_isometries(structure, channel=phi.dim, state=rho.dim))
     edges = np.cumsum([0] + [dl * dr for dl, dr in structure.block_dims])
-    over = np.sqrt(_block_sums(np.abs(v.conj().T @ v - np.eye(n)) ** 2, edges)) > tol.recon * n
+    over = np.sqrt(_block_sums(np.abs(v.conj().T @ v - np.eye(n)) ** 2, edges)) > _RECON_TOL * n
     for k in np.flatnonzero(np.diagonal(over))[:1]:  # the first k, then the first pair j < k
         raise StructureMismatchError(f"isometry {k} columns are not orthonormal")
     for j, k in np.argwhere(np.triu(over, 1))[:1]:

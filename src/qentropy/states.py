@@ -28,7 +28,7 @@ from .errors import (
     TraceNotOneError,
     ValidationError,
 )
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import _HERM_TOL, _TRACE_TOL, DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "Spectrum",
@@ -99,15 +99,15 @@ def _descending_eigh(h: np.ndarray) -> Spectrum:
     return Spectrum(vals, frozen_array(vecs[:, order], copy=False))
 
 
-def _require_hermitian(arr: np.ndarray, what: str, tol: ToleranceConfig) -> np.ndarray:
+def _require_hermitian(arr: np.ndarray, what: str) -> np.ndarray:
     """Raise unless the square ``arr`` is non-empty ("``what`` must be non-empty") and Hermitian
-    to tol.herm; return arr^dag, formed once for the check."""
+    to _HERM_TOL; return arr^dag, formed once for the check."""
     if arr.size == 0:
         raise ValidationError(f"{what} must be non-empty")
     adj = arr.conj().T
     herm_dev = float(np.abs(arr - adj).max())
-    if herm_dev > tol.herm:
-        raise NotHermitianError(f"hermiticity deviation {herm_dev:.3e} exceeds {tol.herm:.1e}")
+    if herm_dev > _HERM_TOL:
+        raise NotHermitianError(f"hermiticity deviation {herm_dev:.3e} exceeds {_HERM_TOL:.1e}")
     return adj
 
 
@@ -124,10 +124,10 @@ def validate_state(m, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
     rows, cols = arr.shape
     if rows != cols:
         raise NotSquareError(f"state matrix must be square, got {rows}x{cols}")
-    adj = _require_hermitian(arr, "state matrix", tol)
+    adj = _require_hermitian(arr, "state matrix")
     trace_dev = abs(complex(arr.trace()) - 1.0)
-    if trace_dev > tol.trace:
-        raise TraceNotOneError(f"|trace - 1| = {trace_dev:.3e} exceeds {tol.trace:.1e}")
+    if trace_dev > _TRACE_TOL:
+        raise TraceNotOneError(f"|trace - 1| = {trace_dev:.3e} exceeds {_TRACE_TOL:.1e}")
     spectrum = _descending_eigh((arr + adj) / 2.0)  # the Hermitian part, as hermitian_part forms it
     smallest = float(spectrum.eigenvalues[-1])
     if smallest < -tol.psd:

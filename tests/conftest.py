@@ -115,11 +115,12 @@ def unvec(v):
 
 
 def superoperator_matrix(phi):
-    """The N^2 x N^2 matrix sum_j kron(conj(M_j), M_j) of a channel under :func:`vec`.
+    """The matrix sum_j kron(conj(M_j), M_j) under :func:`vec` of a channel (N^2 x N^2) or of a
+    sequence of operators M_j.
 
     The library never forms it; it is the dense reference for the fixed-point solver.
     """
-    return sum(np.kron(m.conj(), m) for m in phi.kraus)
+    return sum(np.kron(m.conj(), m) for m in getattr(phi, "kraus", phi))
 
 
 def partial_trace_right(m, dl, dr):

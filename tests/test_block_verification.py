@@ -36,6 +36,7 @@ from conftest import (
     maximally_mixed,
     partial_trace_right,
     phase_invariant_unitary_distance,
+    superoperator_matrix,
 )
 
 SPECS = [
@@ -195,10 +196,6 @@ class TestOracleAgreement:
             assert _accepts(verify_block_structure, structure, noisy, rho, tol) == oracle == accepted
 
 
-def _superoperator(ops):
-    return sum(np.kron(m.conj(), m) for m in ops)
-
-
 @pytest.mark.parametrize("spec", ["2x2", "2x1,1x2", "1x3,2x1", "2x3"])
 def test_gram_residuals_equal_dense_superoperator_norms(spec):
     """invariance_residual and action_residual against the dense superoperator differences
@@ -216,11 +213,11 @@ def test_gram_residuals_equal_dense_superoperator_norms(spec):
         start += dl * dr
         columns = [m[:, inside] for m in kraus]
         kept = [np.where(inside[:, None], m, 0.0) for m in columns]
-        inv = max(inv, np.linalg.norm(_superoperator(columns) - _superoperator(kept)))
+        inv = max(inv, np.linalg.norm(superoperator_matrix(columns) - superoperator_matrix(kept)))
         blocks = [m[inside] for m in kept]
         right = [np.einsum("ab,arbs->rs", u.conj(), k.reshape(dl, dr, dl, dr)) / dl for k in blocks]
-        fitted = _superoperator([np.kron(u, n) for n in right])
-        act = max(act, np.linalg.norm(_superoperator(blocks) - fitted))
+        fitted = superoperator_matrix([np.kron(u, n) for n in right])
+        act = max(act, np.linalg.norm(superoperator_matrix(blocks) - fitted))
     assert result.invariance_residual == pytest.approx(inv, rel=1e-9)
     assert result.action_residual == pytest.approx(act, rel=1e-9)
     assert result.action_residual > 1e-5

@@ -123,17 +123,17 @@ class TestChannelFromChoi:
         assert channel_distance(channel_from_choi(j), identity_channel(2)) <= tol.eq * 4
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_round_trip_preserves_superoperator(self, seed, tol):
+    def test_round_trip_preserves_superoperator(self, seed):
         n = 2 + seed % 4
         phi = random_stochastic_channel(n, 2, seed)
         back = channel_from_choi(choi_matrix(phi))
-        assert channel_distance(phi, back) <= tol.recon * n * n * 1e3
+        assert channel_distance(phi, back) <= 1e-10 * n * n * 1e3
 
-    def test_choi_of_extracted_channel_matches(self, tol):
+    def test_choi_of_extracted_channel_matches(self):
         phi = random_stochastic_channel(3, 3, seed=4)
         j = choi_matrix(phi)
         again = choi_matrix(channel_from_choi(j))
-        assert np.linalg.norm(again.matrix - j.matrix) <= tol.recon * 9 * 1e3
+        assert np.linalg.norm(again.matrix - j.matrix) <= 1e-10 * 9 * 1e3
 
     def test_negative_eigenvalue_rejected(self):
         j = choi_from_matrix(np.diag([1.0, 1.0, 1.0, -0.1]))

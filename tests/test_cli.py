@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -667,3 +668,17 @@ class TestToleranceFlags:
             capsys, ["--tol-eq", "1e-6", "analyze-state", state_file(maximally_mixed(2))]
         )
         assert result2["report"]["tolerances"]["eq"] == 1e-6
+
+    def test_every_settable_tolerance_has_a_flag(self):
+        from qentropy import ToleranceConfig
+
+        assert {f.name for f in dataclasses.fields(ToleranceConfig)} == set(cli._TOL_FLAGS)
+
+    def test_reports_print_seven_tolerances_in_order(self):
+        from qentropy import DEFAULT_TOL
+
+        # the README defaults; herm, trace, recon and group are fixed, the rest settable
+        assert list(DEFAULT_TOL.as_dict().items()) == [
+            ("herm", 1e-9), ("trace", 1e-9), ("psd", 1e-10), ("recon", 1e-10),
+            ("eq", 1e-8), ("fix", 1e-7), ("group", 1e-6),
+        ]

@@ -51,9 +51,9 @@ class TestRandomUnitary:
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_unitarity(self, n, tol):
+    def test_unitarity(self, n):
         u = random_unitary(n, seed=2)
-        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= tol.recon * n * 1e3
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10 * n * 1e3
 
     def test_determinism(self):
         np.testing.assert_array_equal(random_unitary(5, seed=3), random_unitary(5, seed=3))
@@ -83,11 +83,11 @@ class TestRandomBistochasticChannel:
 
 
 class TestRandomStochasticChannel:
-    def test_env_dim_one_is_unitary(self, tol):
+    def test_env_dim_one_is_unitary(self):
         phi = random_stochastic_channel(3, 1, seed=7)
         assert len(phi.kraus) == 1
         u = phi.kraus[0]
-        assert np.linalg.norm(u.conj().T @ u - np.eye(3)) <= tol.recon * 3 * 1e3
+        assert np.linalg.norm(u.conj().T @ u - np.eye(3)) <= 1e-10 * 3 * 1e3
 
     @pytest.mark.parametrize("seed", range(10))
     def test_trace_preserving(self, seed, tol):

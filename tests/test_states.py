@@ -151,8 +151,8 @@ class TestSupportProjector:
 
     def test_idempotent_and_hermitian(self, tol):
         p = _projector(spectral_decomposition(random_density(5, 3, seed=4).matrix), tol)
-        assert np.linalg.norm(p @ p - p) <= tol.recon * 5
-        assert np.linalg.norm(p - p.conj().T) <= tol.recon * 5
+        assert np.linalg.norm(p @ p - p) <= 1e-10 * 5
+        assert np.linalg.norm(p - p.conj().T) <= 1e-10 * 5
 
 
 class TestRelativeEntropy:
@@ -187,24 +187,24 @@ class TestRelativeEntropy:
 
 class TestSpectrum:
     @pytest.mark.parametrize("seed", range(5))
-    def test_reconstruction(self, seed, tol):
+    def test_reconstruction(self, seed):
         n = 2 + seed
         rho = random_density(n, n, seed)
         spec = state_spectrum(rho)
         rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-        assert np.linalg.norm(rebuilt - rho.matrix) <= tol.recon * n
+        assert np.linalg.norm(rebuilt - rho.matrix) <= 1e-10 * n
 
-    def test_descending_order_and_simplex(self, tol):
+    def test_descending_order_and_simplex(self):
         rho = random_density(5, 3, seed=20)
         vals = state_spectrum(rho).eigenvalues
         assert np.all(np.diff(vals) <= 0)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-        assert abs(vals.sum() - 1.0) <= tol.trace * 10
+        assert abs(vals.sum() - 1.0) <= 1e-9 * 10
 
-    def test_eigenvector_columns_orthonormal(self, tol):
+    def test_eigenvector_columns_orthonormal(self):
         rho = random_density(4, 4, seed=21)
         v = state_spectrum(rho).eigenvectors
-        assert np.linalg.norm(v.conj().T @ v - np.eye(4)) <= tol.recon * 4 * 1e3
+        assert np.linalg.norm(v.conj().T @ v - np.eye(4)) <= 1e-10 * 4 * 1e3
 
 
 class TestToleranceConfig:
@@ -227,14 +227,14 @@ class TestPsdFunctions:
     def test_sqrt_squares_back(self, tol):
         rho = random_density(4, 4, seed=9)
         root = _psd_root(spectral_decomposition(rho.matrix), False, tol)
-        np.testing.assert_allclose(root @ root, rho.matrix, atol=tol.recon * 16 * 1e3)
+        np.testing.assert_allclose(root @ root, rho.matrix, atol=1e-10 * 16 * 1e3)
 
     def test_inverse_sqrt_on_support(self, tol):
         rho = random_density(4, 2, seed=10)
         spec = spectral_decomposition(rho.matrix)
         inv_root = _psd_root(spec, True, tol)
         np.testing.assert_allclose(
-            inv_root @ rho.matrix @ inv_root, _projector(spec, tol), atol=tol.recon * 16 * 1e4
+            inv_root @ rho.matrix @ inv_root, _projector(spec, tol), atol=1e-10 * 16 * 1e4
         )
 
     def test_sqrt_rejects_negative(self, tol):

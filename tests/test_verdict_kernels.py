@@ -40,14 +40,11 @@ from qentropy import (
 from qentropy.cli import main
 from qentropy.serialization import channel_to_obj, save_json, state_to_obj
 
-
-def dense_superoperator(phi):
-    """sum_j kron(conj(M_j), M_j), the column-stacking superoperator."""
-    return sum(np.kron(m.conj(), m) for m in phi.kraus)
+from conftest import superoperator_matrix
 
 
 def dense_composition_residual(phi, psi):
-    s_phi, s_psi = dense_superoperator(phi), dense_superoperator(psi)
+    s_phi, s_psi = superoperator_matrix(phi), superoperator_matrix(psi)
     return float(np.linalg.norm(s_phi.conj().T @ s_phi @ s_psi - s_psi))
 
 
@@ -159,7 +156,7 @@ class TestChannelDistance:
         # (2, 3, 2) stacks K + k = 5 > N^2 = 4 columns into the QR
         phi = random_stochastic_channel(n, k_phi, seed=n + k_phi)
         psi = random_bistochastic_channel(n, k_psi, seed=n + 7 * k_psi)
-        dense = float(np.linalg.norm(dense_superoperator(phi) - dense_superoperator(psi)))
+        dense = float(np.linalg.norm(superoperator_matrix(phi) - superoperator_matrix(psi)))
         assert abs(channel_distance(phi, psi) - dense) <= 1e-12
 
     def test_same_channel_from_another_kraus_family(self):
