@@ -467,8 +467,7 @@ def _hermitian_coords(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermitian_from_coords(z: np.ndarray) -> np.ndarray:
-    """The matrices (Z + Z^T)/2 + i(Z - Z^T)/2 of an (m, N, N) coordinate stack, Hermitian to the
-    bit."""
+    """(Z + Z^T)/2 + i(Z - Z^T)/2 for an (m, N, N) coordinate stack Z, Hermitian to the bit."""
     out = np.empty(z.shape, dtype=complex)
     np.add(z, z.swapaxes(1, 2), out=out.real)
     np.subtract(z, z.swapaxes(1, 2), out=out.imag)
@@ -527,9 +526,16 @@ def _block_units(cols: np.ndarray, out: np.ndarray) -> None:
     out += out.conj().swapaxes(1, 2)
 
 
-def _span_residual(canonical: np.ndarray, cols: np.ndarray) -> float:
+def _class_products(canonical: np.ndarray, classes: list[np.ndarray]) -> list[np.ndarray]:
+    """The (r, N, dL dR) products O_s V_j of the r canonical operators and each class, one GEMM."""
+    n, ends = canonical.shape[1], np.cumsum([cols[0].size for cols in classes])[:-1]
+    p = canonical.reshape(-1, n) @ np.concatenate([cols.reshape(n, -1) for cols in classes], 1)
+    return np.split(p.reshape(len(canonical), n, -1), ends, axis=2)
+
+
+def _span_residual(products: np.ndarray, cols: np.ndarray) -> float:
     """max ||adjoint(phi)(phi(X)) - X||_F over unit X in the span of one (N, dL, dR) class's
-    :func:`_block_units`, from all r canonical operators O_s of adjoint(phi) o phi, (r, N, N).
+    :func:`_block_units`, from its (r, N, dL dR) products O_s V (:func:`_class_products`).
 
     With J[:, (l, (s, r))] = (O_s V)[:, (l, r)], adjoint(phi)(phi(V (E (x) I_dR) V^dag)) is
     J (E (x) I_(r dR)) J^dag, so |a><b| (x) I / sqrt(dR) leaves D_ab = (y_a y_b^dag - x_a x_b^dag) /
@@ -539,9 +545,8 @@ def _span_residual(canonical: np.ndarray, cols: np.ndarray) -> float:
     slices of N / dL rows (dL N^2 entries at a time).  O((r dR + dL^2) dL^2 N^2).
     """
     n, dl, dr = cols.shape
-    x = cols.transpose(1, 0, 2)
-    y = (canonical @ cols.reshape(n, dl * dr)).reshape(-1, n, dl, dr)
-    y = y.transpose(2, 1, 0, 3).reshape(dl, n, -1)  # y[l, i, (s, r)] = (O_s V)[i, (l, r)]
+    x, y = cols.transpose(1, 0, 2), products.reshape(-1, n, dl, dr).transpose(2, 1, 0, 3)
+    y = y.reshape(dl, n, -1)  # y[l, i, (s, r)] = (O_s V)[i, (l, r)]
     x_dag, y_dag = (z.reshape(dl * n, -1).conj().T for z in (x, y))
     gram = np.zeros((dl * dl, dl * dl))
     for y_rows, x_rows in zip(*(np.array_split(z, dl, axis=1) for z in (y, x))):
@@ -553,14 +558,13 @@ def _span_residual(canonical: np.ndarray, cols: np.ndarray) -> float:
 
 
 def _commutation_bounds(
-    phi: KrausChannel, weights: np.ndarray, canonical: np.ndarray, classes: list[np.ndarray]
+    phi: KrausChannel, weights: np.ndarray, products: list[np.ndarray], classes: list[np.ndarray]
 ) -> np.ndarray:
     """For each (N, dL, dR) class V_j, a bound B_j on its span residual (:func:`_span_residual`):
     (2 / sqrt(dR_j)) sum_s omega_s ||O_s V_j - V_j (I (x) n_s)||_F + delta,
-    n_s = tr_L(V_j^dag O_s V_j) / dL_j, from one product P = O_s V of the r canonical operators
-    of adjoint(phi) o phi (:func:`_canonical_operators`, ``weights`` ascending) with the stacked
-    classes; :func:`fixed_point_space` gives the proof.  O(r N^3) time and O(r N^2) memory for P,
-    then O(r N dL dR^2) per class.
+    n_s = tr_L(V_j^dag O_s V_j) / dL_j, from the products O_s V_j (:func:`_class_products`) of the
+    r canonical operators of adjoint(phi) o phi (:func:`_canonical_operators`, ``weights``
+    ascending); :func:`fixed_point_space` gives the proof.  O(r N dL dR^2) per class.
 
     delta >= ||sum_s O_s^2 - I||_2: over all canonical operators sum O_s^2 = adjoint(phi)(phi(I))
     = I + A + adjoint(phi)(B) for A = sum M^dag M - I and B = sum M M^dag - I; adjoint(phi) is
@@ -572,17 +576,13 @@ def _commutation_bounds(
     ||O_s||_2, as ||O_s||_2 <= ||O_s||_F = sqrt(w_s) and O_s^2 <= sum O^2.
     """
     stochastic_res, unital_res, top = phi._gram_numbers
-    dropped = float(np.clip(weights[: len(weights) - len(canonical)], 0.0, None).sum())
+    dropped = float(np.clip(weights[: len(weights) - len(products[0])], 0.0, None).sum())
     delta = stochastic_res + top * unital_res + dropped
-    omega = np.minimum(np.sqrt(weights[len(weights) - len(canonical) :]), math.sqrt(1.0 + delta))
-    n = phi.dim
-    v = np.concatenate([cols.reshape(n, -1) for cols in classes], axis=1)
-    p = (canonical.reshape(-1, n) @ v).reshape(-1, n, n)  # one GEMM for all r products O_s V
-    bounds, lo = [], 0
-    for cols in classes:
-        _, dl, dr = cols.shape
-        x = cols.reshape(n * dl, dr)  # rows (i, l), as in P_j = O_s V_j below
-        p_j, lo = p[:, :, lo : lo + dl * dr].reshape(-1, n * dl, dr), lo + dl * dr
+    omega = np.minimum(np.sqrt(weights[len(weights) - len(products[0]) :]), math.sqrt(1 + delta))
+    bounds = []
+    for p_j, cols in zip(products, classes):
+        n, dl, dr = cols.shape
+        x, p_j = cols.reshape(n * dl, dr), p_j.reshape(-1, n * dl, dr)  # rows (i, l) in both
         # n_s = sum_l V_l^dag O_s V_l / dL over the V_l = cols[:, l]
         dev = p_j - x @ ((x.conj().T @ p_j) / dl)
         bounds.append(2.0 / math.sqrt(dr) * float(omega @ np.linalg.norm(dev, axis=(1, 2))))
@@ -626,8 +626,7 @@ def _top_outside(left: np.ndarray, right: np.ndarray, fixed: np.ndarray, real=Fa
     rank-q updates when F is not 0.  ``real`` (A_s = B_s: K preserves Herm(a)) takes the real
     Re K + Im K S (S vec(Y) = vec(Y^T)), K on the coordinates of :func:`_hermitian_coords`, of the
     same spectrum."""
-    g, r, a, _ = left.shape
-    b = right.shape[2]
+    (g, r, a, _), b = left.shape, right.shape[2]
     k = left.reshape(g, r, a * a).swapaxes(1, 2) @ right.reshape(g, r, b * b).conj()
     k = k.reshape(g, a, a, b, b).swapaxes(2, 3).reshape(g, a * b, a * b)
     if real:
@@ -777,13 +776,15 @@ def fixed_point_space(
         spent, uncut = spent or uncut, False
         z = rng.standard_normal((2, len(ops))) + 1j * rng.standard_normal((2, len(ops)))
         classes = _split(ops, z, tol)
-        bound = float(_commutation_bounds(phi, weights, canonical, classes).max())
+        products = _class_products(canonical, classes)
+        bound = float(_commutation_bounds(phi, weights, products, classes).max())
         if bound > tol.fix:
-            bound = max(_span_residual(canonical, cols) for cols in classes)
+            bound = max(map(_span_residual, products, classes))
             if bound > tol.fix:
                 uncut = not spent  # the cut may have dropped what holds a block together
                 why = f"span residual {bound:.3e} > tol.fix {tol.fix:.1e}"
                 raise _Ambiguous(f"a fixed-space direction is not fixed ({why})")
+        del products  # r N^2 entries the gap does not read
         gap = _block_frame_gap(canonical, classes, rng)
         if gap <= tol.fix:
             raise _Ambiguous(f"a fixed direction lies outside the commutant (gap {gap:.3e})")
@@ -826,9 +827,8 @@ def _outside_span(work: np.ndarray, mats: np.ndarray, tol: ToleranceConfig) -> b
     inside when its residual after projection is at most tol.fix relative to
     max(1, its norm).
     """
-    d, n, _ = work.shape
-    flat = work.reshape(d, n * n)
-    x = mats.reshape(len(mats), n * n)
+    n = work.shape[1]
+    flat, x = (a.reshape(len(a), n * n) for a in (work, mats))
     residuals = np.linalg.norm(x - (x @ flat.conj().T) @ flat, axis=1)
     return not np.all(residuals <= tol.fix * np.maximum(1.0, np.linalg.norm(x, axis=1)))
 

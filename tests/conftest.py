@@ -1,5 +1,7 @@
-"""Shared fixtures, channel builders and dense reference helpers for the test suite."""
+"""Shared fixtures, channel builders, dense reference helpers, the call spy and the rounding
+allowance of the test suite."""
 
+import dataclasses
 import math
 import os
 
@@ -17,8 +19,9 @@ from qentropy import (
     validate_state,
 )
 
-# the profile behind the ``deep`` marker (registered, with what it does, in pyproject.toml)
-settings.register_profile("deep", max_examples=2000, deadline=None)
+# the profile behind the ``deep`` marker (registered, with what it does, in pyproject.toml); a
+# falsifying example prints the @reproduce_failure line that replays it
+settings.register_profile("deep", max_examples=2000, deadline=None, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 DEEP_ONLY = pytest.mark.skipif(
     os.environ.get("HYPOTHESIS_PROFILE") != "deep", reason="runs under HYPOTHESIS_PROFILE=deep"
@@ -32,6 +35,49 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 @pytest.fixture
 def tol():
     return DEFAULT_TOL
+
+
+@dataclasses.dataclass
+class Call:
+    args: tuple
+    result: object = None
+
+
+def spy(monkeypatch, owner, name, replacement=None, times=math.inf):
+    """Replace ``owner.<name>`` for the test by a recorder of its calls, and return their list.
+
+    Each call is appended as a :class:`Call` of its positional arguments when it starts, and its
+    result is filled in when it returns.  It goes through to the original, except the first
+    ``times`` calls when a ``replacement`` is given: those return
+    ``replacement(original, *args, **kwargs)``.
+    """
+    original, calls = getattr(owner, name), []
+
+    def recorded(*args, **kwargs):
+        call = Call(args)
+        calls.append(call)
+        if replacement is not None and len(calls) <= times:
+            call.result = replacement(original, *args, **kwargs)
+        else:
+            call.result = original(*args, **kwargs)
+        return call.result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def rounding(phi):
+    """The allowance for rounding when a residual formed from ``phi`` is compared with a bound.
+
+    The error model: each side is formed in a few stages (a channel application, its adjoint, a
+    product with the canonical family, a Gram), and each stage sums at most max(N, k) products of
+    entries of size <= 1, over the N of an inner product or the k Kraus terms of phi.  Such a sum
+    is off by at most gamma_m = m u / (1 - m u), u = eps_mach / 2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3): four stages leave a side within
+    ~2 max(N, k) eps_mach of its exact value, and the two sides of a comparison within
+    4 max(N, k) eps_mach of each other.
+    """
+    return 4 * max(phi.dim, len(phi.kraus)) * np.finfo(float).eps
 
 
 def identity_channel(n=2):

@@ -18,6 +18,7 @@ from conftest import (
     identity_channel,
     maximally_mixed,
     pure_state,
+    spy,
     unitary_channel,
 )
 
@@ -300,24 +301,19 @@ class TestDecompose:
     def test_seed_feeds_the_one_structure_solve(self, capsys, channel_file, monkeypatch):
         # the blocks come from the fixed-point solve, so no basis is decomposed a second time
         path = channel_file(synthesize_pair(parse_block_spec("2x2,1x2"), seed=5)[0])
-        seeds, draw = [], entropy_analysis._seeded_rng
-
-        def recorded(seed, *rest):
-            seeds.append(seed)
-            return draw(seed, *rest)
 
         def boom(*args, **kwargs):
             raise AssertionError("decompose re-derived the blocks from the basis")
 
-        monkeypatch.setattr(entropy_analysis, "_seeded_rng", recorded)
+        draws = spy(monkeypatch, entropy_analysis, "_seeded_rng")
         monkeypatch.setattr(entropy_analysis, "decompose_fixed_point_algebra", boom)
         monkeypatch.setattr(entropy_analysis, "_orthonormal_span", boom)
         dims = []
         for seed in (3, -3):
-            seeds.clear()
+            draws.clear()
             code, result = run_cli(capsys, ["decompose", path, "--seed", str(seed)])
             assert code == 0, result
-            assert set(seeds) == {seed}
+            assert {call.args[0] for call in draws} == {seed}
             dims.append([(b["dim_left"], b["dim_right"]) for b in result["report"]["blocks"]])
         assert dims[0] == dims[1] == [(1, 2), (2, 2)]
 

@@ -59,6 +59,7 @@ from qentropy.entropy_analysis import (
     _block_expectation,
     _block_frame_gap,
     _canonical_operators,
+    _class_products,
     _commutation_bounds,
     _pair_top,
     _span_residual,
@@ -75,6 +76,8 @@ from conftest import (
     dephasing_channel,
     eps_mixture,
     partial_trace_right,
+    rounding,
+    spy,
     superoperator_matrix,
     unvec,
     vec,
@@ -172,7 +175,7 @@ def test_fixed_point_space_of_eps_mixture_matches_dense_oracle(spec, eps, seed, 
     assert np.linalg.norm(span_projector(f.basis) - span_projector(mats)) <= 1e-6
     assert abs(f.spectral_gap - gap) <= 1e-10
     assert f.residual_bound <= tol.fix
-    assert max(direct_residuals(phi, f)) <= f.residual_bound + 4 * phi.dim * np.finfo(float).eps
+    assert max(direct_residuals(phi, f)) <= f.residual_bound + rounding(phi)
 
 
 def direct_residuals(phi, f):
@@ -308,20 +311,14 @@ def test_exact_gap_matches_lanczos_on_the_same_compressed_maps(spec):
 def test_gap_paths_match_dense_oracle(make_phi, coupled, monkeypatch, tol):
     # the pair gap is taken only when the coupling bound is at most _PAIR_COUPLING, else Lanczos
     # solves the whole frame, once per coupled attempt; both match the dense eigensolve
-    lanczos = counted_kernels(monkeypatch, "_top_eigenvalue_outside")
-    couplings, pair_top = [], entropy_analysis._pair_top
-
-    def recorded(*args):
-        top, coupling = pair_top(*args)
-        couplings.append(coupling)
-        return top, coupling
-
-    monkeypatch.setattr(entropy_analysis, "_pair_top", recorded)
+    lanczos = spy(monkeypatch, entropy_analysis, "_top_eigenvalue_outside")
+    pair_tops = spy(monkeypatch, entropy_analysis, "_pair_top")
     phi = make_phi()
     f = fixed_point_space(phi)
     _, gap = oracle_fixed_point_space(phi, tol)
+    couplings = [call.result[1] for call in pair_tops]
     assert couplings and all((c > _PAIR_COUPLING) == coupled for c in couplings)
-    assert lanczos["_top_eigenvalue_outside"] == (len(couplings) if coupled else 0)
+    assert len(lanczos) == (len(couplings) if coupled else 0)
     assert abs(f.spectral_gap - gap) <= 1e-10
 
 
@@ -381,20 +378,11 @@ def test_canonical_operators_skip_the_products_that_vanish(monkeypatch):
     block = synthesize_pair(parse_block_spec("2x2,1x3,2x2"), seed=5)[0]
     generic = random_bistochastic_channel(block.dim, 3, seed=5)
     assert len(block.kraus) == 9
-    coords, eigh, formed, sides = entropy_analysis._hermitian_coords, np.linalg.eigh, [], []
-
-    def recorded_coords(products):
-        formed.append(len(products))
-        return coords(products)
-
-    def recorded_eigh(a, *args, **kwargs):
-        sides.append(len(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(entropy_analysis, "_hermitian_coords", recorded_coords)
-    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+    coords = spy(monkeypatch, entropy_analysis, "_hermitian_coords")
+    eighs = spy(monkeypatch, np.linalg, "eigh")
     dropped = [_canonical_operators(np.asarray(phi.kraus))[0][0] for phi in (block, generic)]
-    assert formed == [18, 6] and sides == [27, 9]
+    assert [len(call.args[0]) for call in coords] == [18, 6]
+    assert [len(call.args[0]) for call in eighs] == [27, 9]
     kraus = np.asarray(block.kraus)
     weight = np.sum(np.abs(kraus.conj().transpose(0, 2, 1)[:, None] @ kraus[None]) ** 2, (2, 3))
     across = np.repeat(np.arange(3), 3)[:, None] != np.repeat(np.arange(3), 3)
@@ -549,28 +537,6 @@ def oracle_pair_top(ops, dims):
     return top, 2.0 * math.sqrt(d_norm * f_norm) + f_norm
 
 
-def recorded_pair_tops(phi):
-    """The arguments and results of every _pair_top call of fixed_point_space(phi), with the
-    number of _top_outside calls each made."""
-    calls, solved = [], []
-    pair_top, top_outside = entropy_analysis._pair_top, entropy_analysis._top_outside
-
-    def counting(*args, **kwargs):
-        solved[-1] += 1
-        return top_outside(*args, **kwargs)
-
-    def recorded(ops, dims):
-        solved.append(0)
-        calls.append((ops, dims, pair_top(ops, dims)))
-        return calls[-1][2]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(entropy_analysis, "_pair_top", recorded)
-        patch.setattr(entropy_analysis, "_top_outside", counting)
-        fixed_point_space(phi)
-    return [(*call, count) for call, count in zip(calls, solved)]
-
-
 @pytest.mark.deep
 @settings(deadline=None)
 @given(
@@ -585,22 +551,27 @@ def test_pair_top_matches_an_unpruned_loop_on_random_specs(blocks, seed, family,
     phi = synthesize_pair(parse_block_spec(spec), seed=seed)[0]
     if family == "eps-mixture":
         phi = eps_mixture(spec, 10.0**log_eps, seed)
-    calls = recorded_pair_tops(phi)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy(patch, entropy_analysis, "_pair_top")
+        fixed_point_space(phi)
     assert calls
-    for ops, dims, got, _ in calls:
-        assert got == oracle_pair_top(ops, dims)
+    for call in calls:
+        assert call.result == oracle_pair_top(*call.args)
 
 
 @pytest.mark.parametrize(
     "spec", ["2x2,2x1,1x2", "1x4,2x2", "3x2,2x3", "2x3,1x6", "4x2,2x3,1x2", "2x4,2x4"]
 )
-def test_pair_top_skips_every_pair_across_blocks(spec):
+def test_pair_top_skips_every_pair_across_blocks(spec, monkeypatch):
     # the structure benchmark's channels: once the pairs (j, j) have set a top, every pair j < l
     # is skipped, so one batch is solved per size dR > 1.  Not a law: where two blocks' canonical
     # weights tie (2x2,2x1,2x1 at seed 0), the canonical operators mix them and a bound can exceed
     # the top, and a frame of 1 x 1 blocks has no pair (j, j) to set one
-    (_, dims, _, solved), = recorded_pair_tops(synthesize_pair(parse_block_spec(spec), seed=1)[0])
-    assert solved == len(set(dims) - {1})
+    pair_tops = spy(monkeypatch, entropy_analysis, "_pair_top")
+    solved = spy(monkeypatch, entropy_analysis, "_top_outside")
+    fixed_point_space(synthesize_pair(parse_block_spec(spec), seed=1)[0])
+    (call,) = pair_tops
+    assert len(solved) == len(set(call.args[1]) - {1})
 
 
 @pytest.mark.deep
@@ -640,12 +611,14 @@ def scaled_to_the_trace_bound(phi, fraction):
     log_eps=st.floats(-14, -9),
     fraction=st.floats(0, 0.999),
 )
+# N = 1, k = 4: the rotated frame's span residual exceeds its bound by 5 eps_mach, more than
+# 4 N eps_mach and within rounding(phi) = 16 eps_mach
+@example(blocks=[(1, 1)], seed=10041170605, family="eps-mixture", log_eps=-14.0, fraction=0.0)
 def test_commutation_bound_covers_every_unit_residual(blocks, seed, family, log_eps, fraction):
     # B_j >= the exact span residual of class j (the largest over its unit elements, which the
     # fallback decides on), for any isometry frame: the synthesized blocks, the same blocks
     # rotated by a Haar unitary (residuals O(1)) and split by left index; the scaled families move
-    # sum O_s^2 off I by up to ~2e-8, which only delta covers.  Both sides carry rounding, seen up
-    # to N eps_mach where both are at rounding level
+    # sum O_s^2 off I by up to ~2e-8, which only delta covers.  Both sides carry rounding
     spec = ",".join(f"{dl}x{dr}" for dl, dr in blocks)
     phi, _, structure = synthesize_pair(parse_block_spec(spec), seed=seed)
     if family == "eps-mixture":
@@ -659,9 +632,10 @@ def test_commutation_bound_covers_every_unit_residual(blocks, seed, family, log_
     rotated = [(u @ cols.reshape(n, -1)).reshape(cols.shape) for cols in classes]
     split = [cols[:, [left]] for cols in classes for left in range(cols.shape[1])]
     for frame in (classes, rotated, split):
-        bounds = _commutation_bounds(phi, weights, canonical, frame)
-        exact = np.array([_span_residual(canonical, cols) for cols in frame])
-        assert np.all(bounds >= exact - 4 * n * np.finfo(float).eps)
+        products = _class_products(canonical, frame)
+        bounds = _commutation_bounds(phi, weights, products, frame)
+        exact = np.array([_span_residual(p, cols) for p, cols in zip(products, frame)])
+        assert np.all(bounds >= exact - rounding(phi))
 
 
 @pytest.mark.deep
@@ -675,6 +649,12 @@ def test_commutation_bound_covers_every_unit_residual(blocks, seed, family, log_
 # the first attempt fails its certificate by chance and the next, on the uncut family, hits the
 # ambiguous window: the one after goes back to the cut
 @example(blocks=[(1, 3), (2, 1), (2, 1)], seed=13437, family="eps-mixture", log_eps=-10.0)
+# a defect the deep profile found: the dense oracle counts 6 fixed dimensions with gap 0.176, yet
+# every attempt's frame leaves a span residual of 1.407e-07 > tol.fix, as in
+# test_eps_mixture_whose_frame_needs_refinement; a refinement of the frame makes this pass
+@example(blocks=[(2, 2), (1, 3), (1, 3)], seed=658, family="eps-mixture", log_eps=-9.0).xfail(
+    raises=AmbiguousGroupingError
+)
 def test_residual_bound_covers_every_direct_residual(blocks, seed, family, log_eps):
     # the bound the solve accepted on, max B_j or the largest exact span residual, covers each
     # element's ||adjoint(phi)(phi(B)) - B||_F formed by two channel applications, up to rounding,
@@ -685,8 +665,7 @@ def test_residual_bound_covers_every_direct_residual(blocks, seed, family, log_e
         phi = eps_mixture(spec, 10.0**log_eps, seed)
     f = fixed_point_space(phi)
     assert f.residual_bound <= DEFAULT_TOL.fix
-    rounding = 4 * phi.dim * np.finfo(float).eps
-    assert max(direct_residuals(phi, f)) <= f.residual_bound + rounding
+    assert max(direct_residuals(phi, f)) <= f.residual_bound + rounding(phi)
     adj, rng = adjoint(phi), np.random.default_rng(seed)
     for block in f.structure.blocks:
         v, dl, dr = block.isometry, block.dim_left, block.dim_right
@@ -695,7 +674,7 @@ def test_residual_bound_covers_every_direct_residual(blocks, seed, family, log_e
             e = (e + e.conj().T) / np.linalg.norm(e + e.conj().T)
             x = v @ np.kron(e, np.eye(dr) / math.sqrt(dr)) @ v.conj().T
             residual = np.linalg.norm(apply_channel(adj, apply_channel(phi, x)) - x)
-            assert residual <= f.residual_bound + rounding
+            assert residual <= f.residual_bound + rounding(phi)
 
 
 def near_unitary_grid(count):
@@ -740,13 +719,15 @@ def test_near_unitary_grid_never_returns_a_wrong_dimension(draws, solves, tol):
 @DEEP_ONLY
 def test_span_residual_memory_at_n96():
     # the Gram is summed over row slices: 10.4 MB here against the 11.5 MB of the per-unit loop
-    # it replaced, where forming all dL^2 residual images at once took 109 MB
+    # it replaced, where forming all dL^2 residual images at once took 109 MB.  The products O_s V
+    # come from the certificate, which the attempt still holds
     phi, _, structure = synthesize_pair(parse_block_spec("16x3,8x6"), seed=7)
     canonical = _canonical_operators(phi.kraus)[1]
     classes = [b.isometry.reshape(phi.dim, b.dim_left, b.dim_right) for b in structure.blocks]
+    products = _class_products(canonical, classes)
     tracemalloc.start()
     try:
-        residuals = [_span_residual(canonical, cols) for cols in classes]
+        residuals = list(map(_span_residual, products, classes))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -757,10 +738,10 @@ def test_span_residual_memory_at_n96():
 def test_eps_mixture_solves_within_three_attempts(monkeypatch):
     # the eps-mixture of the @example above: its first attempt fails the certificate on the cut
     # family; the solve must still find the spec's blocks with one attempt to spare
-    counts = counted_kernels(monkeypatch, "_split")
+    splits = spy(monkeypatch, entropy_analysis, "_split")
     f = fixed_point_space(eps_mixture("1x3,2x1,2x1", 1e-10, 13437))
     assert sorted(f.structure.block_dims) == [(1, 3), (2, 1), (2, 1)]
-    assert counts["_split"] <= 3
+    assert len(splits) <= 3
 
 
 @pytest.mark.xfail(strict=True, raises=AmbiguousGroupingError)
@@ -807,21 +788,7 @@ def test_certificate_leaves_every_field_as_the_exact_residuals_do(make_phi, monk
     exact_only(monkeypatch)
     exact = fixed_point_space(phi)
     assert solved_fields(certified) == solved_fields(exact)
-    assert exact.residual_bound <= certified.residual_bound + 4 * phi.dim * np.finfo(float).eps
-
-
-def counted_kernels(monkeypatch, *names):
-    """Count the calls of the named entropy_analysis kernels, which still run."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        real = getattr(entropy_analysis, name)
-
-        def counting(*args, name=name, real=real, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(entropy_analysis, name, counting)
-    return counts
+    assert exact.residual_bound <= certified.residual_bound + rounding(phi)
 
 
 def test_fallback_decides_where_the_bound_exceeds_tol_fix(monkeypatch):
@@ -832,12 +799,13 @@ def test_fallback_decides_where_the_bound_exceeds_tol_fix(monkeypatch):
     weights, canonical = _canonical_operators(phi.kraus)
     classes = [b.isometry.reshape(phi.dim, b.dim_left, b.dim_right)
                for b in fixed_point_space(phi, tol).structure.blocks]
-    bounds = _commutation_bounds(phi, weights, canonical, classes)
-    exact = max(_span_residual(canonical, cols) for cols in classes)
+    products = _class_products(canonical, classes)
+    bounds = _commutation_bounds(phi, weights, products, classes)
+    exact = max(map(_span_residual, products, classes))
     assert exact <= tol.fix < bounds.max()
-    counts = counted_kernels(monkeypatch, "_span_residual")
+    residuals = spy(monkeypatch, entropy_analysis, "_span_residual")
     f = fixed_point_space(phi, tol)
-    assert counts["_span_residual"] == len(classes)
+    assert len(residuals) == len(classes)
     assert f.residual_bound == exact  # the value the accept was decided on
     exact_only(monkeypatch)
     assert solved_fields(f) == solved_fields(fixed_point_space(phi, tol))
@@ -845,12 +813,13 @@ def test_fallback_decides_where_the_bound_exceeds_tol_fix(monkeypatch):
 
 def test_basis_is_computed_on_first_read(monkeypatch):
     # the certificate holds, so no exact residual is formed, in the solve or after it
-    counts = counted_kernels(monkeypatch, "_span_residual", "_block_units")
+    residuals = spy(monkeypatch, entropy_analysis, "_span_residual")
+    units = spy(monkeypatch, entropy_analysis, "_block_units")
     f = fixed_point_space(synthesize_pair(parse_block_spec("2x2,1x3"), seed=1)[0])
-    assert counts == {"_span_residual": 0, "_block_units": 0}
+    assert (len(residuals), len(units)) == (0, 0)
     basis = f.basis
     assert f.basis is basis and len(basis) == 5
-    assert counts == {"_span_residual": 0, "_block_units": 2}  # once per block
+    assert (len(residuals), len(units)) == (0, 2)  # once per block
     assert not basis.flags.writeable
 
 
@@ -858,12 +827,8 @@ def test_decompose_rejects_merged_blocks(monkeypatch):
     # two 1x2 blocks merged into one 2x2 class keep the block form of C (+) C,
     # so only the count sum dL^2 = d tells the merged class from the pair
     f = fixed_point_space(synthesize_pair(parse_block_spec("1x2,1x2"), seed=3)[0])
-    aligned = entropy_analysis._aligned_blocks
-
-    def merged(*args):
-        yield np.concatenate(list(aligned(*args)), axis=2)
-
-    monkeypatch.setattr(entropy_analysis, "_aligned_blocks", merged)
+    merged = lambda aligned, *args: [np.concatenate(aligned(*args), axis=2)]
+    spy(monkeypatch, entropy_analysis, "_aligned_blocks", merged)
     with pytest.raises(AmbiguousGroupingError, match="do not add up"):
         decompose_fixed_point_algebra(f)
 
@@ -981,43 +946,26 @@ def test_aligned_blocks_match_a_per_edge_loop_oracle_on_random_specs(blocks, see
     # all edges against those from one SVD per tree edge
     spec = ",".join(f"{dl}x{dr}" for dl, dr in blocks)
     phi = synthesize_pair(parse_block_spec(spec), seed=seed)[0]
-    calls, aligned = [], entropy_analysis._aligned_blocks
-
-    def recorded(*args):
-        calls.append((args, aligned(*args)))
-        return calls[-1][1]
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(entropy_analysis, "_aligned_blocks", recorded)
+        calls = spy(patch, entropy_analysis, "_aligned_blocks")
         decompose_fixed_point_algebra(fixed_point_space(phi, seed=seed), seed=seed)
     assert len(calls) >= 2
-    for args, got in calls:
-        assert_same_classes(got, oracle_aligned_blocks(*args))
+    for call in calls:
+        assert_same_classes(call.result, oracle_aligned_blocks(*call.args))
 
 
 def test_aligned_blocks_pad_three_group_sizes_into_one_svd(monkeypatch):
     # the solve of 3x2,2x2,1x2 splits groups of sizes dL = 3, 2 and 1, each linked to one other:
     # the three edges are padded to 3 x 3 for one SVD, and match the per-edge loop
     phi = synthesize_pair(parse_block_spec("3x2,2x2,1x2"), seed=4)[0]
-    calls, aligned, svd = [], entropy_analysis._aligned_blocks, np.linalg.svd
-    shapes = []
-
-    def recorded(*args):
-        calls.append((args, aligned(*args)))
-        return calls[-1][1]
-
-    def recorded_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(entropy_analysis, "_aligned_blocks", recorded)
-    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    calls = spy(monkeypatch, entropy_analysis, "_aligned_blocks")
+    svds = spy(monkeypatch, np.linalg, "svd")
     f = fixed_point_space(phi)
     assert sorted(f.structure.block_dims) == [(1, 2), (2, 2), (3, 2)]
-    (args, got), = calls
-    assert sorted(np.diff(args[1]).tolist()) == [1, 1, 2, 2, 3, 3]
-    assert shapes == [(3, 3, 3)]
-    assert_same_classes(got, oracle_aligned_blocks(*args))
+    (call,) = calls
+    assert sorted(np.diff(call.args[1]).tolist()) == [1, 1, 2, 2, 3, 3]
+    assert [np.shape(svd.args[0]) for svd in svds] == [(3, 3, 3)]
+    assert_same_classes(call.result, oracle_aligned_blocks(*call.args))
 
 
 def judged_singular(block):
@@ -1134,11 +1082,11 @@ def test_decompose_takes_no_svd_of_an_orthonormal_basis(spec, monkeypatch):
     # a solved basis is orthonormal to rounding and is used as it is; twice it is not, and the
     # SVD path gives the same blocks
     f = fixed_point_space(synthesize_pair(parse_block_spec(spec), seed=5)[0])
-    counts = counted_kernels(monkeypatch, "_orthonormal_span")
+    spans = spy(monkeypatch, entropy_analysis, "_orthonormal_span")
     skipped = decompose_fixed_point_algebra(f)
-    assert counts["_orthonormal_span"] == 0
+    assert len(spans) == 0
     svd = decompose_fixed_point_algebra(FixedPointBasis(f.dim, 2 * f.basis, 0.0, f.spectral_gap))
-    assert counts["_orthonormal_span"] == 1
+    assert len(spans) == 1
     assert skipped.block_dims == svd.block_dims
     for a, b in zip(skipped.blocks, svd.blocks):
         np.testing.assert_allclose(
@@ -1151,11 +1099,11 @@ def test_decompose_projects_no_dagger_of_a_hermitian_basis(monkeypatch):
     # project only the identity and the products; i times that basis is not Hermitian, and its
     # daggers are projected too
     f = fixed_point_space(synthesize_pair(parse_block_spec("2x2,2x1,1x2"), seed=5)[0])
-    counts = counted_kernels(monkeypatch, "_outside_span")
+    projections = spy(monkeypatch, entropy_analysis, "_outside_span")
     hermitian = decompose_fixed_point_algebra(f)
-    assert counts["_outside_span"] == 2
+    assert len(projections) == 2
     skew = decompose_fixed_point_algebra(FixedPointBasis(f.dim, 1j * f.basis, 0.0, f.spectral_gap))
-    assert counts["_outside_span"] == 2 + 3
+    assert len(projections) == 2 + 3
     assert hermitian.block_dims == skew.block_dims
 
 

@@ -17,7 +17,6 @@ values at the rounding floor; hashes and exact records only when the environment
 the Python version match the recorded ones.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -30,7 +29,8 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from test_golden_verdicts import _environment
+from test_golden_verdicts import _environment, _exact
+from test_golden_verdicts import main as check_or_update
 
 from qentropy import cli, random_bistochastic_matrix, random_probability_vector
 
@@ -214,10 +214,6 @@ def _cli_environment() -> dict:
     return {**_environment(), "python": platform.python_version()}
 
 
-def _exact(recorded_env: dict) -> bool:
-    return _cli_environment() == recorded_env and recorded_env["OPENBLAS_NUM_THREADS"] == "1"
-
-
 GOLDEN_DATA = (json.loads(GOLDEN.read_text()) if GOLDEN.exists()
                else {"environment": {}, "cases": {}})
 
@@ -234,33 +230,19 @@ def test_file_covers_the_cases_and_stays_small():
 
 @pytest.mark.parametrize("case_id", list(CASES))
 def test_cli_matches_golden(results, case_id):
-    exact = _exact(GOLDEN_DATA["environment"])
+    exact = _exact(GOLDEN_DATA["environment"], _cli_environment)
     assert _mismatches(GOLDEN_DATA["cases"][case_id], results[case_id], exact) == []
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--update", action="store_true", help="rewrite tests/golden/cli.json")
-    args = parser.parse_args(argv)
-    if args.update and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-        print("set OPENBLAS_NUM_THREADS=1 before recording", file=sys.stderr)
-        return 2
+def _run_in_a_temporary_directory() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        actual = run_cases(Path(tmp))
-    if args.update:
-        GOLDEN.parent.mkdir(exist_ok=True)
-        data = {"environment": _cli_environment(), "cases": actual}
-        GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
-        print(f"wrote {len(actual)} cases to {GOLDEN}")
-        return 0
-    exact, failed = _exact(GOLDEN_DATA["environment"]), 0
-    for case_id, result in actual.items():
-        for line in _mismatches(GOLDEN_DATA["cases"][case_id], result, exact):
-            print(f"{case_id}: {line}")
-            failed += 1
-    mode = "exact" if exact else "tolerant"
-    print(f"{len(actual)} cases, {failed} mismatches, {mode} comparison")
-    return 1 if failed else 0
+        return run_cases(Path(tmp))
+
+
+def main(argv=None) -> int:
+    return check_or_update(
+        argv, GOLDEN, _run_in_a_temporary_directory, _cli_environment, _mismatches, "mismatches"
+    )
 
 
 if __name__ == "__main__":

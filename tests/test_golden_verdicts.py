@@ -47,6 +47,9 @@ from qentropy import (
     relative_entropy,
     validate_state,
 )
+from qentropy import states
+
+from conftest import spy
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verdicts.json"
 DIMS, KRAUS_COUNTS = (2, 3, 4, 8, 12, 16), (1, 3)
@@ -169,8 +172,8 @@ def _load() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-def _exact(recorded_env: dict) -> bool:
-    return _environment() == recorded_env and recorded_env["OPENBLAS_NUM_THREADS"] == "1"
+def _exact(recorded_env: dict, environment=_environment) -> bool:
+    return environment() == recorded_env and recorded_env["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def _mismatches(expected: dict, actual: dict, exact: bool) -> list[str]:
@@ -198,6 +201,10 @@ GOLDEN_DATA = _load() if GOLDEN.exists() else {"environment": {}, "cases": {}}
 CASES = cases()
 
 
+def record_cases() -> dict:
+    return {case_id: _record(call) for case_id, call in CASES.items()}
+
+
 def test_file_covers_the_grid_and_stays_small():
     assert list(GOLDEN_DATA["cases"]) == list(CASES)
     assert GOLDEN.stat().st_size < 100_000
@@ -210,25 +217,46 @@ def test_verdict_matches_golden(case_id):
     assert _mismatches(expected, _record(CASES[case_id]), exact) == []
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--update", action="store_true", help="rewrite tests/golden/verdicts.json")
+@pytest.mark.skipif(
+    not _exact(GOLDEN_DATA["environment"]), reason="bit for bit only in the recorded environment"
+)
+def test_one_ulp_in_the_entropy_kernel_fails_the_exact_comparison(monkeypatch):
+    # each entropy times 1 + 2^-52 moves by an ulp or two: the exact comparison names both, the
+    # tolerant one lets them pass
+    case_id = "N=2 k=3 preservation"
+    calls = spy(monkeypatch, states, "_entropy_bits", lambda bits, p: bits(p) * (1 + 2**-52))
+    expected, actual = GOLDEN_DATA["cases"][case_id], _record(CASES[case_id])
+    assert len(calls) == 2
+    bad = _mismatches(expected, actual, exact=True)
+    assert [line.split(":")[0] for line in bad] == ["entropy_in", "entropy_out"]
+    assert _mismatches(expected, actual, exact=False) == []
+
+
+def main(argv=None, golden=GOLDEN, run=record_cases, environment=_environment,
+         mismatches=_mismatches, counted="mismatched fields") -> int:
+    """Compare the cases ``run`` returns with the file ``golden`` and print each mismatch (exit 1 if
+    any), or rewrite the file with --update (exit 2 unless OPENBLAS_NUM_THREADS=1);
+    test_golden_cli passes its own file, runner, environment, comparison and word for a mismatch."""
+    parser = argparse.ArgumentParser(description=f"check the cases of {golden.name}")
+    parser.add_argument("--update", action="store_true", help=f"rewrite tests/golden/{golden.name}")
     args = parser.parse_args(argv)
+    if args.update and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        print("set OPENBLAS_NUM_THREADS=1 before recording", file=sys.stderr)
+        return 2
+    actual = run()
     if args.update:
-        if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-            print("set OPENBLAS_NUM_THREADS=1 before recording", file=sys.stderr)
-            return 2
-        data = {"environment": _environment(), "cases": {i: _record(c) for i, c in CASES.items()}}
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
-        print(f"wrote {len(data['cases'])} cases to {GOLDEN}")
+        golden.parent.mkdir(exist_ok=True)
+        data = {"environment": environment(), "cases": actual}
+        golden.write_text(json.dumps(data, indent=1) + "\n")
+        print(f"wrote {len(actual)} cases to {golden}")
         return 0
-    exact, failed = _exact(GOLDEN_DATA["environment"]), 0
-    for case_id, call in CASES.items():
-        for line in _mismatches(GOLDEN_DATA["cases"].get(case_id, {}), _record(call), exact):
+    recorded = json.loads(golden.read_text())
+    exact, failed = _exact(recorded["environment"], environment), 0
+    for case_id, result in actual.items():
+        for line in mismatches(recorded["cases"].get(case_id, {}), result, exact):
             print(f"{case_id}: {line}")
             failed += 1
-    print(f"{len(CASES)} cases, {failed} mismatched fields, {'exact' if exact else 'rtol'} comparison")
+    print(f"{len(actual)} cases, {failed} {counted}, {'exact' if exact else 'tolerant'} comparison")
     return 1 if failed else 0
 
 

@@ -30,7 +30,7 @@ from qentropy import (
     verify_block_structure,
 )
 
-from conftest import eps_mixture
+from conftest import eps_mixture, spy
 
 SPEC = "2x2,1x3"  # dR 2 and 3 differ, and dL = 2 links two groups within a block
 
@@ -63,18 +63,6 @@ def _merged(classes):
     return [np.concatenate(group, axis=2) for group in by_left.values()]
 
 
-def _wrap(monkeypatch, name, change, failures):
-    """Replace entropy_analysis.<name> by change(real, *args) for the first ``failures`` calls."""
-    real, calls = getattr(entropy_analysis, name), []
-
-    def wrapped(*args):
-        calls.append(None)
-        return change(real, *args) if len(calls) <= failures else real(*args)
-
-    monkeypatch.setattr(entropy_analysis, name, wrapped)
-    return calls
-
-
 FIXED_POINT_FRAMES = {
     "rotated": (_rotated, r"a fixed-space direction is not fixed \(span residual \S+ > tol\.fix"),
     "split by left index": (_split_by_left, "a fixed direction lies outside the commutant"),
@@ -87,7 +75,7 @@ def test_fixed_point_space_retries_a_frame_that_fails_its_certificate(frame, mon
     spec = "2x2,2x1" if frame == "merged" else SPEC  # merging needs two blocks of equal dL
     wrong, _ = FIXED_POINT_FRAMES[frame]
     phi = _pair(spec)
-    calls = _wrap(monkeypatch, "_split", lambda real, *a: wrong(real(*a)), failures=1)
+    calls = spy(monkeypatch, entropy_analysis, "_split", lambda real, *a: wrong(real(*a)), 1)
     f = fixed_point_space(phi)
     assert len(calls) == 2
     assert _dims(f.structure) == sorted(parse_block_spec(spec).blocks)
@@ -99,7 +87,7 @@ def test_fixed_point_space_gives_up_after_four_failed_certificates(frame, monkey
     spec = "2x2,2x1" if frame == "merged" else SPEC
     wrong, reason = FIXED_POINT_FRAMES[frame]
     phi = _pair(spec)
-    calls = _wrap(monkeypatch, "_split", lambda real, *a: wrong(real(*a)), failures=4)
+    calls = spy(monkeypatch, entropy_analysis, "_split", lambda real, *a: wrong(real(*a)), 4)
     with pytest.raises(AmbiguousGroupingError, match=f"^{reason} .* after 3 retries$"):
         fixed_point_space(phi)
     assert len(calls) == 4
@@ -110,14 +98,9 @@ def test_a_failed_certificate_retries_on_the_uncut_family(monkeypatch):
     # weight 8.9e-7 <= N tol.fix, which the cut drops: the first attempt splits the block by left
     # index and fails its certificate (residual 2.1e-7), the next splits the whole family
     phi = synthesize_pair(parse_block_spec("3x2,1x3"), seed=707566911170)[0]
-    families = []
-
-    def recorded(real, ops, *args):
-        families.append(len(ops))
-        return real(ops, *args)
-
-    _wrap(monkeypatch, "_split", recorded, failures=4)
+    calls = spy(monkeypatch, entropy_analysis, "_split")
     f = fixed_point_space(phi)
+    families = [len(call.args[0]) for call in calls]
     assert len(families) == 2 and families[0] < families[1]
     assert _dims(f.structure) == [(1, 3), (3, 2)]
     assert len(f.basis) == 10
@@ -129,14 +112,9 @@ def test_the_uncut_family_gets_one_attempt(monkeypatch):
     # the uncut one, whose light noise operators leave residuals of ~3e-4; the third goes back to
     # the cut family and solves
     phi = eps_mixture("1x1,1x2,1x1", 1e-9, -6294)
-    families = []
-
-    def recorded(real, ops, *args):
-        families.append(len(ops))
-        return real(ops, *args)
-
-    _wrap(monkeypatch, "_split", recorded, failures=4)
+    calls = spy(monkeypatch, entropy_analysis, "_split")
     f = fixed_point_space(phi)
+    families = [len(call.args[0]) for call in calls]
     assert len(families) == 3 and families[0] == families[2] < families[1]
     assert _dims(f.structure) == [(1, 1), (1, 1), (1, 2)]
 
@@ -161,20 +139,21 @@ ALIGNMENT_FAULTS = {
 def test_aligned_blocks_retries_then_gives_up(fault, monkeypatch):
     change, reason = ALIGNMENT_FAULTS[fault]
     phi = _pair()
-    calls = _wrap(monkeypatch, "_aligned_blocks", change, failures=1)
+    calls = spy(monkeypatch, entropy_analysis, "_aligned_blocks", change, 1)
     assert _dims(fixed_point_space(phi).structure) == [(1, 3), (2, 2)]
     assert len(calls) == 2
-    _wrap(monkeypatch, "_aligned_blocks", change, failures=4)
+    spy(monkeypatch, entropy_analysis, "_aligned_blocks", change, 4)
     with pytest.raises(AmbiguousGroupingError, match=f"^{reason} after 3 retries$"):
         fixed_point_space(phi)
 
 
 def test_decompose_retries_a_frame_that_misses_the_block_form(monkeypatch):
     f = fixed_point_space(_pair())
-    calls = _wrap(monkeypatch, "_split", lambda real, *a: _rotated(real(*a)), failures=1)
+    rotated = lambda real, *a: _rotated(real(*a))
+    calls = spy(monkeypatch, entropy_analysis, "_split", rotated, 1)
     assert _dims(decompose_fixed_point_algebra(f)) == [(1, 3), (2, 2)]
     assert len(calls) == 2
-    calls = _wrap(monkeypatch, "_split", lambda real, *a: _rotated(real(*a)), failures=4)
+    calls = spy(monkeypatch, entropy_analysis, "_split", rotated, 4)
     reason = "conjugated basis misses the block form"
     with pytest.raises(AmbiguousGroupingError, match=f"^{reason} after 3 retries$"):
         decompose_fixed_point_algebra(f)

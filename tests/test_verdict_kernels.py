@@ -3,8 +3,8 @@
 The composition residual and ``channel_distance`` are computed from a QR of
 the two Kraus stacks; the references below form the N^2 x N^2 superoperators.
 A state is diagonalized once, by ``validate_state``, and every report reads the
-spectrum it keeps: the counts are taken by wrapping ``np.linalg.eigh`` (and
-``eigvalsh``) and ``channels.classify``, and the hex values pin the report
+spectrum it keeps: the counts are taken by spying on ``np.linalg.eigh`` (and
+``eigvalsh``) and ``classify``, and the hex values pin the report
 floats to the last bit, so reusing a spectrum cannot move them.
 """
 
@@ -40,7 +40,7 @@ from qentropy import (
 from qentropy.cli import main
 from qentropy.serialization import channel_to_obj, save_json, state_to_obj
 
-from conftest import superoperator_matrix
+from conftest import spy, superoperator_matrix
 
 
 def dense_composition_residual(phi, psi):
@@ -167,45 +167,15 @@ class TestChannelDistance:
 
 
 @pytest.fixture
-def counted(monkeypatch):
-    """Count np.linalg.eigh and channels.classify calls made inside a callable."""
-    counts = {"eigh": 0, "classify": 0}
-    eigh, classify = np.linalg.eigh, qentropy.channels.classify
+def calls_of(monkeypatch):
+    """Count calls of the named functions made inside a callable, through np.linalg's or whichever
+    qentropy module's binding of each name the call goes."""
 
-    def counting_eigh(*args, **kwargs):
-        counts["eigh"] += 1
-        return eigh(*args, **kwargs)
-
-    def counting_classify(*args, **kwargs):
-        counts["classify"] += 1
-        return classify(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(qentropy.channels, "classify", counting_classify)
-
-    def run(fn, *args):
-        counts.update(eigh=0, classify=0)
+    def run(names, fn, *args):
+        owners = [np.linalg, *(m for key, m in sys.modules.items() if key.startswith("qentropy."))]
+        calls = {n: [spy(monkeypatch, o, n) for o in owners if n in vars(o)] for n in names}
         fn(*args)
-        return counts["eigh"], counts["classify"]
-
-    return run
-
-
-@pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """Count np.linalg.eigvalsh calls made inside a callable."""
-    eigvalsh, calls = np.linalg.eigvalsh, []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigvalsh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-
-    def run(fn, *args):
-        calls.clear()
-        fn(*args)
-        return len(calls)
+        return tuple(sum(map(len, calls[name])) for name in names)
 
     return run
 
@@ -218,50 +188,40 @@ def _instance():
 class TestOneEigendecompositionPerState:
     """rho and sigma arrive validated; only phi(rho) and phi(sigma) are diagonalized."""
 
-    def test_petz(self, counted, eigvalsh_calls):
+    def test_petz(self, calls_of):
         # the recovery map is applied once, so its Gram matrix is never diagonalized
-        args = _instance()
-        assert counted(check_petz_equality, *args) == (2, 1)
-        assert eigvalsh_calls(check_petz_equality, *args) == 0
+        assert calls_of(["eigh", "classify", "eigvalsh"], check_petz_equality, *_instance()) == (
+            2, 1, 0
+        )
 
-    def test_monotonicity(self, counted):
-        assert counted(entropy_monotonicity_check, *_instance()) == (2, 1)
+    def test_monotonicity(self, calls_of):
+        assert calls_of(["eigh", "classify"], entropy_monotonicity_check, *_instance()) == (2, 1)
 
-    def test_monotonicity_with_entropies(self, counted):
+    def test_monotonicity_with_entropies(self, calls_of):
         phi = random_bistochastic_channel(3, 2, seed=14)
         rho = random_density(3, 3, seed=12)
         report = entropy_monotonicity_check(phi, rho, validate_state(np.eye(3) / 3))
         assert report.entropy_gain is not None
-        assert counted(entropy_monotonicity_check, phi, rho, validate_state(np.eye(3) / 3)) == (2, 1)
+        mixed = validate_state(np.eye(3) / 3)
+        assert calls_of(["eigh", "classify"], entropy_monotonicity_check, phi, rho, mixed) == (2, 1)
 
-    def test_relative_entropy(self, counted):
+    def test_relative_entropy(self, calls_of):
         _, rho, sigma = _instance()
-        assert counted(relative_entropy, rho, sigma) == (0, 0)
+        assert calls_of(["eigh", "classify"], relative_entropy, rho, sigma) == (0, 0)
 
-    def test_preservation(self, counted):
+    def test_preservation(self, calls_of):
         # S(phi(rho)) reads eigenvalues alone (eigvalsh), S(rho) the kept spectrum
-        phi = random_bistochastic_channel(3, 2, seed=14)
-        assert counted(entropy_preservation_report, phi, random_density(3, 3, seed=12)) == (0, 1)
+        args = random_bistochastic_channel(3, 2, seed=14), random_density(3, 3, seed=12)
+        assert calls_of(["eigh", "classify"], entropy_preservation_report, *args) == (0, 1)
 
-    def test_analyze_state_diagonalizes_once(self, monkeypatch, tmp_path, capsys):
+    def test_analyze_state_diagonalizes_once(self, calls_of, tmp_path):
         path = tmp_path / "state.json"
         save_json(path, state_to_obj(random_density(3, 3, seed=12)))
-        calls = []
 
-        def counting(name):
-            original = getattr(np.linalg, name)
+        def analyze():
+            assert main(["analyze-state", str(path)]) == 0
 
-            def call(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-
-            return call
-
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, counting(name))
-        assert main(["analyze-state", str(path)]) == 0
-        capsys.readouterr()
-        assert calls == ["eigh"]
+        assert calls_of(["eigh", "eigvalsh"], analyze) == (1, 0)
 
 
 class TestOneGramPerChannel:
@@ -281,48 +241,24 @@ class TestOneGramPerChannel:
 
         return run
 
-    def test_analyze_pair(self, eigvalsh_calls, cli):
+    def test_analyze_pair(self, calls_of, cli):
         phi = channel_to_obj(random_bistochastic_channel(4, 3, seed=21))
         rho = state_to_obj(random_density(4, 4, seed=22))
-        assert eigvalsh_calls(cli, "analyze-pair", phi, rho) == 2
+        assert calls_of(["eigvalsh"], cli, "analyze-pair", phi, rho) == (2,)
 
-    def test_two_channel_map_entropy(self, eigvalsh_calls, cli):
+    def test_two_channel_map_entropy(self, calls_of, cli):
         phi = channel_to_obj(random_bistochastic_channel(4, 3, seed=21))
         psi = channel_to_obj(random_stochastic_channel(4, 3, seed=23))
         # the composition's trace check forms sum P^dag P alone, with no eigvalsh
-        assert eigvalsh_calls(cli, "map-entropy", phi, psi) == 2
+        assert calls_of(["eigvalsh"], cli, "map-entropy", phi, psi) == (2,)
 
-    def test_one_channel_map_entropy(self, eigvalsh_calls, cli):
+    def test_one_channel_map_entropy(self, calls_of, cli):
         psi = channel_to_obj(random_stochastic_channel(4, 3, seed=23))
-        assert eigvalsh_calls(cli, "map-entropy", psi) == 1
+        assert calls_of(["eigvalsh"], cli, "map-entropy", psi) == (1,)
 
-    def test_classify_of_a_validated_channel(self, eigvalsh_calls):
+    def test_classify_of_a_validated_channel(self, calls_of):
         phi = random_bistochastic_channel(4, 3, seed=21)
-        assert eigvalsh_calls(classify, phi) == 0
-
-
-@pytest.fixture
-def calls_of(monkeypatch):
-    """Count calls of the named functions made inside a callable, through whichever qentropy
-    module's binding of each name the call goes."""
-    counts = {}
-
-    def counting(name, original):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        return call
-
-    def run(names, fn, *args):
-        for module in [m for key, m in sys.modules.items() if key.startswith("qentropy.")]:
-            for name in set(names) & set(vars(module)):
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        counts.update(dict.fromkeys(names, 0))
-        fn(*args)
-        return tuple(counts[name] for name in names)
-
-    return run
+        assert calls_of(["eigvalsh"], classify, phi) == (0,)
 
 
 class TestNoRecoercion:
