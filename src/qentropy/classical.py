@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _apply, classify, kraus_channel
+from .channels import KrausChannel, _apply, classify
 from .errors import (
     NotBistochasticError,
     NotDiagonalError,
@@ -48,18 +48,20 @@ class ProbabilityVector:
 
 @dataclass(frozen=True)
 class StochasticMatrix:
-    """Non-negative square matrix with classification flags."""
+    """Non-negative square matrix with the residuals max |column sum - 1| and max |row sum - 1|.
+
+    It carries no flags: a caller judges the residuals at its own tol.eq when it needs a
+    (bi)stochastic matrix, as ``classify(phi, tol)`` judges a channel's.
+    """
 
     dim: int
     matrix: np.ndarray
-    column_stochastic: bool
-    bistochastic: bool
     column_residual: float
     row_residual: float
 
 
-def _require_bistochastic(m: StochasticMatrix) -> None:
-    if not m.bistochastic:
+def _require_bistochastic(m: StochasticMatrix, tol: ToleranceConfig) -> None:
+    if max(m.column_residual, m.row_residual) > tol.eq:
         raise NotBistochasticError(
             f"matrix is not bistochastic; column residual {m.column_residual:.3e}, "
             f"row residual {m.row_residual:.3e}"
@@ -91,21 +93,17 @@ def probability_vector(entries, tol: ToleranceConfig = DEFAULT_TOL) -> Probabili
 
 
 def stochastic_matrix(m, tol: ToleranceConfig = DEFAULT_TOL) -> StochasticMatrix:
-    """Validate a non-negative matrix and derive its stochasticity flags."""
+    """Validate a non-negative matrix, entries in [-tol.psd, 0) clipped to zero, and record its
+    column and row residuals."""
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
     arr = _clipped_entries(arr, "matrix", tol)
-    col_res = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
-    row_res = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
-    column_stochastic = col_res <= tol.eq
     return StochasticMatrix(
         dim=arr.shape[0],
         matrix=frozen_array(arr, dtype=float),
-        column_stochastic=column_stochastic,
-        bistochastic=column_stochastic and row_res <= tol.eq,
-        column_residual=col_res,
-        row_residual=row_res,
+        column_residual=float(np.max(np.abs(arr.sum(axis=0) - 1.0))),
+        row_residual=float(np.max(np.abs(arr.sum(axis=1) - 1.0))),
     )
 
 
@@ -138,14 +136,14 @@ def channel_from_bistochastic(
     """Bistochastic channel with Kraus family {sqrt(T_ji) |j><i|}.
 
     The channel maps diag(p) to diag(T p) and its Kraus matrix is T itself;
-    terms with T_ji <= tol.psd are dropped (zero operators do not change the
-    channel).
+    terms with T_ji = 0 are dropped (zero operators do not change the channel).
+    tol.eq judges T; the channel built from it is not judged again.
     """
-    _require_bistochastic(t)
-    rows, cols = np.nonzero(t.matrix > tol.psd)  # row-major: j outer, i inner
+    _require_bistochastic(t, tol)
+    rows, cols = np.nonzero(t.matrix)  # row-major: j outer, i inner
     ops = np.zeros((len(rows), t.dim, t.dim), dtype=complex)
     ops[np.arange(len(rows)), rows, cols] = np.sqrt(t.matrix[rows, cols])
-    return kraus_channel(ops, tol)
+    return KrausChannel(t.dim, frozen_array(ops, copy=False))
 
 
 def corollary_check(
@@ -157,12 +155,12 @@ def corollary_check(
     and the residual ||B^T B p - p||_2.  A caller that needs other thresholds
     compares the report's ``entropy_gap`` and ``fixed_point_residual`` itself.
     """
-    _require_bistochastic(b)
+    _require_bistochastic(b, tol)
     _require_same_dim(matrix=b.dim, vector=p.dim)
-    h_out = shannon_entropy(probability_vector(b.matrix @ p.entries, tol))
-    residual = float(np.linalg.norm(b.matrix.T @ (b.matrix @ p.entries) - p.entries))
+    bp = b.matrix @ p.entries  # >= 0 exactly; the entropy kernel drops its zeros
+    residual = float(np.linalg.norm(b.matrix.T @ bp - p.entries))
     return EquivalenceReport.judge(
-        "preservation", shannon_entropy(p), h_out, residual, tol.eq, tol.eq
+        "preservation", shannon_entropy(p), _entropy_bits(bp), residual, tol.eq, tol.eq
     )
 
 

@@ -5,8 +5,8 @@ and exits 0 when the status is ``ok``, 1 when a checked property is false
 (``violated``) and 2 on invalid input, a failed precondition or a size too large
 to allocate (``error``).
 Reports always embed the tolerance values used.  Tolerances come from the
-``--tol-eq/--tol-fix/--tol-psd`` flags, falling back to the ``TOL_EQ``,
-``TOL_FIX`` and ``TOL_PSD`` environment variables, then to the defaults.
+``--tol-eq/--tol-fix/--tol-psd`` flags, then from the defaults; they judge the
+input files and the verdicts, never an object a command built itself.
 """
 
 from __future__ import annotations
@@ -62,21 +62,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-# ToleranceConfig field -> help word of its --tol-<field> flag (environment variable TOL_<FIELD>)
+# ToleranceConfig field -> help word of its --tol-<field> flag
 _TOL_FLAGS = {"eq": "equality", "fix": "fixed-point", "psd": "positivity"}
 
 
 def _resolve_tolerances(args) -> ToleranceConfig:
-    changes: dict[str, float] = {}
-    for field in _TOL_FLAGS:
-        # the variable is parsed even when the flag overrides it, so a malformed one is reported
-        env_name = f"TOL_{field.upper()}"
-        if env_name in os.environ:
-            changes[field] = float(os.environ[env_name])
-        flag = getattr(args, f"tol_{field}")
-        if flag is not None:
-            changes[field] = flag
-    return DEFAULT_TOL.replace(**changes) if changes else DEFAULT_TOL
+    return ToleranceConfig(**{field: getattr(args, f"tol_{field}") for field in _TOL_FLAGS})
 
 
 def _cmd_analyze_state(args, tol: ToleranceConfig) -> dict:
@@ -146,7 +137,7 @@ def _cmd_classical_check(args, tol: ToleranceConfig) -> dict:
 
 def _cmd_synthesize(args, tol: ToleranceConfig) -> dict:
     spec = parse_block_spec(args.spec)
-    phi, rho, structure = synthesize_pair(spec, seed=args.seed, tol=tol)
+    phi, rho, structure = synthesize_pair(spec, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = {name: os.path.join(args.out_dir, f"{name}.json")
              for name in ("channel", "state", "structure")}
@@ -166,30 +157,30 @@ def _cmd_synthesize(args, tol: ToleranceConfig) -> dict:
 
 # `gen` kind -> maker of its JSON object from the parsed arguments; the keys are the choices
 _GEN_KINDS = {
-    "density": lambda a, tol: ser.state_to_obj(
-        random_density(a.dim, a.dim if a.rank is None else a.rank, a.seed, tol)
+    "density": lambda a: ser.state_to_obj(
+        random_density(a.dim, a.dim if a.rank is None else a.rank, a.seed)
     ),
-    "unitary": lambda a, tol: {
+    "unitary": lambda a: {
         "dim": a.dim, "matrix": ser.matrix_to_obj(random_unitary(a.dim, a.seed))
     },
-    "bistochastic-channel": lambda a, tol: ser.channel_to_obj(
-        random_bistochastic_channel(a.dim, a.num_unitaries, a.seed, tol)
+    "bistochastic-channel": lambda a: ser.channel_to_obj(
+        random_bistochastic_channel(a.dim, a.num_unitaries, a.seed)
     ),
-    "stochastic-channel": lambda a, tol: ser.channel_to_obj(
-        random_stochastic_channel(a.dim, a.env_dim, a.seed, tol)
+    "stochastic-channel": lambda a: ser.channel_to_obj(
+        random_stochastic_channel(a.dim, a.env_dim, a.seed)
     ),
-    "bistochastic-matrix": lambda a, tol: {
+    "bistochastic-matrix": lambda a: {
         "dim": a.dim,
-        "matrix": random_bistochastic_matrix(a.dim, a.num_perms, a.seed, tol).matrix.tolist(),
+        "matrix": random_bistochastic_matrix(a.dim, a.num_perms, a.seed).matrix.tolist(),
     },
-    "probability": lambda a, tol: {
-        "dim": a.dim, "p": random_probability_vector(a.dim, a.seed, tol).entries.tolist()
+    "probability": lambda a: {
+        "dim": a.dim, "p": random_probability_vector(a.dim, a.seed).entries.tolist()
     },
 }
 
 
 def _cmd_gen(args, tol: ToleranceConfig) -> dict:
-    obj = _GEN_KINDS[args.kind](args, tol)
+    obj = _GEN_KINDS[args.kind](args)
     if args.out is not None:
         ser.save_json(args.out, obj)
         report = {"kind": args.kind, "seed": args.seed, "file": args.out}
@@ -204,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decide, certify and construct entropy-preserving quantum operations.",
     )
     for field, word in _TOL_FLAGS.items():
-        parser.add_argument(f"--tol-{field}", type=float, default=None, help=f"{word} tolerance")
+        default = getattr(DEFAULT_TOL, field)
+        parser.add_argument(f"--tol-{field}", type=float, default=default, help=f"{word} tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze-state", help="entropy, spectrum and support rank of a state")

@@ -1045,7 +1045,7 @@ def verify_block_structure(
 
 
 def synthesize_pair(
-    spec: BlockSpec, seed: int, tol: ToleranceConfig = DEFAULT_TOL
+    spec: BlockSpec, seed: int
 ) -> tuple[KrausChannel, DensityMatrix, BlockStructure]:
     """Build an entropy-preserving (channel, state) pair from a block spec.
 
@@ -1061,7 +1061,9 @@ def synthesize_pair(
     Deterministic given (spec, seed).  One generator seeded by ``seed`` draws,
     in this order: the block weights (a uniform point of the simplex), every
     block's left state, every block's left unitary, the right channels of the
-    blocks with dR > 1, and the global basis change.
+    blocks with dR > 1, and the global basis change.  Like the generators, it
+    takes no tolerance: the pair is validated at the defaults, which it passes
+    by construction.
     """
     if not spec.blocks:
         raise InvalidSpecError("spec needs at least one block")
@@ -1080,10 +1082,10 @@ def synthesize_pair(
     unitaries = [np.asarray(random_unitary(dl, child_seed())) for dl, _ in spec.blocks]
 
     right_channels = [
-        kraus_channel([np.eye(1)], tol) if dr == 1
+        kraus_channel([np.eye(1)]) if dr == 1
         # three mixed unitaries keep the right factor's own fixed space
         # trivial, so the synthesized fixed algebra matches the spec
-        else random_bistochastic_channel(dr, 3, child_seed(), tol)
+        else random_bistochastic_channel(dr, 3, child_seed())
         for _, dr in spec.blocks
     ]
 
@@ -1101,6 +1103,6 @@ def synthesize_pair(
         rho[lo:hi, lo:hi] = w * np.kron(left, np.eye(dr) / dr)
         classes.append(basis_change[:, lo:hi].reshape(n, dl, dr))
 
-    phi = kraus_channel(kraus_ops, tol)
-    rho_state = validate_state(basis_change @ rho @ basis_change.conj().T, tol)
+    phi = kraus_channel(kraus_ops)
+    rho_state = validate_state(basis_change @ rho @ basis_change.conj().T)
     return phi, rho_state, _block_structure(n, classes)

@@ -12,6 +12,10 @@ exhaust all unital channels for N >= 3; tests need valid bi-stochastic
 instances, not a uniform measure over them.  Bistochastic matrices are exact
 Birkhoff mixtures of permutation matrices rather than Sinkhorn
 approximations.
+
+The generators take no tolerance: each output is validated at the defaults,
+which it passes by construction.  A caller's tolerance judges what is done
+with the output, not the output itself.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .channels import KrausChannel, kraus_channel
 from .classical import ProbabilityVector, StochasticMatrix, probability_vector, stochastic_matrix
 from .errors import InvalidRankError, ValidationError
 from .states import DensityMatrix, frozen_array, validate_state
-from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "random_density",
@@ -73,14 +76,12 @@ def _gaussian_state(n: int, rank: int, seed) -> np.ndarray:
     return m / np.trace(m).real
 
 
-def random_density(
-    n: int, rank: int, seed, tol: ToleranceConfig = DEFAULT_TOL
-) -> DensityMatrix:
+def random_density(n: int, rank: int, seed) -> DensityMatrix:
     """Random state G G^dag / tr(G G^dag) with G an n x rank complex Gaussian."""
     _require_positive(dimension=n)
     if not 1 <= rank <= n:
         raise InvalidRankError(f"rank must lie in [1, {n}], got {rank}")
-    return validate_state(_gaussian_state(n, rank, seed), tol)
+    return validate_state(_gaussian_state(n, rank, seed))
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
@@ -89,21 +90,17 @@ def random_unitary(n: int, seed) -> np.ndarray:
     return frozen_array(_haar_unitary(_seeded_rng(seed), n))
 
 
-def random_bistochastic_channel(
-    n: int, num_unitaries: int, seed, tol: ToleranceConfig = DEFAULT_TOL
-) -> KrausChannel:
+def random_bistochastic_channel(n: int, num_unitaries: int, seed) -> KrausChannel:
     """Mixed-unitary channel: Kraus family {sqrt(w_i) U_i} with random
     simplex weights and Haar unitaries."""
     _require_positive(dimension=n, num_unitaries=num_unitaries)
     rng = _seeded_rng(seed)
     weights = rng.dirichlet(np.ones(num_unitaries))
     ops = [np.sqrt(w) * _haar_unitary(rng, n) for w in weights]
-    return kraus_channel(ops, tol)
+    return kraus_channel(ops)
 
 
-def random_stochastic_channel(
-    n: int, env_dim: int, seed, tol: ToleranceConfig = DEFAULT_TOL
-) -> KrausChannel:
+def random_stochastic_channel(n: int, env_dim: int, seed) -> KrausChannel:
     """Stochastic channel from a random isometry into system (x) environment.
 
     V is the first n columns of a Haar unitary on the n*env_dim dimensional
@@ -115,12 +112,10 @@ def random_stochastic_channel(
     v = big[:, :n]
     # joint index (i, e) -> i * env_dim + e
     ops = [v[e::env_dim, :] for e in range(env_dim)]
-    return kraus_channel(ops, tol)
+    return kraus_channel(ops)
 
 
-def random_bistochastic_matrix(
-    n: int, num_perms: int, seed, tol: ToleranceConfig = DEFAULT_TOL
-) -> StochasticMatrix:
+def random_bistochastic_matrix(n: int, num_perms: int, seed) -> StochasticMatrix:
     """Convex combination of random permutation matrices with simplex weights."""
     _require_positive(dimension=n, num_perms=num_perms)
     rng = _seeded_rng(seed)
@@ -128,10 +123,10 @@ def random_bistochastic_matrix(
     m = np.zeros((n, n))
     for w in weights:
         m[rng.permutation(n), np.arange(n)] += w
-    return stochastic_matrix(m, tol)
+    return stochastic_matrix(m)
 
 
-def random_probability_vector(n: int, seed, tol: ToleranceConfig = DEFAULT_TOL) -> ProbabilityVector:
+def random_probability_vector(n: int, seed) -> ProbabilityVector:
     """Uniform (flat Dirichlet) random probability vector."""
     _require_positive(dimension=n)
-    return probability_vector(_seeded_rng(seed).dirichlet(np.ones(n)), tol)
+    return probability_vector(_seeded_rng(seed).dirichlet(np.ones(n)))

@@ -1,11 +1,15 @@
 """Tests for the classical (Shannon / doubly-stochastic) application."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qentropy import (
+    DEFAULT_TOL,
     NotBistochasticError,
     NotDiagonalError,
+    StochasticMatrix,
     adjoint,
     bridge_check,
     channel_from_bistochastic,
@@ -36,6 +40,8 @@ ENTROPY_062_038 = 0.9580420222262996
 NOT_BISTOCHASTIC_MESSAGE = (
     "matrix is not bistochastic; column residual 0.000e+00, row residual 5.000e-01"
 )
+
+EXACT = DEFAULT_TOL.replace(eq=0.0)
 
 
 def permutation_matrix(perm):
@@ -69,6 +75,19 @@ class TestShannonEntropy:
         assert abs(shannon_entropy(p) - von_neumann_entropy(rho)) <= 1e-10
 
 
+class TestStochasticMatrix:
+    def test_fields_are_the_matrix_and_its_residuals(self):
+        assert [f.name for f in dataclasses.fields(StochasticMatrix)] == [
+            "dim", "matrix", "column_residual", "row_residual"
+        ]
+
+    def test_built_at_zero_eq_passes_a_check_at_the_defaults(self):
+        """The residuals are judged at the tolerance of the check, not of the construction."""
+        b = stochastic_matrix(random_bistochastic_matrix(3, 3, 1).matrix, EXACT)
+        assert 0.0 < b.column_residual <= DEFAULT_TOL.eq
+        assert corollary_check(b, random_probability_vector(3, 0)).agreement
+
+
 class TestKrausMatrix:
     def test_identity_channel(self):
         np.testing.assert_allclose(kraus_matrix(identity_channel(3)).matrix, np.eye(3))
@@ -77,7 +96,7 @@ class TestKrausMatrix:
         u = random_unitary(4, 1)
         b = kraus_matrix(unitary_channel(u))
         np.testing.assert_allclose(b.matrix, np.abs(np.asarray(u)) ** 2, atol=1e-12)
-        assert b.bistochastic
+        assert max(b.column_residual, b.row_residual) <= tol.eq
 
     @pytest.mark.parametrize("seed", range(10))
     def test_adjoint_transposes(self, seed, tol):
@@ -88,7 +107,7 @@ class TestKrausMatrix:
         lhs = kraus_matrix(adjoint(psi)).matrix
         rhs = kraus_matrix(psi).matrix.T
         np.testing.assert_allclose(lhs, rhs, atol=tol.eq)
-        assert b.column_stochastic
+        assert b.column_residual <= tol.eq
 
     @pytest.mark.parametrize("seed", range(10))
     def test_column_sums(self, seed, tol):
@@ -134,9 +153,20 @@ class TestChannelFromBistochastic:
             np.real(np.diagonal(out)), t.matrix @ p.entries, atol=tol.eq
         )
 
+    def test_channel_of_a_mixture_accepted_at_zero_eq_has_it_as_kraus_matrix(self):
+        t = random_bistochastic_matrix(3, 3, 19)
+        assert max(t.column_residual, t.row_residual) == 0.0
+        phi = channel_from_bistochastic(t, EXACT)
+        np.testing.assert_allclose(kraus_matrix(phi).matrix, t.matrix, rtol=0, atol=1e-15)
+
+    def test_entries_at_most_psd_keep_their_operators(self):
+        t = stochastic_matrix(np.full((2, 2), 0.5))
+        phi = channel_from_bistochastic(t, DEFAULT_TOL.replace(psd=0.6))
+        np.testing.assert_allclose(kraus_matrix(phi).matrix, t.matrix, rtol=0, atol=1e-15)
+
     def test_rejects_column_stochastic_only(self):
         m = stochastic_matrix(np.array([[1.0, 0.5], [0.0, 0.5]]))
-        assert m.column_stochastic and not m.bistochastic
+        assert (m.column_residual, m.row_residual) == (0.0, 0.5)
         with pytest.raises(NotBistochasticError) as info:
             channel_from_bistochastic(m)
         assert type(info.value) is NotBistochasticError
@@ -167,6 +197,13 @@ class TestCorollaryCheck:
         )
         assert not report.entropy_preserved and not report.fixed_point
         assert report.agreement
+
+    def test_permutation_at_zero_eq_reads_the_entropy_of_bp(self):
+        """Bp is not validated again: its sum 0.9999999999999999 is not an input to judge."""
+        b, p = random_bistochastic_matrix(3, 1, 2), random_probability_vector(3, 1002)
+        report = corollary_check(b, p, EXACT)
+        assert report.entropy_out == shannon_entropy(probability_vector(b.matrix @ p.entries))
+        assert report.fixed_point_residual == corollary_check(b, p).fixed_point_residual
 
     def test_rejects_non_bistochastic(self):
         m = stochastic_matrix(np.array([[1.0, 0.5], [0.0, 0.5]]))

@@ -520,6 +520,20 @@ class TestSynthesize:
         )
         assert code2 == 0
 
+    def test_zero_tolerances_write_the_same_files(self, capsys, tmp_path):
+        """The pair is not judged at the caller's tolerance; its self-check is, and at eq = 0 the
+        precondition of the entropy report refuses the rounding in the channel's residuals."""
+        argv = ["synthesize", "--spec", "2x1,1x2", "--seed", "7", "--out-dir"]
+        code, _ = run_cli(capsys, [*argv, str(tmp_path / "default")])
+        zero_code, zero = run_cli(
+            capsys, ["--tol-eq", "0", "--tol-psd", "0", *argv, str(tmp_path / "zero")]
+        )
+        assert code == 0
+        assert (zero_code, zero["diagnostics"][0].split(":")[0]) == (2, "NotBistochasticError")
+        for name in ("channel.json", "state.json", "structure.json"):
+            want = (tmp_path / "default" / name).read_bytes()
+            assert (tmp_path / "zero" / name).read_bytes() == want, name
+
     def test_bad_spec_exits_2(self, capsys, tmp_path):
         code, result = run_cli(
             capsys, ["synthesize", "--spec", "2xx1", "--out-dir", str(tmp_path / "x")]
@@ -532,6 +546,15 @@ class TestGen:
         _, a = run_cli(capsys, ["gen", "density", "--dim", "3", "--rank", "2", "--seed", "9"])
         _, b = run_cli(capsys, ["gen", "density", "--dim", "3", "--rank", "2", "--seed", "9"])
         assert a["report"]["object"] == b["report"]["object"]
+
+    @pytest.mark.parametrize("kind", GEN_KINDS)
+    def test_zero_tolerances_print_the_same_object(self, capsys, kind):
+        """A generated object is valid by construction; the caller's tolerance does not judge it."""
+        for seed in range(3):  # each of the kinds that validate meets rounding at one of them
+            argv = ["gen", kind, "--dim", "4", "--rank", "2", "--seed", str(seed)]
+            code, zero = run_cli(capsys, ["--tol-eq", "0", "--tol-psd", "0", *argv])
+            _, default = run_cli(capsys, argv)
+            assert code == 0 and zero["report"]["object"] == default["report"]["object"], seed
 
     @pytest.mark.parametrize("dim", ["0", "-1"])
     @pytest.mark.parametrize("kind", GEN_KINDS)
@@ -610,32 +633,37 @@ class TestGen:
         assert code2 == 0
 
 
-class TestReportTolerances:
-    def test_last_report_key_of_every_command(self, capsys, tmp_path, channel_file, state_file):
-        from qentropy import random_unitary
+@pytest.fixture
+def every_command(tmp_path, channel_file, state_file):
+    """One argument list per command that prints a report, both `analyze-pair` outcomes included."""
+    from qentropy import random_unitary
 
-        unitary = channel_file(unitary_channel(random_unitary(2, 0)))
-        damping = channel_file(amplitude_damping_channel(0.5), "damping.json")
-        state = state_file(maximally_mixed(2))
-        batch = tmp_path / "batch.csv"
-        batch.write_text("2\n0,1\n1,0\n0.8,0.2\n")
-        commands = [
-            ["analyze-state", state],
-            ["analyze-pair", unitary, state],
-            ["analyze-pair", damping, state],
-            ["decompose", unitary],
-            ["map-entropy", unitary],
-            ["map-entropy", unitary, unitary],
-            ["classical-check", str(batch)],
-            ["synthesize", "--spec", "2x1", "--out-dir", str(tmp_path / "out")],
-            ["gen", "density", "--dim", "2"],
-            ["gen", "density", "--dim", "2", "--out", str(tmp_path / "rho.json")],
-        ]
-        for argv in commands:
+    unitary = channel_file(unitary_channel(random_unitary(2, 0)))
+    damping = channel_file(amplitude_damping_channel(0.5), "damping.json")
+    state = state_file(maximally_mixed(2))
+    batch = tmp_path / "batch.csv"
+    batch.write_text("2\n0,1\n1,0\n0.8,0.2\n")
+    return [
+        ["analyze-state", state],
+        ["analyze-pair", unitary, state],
+        ["analyze-pair", damping, state],
+        ["decompose", unitary],
+        ["map-entropy", unitary],
+        ["map-entropy", unitary, unitary],
+        ["classical-check", str(batch)],
+        ["synthesize", "--spec", "2x1", "--out-dir", str(tmp_path / "out")],
+        ["gen", "density", "--dim", "2"],
+        ["gen", "density", "--dim", "2", "--out", str(tmp_path / "rho.json")],
+    ]
+
+
+class TestReportTolerances:
+    def test_last_report_key_of_every_command(self, capsys, every_command, state_file):
+        for argv in every_command:
             _, result = run_cli(capsys, ["--tol-eq", "1e-7", *argv])
             assert list(result["report"])[-1] == "tolerances", argv
             assert result["report"]["tolerances"]["eq"] == 1e-7, argv
-        _, result = run_cli(capsys, ["analyze-pair", state])
+        _, result = run_cli(capsys, ["analyze-pair", state_file(maximally_mixed(2))])
         assert "tolerances" not in result["report"]
 
 
@@ -656,14 +684,11 @@ class TestToleranceFlags:
         assert loose_code == 0
         assert result["report"]["tolerances"]["eq"] == 0.99
 
-    def test_env_fallback_and_flag_priority(self, capsys, channel_file, state_file, monkeypatch):
+    def test_environment_variables_set_no_tolerance(self, capsys, every_command, monkeypatch):
         monkeypatch.setenv("TOL_EQ", "0.5")
-        _, result = run_cli(capsys, ["analyze-state", state_file(maximally_mixed(2))])
-        assert result["report"]["tolerances"]["eq"] == 0.5
-        _, result2 = run_cli(
-            capsys, ["--tol-eq", "1e-6", "analyze-state", state_file(maximally_mixed(2))]
-        )
-        assert result2["report"]["tolerances"]["eq"] == 1e-6
+        for argv in every_command:
+            _, result = run_cli(capsys, argv)
+            assert result["report"]["tolerances"]["eq"] == 1e-8, argv
 
     def test_every_settable_tolerance_has_a_flag(self):
         from qentropy import ToleranceConfig

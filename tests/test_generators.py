@@ -1,5 +1,7 @@
 """Tests for the seedable instance generators: validity and determinism."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qentropy import (
     random_stochastic_channel,
     random_unitary,
     state_spectrum,
+    synthesize_pair,
 )
 
 
@@ -106,7 +109,7 @@ class TestRandomStochasticChannel:
 class TestRandomBistochasticMatrix:
     def test_single_permutation(self):
         m = random_bistochastic_matrix(4, 1, seed=9)
-        assert m.bistochastic
+        assert (m.column_residual, m.row_residual) == (0.0, 0.0)
         assert set(np.unique(np.round(m.matrix, 12))) == {0.0, 1.0}
 
     @pytest.mark.parametrize("seed", range(10))
@@ -114,7 +117,7 @@ class TestRandomBistochasticMatrix:
         m = random_bistochastic_matrix(5, 3, seed)
         np.testing.assert_allclose(m.matrix.sum(axis=0), np.ones(5), atol=tol.eq)
         np.testing.assert_allclose(m.matrix.sum(axis=1), np.ones(5), atol=tol.eq)
-        assert m.bistochastic
+        assert max(m.column_residual, m.row_residual) <= tol.eq
 
     def test_determinism(self):
         a = random_bistochastic_matrix(4, 2, seed=10)
@@ -162,6 +165,16 @@ class TestSeedStream:
     def test_float_seed_is_refused(self, kind):
         with pytest.raises(TypeError):
             GENERATORS[kind](2.0)
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [random_density, random_bistochastic_channel, random_stochastic_channel,
+     random_bistochastic_matrix, random_probability_vector, synthesize_pair],
+)
+def test_a_generator_takes_no_tolerance(maker):
+    """Its output is validated at the defaults, which it passes by construction."""
+    assert "tol" not in inspect.signature(maker).parameters
 
 
 class TestLemmaTwoFeed:

@@ -22,7 +22,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import platform
 import sys
 import tempfile
@@ -161,29 +160,25 @@ def _portable(value):
 
 
 def run_cases(tmp: Path) -> dict:
-    """Case id -> its exit code, hashes and portable record; TOL_* variables are ignored."""
-    saved = {k: os.environ.pop(k) for k in list(os.environ) if k.startswith("TOL_")}
-    try:
-        _write_inputs(tmp)
-        results, before = {}, _file_hashes(tmp)
-        for case_id, argv in CASES.items():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(argv.format(tmp=tmp).split())
-            stdout = out.getvalue().replace(str(tmp), "$TMP")
-            after = _file_hashes(tmp)
-            printed = json.loads(stdout)
-            printed["diagnostics"] = [d.split(":")[0] for d in printed["diagnostics"]]
-            results[case_id] = {
-                "exit": code,
-                "stdout": _sha(stdout.encode()),
-                "files": {k: v for k, v in after.items() if before.get(k) != v},
-                "record": _portable(printed),
-            }
-            before = after
-        return results
-    finally:
-        os.environ.update(saved)
+    """Case id -> its exit code, hashes and portable record."""
+    _write_inputs(tmp)
+    results, before = {}, _file_hashes(tmp)
+    for case_id, argv in CASES.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv.format(tmp=tmp).split())
+        stdout = out.getvalue().replace(str(tmp), "$TMP")
+        after = _file_hashes(tmp)
+        printed = json.loads(stdout)
+        printed["diagnostics"] = [d.split(":")[0] for d in printed["diagnostics"]]
+        results[case_id] = {
+            "exit": code,
+            "stdout": _sha(stdout.encode()),
+            "files": {k: v for k, v in after.items() if before.get(k) != v},
+            "record": _portable(printed),
+        }
+        before = after
+    return results
 
 
 def _close(got, want) -> bool:

@@ -128,7 +128,7 @@ class TestClassicalBatch:
         batch = load_classical_batch(path)
         assert len(batch) == 1
         b, p = batch[0]
-        assert b.bistochastic
+        assert (b.column_residual, b.row_residual) == (0.0, 0.0)
         np.testing.assert_allclose(p.entries, [0.8, 0.2])
 
     def test_csv_multiple_records(self, tmp_path):
