@@ -247,20 +247,20 @@ def petz_recovery(
     """Sigma-weighted recovery channel with Kraus family
     ``{sigma^(1/2) M_j^dag phi(sigma)^(-1/2)}``.
 
-    The inverse square root is the generalized one on the support of
-    ``phi(sigma)``; applied to ``phi(sigma)`` the result returns ``sigma``
-    (restricted to its support) whenever ``phi`` is stochastic.
+    The inverse square root is the generalized one on the support of ``phi(sigma)``; applied to
+    ``phi(sigma)`` the result returns ``sigma`` (restricted to its support) whenever ``phi`` is
+    stochastic.  tol judges phi; the recovery channel built from it is not judged again.
     """
     _require(phi, "stochastic", "recovery map needs a trace-preserving channel", tol)
     _require_same_dim(channel=phi.dim, state=sigma.dim)
     spec_out = spectral_decomposition(_apply(phi.kraus, sigma.matrix))
-    return kraus_channel(_petz_recovery(phi, sigma.spectrum, spec_out, tol), tol)
+    return KrausChannel(phi.dim, _petz_recovery(phi, sigma.spectrum, spec_out, tol))
 
 
 def _petz_recovery(
     phi: KrausChannel, spec_sigma: Spectrum, spec_out: Spectrum, tol: ToleranceConfig
 ) -> np.ndarray:
-    """:func:`petz_recovery`'s Kraus stack, neither validated nor copied, from the spectra of sigma
-    and phi(sigma), phi unchecked (sum R^dag R is the projector onto the support of phi(sigma))."""
+    """:func:`petz_recovery`'s Kraus stack, frozen in place and not validated, from the spectra
+    of sigma and phi(sigma), phi unchecked (sum R^dag R projects onto the support of phi(sigma))."""
     left, right = _psd_root(spec_sigma, False, tol), _psd_root(spec_out, True, tol)
-    return left @ phi.kraus.conj().swapaxes(1, 2) @ right
+    return frozen_array(left @ phi.kraus.conj().swapaxes(1, 2) @ right, copy=False)

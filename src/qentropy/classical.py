@@ -190,14 +190,14 @@ def bridge_check(
         raise NotDiagonalError(
             f"state has off-diagonal mass {off_mass:.3e}; diagonal input required"
         )
-    p = probability_vector(np.real(np.diagonal(rho.matrix)), tol)
+    p = np.clip(np.diagonal(rho.matrix).real, 0.0, None)  # rho was judged; p is not judged again
     b = kraus_matrix(phi, tol)
     _require_same_dim(channel=phi.dim, state=rho.dim)
     q_direct = np.real(np.diagonal(_apply(phi.kraus, rho.matrix)))
-    q_via_b = b.matrix @ p.entries
+    q_via_b = b.matrix @ p
     residual = float(np.max(np.abs(q_direct - q_via_b)))
     return BridgeReport(
-        input_probabilities=tuple(float(x) for x in p.entries),
+        input_probabilities=tuple(float(x) for x in p),
         output_probabilities=tuple(float(x) for x in q_direct),
         kraus_matrix_probabilities=tuple(float(x) for x in q_via_b),
         residual=residual,

@@ -53,6 +53,7 @@ from .channels import (
 from .choi import _map_entropy_bits
 from .errors import (
     AmbiguousGroupingError,
+    DimensionMismatchError,
     InvalidSpecError,
     NotAnAlgebraError,
     NotStochasticError,
@@ -69,6 +70,7 @@ from .states import (
     entropy_of_matrix,
     frozen_array,
     relative_entropy,
+    spectral_decomposition,
     validate_state,
     von_neumann_entropy,
 )
@@ -126,7 +128,8 @@ class FixedPointBasis:
     ``structure`` holds the blocks of that frame (None only for a basis built by hand).
 
     A basis built by hand, ``FixedPointBasis(dim, basis, residual_bound, spectral_gap[,
-    structure])``, holds what it is given (neither basis nor structure raises ValidationError).
+    structure])``, holds what it is given: neither basis nor structure raises ValidationError, and
+    a basis that is not a (d, dim, dim) stack DimensionMismatchError.
     One from :func:`fixed_point_space` holds only its structure and three numbers (``basis`` is
     None), and builds ``basis`` from the blocks on first read (``functools.cached_property``).
     """
@@ -146,6 +149,8 @@ class FixedPointBasis:
     ):
         if basis is None and structure is None:
             raise ValidationError("a fixed-point basis needs basis or structure; both are None")
+        if basis is not None and np.shape(basis)[1:] != (dim, dim):
+            raise DimensionMismatchError(f"basis shape {np.shape(basis)} is not (d, {dim}, {dim})")
         if basis is not None:
             vars(self)["basis"] = basis  # a filled cache
         vars(self).update(
@@ -274,10 +279,10 @@ def _relative_entropy_across(
 ) -> tuple[ChannelClass, float, float, DensityMatrix, DensityMatrix]:
     """S(rho||sigma) before and after phi, shared by the monotonicity and Petz checks.
 
-    Checks the preconditions in order (phi trace preserving, with ``what``
-    opening the message; dimensions; supp(rho) within supp(sigma)) and
-    returns phi's classification, S before, S after and the validated states
-    phi(rho) and phi(sigma), which carry their spectra.
+    Checks the preconditions in order (phi trace preserving, with ``what`` opening the message;
+    dimensions; supp(rho) within supp(sigma)) and returns phi's classification, S before, S after
+    and the states phi(rho) and phi(sigma), which carry their spectra.  The outputs are built,
+    not validated: a trace defect of phi within tol.eq shows in S after.
     """
     cls = _require(phi, "stochastic", what, tol)
     _require_same_dim(channel=phi.dim, rho=rho.dim, sigma=sigma.dim)
@@ -288,8 +293,8 @@ def _relative_entropy_across(
             "supp(rho) is not contained in supp(sigma); "
             f"leakage {_support_leak(rho.spectrum, sigma.spectrum, tol):.3e}"
         )
-    out_rho = validate_state(_apply(phi.kraus, rho.matrix), tol)
-    out_sigma = validate_state(_apply(phi.kraus, sigma.matrix), tol)
+    outs = (frozen_array(_apply(phi.kraus, x.matrix), copy=False) for x in (rho, sigma))
+    out_rho, out_sigma = (DensityMatrix(phi.dim, o, spectral_decomposition(o)) for o in outs)
     return cls, s_before, relative_entropy(out_rho, out_sigma, tol), out_rho, out_sigma
 
 
@@ -860,6 +865,8 @@ def _block_isometries(structure: BlockStructure, **dims: int) -> list[np.ndarray
             raise StructureMismatchError(
                 f"isometry {k} has shape {v.shape}, expected {(n, dl * dr)} for a {dl}x{dr} block"
             )
+        if not np.isfinite(v).all():
+            raise StructureMismatchError(f"isometry {k} has non-finite entries")
     return isos
 
 

@@ -77,8 +77,8 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated quantum state; construct via :func:`validate_state`.  ``spectrum`` is the
-    eigendecomposition (eigenvalues unclipped) that spectral functionals read, never recompute."""
+    """A state: from :func:`validate_state` for input, from its spectral decomposition for a
+    channel output.  Functionals read ``spectrum`` (eigenvalues unclipped), never recompute it."""
 
     dim: int
     matrix: np.ndarray
@@ -264,10 +264,9 @@ def relative_entropy(
 
 
 def _psd_root(spec: Spectrum, inverse: bool, tol: ToleranceConfig) -> np.ndarray:
-    """Square root, or generalized inverse square root on the support, from a spectrum."""
+    """Square root, or generalized inverse square root on the support (eigenvalues above tol.psd),
+    from a spectrum; a negative eigenvalue counts as zero, so nothing is refused."""
     vals = spec.eigenvalues
-    if vals[-1] < -tol.psd:
-        raise NotPositiveError(f"matrix is not PSD: smallest eigenvalue {vals[-1]:.3e}")
     if inverse:
         roots = 1.0 / np.sqrt(np.where(vals > tol.psd, vals, np.inf))
     else:

@@ -18,8 +18,8 @@ class ToleranceConfig:
     """The three settable thresholds of the verdicts, and how each of the seven is scaled.
 
     herm   -- fixed (_HERM_TOL), absolute: max-abs entry of A - A^dag, for states and Choi matrices
-    trace  -- fixed (_TRACE_TOL), absolute: |trace - 1| of a state
-    psd    -- absolute: eigenvalues in [-psd, 0) are numerical zeros, lower is an error
+    trace  -- fixed (_TRACE_TOL), absolute: |trace - 1| of an input state
+    psd    -- absolute: eigenvalues in [-psd, 0) are numerical zeros, lower is an error in an input
     recon  -- fixed (_RECON_TOL), x N: isometry orthonormality and overlap in verify_block_structure
     eq     -- absolute: entropy gaps, the 1 + eq cap on sum M^dag M, classical residuals, a state's
               block coupling; x N: channel-class and block-factor residuals (x dL: left unitary)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qentropy.channels
 from qentropy import (
     DimensionMismatchError,
     KrausChannel,
@@ -28,6 +29,7 @@ from qentropy import (
     random_density,
     random_stochastic_channel,
     random_unitary,
+    spectral_decomposition,
     synthesize_pair,
 )
 from qentropy.serialization import channel_from_obj, channel_to_obj
@@ -42,6 +44,7 @@ from conftest import (
     identity_channel,
     maximally_mixed,
     pure_state,
+    spy,
     superoperator_matrix,
     unitary_channel,
     unvec,
@@ -375,3 +378,13 @@ class TestPetzRecovery:
         rec = petz_recovery(phi, sigma)
         recovered = apply_channel(rec, apply_channel(phi, sigma.matrix))
         assert np.linalg.norm(recovered - sigma.matrix) <= tol.eq * 4
+
+    def test_the_recovery_channel_is_built_not_validated(self, monkeypatch, tol):
+        phi, sigma = random_stochastic_channel(4, 2, seed=17), random_density(4, 3, seed=18)
+        spec_out = spectral_decomposition(qentropy.channels._apply(phi.kraus, sigma.matrix))
+        stack = qentropy.channels._petz_recovery(phi, sigma.spectrum, spec_out, tol)
+        validated = kraus_channel(stack).kraus
+        calls = spy(monkeypatch, qentropy.channels, "kraus_channel")
+        rec = petz_recovery(phi, sigma)
+        assert calls == []
+        np.testing.assert_array_equal(rec.kraus, validated)  # bit for bit

@@ -261,6 +261,14 @@ class TestBridgeCheck:
         rho = validate_state(np.diag(p.entries))
         assert bridge_check(phi, rho).passed
 
+    def test_a_validated_state_is_read_at_zero_eq(self):
+        # its diagonal is not judged again, where a sum of 1.0000000000000002 was refused
+        for seed in range(50):
+            rho = validate_state(np.diag(random_probability_vector(4, seed).entries))
+            expected = probability_vector(np.diagonal(rho.matrix).real).entries  # at the defaults
+            report = bridge_check(identity_channel(4), rho, EXACT)
+            assert report.input_probabilities == tuple(expected)
+
     def test_rejects_non_diagonal(self):
         rho = validate_state(np.array([[0.5, 0.4], [0.4, 0.5]]))
         with pytest.raises(NotDiagonalError):

@@ -32,6 +32,7 @@ from qentropy import (
     stochastic_matrix,
     synthesize_pair,
     validate_state,
+    verify_block_structure,
 )
 from qentropy.serialization import dumps, load_classical_batch, state_from_obj
 
@@ -103,6 +104,26 @@ class TestEmptyInputs:
         message = "^a fixed-point basis needs basis or structure; both are None$"
         with pytest.raises(ValidationError, match=message):
             FixedPointBasis(2, None, 0.0, 1.0)
+
+
+class TestHandBuiltStructures:
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (3, 3), (1, 3, 2)])
+    def test_a_basis_that_is_not_a_stack_of_its_dimension(self, shape):
+        # refused when built, not by a numpy ValueError where the basis is read
+        message = rf"^basis shape \({shape[0]}, .*\) is not \(d, 3, 3\)$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            FixedPointBasis(3, np.zeros(shape, dtype=complex), 0.0, 1.0)
+
+    @pytest.mark.parametrize("read", ["block_form_residual", "verify_block_structure"])
+    def test_a_non_finite_isometry(self, read):
+        # refused before numpy's SVD fails to converge on it, or a residual reads nan
+        structure = BlockStructure(2, (Block(np.full((2, 2), nan), 2, 1),))
+        identity = kraus_channel([np.eye(2)])
+        with pytest.raises(StructureMismatchError, match="^isometry 0 has non-finite entries$"):
+            if read == "block_form_residual":
+                block_form_residual(fixed_point_space(identity), structure)
+            else:
+                verify_block_structure(structure, identity, validate_state(np.eye(2) / 2))
 
 
 @pytest.mark.parametrize("validate", [validate_state, choi_from_matrix], ids=["state", "choi"])

@@ -237,9 +237,11 @@ class TestPsdFunctions:
             inv_root @ rho.matrix @ inv_root, _projector(spec, tol), atol=1e-10 * 16 * 1e4
         )
 
-    def test_sqrt_rejects_negative(self, tol):
-        with pytest.raises(NotPositiveError):
-            _psd_root(spectral_decomposition(np.diag([1.0, -0.2])), False, tol)
+    def test_negative_eigenvalue_counts_as_zero(self, tol):
+        # the root clips it at 0 and the inverse root masks it, as one below tol.psd
+        spec = spectral_decomposition(np.diag([1.0, -0.2]))
+        for inverse in (False, True):
+            np.testing.assert_array_equal(_psd_root(spec, inverse, tol), np.diag([1.0, 0.0]))
 
 
 class TestEquivalenceReport:
