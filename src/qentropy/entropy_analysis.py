@@ -128,7 +128,8 @@ class FixedPointBasis:
     ``structure`` holds the blocks of that frame (None only for a basis built by hand).
 
     A basis built by hand, ``FixedPointBasis(dim, basis, residual_bound, spectral_gap[,
-    structure])``, holds what it is given: neither basis nor structure raises ValidationError, and
+    structure])``, holds a read-only complex copy of its basis and the structure it is given:
+    neither basis nor structure, or a basis with non-finite entries, raises ValidationError, and
     a basis that is not a (d, dim, dim) stack DimensionMismatchError.
     One from :func:`fixed_point_space` holds only its structure and three numbers (``basis`` is
     None), and builds ``basis`` from the blocks on first read (``functools.cached_property``).
@@ -149,9 +150,15 @@ class FixedPointBasis:
     ):
         if basis is None and structure is None:
             raise ValidationError("a fixed-point basis needs basis or structure; both are None")
-        if basis is not None and np.shape(basis)[1:] != (dim, dim):
-            raise DimensionMismatchError(f"basis shape {np.shape(basis)} is not (d, {dim}, {dim})")
         if basis is not None:
+            try:
+                basis = frozen_array(basis)
+            except (TypeError, ValueError):
+                raise DimensionMismatchError(f"basis is not a (d, {dim}, {dim}) stack") from None
+            if basis.shape[1:] != (dim, dim):
+                raise DimensionMismatchError(f"basis shape {basis.shape} is not (d, {dim}, {dim})")
+            if not np.isfinite(basis).all():
+                raise ValidationError("basis contains non-finite entries")
             vars(self)["basis"] = basis  # a filled cache
         vars(self).update(
             dim=dim, residual_bound=residual_bound, spectral_gap=spectral_gap, structure=structure
@@ -917,7 +924,7 @@ def decompose_fixed_point_algebra(
     connector or a failed certificate retries up to 3 times, then raises
     :class:`~qentropy.errors.AmbiguousGroupingError`.
     """
-    n, work, d = f.dim, np.asarray(f.basis, dtype=complex), len(f.basis)
+    n, work, d = f.dim, f.basis, len(f.basis)
     flat = work.reshape(d, n * n)
     if not d or np.linalg.norm(flat.conj() @ flat.T - np.eye(d)) > _RANK_RTOL:
         work, d = _orthonormal_span(work)

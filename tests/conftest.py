@@ -1,5 +1,5 @@
-"""Shared fixtures, channel builders, dense reference helpers, the call spy and the rounding
-allowance of the test suite."""
+"""Shared fixtures, channel builders, dense reference helpers, the call spy, the rounding
+allowance of the property tests and the comparison of the golden files."""
 
 import dataclasses
 import math
@@ -37,6 +37,7 @@ DEEP_ONLY = pytest.mark.skipif(
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+GOLDEN_FLOOR = 33  # c of golden_agrees
 
 
 @pytest.fixture
@@ -85,6 +86,29 @@ def rounding(phi):
     4 max(N, k) eps_mach of each other.
     """
     return 4 * max(phi.dim, len(phi.kraus)) * np.finfo(float).eps
+
+
+def golden_agrees(got, want, dim, rel):
+    """Whether a value computed off the recorded environment agrees with its golden record.
+
+    The error model: a report float is an entropy or residual of an N x N state computed through
+    an eigensolve, which moves each of N eigenvalues by O(N eps_mach) (Golub and Van Loan, Matrix
+    Computations, 2013, ch. 8), so two BLAS kernel sets round it apart by up to c N^2 eps_mach.
+    Numbers, an int with a float too (0.0 prints as 0), agree within max(rel |value|, c N^2
+    eps_mach), ``rel`` the precision of the record; c = GOLDEN_FLOOR, the smallest integer that
+    covers OpenBLAS 0.3.31's Haswell, Zen, SandyBridge and Prescott kernel sets (worst measured
+    |difference| / (N^2 eps_mach): 32.2, a monotonicity slack at N = 16 under Prescott).  Dicts
+    and lists agree item by item; two ints, bools (verdicts), strings and None exactly.
+    """
+    if isinstance(want, dict) and isinstance(got, dict) and want.keys() == got.keys():
+        got, want = [got[k] for k in want], list(want.values())
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return all(golden_agrees(g, w, dim, rel) for g, w in zip(got, want))
+    if {type(got), type(want)} in ({float}, {int, float}):
+        return (math.isnan(got) and math.isnan(want)) or math.isclose(
+            got, want, rel_tol=rel, abs_tol=GOLDEN_FLOOR * dim**2 * np.finfo(float).eps
+        )
+    return type(got) is type(want) and got == want
 
 
 def identity_channel(n=2):

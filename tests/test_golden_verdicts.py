@@ -11,10 +11,10 @@ non-stochastic composition is recorded too.  Rewrite the file with
 and check it without pytest by leaving out ``--update``.  Floats are compared bit for bit when
 numpy (its version and the SIMD targets it dispatches to), its BLAS (the build, and the kernel
 set a bundled OpenBLAS picks for the CPU) and ``OPENBLAS_NUM_THREADS=1`` match the recorded ones.
-Otherwise they are
-compared to a relative 1e-12, with an absolute 1e-14 for values at the rounding floor (an
-entropy gap or residual of ~1e-16 has no relative precision across BLAS builds).  Verdicts,
-``None`` fields, infinities and error messages are always compared exactly.
+Otherwise each float is compared by ``conftest.golden_agrees``, the one rule of both golden
+files: to a relative 1e-12, or within c N^2 eps_mach for the case's N, the rounding of an
+eigensolve-based entropy or residual of an N x N state.  Verdicts, ``None`` fields, infinities
+and error messages are always compared exactly.
 """
 
 import argparse
@@ -49,11 +49,10 @@ from qentropy import (
 )
 from qentropy import states
 
-from conftest import spy
+from conftest import golden_agrees, spy
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verdicts.json"
 DIMS, KRAUS_COUNTS = (2, 3, 4, 8, 12, 16), (1, 3)
-REL_TOL, ABS_TOL = 1e-12, 1e-14
 
 
 def _blas() -> str:
@@ -168,36 +167,33 @@ def cases() -> dict:
     return out
 
 
-def _load() -> dict:
-    return json.loads(GOLDEN.read_text())
-
-
 def _exact(recorded_env: dict, environment=_environment) -> bool:
     return environment() == recorded_env and recorded_env["OPENBLAS_NUM_THREADS"] == "1"
 
 
-def _mismatches(expected: dict, actual: dict, exact: bool) -> list[str]:
-    """The fields of one case that differ, compared as the module docstring says."""
+def _dim(case_id: str) -> int:
+    """N of a case: a grid case's id starts with "N=<N> ", the composition is at N = 2."""
+    return int(case_id.split()[0][2:]) if case_id.startswith("N=") else 2
+
+
+def _decode(value):
+    try:
+        return float.fromhex(value)
+    except (TypeError, ValueError):
+        return value  # a bool, None, a kind string or an error message
+
+
+def _mismatches(expected: dict, actual: dict, exact: bool, dim: int = DIMS[-1]) -> list[str]:
+    """The fields of one case at N = ``dim`` (by default the grid's largest) that differ."""
     if expected.keys() != actual.keys():
         return [f"fields {sorted(actual)} != recorded {sorted(expected)}"]
-    bad = []
-    for name, want in expected.items():
-        got = actual[name]
-        if got == want:
-            continue
-        if not exact and isinstance(want, str) and isinstance(got, str) and name != "error":
-            try:
-                a, b = float.fromhex(got), float.fromhex(want)
-            except ValueError:
-                pass  # a kind string
-            else:
-                if math.isfinite(a) and math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-                    continue
-        bad.append(f"{name}: {got} != recorded {want}")
-    return bad
+    return [f"{name}: {actual[name]} != recorded {want}" for name, want in expected.items()
+            if actual[name] != want
+            and (exact or not golden_agrees(_decode(actual[name]), _decode(want), dim, 1e-12))]
 
 
-GOLDEN_DATA = _load() if GOLDEN.exists() else {"environment": {}, "cases": {}}
+GOLDEN_DATA = (json.loads(GOLDEN.read_text()) if GOLDEN.exists()
+               else {"environment": {}, "cases": {}})
 CASES = cases()
 
 
@@ -214,7 +210,7 @@ def test_file_covers_the_grid_and_stays_small():
 def test_verdict_matches_golden(case_id):
     exact = _exact(GOLDEN_DATA["environment"])
     expected = GOLDEN_DATA["cases"][case_id]
-    assert _mismatches(expected, _record(CASES[case_id]), exact) == []
+    assert _mismatches(expected, _record(CASES[case_id]), exact, _dim(case_id)) == []
 
 
 @pytest.mark.skipif(
@@ -232,11 +228,25 @@ def test_one_ulp_in_the_entropy_kernel_fails_the_exact_comparison(monkeypatch):
     assert _mismatches(expected, actual, exact=False) == []
 
 
+@pytest.mark.parametrize("case_id, field, change", [
+    ("N=3 k=3 petz_full", "entropy_in", lambda x: (float.fromhex(x) * (1 + 1e-9)).hex()),
+    ("N=3 k=3 petz_full", "fixed_point", lambda verdict: not verdict),
+    ("N=3 k=3 petz_leaking", "error", lambda message: message.replace("1.414", "1.415")),
+    # 0.0 against 3 eps_mach, within the floor at N = 3
+    ("N=3 k=1 petz_bistochastic_full", "entropy_gap", lambda zero: (6.66e-16).hex()),
+])
+def test_the_tolerant_comparison_reports_only_defects(case_id, field, change):
+    expected = GOLDEN_DATA["cases"][case_id]
+    actual = {**expected, field: change(expected[field])}
+    bad = [line.split(":")[0] for line in _mismatches(expected, actual, False, _dim(case_id))]
+    assert bad == ([] if field == "entropy_gap" else [field])
+
+
 def main(argv=None, golden=GOLDEN, run=record_cases, environment=_environment,
-         mismatches=_mismatches, counted="mismatched fields") -> int:
+         mismatches=_mismatches, counted="mismatched fields", dim=_dim) -> int:
     """Compare the cases ``run`` returns with the file ``golden`` and print each mismatch (exit 1 if
     any), or rewrite the file with --update (exit 2 unless OPENBLAS_NUM_THREADS=1);
-    test_golden_cli passes its own file, runner, environment, comparison and word for a mismatch."""
+    test_golden_cli passes its own file, runner, environment, comparison, noun and N of a case."""
     parser = argparse.ArgumentParser(description=f"check the cases of {golden.name}")
     parser.add_argument("--update", action="store_true", help=f"rewrite tests/golden/{golden.name}")
     args = parser.parse_args(argv)
@@ -253,7 +263,7 @@ def main(argv=None, golden=GOLDEN, run=record_cases, environment=_environment,
     recorded = json.loads(golden.read_text())
     exact, failed = _exact(recorded["environment"], environment), 0
     for case_id, result in actual.items():
-        for line in mismatches(recorded["cases"].get(case_id, {}), result, exact):
+        for line in mismatches(recorded["cases"].get(case_id, {}), result, exact, dim(case_id)):
             print(f"{case_id}: {line}")
             failed += 1
     print(f"{len(actual)} cases, {failed} {counted}, {'exact' if exact else 'tolerant'} comparison")

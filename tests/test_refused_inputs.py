@@ -114,6 +114,21 @@ class TestHandBuiltStructures:
         with pytest.raises(DimensionMismatchError, match=message):
             FixedPointBasis(3, np.zeros(shape, dtype=complex), 0.0, 1.0)
 
+    @pytest.mark.parametrize("basis, error, message", [
+        ((np.eye(2), np.eye(3)), DimensionMismatchError, r"^basis is not a \(d, 2, 2\) stack$"),
+        (np.full((1, 2, 2), nan), ValidationError, "^basis contains non-finite entries$"),
+    ])
+    def test_a_basis_that_cannot_be_read(self, basis, error, message):
+        # refused when built, not by numpy's ValueError on a ragged basis, or as a NaN span that
+        # is not closed under conjugate transpose
+        with pytest.raises(error, match=message):
+            FixedPointBasis(2, basis, 0.0, 1.0)
+
+    def test_a_basis_is_held_as_one_read_only_complex_array(self):
+        given = np.eye(2)[None]  # real and writable
+        basis = FixedPointBasis(2, given, 0.0, 1.0).basis
+        assert basis.dtype == complex and not basis.flags.writeable and given.flags.writeable
+
     @pytest.mark.parametrize("read", ["block_form_residual", "verify_block_structure"])
     def test_a_non_finite_isometry(self, read):
         # refused before numpy's SVD fails to converge on it, or a residual reads nan
