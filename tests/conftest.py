@@ -93,12 +93,12 @@ def golden_agrees(got, want, dim, rel):
 
     The error model: a report float is an entropy or residual of an N x N state computed through
     an eigensolve, which moves each of N eigenvalues by O(N eps_mach) (Golub and Van Loan, Matrix
-    Computations, 2013, ch. 8), so two BLAS kernel sets round it apart by up to c N^2 eps_mach.
-    Numbers, an int with a float too (0.0 prints as 0), agree within max(rel |value|, c N^2
-    eps_mach), ``rel`` the precision of the record; c = GOLDEN_FLOOR, the smallest integer that
-    covers OpenBLAS 0.3.31's Haswell, Zen, SandyBridge and Prescott kernel sets (worst measured
-    |difference| / (N^2 eps_mach): 32.2, a monotonicity slack at N = 16 under Prescott).  Dicts
-    and lists agree item by item; two ints, bools (verdicts), strings and None exactly.
+    Computations, 2013, ch. 8), so two BLAS kernel sets round it apart by up to c N^2 eps_mach,
+    c = GOLDEN_FLOOR: the smallest integer covering numpy 2.4.6's OpenBLAS 0.3.31 under Haswell,
+    Zen, SandyBridge and Prescott (worst |difference| / (N^2 eps_mach) 32.2, a monotonicity slack
+    at N = 16 under Prescott); other builds are unmeasured.  Numbers, an int with a float too
+    (0.0 prints as 0), agree within max(rel |value|, c N^2 eps_mach), ``rel`` the precision of
+    the record; dicts and lists item by item; two ints, bools, strings and None exactly.
     """
     if isinstance(want, dict) and isinstance(got, dict) and want.keys() == got.keys():
         got, want = [got[k] for k in want], list(want.values())
@@ -106,8 +106,7 @@ def golden_agrees(got, want, dim, rel):
         return all(golden_agrees(g, w, dim, rel) for g, w in zip(got, want))
     if {type(got), type(want)} in ({float}, {int, float}):
         return (math.isnan(got) and math.isnan(want)) or math.isclose(
-            got, want, rel_tol=rel, abs_tol=GOLDEN_FLOOR * dim**2 * np.finfo(float).eps
-        )
+            got, want, rel_tol=rel, abs_tol=GOLDEN_FLOOR * dim**2 * np.finfo(float).eps)
     return type(got) is type(want) and got == want
 
 

@@ -183,13 +183,13 @@ def _decode(value):
         return value  # a bool, None, a kind string or an error message
 
 
-def _mismatches(expected: dict, actual: dict, exact: bool, dim: int = DIMS[-1]) -> list[str]:
-    """The fields of one case at N = ``dim`` (by default the grid's largest) that differ."""
+def _mismatches(case_id: str, expected: dict, actual: dict, exact: bool) -> list[str]:
+    """The fields of one case that differ."""
     if expected.keys() != actual.keys():
         return [f"fields {sorted(actual)} != recorded {sorted(expected)}"]
     return [f"{name}: {actual[name]} != recorded {want}" for name, want in expected.items()
-            if actual[name] != want
-            and (exact or not golden_agrees(_decode(actual[name]), _decode(want), dim, 1e-12))]
+            if actual[name] != want and (exact or not golden_agrees(
+                _decode(actual[name]), _decode(want), _dim(case_id), 1e-12))]
 
 
 GOLDEN_DATA = (json.loads(GOLDEN.read_text()) if GOLDEN.exists()
@@ -210,7 +210,7 @@ def test_file_covers_the_grid_and_stays_small():
 def test_verdict_matches_golden(case_id):
     exact = _exact(GOLDEN_DATA["environment"])
     expected = GOLDEN_DATA["cases"][case_id]
-    assert _mismatches(expected, _record(CASES[case_id]), exact, _dim(case_id)) == []
+    assert _mismatches(case_id, expected, _record(CASES[case_id]), exact) == []
 
 
 @pytest.mark.skipif(
@@ -223,9 +223,9 @@ def test_one_ulp_in_the_entropy_kernel_fails_the_exact_comparison(monkeypatch):
     calls = spy(monkeypatch, states, "_entropy_bits", lambda bits, p: bits(p) * (1 + 2**-52))
     expected, actual = GOLDEN_DATA["cases"][case_id], _record(CASES[case_id])
     assert len(calls) == 2
-    bad = _mismatches(expected, actual, exact=True)
+    bad = _mismatches(case_id, expected, actual, exact=True)
     assert [line.split(":")[0] for line in bad] == ["entropy_in", "entropy_out"]
-    assert _mismatches(expected, actual, exact=False) == []
+    assert _mismatches(case_id, expected, actual, exact=False) == []
 
 
 @pytest.mark.parametrize("case_id, field, change", [
@@ -238,15 +238,15 @@ def test_one_ulp_in_the_entropy_kernel_fails_the_exact_comparison(monkeypatch):
 def test_the_tolerant_comparison_reports_only_defects(case_id, field, change):
     expected = GOLDEN_DATA["cases"][case_id]
     actual = {**expected, field: change(expected[field])}
-    bad = [line.split(":")[0] for line in _mismatches(expected, actual, False, _dim(case_id))]
+    bad = [line.split(":")[0] for line in _mismatches(case_id, expected, actual, False)]
     assert bad == ([] if field == "entropy_gap" else [field])
 
 
 def main(argv=None, golden=GOLDEN, run=record_cases, environment=_environment,
-         mismatches=_mismatches, counted="mismatched fields", dim=_dim) -> int:
+         mismatches=_mismatches, counted="mismatched fields") -> int:
     """Compare the cases ``run`` returns with the file ``golden`` and print each mismatch (exit 1 if
     any), or rewrite the file with --update (exit 2 unless OPENBLAS_NUM_THREADS=1);
-    test_golden_cli passes its own file, runner, environment, comparison, noun and N of a case."""
+    test_golden_cli passes its own file, runner, environment, comparison and word for a mismatch."""
     parser = argparse.ArgumentParser(description=f"check the cases of {golden.name}")
     parser.add_argument("--update", action="store_true", help=f"rewrite tests/golden/{golden.name}")
     args = parser.parse_args(argv)
@@ -263,7 +263,7 @@ def main(argv=None, golden=GOLDEN, run=record_cases, environment=_environment,
     recorded = json.loads(golden.read_text())
     exact, failed = _exact(recorded["environment"], environment), 0
     for case_id, result in actual.items():
-        for line in mismatches(recorded["cases"].get(case_id, {}), result, exact, dim(case_id)):
+        for line in mismatches(case_id, recorded["cases"].get(case_id, {}), result, exact):
             print(f"{case_id}: {line}")
             failed += 1
     print(f"{len(actual)} cases, {failed} {counted}, {'exact' if exact else 'tolerant'} comparison")

@@ -119,8 +119,7 @@ class TestHandBuiltStructures:
         (np.full((1, 2, 2), nan), ValidationError, "^basis contains non-finite entries$"),
     ])
     def test_a_basis_that_cannot_be_read(self, basis, error, message):
-        # refused when built, not by numpy's ValueError on a ragged basis, or as a NaN span that
-        # is not closed under conjugate transpose
+        # refused when built, not as numpy's ValueError (ragged) or a NaN span failing later
         with pytest.raises(error, match=message):
             FixedPointBasis(2, basis, 0.0, 1.0)
 
